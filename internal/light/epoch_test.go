@@ -26,6 +26,10 @@ fun main() {
 `
 
 // contSrc is a two-thread contended counter for the replay-validity check.
+// main reads the counter back after the joins: replay reproduces the values
+// reads observe (Theorem 1), so a final write that no read observes may
+// legitimately land in another order, and the heap fingerprint would then
+// differ when both workers' last runs overlapped.
 const contSrc = `
 class Counter { field n; }
 var c = null;
@@ -42,6 +46,7 @@ fun main() {
   var t1 = spawn bump(20);
   var t2 = spawn bump(20);
   join t1; join t2;
+  print(c.n);
 }
 `
 

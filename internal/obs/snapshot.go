@@ -119,11 +119,15 @@ func (r *Registry) Snapshot() Snapshot {
 		case *Gauge:
 			s.Gauges[v.name] = v.Value()
 		case *Histogram:
+			// Count is the sum of the loaded buckets, not the count word:
+			// Observe bumps a bucket before the count, so a concurrently
+			// loaded count can disagree with the buckets in either
+			// direction, and Quantile's rank search needs them consistent.
 			hs := HistogramSnapshot{Buckets: make([]uint64, histBuckets)}
 			for i := range v.buckets {
 				hs.Buckets[i] = v.buckets[i].Load()
+				hs.Count += hs.Buckets[i]
 			}
-			hs.Count = v.count.Load()
 			hs.Sum = v.sum.Load()
 			s.Histograms[v.name] = hs
 		}

@@ -53,7 +53,12 @@ func (v *VM) callBuiltin(t *Thread, fn *compiler.Func, pc int, b compiler.Builti
 			return IntVal(int64(len(x.Ref.(*Array).Elems))), nil
 		case KindMap:
 			m := x.Ref.(*MapObj)
-			return v.sharedRead(t, MapLoc(m), in.Site, 0, func() Value { return IntVal(int64(len(m.M))) }), nil
+			return v.sharedRead(t, MapLoc(m), in.Site, 0, func() Value {
+				m.mu.Lock()
+				n := len(m.M)
+				m.mu.Unlock()
+				return IntVal(int64(n))
+			}), nil
 		case KindNull:
 			return Null, v.runtimeErr(t, fn, pc, ErrNullPointer, "null", "len of null")
 		default:
@@ -100,7 +105,9 @@ func (v *VM) callBuiltin(t *Thread, fn *compiler.Func, pc int, b compiler.Builti
 		}
 		m := mv.Ref.(*MapObj)
 		return v.sharedRead(t, MapLoc(m), in.Site, 0, func() Value {
+			m.mu.Lock()
 			_, present := m.M[k]
+			m.mu.Unlock()
 			return BoolVal(present)
 		}), nil
 
@@ -120,8 +127,15 @@ func (v *VM) callBuiltin(t *Thread, fn *compiler.Func, pc int, b compiler.Builti
 		// remove returns the previous value: a read followed by a write of
 		// the whole-map location, two shared accesses like in Java where
 		// remove both queries and mutates.
-		old := v.sharedRead(t, MapLoc(m), in.Site, 0, func() Value { return m.M[k] })
-		v.sharedWrite(t, MapLoc(m), in.Site, 0, func() { delete(m.M, k) })
+		var old Value
+		v.update(m, func() {
+			old = v.sharedRead(t, MapLoc(m), in.Site, 0, func() Value { return m.get(k) })
+			v.sharedWrite(t, MapLoc(m), in.Site, 0, func() {
+				m.mu.Lock()
+				delete(m.M, k)
+				m.mu.Unlock()
+			})
+		})
 		return old, nil
 
 	case compiler.BKeys:
@@ -135,10 +149,12 @@ func (v *VM) callBuiltin(t *Thread, fn *compiler.Func, pc int, b compiler.Builti
 		m := mv.Ref.(*MapObj)
 		var out *Array
 		v.sharedRead(t, MapLoc(m), in.Site, 0, func() Value {
+			m.mu.Lock()
 			ks := make([]MapKey, 0, len(m.M))
 			for k := range m.M {
 				ks = append(ks, k)
 			}
+			m.mu.Unlock()
 			// Deterministic order: ints before strings, each sorted.
 			sort.Slice(ks, func(i, j int) bool {
 				a, b := ks[i], ks[j]

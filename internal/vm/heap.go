@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/compiler"
@@ -96,11 +97,47 @@ type MapKey struct {
 // MapObj is the MiniJ stand-in for java.util.HashMap. Recording treats the
 // whole map as a single shared location, mirroring how a HashMap's interior
 // is opaque to field-granular tools (and to Clap's symbolic encoder).
+//
+// mu guards M inside the raw read/write closures only. The recorder's
+// optimistic (seqlock) read runs a read closure concurrently with a
+// writer's closure and discards a torn value afterwards, but a Go map
+// faults on a concurrent read and write before validation can run, so the
+// table itself must be locked. The lock orders no recorded event.
+//
+// upd makes a table update (put, remove) one step outside replay: the
+// update's read and write of the whole-map location run back to back, so
+// every update's read observes the previous update's write. Without it two
+// racing puts could both read the same version, the first one's write
+// would be read by no one, and replay would drop it as blind.
 type MapObj struct {
 	M      map[MapKey]Value
 	Mon    Monitor
 	UID    uint64
 	Shadow Shadow
+	mu     sync.Mutex
+	upd    sync.Mutex
+}
+
+// get returns the value under k (null when absent) under the table lock.
+func (m *MapObj) get(k MapKey) Value {
+	m.mu.Lock()
+	val := m.M[k]
+	m.mu.Unlock()
+	return val
+}
+
+// update runs a table update's accesses as one step (see MapObj.upd).
+// Replay runs skip the lock: the enforced schedule already orders the
+// accesses, and a thread holding it while parked at the schedule gate
+// would block the thread whose turn it is.
+func (v *VM) update(m *MapObj, f func()) {
+	if v.cfg.ReplayMode {
+		f()
+		return
+	}
+	m.upd.Lock()
+	defer m.upd.Unlock()
+	f()
 }
 
 // NewMapObj allocates an empty map.

@@ -360,7 +360,7 @@ func (v *VM) loadIndex(t *Thread, fn *compiler.Func, pc int, in *compiler.Instr,
 			return Null, v.runtimeErr(t, fn, pc, ErrType, idx.String(), "map key is %s, not hashable", idx.Kind)
 		}
 		// Missing keys read as null, as java.util.Map.get does.
-		return v.sharedRead(t, MapLoc(m), in.Site, 0, func() Value { return m.M[k] }), nil
+		return v.sharedRead(t, MapLoc(m), in.Site, 0, func() Value { return m.get(k) }), nil
 	default:
 		return Null, v.runtimeErr(t, fn, pc, ErrType, seq.String(), "index read on %s", seq.Kind)
 	}
@@ -394,8 +394,14 @@ func (v *VM) storeIndex(t *Thread, fn *compiler.Func, pc int, in *compiler.Instr
 		// resulting table depends on the prior table, so the recorder must
 		// see a flow dependence into every put (otherwise non-final puts
 		// would be classified blind and their entries lost in replay).
-		v.sharedRead(t, MapLoc(m), in.Site, 0, func() Value { return Null })
-		v.sharedWrite(t, MapLoc(m), in.Site, 0, func() { m.M[k] = val })
+		v.update(m, func() {
+			v.sharedRead(t, MapLoc(m), in.Site, 0, func() Value { return Null })
+			v.sharedWrite(t, MapLoc(m), in.Site, 0, func() {
+				m.mu.Lock()
+				m.M[k] = val
+				m.mu.Unlock()
+			})
+		})
 		return nil
 	default:
 		return v.runtimeErr(t, fn, pc, ErrType, seq.String(), "index write on %s", seq.Kind)
