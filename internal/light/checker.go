@@ -30,7 +30,7 @@ func CheckSchedule(log *trace.Log, sched *Schedule) error {
 	}
 	pos := make(map[trace.TC]int, len(sched.Order))
 	for i, tc := range sched.Order {
-		if !sys.vars[tc] {
+		if !sys.has(tc) {
 			return fmt.Errorf("light: schedule entry %d (%+v) is not a system variable", i, tc)
 		}
 		if prev, dup := pos[tc]; dup {
@@ -47,18 +47,31 @@ func CheckSchedule(log *trace.Log, sched *Schedule) error {
 		}
 	}
 
-	for _, e := range sys.conj {
-		if pos[e[0]] >= pos[e[1]] {
-			return fmt.Errorf("light: hard edge violated: %+v < %+v but positions %d >= %d",
-				e[0], e[1], pos[e[0]], pos[e[1]])
+	hard := func(edges [][2]trace.TC) error {
+		for _, e := range edges {
+			if pos[e[0]] >= pos[e[1]] {
+				return fmt.Errorf("light: hard edge violated: %+v < %+v but positions %d >= %d",
+					e[0], e[1], pos[e[0]], pos[e[1]])
+			}
 		}
+		return nil
 	}
-	for i, d := range sys.disj {
-		ok1 := pos[d.a1] < pos[d.b1]
-		ok2 := pos[d.a2] < pos[d.b2]
-		if !ok1 && !ok2 {
-			return fmt.Errorf("light: disjunction %d violated: neither %+v<%+v nor %+v<%+v holds",
-				i, d.a1, d.b1, d.a2, d.b2)
+	if err := hard(sys.chain()); err != nil {
+		return err
+	}
+	i := 0 // global disjunction index, for the error message
+	for _, ls := range sys.locs {
+		if err := hard(ls.conj); err != nil {
+			return err
+		}
+		for _, d := range ls.disj {
+			ok1 := pos[d.a1] < pos[d.b1]
+			ok2 := pos[d.a2] < pos[d.b2]
+			if !ok1 && !ok2 {
+				return fmt.Errorf("light: disjunction %d violated: neither %+v<%+v nor %+v<%+v holds",
+					i, d.a1, d.b1, d.a2, d.b2)
+			}
+			i++
 		}
 	}
 

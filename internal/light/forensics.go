@@ -102,7 +102,7 @@ func ExplainAccess(log *trace.Log, tc trace.TC, sched *Schedule) *AccessExplanat
 	}
 
 	sys := buildSystem(log)
-	ex.Scheduled = sys.vars[tc]
+	ex.Scheduled = sys.has(tc)
 	if sched != nil {
 		if p, ok := sched.Pos[tc]; ok {
 			ex.Pos = p
@@ -133,14 +133,8 @@ func ExplainAccess(log *trace.Log, tc trace.TC, sched *Schedule) *AccessExplanat
 			}
 		}
 	}
-	// Program-order chain neighbours: the aggregate conj view lists the
-	// global chain edges first, then repeats the per-location edges already
-	// reported above, so only the chain prefix is scanned.
-	nChain := len(sys.conj)
-	for _, ls := range sys.locs {
-		nChain -= len(ls.conj)
-	}
-	for _, e := range sys.conj[:nChain] {
+	// Program-order chain neighbours.
+	for _, e := range sys.chain() {
 		if e[0] == tc || e[1] == tc {
 			ex.Constraints = append(ex.Constraints, ConstraintRef{
 				Kind: "program-order", Loc: -1,

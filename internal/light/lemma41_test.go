@@ -114,18 +114,24 @@ func checkModel(t *testing.T, log *trace.Log, oracle *vm.Oracle, seed uint64) {
 		return p
 	}
 
-	for _, c := range sys.conj {
+	conj := sys.chain()
+	for _, ls := range sys.locs {
+		conj = append(conj, ls.conj...)
+	}
+	for _, c := range conj {
 		if !(at(c[0]) < at(c[1])) {
 			t.Errorf("seed %d: conjunctive constraint violated by record order: %+v < %+v (pos %d vs %d)",
 				seed, c[0], c[1], at(c[0]), at(c[1]))
 			return
 		}
 	}
-	for _, d := range sys.disj {
-		if !(at(d.a1) < at(d.b1) || at(d.a2) < at(d.b2)) {
-			t.Errorf("seed %d: disjunction violated by record order: (%+v<%+v | %+v<%+v) positions (%d,%d,%d,%d)\n%s",
-				seed, d.a1, d.b1, d.a2, d.b2, at(d.a1), at(d.b1), at(d.a2), at(d.b2), describeItems(sys, d))
-			return
+	for _, ls := range sys.locs {
+		for _, d := range ls.disj {
+			if !(at(d.a1) < at(d.b1) || at(d.a2) < at(d.b2)) {
+				t.Errorf("seed %d: disjunction violated by record order: (%+v<%+v | %+v<%+v) positions (%d,%d,%d,%d)\n%s",
+					seed, d.a1, d.b1, d.a2, d.b2, at(d.a1), at(d.b1), at(d.a2), at(d.b2), describeItems(sys, d))
+				return
+			}
 		}
 	}
 }

@@ -21,15 +21,21 @@ func orderIsModel(t *testing.T, log *trace.Log, sched *Schedule) {
 		}
 		return p
 	}
-	for _, c := range sys.conj {
+	conj := sys.chain()
+	for _, ls := range sys.locs {
+		conj = append(conj, ls.conj...)
+	}
+	for _, c := range conj {
 		if !(at(c[0]) < at(c[1])) {
 			t.Errorf("merged order violates conjunctive constraint %+v < %+v (pos %d vs %d)",
 				c[0], c[1], at(c[0]), at(c[1]))
 		}
 	}
-	for _, d := range sys.disj {
-		if !(at(d.a1) < at(d.b1) || at(d.a2) < at(d.b2)) {
-			t.Errorf("merged order violates disjunction (%+v<%+v | %+v<%+v)", d.a1, d.b1, d.a2, d.b2)
+	for _, ls := range sys.locs {
+		for _, d := range ls.disj {
+			if !(at(d.a1) < at(d.b1) || at(d.a2) < at(d.b2)) {
+				t.Errorf("merged order violates disjunction (%+v<%+v | %+v<%+v)", d.a1, d.b1, d.a2, d.b2)
+			}
 		}
 	}
 }
