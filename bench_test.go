@@ -420,13 +420,16 @@ fun main() {
 }
 
 // benchmarkSolveEngine measures cold-cache offline schedule synthesis with
-// one engine on the JGF rows — the acceptance comparison of the graph-first
-// engine (`make bench-solve` runs both and diffs the ns/op columns).
+// one engine on the JGF rows plus par-hotfield, whose hot-field contention
+// makes the densest constraint system of the multicore suite — the
+// acceptance comparison of the graph-first engine (`make bench-solve` runs
+// both and diffs the ns/op and allocation columns).
 func benchmarkSolveEngine(b *testing.B, eng light.Engine) {
-	for _, name := range []string{"jgf-crypt", "jgf-sor", "jgf-series"} {
+	for _, name := range []string{"jgf-crypt", "jgf-sor", "jgf-series", "par-hotfield"} {
 		c := compileWorkload(b, name)
 		rec := light.Record(c.prog, light.Options{O1: true}, light.RunConfig{Seed: 11, Instrument: c.maskO2})
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			var st light.ScheduleStats
 			for i := 0; i < b.N; i++ {
 				light.ResetScheduleCache()
