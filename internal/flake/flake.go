@@ -325,8 +325,27 @@ func (h *hunter) shrinkCluster(c *cluster) {
 // again, then replays that recording and checks reproduction — the claim
 // "this bundle deterministically replays the failure" is only written to the
 // report after it has been observed once.
+//
+// A shrink candidate is accepted when any of its attempts fires, so on a
+// loaded host, where unperturbed runs also fail now and then, the shrinker
+// can settle on a script that fired only by luck. When the minimal script
+// cannot re-fire the failure, verification falls back to the
+// representative's full captured script, which then becomes the cluster's
+// reproducer.
 func (h *hunter) verifyRepro(c *cluster) {
-	script := BuildTrace(c.minDecisions)
+	if h.refire(c, c.minDecisions) || len(c.minDecisions) >= len(c.rep.decisions) {
+		return
+	}
+	if h.refire(c, c.rep.decisions) {
+		c.minDecisions = c.rep.decisions
+	}
+}
+
+// refire re-records under the given script until the cluster's failure
+// fires, at most reproAttempts times, and records the verification result
+// of the first firing run. It reports whether the failure fired.
+func (h *hunter) refire(c *cluster, decisions []Decision) bool {
+	script := BuildTrace(decisions)
 	for attempt := 0; attempt < reproAttempts; attempt++ {
 		out := h.record(c.firstSeed, script, false)
 		sig, rep, failed := h.classify(out, true)
@@ -341,6 +360,7 @@ func (h *hunter) verifyRepro(c *cluster) {
 		} else if rep != nil && !rep.Diverged && light.Reproduced(out.log, rep.Result) {
 			c.verified = true
 		}
-		return
+		return true
 	}
+	return false
 }
