@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -47,7 +48,12 @@ func TestAggregates(t *testing.T) {
 	}
 }
 
+// TestMeasureOptimizationsShrinksSpace compares single recordings of each
+// variant, so it runs at GOMAXPROCS 1: with real parallelism the recorded
+// interleaving, and with it the log size, varies from run to run by more
+// than the margin under test.
 func TestMeasureOptimizationsShrinksSpace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	w := workloads.ByName("srv-cache4j")
 	row, err := MeasureOptimizations(w, Config{Runs: 1, Seed: 2})
 	if err != nil {
