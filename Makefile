@@ -60,11 +60,11 @@ race:
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# bench-solve compares the graph-first engine against the legacy CDCL engine
-# on the JGF rows (cold cache each iteration); the fastpath_rate and
-# components columns make the tier split visible next to the ns/op ratio.
+# bench-solve measures cold-cache schedule synthesis on the JGF rows and
+# par-hotfield; the fastpath_rate and components columns make the tier split
+# visible next to the ns/op and allocation columns.
 bench-solve:
-	$(GO) test -run xxx -bench 'BenchmarkSolveFastpath|BenchmarkSolveCDCL' -benchtime 3x .
+	$(GO) test -run xxx -bench 'BenchmarkSolveFastpath' -benchtime 3x .
 
 # trace-check drives the lighttrace inspector end to end: summary, export
 # (schema-validated Chrome trace JSON over the bugrepro program and fuzz
@@ -74,14 +74,14 @@ trace-check:
 	$(GO) test ./cmd/lighttrace/ ./internal/obs/flight/
 
 # fuzz-smoke is the CI-sized randomized gate: a bounded lightfuzz campaign
-# (generator -> record -> replay -> oracles), the streamed-vs-batch
-# byte-identity differential, the stored seed corpus as a regression suite,
-# and short runs of the native go-fuzz targets.
+# (generator -> record -> replay -> oracles, including the streamed-vs-batch
+# byte-identity check on every recorded log), a perturbed campaign, the
+# stored seed corpus as a regression suite, and short runs of the native
+# go-fuzz targets.
 fuzz-smoke:
-	$(GO) run ./cmd/lightfuzz -seeds 100 -jobs 4 -engine both
-	$(GO) run ./cmd/lightfuzz -seeds 60 -jobs 4 -engine stream
+	$(GO) run ./cmd/lightfuzz -seeds 100 -jobs 4
 	$(GO) run ./cmd/lightfuzz -seeds 40 -jobs 4 -perturb 30
-	$(GO) run ./cmd/lightfuzz -corpus internal/fuzz/testdata/corpus -regress -engine both
+	$(GO) run ./cmd/lightfuzz -corpus internal/fuzz/testdata/corpus -regress
 	$(GO) test ./internal/compiler -run xxx -fuzz FuzzCompileSource -fuzztime 10s
 	$(GO) test ./internal/trace -run xxx -fuzz FuzzTraceRoundTrip -fuzztime 10s
 

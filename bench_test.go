@@ -267,27 +267,6 @@ func BenchmarkSolverIDL(b *testing.B) {
 	}
 }
 
-// BenchmarkPreprocessing compares schedule computation with and without the
-// partial-order preprocessing pass (the DESIGN.md ablation).
-func BenchmarkPreprocessing(b *testing.B) {
-	c := compileWorkload(b, "srv-cache4j")
-	rec := light.Record(c.prog, light.Options{O1: true}, light.RunConfig{Seed: 3, Instrument: c.maskAll})
-	b.Run("with", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := light.ComputeSchedule(rec.Log); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("without", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := light.ComputeScheduleNoPreprocess(rec.Log); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // replicateLog tiles k disjoint copies of a recorded log into one larger log:
 // copy j's threads and locations are offset so the copies share nothing. The
 // result has at least k independent constraint components, making it an ideal
@@ -419,12 +398,11 @@ fun main() {
 	}
 }
 
-// benchmarkSolveEngine measures cold-cache offline schedule synthesis with
-// one engine on the JGF rows plus par-hotfield, whose hot-field contention
-// makes the densest constraint system of the multicore suite — the
-// acceptance comparison of the graph-first engine (`make bench-solve` runs
-// both and diffs the ns/op and allocation columns).
-func benchmarkSolveEngine(b *testing.B, eng light.Engine) {
+// BenchmarkSolveFastpath measures cold-cache offline schedule synthesis
+// (propagation fast path + CDCL(T) fallback, cache cleared every iteration)
+// on the JGF rows plus par-hotfield, whose hot-field contention makes the
+// densest constraint system of the multicore suite (`make bench-solve`).
+func BenchmarkSolveFastpath(b *testing.B) {
 	for _, name := range []string{"jgf-crypt", "jgf-sor", "jgf-series", "par-hotfield"} {
 		c := compileWorkload(b, name)
 		rec := light.Record(c.prog, light.Options{O1: true}, light.RunConfig{Seed: 11, Instrument: c.maskO2})
@@ -433,7 +411,7 @@ func benchmarkSolveEngine(b *testing.B, eng light.Engine) {
 			var st light.ScheduleStats
 			for i := 0; i < b.N; i++ {
 				light.ResetScheduleCache()
-				sched, err := light.ComputeScheduleEngine(rec.Log, eng, runtime.GOMAXPROCS(0))
+				sched, err := light.ComputeScheduleJobs(rec.Log, runtime.GOMAXPROCS(0))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -445,10 +423,3 @@ func benchmarkSolveEngine(b *testing.B, eng light.Engine) {
 		})
 	}
 }
-
-// BenchmarkSolveFastpath: graph-first engine (propagation fast path + CDCL
-// fallback), cache cleared every iteration for cold numbers.
-func BenchmarkSolveFastpath(b *testing.B) { benchmarkSolveEngine(b, light.EngineAuto) }
-
-// BenchmarkSolveCDCL: the legacy engine on the same logs.
-func BenchmarkSolveCDCL(b *testing.B) { benchmarkSolveEngine(b, light.EngineCDCL) }

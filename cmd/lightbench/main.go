@@ -54,7 +54,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "base seed")
 	suite := flag.String("suite", "", "restrict to one suite (jgf, stamp, server, dacapo)")
 	solveJobs := flag.Int("solvejobs", 0, "workers for the partitioned schedule solve (0 = GOMAXPROCS)")
-	engine := flag.String("engine", light.DefaultEngine.String(), "schedule engine: auto (graph-first), cdcl (legacy), or stream (pipelined)")
 	solveCache := flag.Bool("solvecache", true, "reuse cached component schedules across solves")
 	solveCacheDir := flag.String("solvecache-dir", "", "persist solved schedules to this directory, hydrated on startup (empty = in-memory only)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus metrics at this address under /metrics")
@@ -65,11 +64,6 @@ func main() {
 	flag.Parse()
 	light.DefaultSolveJobs = *solveJobs
 	light.DefaultSolveCache = *solveCache
-	eng, err := light.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
-	light.DefaultEngine = eng
 	if *solveCacheDir != "" {
 		if _, err := light.SetSolveCacheDir(*solveCacheDir, 0); err != nil {
 			// A quarantined cache is a warning: the store reopened empty.

@@ -3,25 +3,18 @@
 // toward recorder-hostile patterns, records and replays each one under
 // rotating recorder variants, and checks three independent oracles
 // (replay reproduction + final heap state, LEAP/Stride cross-recording,
-// 1-vs-N solver equivalence). Failures are minimized by a delta-debugging
-// shrinker and written as reproducible corpus files.
+// solve equivalence: 1-vs-N workers and streamed-vs-batch byte identity,
+// both schedules checker-validated). Failures are minimized by a
+// delta-debugging shrinker and written as reproducible corpus files.
 //
 // Usage:
 //
-//	lightfuzz [-seeds N] [-duration D] [-corpus DIR] [-jobs N] [-engine E]
+//	lightfuzz [-seeds N] [-duration D] [-corpus DIR] [-jobs N]
 //	lightfuzz -corpus DIR -regress      re-run every stored case
 //	lightfuzz -shrink FILE              minimize one stored failure
 //	lightfuzz -artifacts DIR            also write per-failure debug bundles
 //	                                    (shrunk reproducer + forensics JSON +
 //	                                    Perfetto schedule trace)
-//
-// -engine selects the schedule-synthesis engine: "auto" (graph-first,
-// default) or "cdcl" (legacy) set the engine for every solve; "both" keeps
-// the default engine and additionally cross-checks the two engines'
-// schedules with the standalone checker on every recorded log; "stream"
-// sets the streaming engine for every solve and additionally requires its
-// schedule to be byte-identical to the batch graph-first engine's on every
-// recorded log (the streaming pipeline's equivalence oracle).
 package main
 
 import (
@@ -31,8 +24,6 @@ import (
 	"time"
 
 	"repro/internal/fuzz"
-	"repro/internal/light"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -47,7 +38,6 @@ func main() {
 		artifacts  = flag.String("artifacts", "", "directory for per-failure debug bundles (shrunk .lfz + forensics + Perfetto trace)")
 		regress    = flag.Bool("regress", false, "re-run every case already stored in -corpus instead of fuzzing")
 		shrink     = flag.String("shrink", "", "minimize the failing case in this .lfz file and print the reproducer")
-		engine     = flag.String("engine", "auto", "schedule engine: auto, cdcl, stream (byte-identity cross-check), or both (model cross-check)")
 		perturb    = flag.Int("perturb", 0, "schedule-perturbation intensity for record runs (0 = off, 1-100)")
 		verbose    = flag.Bool("v", false, "log every oracle failure as it happens")
 	)
@@ -61,26 +51,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	crossEngine := *engine == "both"
-	crossStream := *engine == "stream"
-	if !crossEngine {
-		eng, err := light.ParseEngine(*engine)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lightfuzz: %v\n", err)
-			os.Exit(2)
-		}
-		light.DefaultEngine = eng
-	}
-
 	switch {
 	case *shrink != "":
-		os.Exit(runShrink(*shrink, *solveJobs, crossEngine, crossStream))
+		os.Exit(runShrink(*shrink, *solveJobs))
 	case *regress:
 		if *corpus == "" {
 			fmt.Fprintln(os.Stderr, "lightfuzz: -regress requires -corpus")
 			os.Exit(2)
 		}
-		os.Exit(runRegress(*corpus, *solveJobs, crossEngine, crossStream))
+		os.Exit(runRegress(*corpus, *solveJobs))
 	}
 
 	cfg := fuzz.Config{
@@ -92,8 +71,6 @@ func main() {
 		Duration:     *duration,
 		CorpusDir:    *corpus,
 		ArtifactsDir: *artifacts,
-		CrossEngine:  crossEngine,
-		CrossStream:  crossStream,
 		Perturb:      *perturb,
 	}
 	if *verbose {
@@ -112,7 +89,7 @@ func main() {
 }
 
 // runRegress replays every stored corpus case through the oracle stack.
-func runRegress(dir string, solveJobs int, crossEngine, crossStream bool) int {
+func runRegress(dir string, solveJobs int) int {
 	cases, err := fuzz.LoadCorpus(dir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lightfuzz: %v\n", err)
@@ -122,11 +99,10 @@ func runRegress(dir string, solveJobs int, crossEngine, crossStream bool) int {
 		fmt.Printf("corpus %s: no cases\n", dir)
 		return 0
 	}
-	repro := selectRepro(crossEngine, crossStream)
 	failed := 0
 	start := time.Now()
 	for _, c := range cases {
-		if _, err := repro(c, solveJobs, nil); err != nil {
+		if _, err := fuzz.Reproduce(c, solveJobs, nil); err != nil {
 			failed++
 			fmt.Printf("  FAIL genseed=%d schedseed=%d: %s\n", c.GenSeed, c.SchedSeed, firstLine(err.Error()))
 		}
@@ -141,15 +117,14 @@ func runRegress(dir string, solveJobs int, crossEngine, crossStream bool) int {
 // runShrink minimizes one stored failing case and prints the reproducer.
 // The stored failure must reproduce without fault injection; cases written
 // by the injected-fault self-test cannot be re-shrunk here.
-func runShrink(path string, solveJobs int, crossEngine, crossStream bool) int {
+func runShrink(path string, solveJobs int) int {
 	c, err := fuzz.ReadCase(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lightfuzz: %v\n", err)
 		return 1
 	}
-	repro := selectRepro(crossEngine, crossStream)
 	fails := func(tr []uint32) bool {
-		_, err := repro(&fuzz.Case{GenSeed: c.GenSeed, SchedSeed: c.SchedSeed, Trace: tr}, solveJobs, nil)
+		_, err := fuzz.Reproduce(&fuzz.Case{GenSeed: c.GenSeed, SchedSeed: c.SchedSeed, Trace: tr}, solveJobs, nil)
 		return err != nil
 	}
 	if !fails(c.Trace) {
@@ -167,19 +142,6 @@ func runShrink(path string, solveJobs int, crossEngine, crossStream bool) int {
 	}
 	fmt.Printf("\nwritten to %s\n", out)
 	return 0
-}
-
-// selectRepro picks the corpus-reproduction oracle stack matching -engine:
-// the plain stack, the auto-vs-cdcl differential, or the streamed-vs-batch
-// byte-identity differential.
-func selectRepro(crossEngine, crossStream bool) func(*fuzz.Case, int, func(trace.Dep) bool) (string, error) {
-	switch {
-	case crossEngine:
-		return fuzz.ReproduceCross
-	case crossStream:
-		return fuzz.ReproduceStream
-	}
-	return fuzz.Reproduce
 }
 
 func firstLine(s string) string {

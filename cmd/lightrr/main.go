@@ -14,11 +14,10 @@
 //	lightrr analyze prog.mj              # shared/lockset/race report
 //
 // Common flags: -seed N, -sleep-unit NS, -basic (disable O1), -no-o2,
-// -solvejobs N (schedule-solve workers; 0 = GOMAXPROCS),
-// -engine auto|cdcl|stream (graph-first vs legacy vs streaming schedule
-// synthesis, DESIGN.md §4d and §4f), -solvecache=false (disable the
-// component schedule cache), -solvecache-dir DIR (persist solved schedules
-// across processes), -tool light|leap|stride|clap|chimera (roundtrip only).
+// -solvejobs N (schedule-solve workers; 0 = GOMAXPROCS; DESIGN.md §4d),
+// -solvecache=false (disable the component schedule cache),
+// -solvecache-dir DIR (persist solved schedules across processes),
+// -tool light|leap|stride|clap|chimera (roundtrip only).
 //
 // Observability: -metrics-addr HOST:PORT serves the live recorder/solver/
 // replayer counters at /metrics (Prometheus text format) for the duration
@@ -65,7 +64,6 @@ func main() {
 	noO2 := fs.Bool("no-o2", false, "disable the lock-subsumption instrumentation reduction")
 	tool := fs.String("tool", "light", "roundtrip tool: light, leap, stride, clap, chimera")
 	solveJobs := fs.Int("solvejobs", 0, "workers for the partitioned schedule solve (0 = GOMAXPROCS)")
-	engine := fs.String("engine", light.DefaultEngine.String(), "schedule engine: auto (graph-first), cdcl (legacy), or stream (pipelined)")
 	solveCache := fs.Bool("solvecache", true, "reuse cached component schedules across solves")
 	solveCacheDir := fs.String("solvecache-dir", "", "persist solved schedules to this directory, hydrated on startup (empty = in-memory only)")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus metrics at this address under /metrics")
@@ -78,11 +76,6 @@ func main() {
 	}
 	light.DefaultSolveJobs = *solveJobs
 	light.DefaultSolveCache = *solveCache
-	eng, err := light.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
-	light.DefaultEngine = eng
 	if *solveCacheDir != "" {
 		if _, err := light.SetSolveCacheDir(*solveCacheDir, 0); err != nil {
 			// A quarantined cache is a warning: the store reopened empty.
@@ -219,16 +212,6 @@ func solve(path string) {
 	fmt.Printf("cache: %d component hits, %d misses\n", st.CacheHits, st.CacheMisses)
 	fmt.Printf("solver: %d decisions, %d conflicts, %d propagations, %d seeded literals\n",
 		st.Solver.Decisions, st.Solver.Conflicts, st.Solver.Propagations, st.Solver.Seeded)
-	if diag := light.DiagnosePartition(log); diag.MergeEdges > 0 {
-		fmt.Printf("partition: legacy merge would coarsen %d clusters to %d components (%d timeline merge edges",
-			diag.Clusters, diag.Components, diag.MergeEdges)
-		if len(diag.Samples) > 0 {
-			s := diag.Samples[0]
-			fmt.Printf("; e.g. loc %d t%d#%d -> loc %d t%d#%d",
-				s.FromLoc, s.From.Thread, s.From.Counter, s.ToLoc, s.To.Thread, s.To.Counter)
-		}
-		fmt.Printf(")\n")
-	}
 	fmt.Printf("schedule: %d gated accesses\n", len(sched.Order))
 }
 

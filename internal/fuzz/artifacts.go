@@ -56,7 +56,7 @@ func WriteArtifacts(dir string, c *Case, solveJobs int, fault func(trace.Dep) bo
 	if err != nil {
 		return caseDir, fmt.Errorf("minimized source does not compile: %w", err)
 	}
-	o := optionsFor(c.GenSeed, c.SchedSeed, solveJobs, fault, false, false, c.Perturb)
+	o := optionsFor(c.GenSeed, c.SchedSeed, solveJobs, fault, c.Perturb)
 	an := analysis.Analyze(prog)
 	cfg := light.RunConfig{
 		Seed:              o.ScheduleSeed,

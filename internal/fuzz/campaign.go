@@ -21,12 +21,6 @@ type Config struct {
 	Jobs int
 	// SolveJobs is the N of the 1-vs-N solve equivalence check.
 	SolveJobs int
-	// CrossEngine enables the graph-first vs CDCL engine differential on
-	// every recorded log (lightfuzz -engine both).
-	CrossEngine bool
-	// CrossStream enables the streamed-vs-batch byte-identity differential
-	// on every recorded log (lightfuzz -engine stream).
-	CrossStream bool
 	// Duration, when positive, stops the campaign after the wall-clock
 	// budget even if seeds remain.
 	Duration time.Duration
@@ -60,15 +54,13 @@ type Report struct {
 // pair deterministically, rotating through the recorder variants so the
 // campaign covers basic/O1 recording with and without the O2 mask. The
 // serialized cross-check runs on the first schedule seed of each program.
-func optionsFor(genSeed, schedSeed uint64, solveJobs int, fault func(trace.Dep) bool, crossEngine, crossStream bool, perturb int) CheckOptions {
+func optionsFor(genSeed, schedSeed uint64, solveJobs int, fault func(trace.Dep) bool, perturb int) CheckOptions {
 	mix := genSeed*31 + schedSeed
 	o := CheckOptions{
 		ScheduleSeed: schedSeed*7919 + genSeed,
 		SolveJobs:    solveJobs,
 		UseO2:        mix%2 == 0,
 		SkipCross:    schedSeed != 0,
-		CrossEngine:  crossEngine,
-		CrossStream:  crossStream,
 		Perturb:      perturb,
 	}
 	o.LightOpts.O1 = mix%3 != 2
@@ -79,28 +71,12 @@ func optionsFor(genSeed, schedSeed uint64, solveJobs int, fault func(trace.Dep) 
 // Reproduce regenerates a case's program and re-runs the full oracle stack
 // on it, returning the source actually checked and the oracle verdict.
 func Reproduce(c *Case, solveJobs int, fault func(trace.Dep) bool) (string, error) {
-	return reproduce(c, solveJobs, fault, false, false)
-}
-
-// ReproduceCross is Reproduce with the engine differential oracle enabled,
-// used by lightfuzz -regress -engine both and the corpus regression test.
-func ReproduceCross(c *Case, solveJobs int, fault func(trace.Dep) bool) (string, error) {
-	return reproduce(c, solveJobs, fault, true, false)
-}
-
-// ReproduceStream is Reproduce with the streamed-vs-batch byte-identity
-// oracle enabled, used by lightfuzz -regress -engine stream.
-func ReproduceStream(c *Case, solveJobs int, fault func(trace.Dep) bool) (string, error) {
-	return reproduce(c, solveJobs, fault, false, true)
-}
-
-func reproduce(c *Case, solveJobs int, fault func(trace.Dep) bool, crossEngine, crossStream bool) (string, error) {
 	tr := c.Trace
 	if tr == nil {
 		tr = []uint32{}
 	}
 	p := Generate(c.GenSeed, tr)
-	o := optionsFor(c.GenSeed, c.SchedSeed, solveJobs, fault, crossEngine, crossStream, c.Perturb)
+	o := optionsFor(c.GenSeed, c.SchedSeed, solveJobs, fault, c.Perturb)
 	return p.Source, Check(p.Source, o)
 }
 
@@ -142,7 +118,7 @@ func RunCampaign(cfg Config) *Report {
 				report.Programs++
 				mu.Unlock()
 				for ss := uint64(0); ss < uint64(cfg.SchedSeeds); ss++ {
-					o := optionsFor(genSeed, ss, cfg.SolveJobs, cfg.Fault, cfg.CrossEngine, cfg.CrossStream, cfg.Perturb)
+					o := optionsFor(genSeed, ss, cfg.SolveJobs, cfg.Fault, cfg.Perturb)
 					err := Check(p.Source, o)
 					mu.Lock()
 					report.Runs++

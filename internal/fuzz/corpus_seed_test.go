@@ -51,9 +51,9 @@ func TestSeedCorpus(t *testing.T) {
 			if p.Source != c.Source {
 				t.Fatal("stored source is stale for the current generator; rerun with -update")
 			}
-			// Cross-engine: the corpus doubles as the engine-differential
-			// regression suite (graph-first vs CDCL, checker-validated).
-			if _, err := ReproduceCross(c, 0, nil); err != nil {
+			// The full oracle stack includes the streamed-vs-batch
+			// byte-identity check, checker-validated on both schedules.
+			if _, err := Reproduce(c, 0, nil); err != nil {
 				t.Fatalf("oracle divergence on corpus case: %v", err)
 			}
 		})

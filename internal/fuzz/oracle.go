@@ -27,17 +27,6 @@ type CheckOptions struct {
 	UseO2 bool
 	// SkipCross disables the serialized LEAP/Stride cross-check run.
 	SkipCross bool
-	// CrossEngine additionally solves every recorded log with both the
-	// graph-first and the legacy CDCL engine and validates each schedule
-	// with the standalone checker (lightfuzz -engine both).
-	CrossEngine bool
-	// CrossStream additionally solves every recorded log with the streaming
-	// engine and requires its schedule to be byte-identical to the batch
-	// graph-first engine's (lightfuzz -engine stream). Unlike the CDCL
-	// differential — where only model equivalence is required — the
-	// streaming solver promises the exact same total order as batch auto,
-	// so the oracle contract here is DiffSchedules equality.
-	CrossStream bool
 	// Perturb, when positive, runs the record run under schedule
 	// perturbation at this intensity (lightfuzz -perturb): the fourth
 	// oracle dimension. The noise only biases the recorded interleaving —
@@ -57,8 +46,9 @@ type CheckOptions struct {
 //     shared-heap fingerprint;
 //  2. cross-check Light's recorded dependence set against the ground truth
 //     of a serialized run observed simultaneously by LEAP and Stride;
-//  3. solve every schedule with 1 and with N workers and require identical
-//     schedules.
+//  3. solve every schedule with 1 and with N workers and streamed through
+//     the StreamSolver, require identical schedules, and validate them
+//     with the standalone checker.
 func Check(src string, o CheckOptions) error {
 	prog, err := compiler.CompileSource(src)
 	if err != nil {
@@ -77,18 +67,12 @@ func Check(src string, o CheckOptions) error {
 	}
 
 	rec := light.Record(prog, o.LightOpts, cfg)
-	if err := checkSolveJobs(rec.Log, o.SolveJobs); err != nil {
+	batch, err := checkSolveJobs(rec.Log, o.SolveJobs)
+	if err != nil {
 		return err
 	}
-	if o.CrossEngine {
-		if err := checkEngines(rec.Log); err != nil {
-			return err
-		}
-	}
-	if o.CrossStream {
-		if err := checkStream(rec.Log); err != nil {
-			return err
-		}
+	if err := checkStream(rec.Log, batch); err != nil {
+		return err
 	}
 	if err := checkReplay(prog, rec, cfg); err != nil {
 		return err
@@ -103,77 +87,45 @@ func Check(src string, o CheckOptions) error {
 
 // checkSolveJobs locks in the parallel-solver equivalence claim: the
 // partitioned solve must produce the identical schedule for every worker
-// count.
-func checkSolveJobs(log *trace.Log, jobs int) error {
+// count. It returns the 1-worker schedule.
+func checkSolveJobs(log *trace.Log, jobs int) (*light.Schedule, error) {
 	if jobs <= 1 {
 		jobs = 4
 	}
 	s1, err := light.ComputeScheduleJobs(log, 1)
 	if err != nil {
-		return fmt.Errorf("solve(jobs=1): %w", err)
+		return nil, fmt.Errorf("solve(jobs=1): %w", err)
 	}
 	sn, err := light.ComputeScheduleJobs(log, jobs)
 	if err != nil {
-		return fmt.Errorf("solve(jobs=%d): %w", jobs, err)
+		return nil, fmt.Errorf("solve(jobs=%d): %w", jobs, err)
 	}
 	if d := light.DiffSchedules(s1, sn); !d.Equal() {
-		return fmt.Errorf("solve-jobs divergence (1 worker vs %d): %s", jobs, d)
+		return nil, fmt.Errorf("solve-jobs divergence (1 worker vs %d): %s", jobs, d)
 	}
-	return nil
+	return s1, nil
 }
 
-// checkEngines solves the same log with the graph-first and the legacy CDCL
-// engine and validates both schedules with the standalone checker. The two
-// orders need not match byte-for-byte — the legacy engine concatenates
-// per-component orders where the graph-first engine sorts globally — so the
-// differential contract is that both are models of the same constraint
-// system over the same gated-access set.
-func checkEngines(log *trace.Log) error {
-	auto, err := light.ComputeScheduleEngine(log, light.EngineAuto, 1)
-	if err != nil {
-		return fmt.Errorf("engine %s: %w", light.EngineAuto, err)
-	}
-	if err := light.CheckSchedule(log, auto); err != nil {
-		return fmt.Errorf("engine %s schedule rejected: %w", light.EngineAuto, err)
-	}
-	cdcl, err := light.ComputeScheduleEngine(log, light.EngineCDCL, 1)
-	if err != nil {
-		return fmt.Errorf("engine %s: %w", light.EngineCDCL, err)
-	}
-	if err := light.CheckSchedule(log, cdcl); err != nil {
-		return fmt.Errorf("engine %s schedule rejected: %w", light.EngineCDCL, err)
-	}
-	if len(auto.Order) != len(cdcl.Order) {
-		return fmt.Errorf("engine divergence: %d gated accesses (%s) vs %d (%s)",
-			len(auto.Order), light.EngineAuto, len(cdcl.Order), light.EngineCDCL)
-	}
-	return nil
-}
-
-// checkStream locks in the streaming engine's byte-identity claim: the
-// incremental solver (components finalized and solved as their last access
-// retires, merged at Finish) must produce the exact schedule the batch
-// graph-first engine computes from the completed log — same total order,
-// same per-access positions, same range gates. Both schedules also pass the
-// standalone checker independently, so a divergence report always names a
-// real disagreement rather than a shared bug.
-func checkStream(log *trace.Log) error {
-	batch, err := light.ComputeScheduleEngine(log, light.EngineAuto, 1)
-	if err != nil {
-		return fmt.Errorf("engine %s: %w", light.EngineAuto, err)
-	}
+// checkStream locks in the streaming solver's byte-identity claim: the
+// incremental solver (components solved as threads retire, merged at
+// Finish) must produce the exact schedule the batch path computes from the
+// completed log — same total order, same per-access positions, same range
+// gates. Both schedules also pass the standalone checker independently, so
+// a divergence report always names a real disagreement rather than a
+// shared bug.
+func checkStream(log *trace.Log, batch *light.Schedule) error {
 	if err := light.CheckSchedule(log, batch); err != nil {
-		return fmt.Errorf("engine %s schedule rejected: %w", light.EngineAuto, err)
+		return fmt.Errorf("batch schedule rejected: %w", err)
 	}
-	streamed, err := light.ComputeScheduleEngine(log, light.EngineStream, 1)
+	streamed, err := light.ComputeScheduleStreamed(log, 1)
 	if err != nil {
-		return fmt.Errorf("engine %s: %w", light.EngineStream, err)
+		return fmt.Errorf("streamed solve: %w", err)
 	}
 	if err := light.CheckSchedule(log, streamed); err != nil {
-		return fmt.Errorf("engine %s schedule rejected: %w", light.EngineStream, err)
+		return fmt.Errorf("streamed schedule rejected: %w", err)
 	}
 	if d := light.DiffSchedules(batch, streamed); !d.Equal() {
-		return fmt.Errorf("stream divergence (batch %s vs %s): %s", light.EngineAuto, light.EngineStream, d)
+		return fmt.Errorf("stream divergence (batch vs streamed): %s", d)
 	}
 	return nil
 }

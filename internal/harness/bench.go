@@ -20,7 +20,9 @@ import (
 // ReportSchema identifies the BENCH_light.json layout; bump it when a field
 // changes meaning or disappears (adding fields is compatible). v2 added the
 // graph-first engine columns (solve_fastpath_rate, solve_propagation_resolved,
-// solve_cache_hits) and the engine itself ("solve_engine"). v3 adds the
+// solve_cache_hits) and the engine itself ("solve_engine", dropped again
+// with the engine knob: there is one engine, and readers ignore the field
+// in older files). v3 adds the
 // GOMAXPROCS sweep: a per-row "gomaxprocs" column, recorder contention
 // counters (seqlock conflicts, read retries, stripe waits, foreign taints)
 // from an extra metrics-enabled record pass, multicore rows for the "par"
@@ -51,7 +53,6 @@ type Report struct {
 	Runs       int           `json:"runs"`
 	Seed       uint64        `json:"seed"`
 	SolveJobs  int           `json:"solve_jobs"`
-	Engine     string        `json:"solve_engine"`
 	GoVersion  string        `json:"go_version"`
 	GOMAXPROCS int           `json:"gomaxprocs"`
 	Workloads  []*ReportRow  `json:"workloads"`
@@ -300,7 +301,6 @@ func RunReport(ws []*workloads.Workload, cfg Config) (*Report, error) {
 		Runs:       cfg.Runs,
 		Seed:       cfg.Seed,
 		SolveJobs:  solveJobs,
-		Engine:     light.DefaultEngine.String(),
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
@@ -518,8 +518,8 @@ func ValidateReport(rpt *Report) error {
 // JSON artifact on stdout.
 func FormatReport(rpt *Report) string {
 	var sb strings.Builder
-	sb.WriteString(fmt.Sprintf("lightbench report (%s, engine %s, %d runs, seed %d)\n",
-		rpt.Schema, rpt.Engine, rpt.Runs, rpt.Seed))
+	sb.WriteString(fmt.Sprintf("lightbench report (%s, %d runs, seed %d)\n",
+		rpt.Schema, rpt.Runs, rpt.Seed))
 	sb.WriteString(fmt.Sprintf("%-18s %5s %10s %10s %9s %12s %9s %6s %9s %9s %6s %6s\n",
 		"benchmark", "procs", "native", "record", "overhead", "bytes/1kev", "solve", "fast%", "ttfr", "replay", "hit%", "ok"))
 	for _, r := range rpt.Workloads {

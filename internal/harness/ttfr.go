@@ -74,7 +74,7 @@ func MeasureTTFR(w *workloads.Workload, cfg Config) (*TTFRRow, error) {
 		// batch side with the streamed solve's work, and vice versa.
 		light.ResetScheduleCache()
 		solveStart := time.Now()
-		if _, err := light.ComputeScheduleEngine(rec.Log, light.EngineAuto, 0); err != nil {
+		if _, err := light.ComputeScheduleJobs(rec.Log, 0); err != nil {
 			return nil, fmt.Errorf("workload %s: batch solve: %w", w.Name, err)
 		}
 		batch := ttfr - time.Duration(st.FinishNS) + time.Since(solveStart)

@@ -11,17 +11,15 @@ import (
 // Component schedule cache (DESIGN.md §4d). Fuzz campaigns, regression
 // sweeps, and replay-many-times workflows re-solve identical constraint
 // components over and over; replicated program structure even repeats
-// components within one solve. The cache keys a component by a canonical
-// content hash of its constraint system — variables renamed to their dense
-// index in the component's sorted variable list, so the key depends only on
-// constraint *structure*, never on absolute thread IDs or counters — and
-// stores the solver's decision, not the solver's work: for the graph-first
-// engine the chosen disjunct per residual disjunction, for the legacy
-// engine the canonical component order. Both solve paths are deterministic
-// functions of the canonical structure (problem construction, preprocessing
-// and CDCL search consume the component in canonical order, and order
-// extraction tie-breaks by (thread, counter), i.e. by canonical index), so
-// a hit reproduces exactly what the miss path would compute.
+// components within one solve. The cache keys a residual component by a
+// canonical content hash of its constraint system — variables renamed to
+// their dense index in the component's sorted variable list, so the key
+// depends only on constraint *structure*, never on absolute thread IDs or
+// counters — and stores the solver's decision, not the solver's work: the
+// chosen disjunct per residual disjunction. The CDCL(T) search is a
+// deterministic function of the canonical structure (problem construction
+// consumes the component in canonical order), so a hit reproduces exactly
+// what the miss path would compute.
 
 // DefaultSolveCache enables the component schedule cache; the cmd front
 // ends expose it as -solvecache. Disabling it only costs time: hits and
@@ -33,23 +31,17 @@ var DefaultSolveCache = true
 // reset on overflow would make hit rates load-order-dependent in tests).
 const schedCacheMax = 4096
 
-// cacheEntry stores one component's solved decision.
-type cacheEntry struct {
-	sel      []uint8 // graph-first: chosen disjunct (0/1) per residual disjunction
-	order    []int32 // legacy: canonical component order
-	resolved int     // legacy: preprocessing-resolved count (for stats parity)
-}
-
-// scheduleCache is a bounded, process-wide, mutex-guarded map. Entries are
-// immutable after store.
+// scheduleCache is a bounded, process-wide, mutex-guarded map from a
+// component key to its selection: the chosen disjunct (0/1) per residual
+// disjunction. Entries are immutable after store.
 type scheduleCache struct {
 	mu sync.Mutex
-	m  map[[32]byte]*cacheEntry
+	m  map[[32]byte][]uint8
 }
 
-var schedCache = &scheduleCache{m: make(map[[32]byte]*cacheEntry)}
+var schedCache = &scheduleCache{m: make(map[[32]byte][]uint8)}
 
-func (c *scheduleCache) lookup(k [32]byte) (*cacheEntry, bool) {
+func (c *scheduleCache) lookup(k [32]byte) ([]uint8, bool) {
 	c.mu.Lock()
 	e, ok := c.m[k]
 	c.mu.Unlock()
@@ -58,23 +50,19 @@ func (c *scheduleCache) lookup(k [32]byte) (*cacheEntry, bool) {
 
 // hydrate inserts an entry without writing it back to disk (it just came
 // from there).
-func (c *scheduleCache) hydrate(k [32]byte, e *cacheEntry) {
+func (c *scheduleCache) hydrate(k [32]byte, sel []uint8) {
 	c.mu.Lock()
 	if len(c.m) < schedCacheMax {
-		c.m[k] = e
+		c.m[k] = sel
 	}
 	c.mu.Unlock()
 }
 
-func (c *scheduleCache) store(k [32]byte, e *cacheEntry) {
-	c.hydrate(k, e)
+func (c *scheduleCache) store(k [32]byte, sel []uint8) {
+	c.hydrate(k, sel)
 	// Write through to the persistent store (no-op when -solvecache-dir is
-	// not configured). The entry kind mirrors which decision was solved.
-	if e.sel != nil {
-		persistEntry(encodeDiskEntry(diskKindSel, k, encodeSelBody(e.sel)))
-	} else {
-		persistEntry(encodeDiskEntry(diskKindOrder, k, encodeOrderBody(e.order, e.resolved)))
-	}
+	// not configured).
+	persistEntry(encodeDiskEntry(diskKindSel, k, encodeSelBody(sel)))
 }
 
 // ResetScheduleCache empties the in-memory component and whole-schedule
@@ -82,7 +70,7 @@ func (c *scheduleCache) store(k [32]byte, e *cacheEntry) {
 // persistent store, if configured, is untouched.
 func ResetScheduleCache() {
 	schedCache.mu.Lock()
-	schedCache.m = make(map[[32]byte]*cacheEntry)
+	schedCache.m = make(map[[32]byte][]uint8)
 	schedCache.mu.Unlock()
 	schedOrderCache.mu.Lock()
 	schedOrderCache.m = make(map[[32]byte][]trace.TC)
@@ -160,27 +148,10 @@ func residualCompKey(c *residualComp) ([32]byte, bool) {
 		return [32]byte{}, false
 	}
 	ch := newCacheHasher(c.vars)
-	ch.byte(1) // engine tag: graph-first
+	ch.byte(1) // key tag, kept so persisted keys stay valid
 	ch.edges(c.conj)
 	ch.edges(c.forced)
 	ch.edges(c.bridges)
-	ch.disjs(c.disj)
-	return ch.sum(), true
-}
-
-// legacyCompKey hashes a legacy component; the preprocess flag is part of
-// the key because it changes the solved order.
-func legacyCompKey(c *component, preprocess bool) ([32]byte, bool) {
-	if !DefaultSolveCache {
-		return [32]byte{}, false
-	}
-	ch := newCacheHasher(c.vars)
-	if preprocess {
-		ch.byte(2)
-	} else {
-		ch.byte(3)
-	}
-	ch.edges(c.conj)
 	ch.disjs(c.disj)
 	return ch.sum(), true
 }

@@ -29,7 +29,7 @@ func TestCacheIntraSolveDedup(t *testing.T) {
 	const k = 4
 	log := replicatedResidualLog(k)
 	ResetScheduleCache()
-	sched, err := ComputeScheduleEngine(log, EngineAuto, 1)
+	sched, err := ComputeScheduleJobs(log, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,37 +42,6 @@ func TestCacheIntraSolveDedup(t *testing.T) {
 	}
 	if st.Components != k || st.FastpathComponents != 0 {
 		t.Fatalf("components=%d fastpath=%d, want %d/0", st.Components, st.FastpathComponents, k)
-	}
-}
-
-// TestCacheLegacyEngine: the legacy pipeline caches whole component orders;
-// a repeat solve must hit for every component and return the same schedule.
-func TestCacheLegacyEngine(t *testing.T) {
-	log := replicatedResidualLog(3)
-	ResetScheduleCache()
-	first, err := ComputeScheduleEngine(log, EngineCDCL, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Stats.CacheHits != first.Stats.Components-1 {
-		t.Fatalf("first solve hits = %d, want %d (identical components dedup)",
-			first.Stats.CacheHits, first.Stats.Components-1)
-	}
-	second, err := ComputeScheduleEngine(log, EngineCDCL, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Stats.CacheHits != second.Stats.Components {
-		t.Fatalf("repeat solve hits = %d, want %d", second.Stats.CacheHits, second.Stats.Components)
-	}
-	if !reflect.DeepEqual(first.Order, second.Order) {
-		t.Fatal("cached legacy solve changed the schedule")
-	}
-	if first.Stats.Resolved != second.Stats.Resolved {
-		t.Fatalf("cached resolved count %d != %d", second.Stats.Resolved, first.Stats.Resolved)
-	}
-	if err := CheckSchedule(log, second); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -121,17 +90,6 @@ func TestCacheKeyDistinguishesStructure(t *testing.T) {
 	if k4, _ := residualCompKey(bridged); k4 == k1 {
 		t.Error("bridge literals not part of the key")
 	}
-
-	// Legacy keys must differ by preprocess flag and from graph-first keys.
-	comp := &component{vars: base.vars, disj: base.disj}
-	kPre, _ := legacyCompKey(comp, true)
-	kNo, _ := legacyCompKey(comp, false)
-	if kPre == kNo {
-		t.Error("preprocess flag not part of the legacy key")
-	}
-	if kPre == k1 || kNo == k1 {
-		t.Error("legacy and graph-first keys collided")
-	}
 }
 
 // TestCacheDisabled: with DefaultSolveCache off nothing is stored or
@@ -142,14 +100,14 @@ func TestCacheDisabled(t *testing.T) {
 
 	ResetScheduleCache()
 	DefaultSolveCache = true
-	cached, err := ComputeScheduleEngine(log, EngineAuto, 1)
+	cached, err := ComputeScheduleJobs(log, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	DefaultSolveCache = false
 	ResetScheduleCache()
-	plain, err := ComputeScheduleEngine(log, EngineAuto, 1)
+	plain, err := ComputeScheduleJobs(log, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

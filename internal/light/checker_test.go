@@ -8,39 +8,37 @@ import (
 	"repro/internal/workloads"
 )
 
-// checkBothEngines records the program, solves with both engines, runs the
-// standalone checker on both schedules, and returns the auto-engine stats
-// for sweep-level aggregation. The two orders need not be byte-identical —
-// the legacy engine concatenates per-component orders while the graph-first
-// engine sorts globally — so the differential contract is checker
-// equivalence: both schedules must be models of the same constraint system,
-// over the same variable set.
-func checkBothEngines(t *testing.T, log *trace.Log) ScheduleStats {
+// checkBatchAndStream solves the log on the batch path and streamed through
+// a StreamSolver, runs the standalone checker on both schedules, and returns
+// the batch stats for sweep-level aggregation. The checker is the
+// independent judge: both schedules must be models of the constraint system
+// it rebuilds from the log, and the streamed one must equal the batch one
+// byte for byte.
+func checkBatchAndStream(t *testing.T, log *trace.Log) ScheduleStats {
 	t.Helper()
-	auto, err := ComputeScheduleEngine(log, EngineAuto, 4)
+	batch, err := ComputeScheduleJobs(log, 4)
 	if err != nil {
-		t.Fatalf("graph-first engine: %v", err)
+		t.Fatalf("batch solve: %v", err)
 	}
-	if err := CheckSchedule(log, auto); err != nil {
-		t.Fatalf("graph-first schedule rejected by checker: %v", err)
+	if err := CheckSchedule(log, batch); err != nil {
+		t.Fatalf("batch schedule rejected by checker: %v", err)
 	}
-	legacy, err := ComputeScheduleEngine(log, EngineCDCL, 4)
+	streamed, err := ComputeScheduleStreamed(log, 4)
 	if err != nil {
-		t.Fatalf("legacy engine: %v", err)
+		t.Fatalf("streamed solve: %v", err)
 	}
-	if err := CheckSchedule(log, legacy); err != nil {
-		t.Fatalf("legacy schedule rejected by checker: %v", err)
+	if err := CheckSchedule(log, streamed); err != nil {
+		t.Fatalf("streamed schedule rejected by checker: %v", err)
 	}
-	if len(auto.Order) != len(legacy.Order) {
-		t.Fatalf("engines disagree on the gated-access set: %d vs %d entries",
-			len(auto.Order), len(legacy.Order))
+	if d := DiffSchedules(batch, streamed); !d.Equal() {
+		t.Fatalf("streamed schedule differs from batch: %s", d)
 	}
-	return auto.Stats
+	return batch.Stats
 }
 
-// TestCheckerDifferentialWorkloads runs the fast path and the CDCL engine
-// differentially across the full workload sweep and aggregates the
-// fastpath-component rate, which the issue requires to be ≥ 0.8.
+// TestCheckerDifferentialWorkloads checks the batch and streamed schedules
+// across the full workload sweep and aggregates the fastpath-component
+// rate, which must stay ≥ 0.8.
 func TestCheckerDifferentialWorkloads(t *testing.T) {
 	all := workloads.All()
 	if testing.Short() {
@@ -55,7 +53,7 @@ func TestCheckerDifferentialWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := Record(prog, Options{O1: true}, RunConfig{Seed: 11})
-			st := checkBothEngines(t, rec.Log)
+			st := checkBatchAndStream(t, rec.Log)
 			fastpath += st.FastpathComponents
 			components += st.Components
 		})
@@ -81,7 +79,7 @@ func TestCheckerDifferentialBugs(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := Record(prog, Options{O1: true}, RunConfig{Seed: 7})
-			checkBothEngines(t, rec.Log)
+			checkBatchAndStream(t, rec.Log)
 		})
 	}
 }
@@ -101,7 +99,7 @@ func TestCheckerDifferentialSynthetic(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			ResetScheduleCache()
-			checkBothEngines(t, c.log)
+			checkBatchAndStream(t, c.log)
 		})
 	}
 }
@@ -110,7 +108,7 @@ func TestCheckerDifferentialSynthetic(t *testing.T) {
 // schedule damage it claims to detect.
 func TestCheckerRejectsCorruption(t *testing.T) {
 	log := bridgedResidualLog()
-	good, err := ComputeScheduleEngine(log, EngineAuto, 1)
+	good, err := ComputeScheduleJobs(log, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +198,7 @@ func TestCheckerRejectsCorruption(t *testing.T) {
 		// write ranges so the t0/t1 exclusion fails in both disjuncts by
 		// interleaving their ranges.
 		rl := residualLog()
-		s, err := ComputeScheduleEngine(rl, EngineAuto, 1)
+		s, err := ComputeScheduleJobs(rl, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,58 +222,37 @@ func TestCheckerRejectsCorruption(t *testing.T) {
 	})
 }
 
-// TestComponentCountRegression pins the partition diagnostic on
-// embarrassingly parallel workloads (satellite: the solve_components==1
-// investigation). The legacy cluster merge collapses everything reachable
-// through timeline adjacency, so it reports one giant component and a large
-// merge-edge count; the graph-first engine must keep the independent work
-// separate. The lower bounds are deliberately loose against workload
-// tweaks, but fail hard if the merge rule regresses to over-coarse.
+// TestComponentCountRegression pins the engine's component counts on the
+// committed recordings of embarrassingly parallel workloads: choice-free
+// location clusters must stay separate even where thread timelines glue
+// them into one cluster-graph SCC. The pins fail hard if the merge rule
+// regresses to over-coarse (a timeline-SCC collapse solves jgf-crypt as
+// one component).
 func TestComponentCountRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload sweep")
 	}
-	cases := []struct {
-		name          string
-		minComponents int
+	for _, c := range []struct {
+		name       string
+		components int
 	}{
-		{"jgf-crypt", 1000},
-		{"jgf-sor", 500},
-		{"jgf-series", 16},
-	}
-	for _, c := range cases {
+		{"jgf-crypt", 2085},
+		{"jgf-sor", 1044},
+		{"jgf-series", 20},
+	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			w := workloads.ByName(c.name)
-			if w == nil {
-				t.Fatalf("workload %s not found", c.name)
-			}
-			prog, err := w.Compile()
+			log := loadGoldenLog(t, goldenSource{name: c.name})
+			sched, err := ComputeScheduleJobs(log, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := Record(prog, Options{O1: true}, RunConfig{Seed: 11})
-
-			diag := DiagnosePartition(rec.Log)
-			if diag.Components != 1 {
-				t.Fatalf("legacy partition: %d components, want 1 (timeline coarsening)", diag.Components)
+			st := sched.Stats
+			if st.Components != c.components || st.FastpathComponents != c.components {
+				t.Fatalf("%d components (%d fastpath), want %d, all fastpath",
+					st.Components, st.FastpathComponents, c.components)
 			}
-			if diag.MergeEdges == 0 {
-				t.Fatal("legacy partition reported no merge edges despite collapsing")
-			}
-			if len(diag.Samples) == 0 {
-				t.Fatal("merge-edge diagnostic carried no samples")
-			}
-
-			sched, err := ComputeScheduleEngine(rec.Log, EngineAuto, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sched.Stats.Components < c.minComponents {
-				t.Fatalf("graph-first engine found %d components, want >= %d — merge rule is over-coarse again",
-					sched.Stats.Components, c.minComponents)
-			}
-			if err := CheckSchedule(rec.Log, sched); err != nil {
+			if err := CheckSchedule(log, sched); err != nil {
 				t.Fatal(err)
 			}
 		})

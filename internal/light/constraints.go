@@ -1,15 +1,9 @@
 package light
 
 import (
-	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/smt"
 	"repro/internal/trace"
 )
@@ -41,24 +35,20 @@ type ScheduleStats struct {
 	IntVars      int
 	Disjunctions int
 	Conjunctive  int
-	Resolved     int // disjunctions decided by partial-order preprocessing
+	Resolved     int // disjunctions decided by propagation
 
 	// Components is the number of independent constraint components the
 	// system split into; LargestComponent is the variable count of the
 	// biggest one (the parallel solve's critical path).
 	Components       int
 	LargestComponent int
-	// FastpathComponents counts components the graph-first engine decided
-	// by propagation alone — no CDCL(T) invocation (DESIGN.md §4d). Always
-	// 0 under EngineCDCL.
+	// FastpathComponents counts components decided by propagation alone —
+	// no CDCL(T) invocation (DESIGN.md §4d).
 	FastpathComponents int
 	// CacheHits/CacheMisses count component schedule cache outcomes
 	// (cache.go); hits skip the CDCL search entirely.
 	CacheHits   int
 	CacheMisses int
-	// MergeEdges counts the cluster-graph edges inside collapsed SCCs — the
-	// partition-coarsening diagnostic (legacy partitioner only).
-	MergeEdges int
 	// ParallelSolveNS is the wall time of the per-component solve phase.
 	ParallelSolveNS int64
 	// SolveBusyNS is the summed per-component solve time; with SolveWorkers
@@ -131,32 +121,11 @@ type locItems struct {
 	wbs []writeBearing
 }
 
-// ComputeSchedule builds the constraint system of Section 4.2 from a log,
-// discharges it with the DefaultEngine (DefaultSolveJobs workers), and
-// extracts the replay order.
-func ComputeSchedule(log *trace.Log) (*Schedule, error) {
-	return ComputeScheduleEngine(log, DefaultEngine, DefaultSolveJobs)
-}
-
-// ComputeScheduleJobs is ComputeSchedule with an explicit solve-worker
-// count: 1 solves the components serially, higher counts solve them
-// concurrently. The resulting schedule is identical either way.
-func ComputeScheduleJobs(log *trace.Log, jobs int) (*Schedule, error) {
-	return ComputeScheduleEngine(log, DefaultEngine, jobs)
-}
-
-// ComputeScheduleNoPreprocess solves without the partial-order preprocessing
-// pass (for the ablation benchmark).
-func ComputeScheduleNoPreprocess(log *trace.Log) (*Schedule, error) {
-	return computeSchedule(log, false, DefaultSolveJobs)
-}
-
 // locSys is one location's contribution to the constraint system. Every
 // generated constraint relates accesses of a single location, which is what
 // makes the system partitionable (see partition.go).
 type locSys struct {
 	loc  int32
-	vars []trace.TC // touched accesses, sorted, deduplicated
 	conj [][2]trace.TC
 	disj []disjunction
 }
@@ -164,10 +133,9 @@ type locSys struct {
 // system is the generated constraint system in TC form: the per-location
 // breakdown plus vars, every touched access sorted by (thread, counter) —
 // the global timeline, whose consecutive same-thread pairs are the
-// program-order chain edges (see chain). The checker, the forensics view,
-// the legacy engine and the streaming solver's per-component subsystems
-// consume it; the graph-first engine builds its system straight into node
-// IDs instead (engine.go).
+// program-order chain edges (see chain). The checker and the forensics view
+// consume it; schedule synthesis works on the node-ID form it is mapped
+// from (buildDense, engine.go).
 type system struct {
 	items map[int32]*locItems
 	vars  []trace.TC
@@ -178,19 +146,16 @@ type system struct {
 // location (deterministically, in location-ID order).
 func buildSystem(log *trace.Log) *system {
 	items := collectItems(log)
-	sys := &system{items: items}
-	n := 0
-	for _, loc := range sortedLocIDs(items) {
-		ls := buildLocSys(loc, items[loc])
-		n += len(ls.vars)
+	ds := buildDense(items, newDenseIndex(items), nil)
+	sys := &system{items: items, vars: ds.x.vars}
+	for li, loc := range ds.locIDs {
+		ls := &locSys{loc: loc, conj: ds.locEdges(li)}
+		ls.disj = make([]disjunction, 0, ds.disjAt[li+1]-ds.disjAt[li])
+		for di := ds.disjAt[li]; di < ds.disjAt[li+1]; di++ {
+			ls.disj = append(ls.disj, ds.tcDisj(di))
+		}
 		sys.locs = append(sys.locs, ls)
 	}
-	sys.vars = make([]trace.TC, 0, n)
-	for _, ls := range sys.locs {
-		sys.vars = append(sys.vars, ls.vars...)
-	}
-	sortTCs(sys.vars)
-	sys.vars = dedupTCs(sys.vars)
 	return sys
 }
 
@@ -304,266 +269,6 @@ func genLocConstraints(rcs []claimNodes, wbs []intervalNodes, edge func(u, v int
 	}
 }
 
-// buildLocSys generates one location's constraints in TC form: it numbers
-// the location's own accesses by their position in its sorted variable
-// list (a chain-major numbering) and maps genLocConstraints' output back.
-// The output is a pure function of (loc, li), which is what lets the
-// streaming solver's per-location caches stand in for a full rebuild.
-func buildLocSys(loc int32, li *locItems) *locSys {
-	ls := &locSys{loc: loc}
-	// Per-location variable counts are tiny (a handful on average), so
-	// sort+dedup beats a hash set, and binary search resolves the items.
-	locVarSet(li, func(tc trace.TC) { ls.vars = append(ls.vars, tc) })
-	sortTCs(ls.vars)
-	ls.vars = dedupTCs(ls.vars)
-	node := func(tc trace.TC) int32 {
-		return int32(sort.Search(len(ls.vars), func(i int) bool { return !tcLess(ls.vars[i], tc) }))
-	}
-	rcs, wbs := resolveLocItems(li, node, make([]claimNodes, 0, len(li.rcs)), make([]intervalNodes, 0, len(li.wbs)))
-	v := ls.vars
-	genLocConstraints(rcs, wbs,
-		func(a, b int32) { ls.conj = append(ls.conj, [2]trace.TC{v[a], v[b]}) },
-		func(a1, b1, a2, b2 int32) {
-			ls.disj = append(ls.disj, disjunction{a1: v[a1], b1: v[b1], a2: v[a2], b2: v[b2]})
-		})
-	return ls
-}
-
-// componentResult is one component's solved order plus its effort counters
-// and solve wall time.
-type componentResult struct {
-	order []trace.TC
-	stats ScheduleStats
-	ns    int64
-	err   error
-}
-
-// solveComponent encodes one component, optionally preprocesses its
-// disjunctions against the component partial order, solves it on sv, and
-// extracts the component-local total order. It is deterministic: the same
-// component yields the same order on every call, on any worker.
-func solveComponent(c *component, preprocess bool, sv *smt.Solver) ([]trace.TC, ScheduleStats, error) {
-	p := smt.NewProblem()
-	vars := make(map[trace.TC]smt.IntVar, len(c.vars))
-	for _, tc := range c.vars {
-		vars[tc] = p.IntVarNamed("")
-	}
-	varOf := func(tc trace.TC) smt.IntVar { return vars[tc] }
-
-	stats := ScheduleStats{Conjunctive: len(c.conj)}
-	for _, e := range c.conj {
-		p.AssertLt(varOf(e[0]), varOf(e[1]))
-	}
-
-	disjuncts := c.disj
-	stats.Disjunctions = len(disjuncts)
-	if preprocess {
-		// resolveDisjunctions compacts its input in place; work on a copy so
-		// the component stays reusable.
-		kept := append([]disjunction(nil), c.disj...)
-		stats.Resolved = resolveDisjunctions(p, vars, nil, &kept, append([][2]trace.TC(nil), c.conj...))
-		disjuncts = kept
-	}
-	for _, d := range disjuncts {
-		p.Assert(smt.Or(smt.Lt(varOf(d.a1), varOf(d.b1)), smt.Lt(varOf(d.a2), varOf(d.b2))))
-	}
-
-	stats.IntVars = p.IntVarCount()
-	res := sv.Solve(p)
-	stats.Solver = res.Stats
-	if res.Status != smt.Sat {
-		return nil, stats, fmt.Errorf("light: replay constraint system unsatisfiable (component over locations %v: %d vars, %d disjunctions) — this contradicts Lemma 4.1 and indicates a recording bug",
-			c.locs, stats.IntVars, stats.Disjunctions)
-	}
-
-	// Extract the component-local total order.
-	type entry struct {
-		tc  trace.TC
-		val int64
-	}
-	entries := make([]entry, 0, len(vars))
-	for tc, v := range vars {
-		entries = append(entries, entry{tc, res.Values[v]})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.val != b.val {
-			return a.val < b.val
-		}
-		if a.tc.Thread != b.tc.Thread {
-			return a.tc.Thread < b.tc.Thread
-		}
-		return a.tc.Counter < b.tc.Counter
-	})
-	order := make([]trace.TC, len(entries))
-	for i, e := range entries {
-		order[i] = e.tc
-	}
-	return order, stats, nil
-}
-
-// solveComponentCached wraps solveComponent with the component schedule
-// cache: a hit reconstructs the stored canonical order against this
-// component's variable list, which is exactly what a fresh solve would
-// produce (see cache.go).
-func solveComponentCached(c *component, preprocess bool, sv *smt.Solver) ([]trace.TC, ScheduleStats, error) {
-	key, useCache := legacyCompKey(c, preprocess)
-	if useCache {
-		if e, ok := schedCache.lookup(key); ok && e.order != nil {
-			order := make([]trace.TC, len(e.order))
-			for i, ci := range e.order {
-				order[i] = c.vars[ci]
-			}
-			return order, ScheduleStats{
-				IntVars:      len(c.vars),
-				Conjunctive:  len(c.conj),
-				Disjunctions: len(c.disj),
-				Resolved:     e.resolved,
-				CacheHits:    1,
-			}, nil
-		}
-	}
-	order, stats, err := solveComponent(c, preprocess, sv)
-	if useCache && err == nil {
-		stats.CacheMisses = 1
-		idx := make(map[trace.TC]int32, len(c.vars))
-		for i, tc := range c.vars {
-			idx[tc] = int32(i)
-		}
-		canon := make([]int32, len(order))
-		for i, tc := range order {
-			canon[i] = idx[tc]
-		}
-		schedCache.store(key, &cacheEntry{order: canon, resolved: stats.Resolved})
-	}
-	return order, stats, err
-}
-
-func computeSchedule(log *trace.Log, preprocess bool, jobs int) (*Schedule, error) {
-	partSpan := obs.StartSpan("partition")
-	sys := buildSystem(log)
-	comps, diag := partitionSystem(sys)
-	partSpan.SetItems(int64(len(comps)))
-	partSpan.End()
-
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	// The pool never spins more workers than there are components, but the
-	// resolved pool size is what reports record as solve_jobs.
-	workers := jobs
-	if workers > len(comps) {
-		workers = len(comps)
-	}
-
-	// timed wraps one component solve, recording its wall time in the
-	// result (for SolveBusyNS / worker utilization) and, when metrics are
-	// on, in the per-component histograms.
-	obsOn := obs.Enabled()
-	timed := func(res *componentResult, c *component, sv *smt.Solver) {
-		start := time.Now()
-		res.order, res.stats, res.err = solveComponentCached(c, preprocess, sv)
-		res.ns = time.Since(start).Nanoseconds()
-		if obsOn {
-			mSolveComponentNS.Observe(res.ns)
-			mSolveComponentVars.Observe(int64(len(c.vars)))
-		}
-	}
-
-	results := make([]componentResult, len(comps))
-	solveSpan := obs.StartSpan("solve")
-	solveStart := time.Now()
-	if workers <= 1 {
-		sv := smt.NewSolver()
-		for i, c := range comps {
-			sv.Reset()
-			timed(&results[i], c, sv)
-		}
-	} else {
-		// Bounded worker pool: each worker owns one reusable solver and
-		// claims components off a shared counter; results land in disjoint
-		// slots, so the merge below is race-free and order-independent.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sv := smt.NewSolver()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(comps) {
-						return
-					}
-					sv.Reset()
-					timed(&results[i], comps[i], sv)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	solveNS := time.Since(solveStart).Nanoseconds()
-	solveSpan.SetItems(int64(len(comps)))
-	solveSpan.End()
-
-	// Deterministic merge: components arrive topologically ordered from the
-	// partitioner, so concatenating their orders restores every
-	// cross-component program-order edge (see partition.go).
-	var stats ScheduleStats
-	total := 0
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
-		}
-		total += len(results[i].order)
-	}
-	sched := &Schedule{
-		Log:      log,
-		Order:    make([]trace.TC, 0, total),
-		Pos:      make(map[trace.TC]int, total),
-		RangeEnd: make(map[trace.TC]uint64),
-	}
-	for i := range results {
-		r := &results[i]
-		sched.Order = append(sched.Order, r.order...)
-		stats.IntVars += r.stats.IntVars
-		stats.Conjunctive += r.stats.Conjunctive
-		stats.Disjunctions += r.stats.Disjunctions
-		stats.Resolved += r.stats.Resolved
-		stats.CacheHits += r.stats.CacheHits
-		stats.CacheMisses += r.stats.CacheMisses
-		stats.SolveBusyNS += r.ns
-		stats.Solver.Add(r.stats.Solver)
-		if len(comps[i].vars) > stats.LargestComponent {
-			stats.LargestComponent = len(comps[i].vars)
-		}
-	}
-	stats.Components = len(comps)
-	stats.MergeEdges = diag.MergeEdges
-	stats.ParallelSolveNS = solveNS
-	stats.SolveJobs = jobs
-	stats.SolveWorkers = workers
-	sched.Stats = stats
-	if obsOn {
-		mSolveRuns.Inc()
-		mSolveIntVars.Add(uint64(stats.IntVars))
-		mSolveDisjunctions.Add(uint64(stats.Disjunctions))
-		mSolveResolved.Add(uint64(stats.Resolved))
-		mSolveComponents.Observe(int64(stats.Components))
-		mSolveUtilization.Set(stats.WorkerUtilization())
-		mSolveCacheHits.Add(uint64(stats.CacheHits))
-		mSolveCacheMisses.Add(uint64(stats.CacheMisses))
-		mPartitionMergeEdges.Add(uint64(stats.MergeEdges))
-	}
-	for i, tc := range sched.Order {
-		sched.Pos[tc] = i
-	}
-	for _, rg := range log.Ranges {
-		sched.RangeEnd[trace.TC{Thread: rg.Thread, Counter: rg.Start}] = rg.End
-	}
-	return sched, nil
-}
-
 type disjunction struct {
 	// (a1 < b1) or (a2 < b2)
 	a1, b1, a2, b2 trace.TC
@@ -572,15 +277,6 @@ type disjunction struct {
 // collectItems groups the log's deps and ranges into per-location read
 // claims and write-bearing intervals.
 func collectItems(log *trace.Log) map[int32]*locItems {
-	return collectItemsFrom(log.Deps, log.Ranges)
-}
-
-// collectItemsFrom is collectItems over explicit dep/range slices. The
-// streaming solver feeds it the concatenation of the retired threads'
-// buffers in thread-ID order — the same canonical order Recorder.Finish
-// serializes — so the items it produces for a location are identical to
-// what the final log would yield once every contributor has retired.
-func collectItemsFrom(deps []trace.Dep, ranges []trace.Range) map[int32]*locItems {
 	items := make(map[int32]*locItems)
 	get := func(loc int32) *locItems {
 		li := items[loc]
@@ -597,7 +293,7 @@ func collectItemsFrom(deps []trace.Dep, ranges []trace.Range) map[int32]*locItem
 		c  uint64
 	}
 	inRange := make(map[int32][]trace.Range) // loc -> hasWrite ranges
-	for _, rg := range ranges {
+	for _, rg := range log.Ranges {
 		li := get(rg.Loc)
 		if rg.HasWrite {
 			li.wbs = append(li.wbs, writeBearing{Thread: rg.Thread, Lo: rg.Start, Hi: rg.End})
@@ -641,12 +337,12 @@ func collectItemsFrom(deps []trace.Dep, ranges []trace.Range) map[int32]*locItem
 			})
 		}
 	}
-	for _, d := range deps {
+	for _, d := range log.Deps {
 		li := get(d.Loc)
 		li.rcs = append(li.rcs, readClaim{W: d.W, Thread: d.R.Thread, Lo: d.R.Counter, Hi: d.R.Counter})
 		addSource(d.Loc, d.W)
 	}
-	for _, rg := range ranges {
+	for _, rg := range log.Ranges {
 		if rg.StartsWithRead {
 			addSource(rg.Loc, rg.W)
 		}

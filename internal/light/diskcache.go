@@ -26,11 +26,12 @@ import (
 //
 //	| kind (1 byte) | key (32 bytes) | inner sha256 (32 bytes) | body |
 //
-// kind 1 is a graph-first component selection (body: uvarint count, then
-// one 0/1 byte per residual disjunction), kind 2 a legacy component order
-// (body: uvarint resolved, uvarint count, then canonical indices), kind 3
-// a whole-schedule order (body: uvarint count, then (thread, counter)
-// uvarint pairs; key = content hash of the log). The inner hash covers
+// kind 1 is a residual component selection (body: uvarint count, then one
+// 0/1 byte per residual disjunction), kind 3 a whole-schedule order (body:
+// uvarint count, then (thread, counter) uvarint pairs; key = content hash
+// of the log). Kind 2, a component order of an engine that no longer
+// exists, is no longer written; a file that still holds one opens fine and
+// counts it as rejected. The inner hash covers
 // kind‖key‖body, so an entry whose frame CRC was deliberately recomputed
 // around corrupted content is still rejected at hydration — and a kind-3
 // hit is additionally revalidated with CheckSchedule before use, so a
@@ -61,8 +62,7 @@ const solveCacheFile = "solvecache.wal"
 
 // Persisted entry kinds.
 const (
-	diskKindSel      = 1 // graph-first residual component selection
-	diskKindOrder    = 2 // legacy component canonical order
+	diskKindSel      = 1 // residual component selection
 	diskKindSchedule = 3 // whole-schedule order, keyed by log content hash
 )
 
@@ -373,14 +373,7 @@ func decodeDiskEntry(payload []byte) bool {
 		if !ok {
 			return false
 		}
-		schedCache.hydrate(key, &cacheEntry{sel: sel})
-		return true
-	case diskKindOrder:
-		order, resolved, ok := decodeOrderBody(body)
-		if !ok {
-			return false
-		}
-		schedCache.hydrate(key, &cacheEntry{order: order, resolved: resolved})
+		schedCache.hydrate(key, sel)
 		return true
 	case diskKindSchedule:
 		tcs, ok := decodeScheduleBody(body)
@@ -414,53 +407,6 @@ func decodeSelBody(body []byte) ([]uint8, bool) {
 		}
 	}
 	return sel, true
-}
-
-func encodeOrderBody(order []int32, resolved int) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	out := make([]byte, 0, 2*len(order)+8)
-	n := binary.PutUvarint(buf[:], uint64(resolved))
-	out = append(out, buf[:n]...)
-	n = binary.PutUvarint(buf[:], uint64(len(order)))
-	out = append(out, buf[:n]...)
-	for _, v := range order {
-		n = binary.PutUvarint(buf[:], uint64(uint32(v)))
-		out = append(out, buf[:n]...)
-	}
-	return out
-}
-
-func decodeOrderBody(body []byte) ([]int32, int, bool) {
-	resolved, w := binary.Uvarint(body)
-	if w <= 0 {
-		return nil, 0, false
-	}
-	body = body[w:]
-	n, w := binary.Uvarint(body)
-	if w <= 0 || n > uint64(len(body)*8) {
-		return nil, 0, false
-	}
-	body = body[w:]
-	order := make([]int32, n)
-	seen := make([]bool, n)
-	for i := range order {
-		v, w := binary.Uvarint(body)
-		if w <= 0 {
-			return nil, 0, false
-		}
-		body = body[w:]
-		// A legacy order must be a permutation of the canonical indices;
-		// anything else can only come from damage and must fail closed.
-		if v >= n || seen[v] {
-			return nil, 0, false
-		}
-		seen[v] = true
-		order[i] = int32(v)
-	}
-	if len(body) != 0 {
-		return nil, 0, false
-	}
-	return order, int(resolved), true
 }
 
 func encodeScheduleBody(order []trace.TC) []byte {
@@ -545,20 +491,17 @@ func (c *schedOrderStore) drop(k [32]byte) {
 }
 
 // logScheduleKey content-addresses a log for whole-schedule caching: the
-// schedule is a deterministic function of the dep/range content and the
-// engine family (auto and stream are byte-identical, cdcl differs).
-func logScheduleKey(log *trace.Log, eng Engine) [32]byte {
+// schedule is a deterministic function of the dep/range content. The
+// leading tag 1 is kept so whole-schedule keys persisted by earlier
+// versions still hit.
+func logScheduleKey(log *trace.Log) [32]byte {
 	h := sha256.New()
 	var buf [binary.MaxVarintLen64]byte
 	u := func(v uint64) {
 		n := binary.PutUvarint(buf[:], v)
 		h.Write(buf[:n])
 	}
-	if eng == EngineCDCL {
-		u(2)
-	} else {
-		u(1)
-	}
+	u(1)
 	u(uint64(len(log.Threads)))
 	u(uint64(uint32(log.NumLocs)))
 	u(uint64(len(log.Deps)))
@@ -593,24 +536,6 @@ func logScheduleKey(log *trace.Log, eng Engine) [32]byte {
 	return out
 }
 
-// scheduleFromOrder rebuilds a Schedule around a cached order.
-func scheduleFromOrder(log *trace.Log, order []trace.TC) *Schedule {
-	sched := &Schedule{
-		Log:      log,
-		Order:    order,
-		Pos:      make(map[trace.TC]int, len(order)),
-		RangeEnd: make(map[trace.TC]uint64),
-		Stats:    ScheduleStats{IntVars: len(order), CacheHits: 1},
-	}
-	for i, tc := range order {
-		sched.Pos[tc] = i
-	}
-	for _, rg := range log.Ranges {
-		sched.RangeEnd[trace.TC{Thread: rg.Thread, Counter: rg.Start}] = rg.End
-	}
-	return sched
-}
-
 // ComputeScheduleCached is ComputeSchedule behind the whole-schedule
 // cache: a hit skips synthesis entirely (the dominant cost of a repeated
 // replay) after revalidating the cached order with CheckSchedule — a
@@ -621,9 +546,9 @@ func ComputeScheduleCached(log *trace.Log) (*Schedule, bool, error) {
 		sched, err := ComputeSchedule(log)
 		return sched, false, err
 	}
-	key := logScheduleKey(log, DefaultEngine)
+	key := logScheduleKey(log)
 	if order, ok := schedOrderCache.lookup(key); ok {
-		sched := scheduleFromOrder(log, order)
+		sched := newSchedule(log, order, ScheduleStats{IntVars: len(order), CacheHits: 1})
 		if err := CheckSchedule(log, sched); err == nil {
 			mScheduleCacheHits.Inc()
 			return sched, true, nil

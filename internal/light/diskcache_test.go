@@ -1,7 +1,9 @@
 package light
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -271,7 +273,7 @@ func TestDiskCachePoisonedOrderRecomputed(t *testing.T) {
 	}
 
 	// Reverse the cached order in place under the correct key.
-	key := logScheduleKey(log, DefaultEngine)
+	key := logScheduleKey(log)
 	bad := make([]trace.TC, len(good.Order))
 	for i, tc := range good.Order {
 		bad[len(bad)-1-i] = tc
@@ -300,5 +302,86 @@ func TestDiskCachePoisonedOrderRecomputed(t *testing.T) {
 	schedOrderCache.hydrate(key, otherSched.Order)
 	if _, hit, _ := ComputeScheduleCached(log); hit {
 		t.Fatal("foreign order served as a hit")
+	}
+}
+
+// TestDiskCacheKeyStable pins one whole-schedule key: logScheduleKey still
+// hashes the tag an earlier engine-aware version wrote first, so schedules
+// persisted by that version keep hitting.
+func TestDiskCacheKeyStable(t *testing.T) {
+	k := logScheduleKey(residualLog())
+	const want = "f1ff01f045987bd3ddb93f0567fabaf30f88d5e115429f6353889aeeb2c51e44"
+	if got := hex.EncodeToString(k[:]); got != want {
+		t.Fatalf("logScheduleKey = %s, want %s", got, want)
+	}
+}
+
+// TestDiskCacheLegacyKindSkipped: a cache file written by an earlier
+// version may hold kind-2 frames (component orders of an engine that no
+// longer exists). Opening it must not fail: the kind-2 frame counts as
+// rejected and every other frame still hydrates.
+func TestDiskCacheLegacyKindSkipped(t *testing.T) {
+	dir := t.TempDir()
+	defer closeSolveDir(t)
+	openSolveDir(t, dir, 0)
+	log := residualLog()
+	if _, _, err := ComputeScheduleCached(log); err != nil {
+		t.Fatal(err)
+	}
+	closeSolveDir(t)
+
+	// Split the file's frames by kind and put a well-formed kind-2 frame
+	// between the kind-1 and kind-3 ones.
+	raw, err := os.ReadFile(walPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sel, rest [][]byte
+	for r := bytes.NewReader(raw); r.Len() > 0; {
+		payload, err := trace.ReadFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload[0] == diskKindSel {
+			sel = append(sel, payload)
+		} else {
+			rest = append(rest, payload)
+		}
+	}
+	if len(sel) == 0 || len(rest) != 1 || rest[0][0] != diskKindSchedule {
+		t.Fatalf("unexpected cache file: %d selection frames, %d others", len(sel), len(rest))
+	}
+	// Kind-2 body: uvarint resolved, uvarint count, canonical indices.
+	legacy := encodeDiskEntry(2, [32]byte{2}, []byte{0, 2, 1, 0})
+	var buf []byte
+	for _, p := range sel {
+		buf = trace.AppendFrame(buf, p)
+	}
+	buf = trace.AppendFrame(buf, legacy)
+	buf = trace.AppendFrame(buf, rest[0])
+	if err := os.WriteFile(walPath(dir), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	stats := openSolveDir(t, dir, 0)
+	if stats.Rejected != 1 || stats.Entries != len(sel)+1 || stats.Quarantined != "" {
+		t.Fatalf("open stats %+v, want 1 rejected, %d entries, no quarantine", stats, len(sel)+1)
+	}
+	for _, p := range sel {
+		var key [32]byte
+		copy(key[:], p[1:33])
+		if _, ok := schedCache.lookup(key); !ok {
+			t.Fatal("selection frame did not hydrate")
+		}
+	}
+	sched, hit, err := ComputeScheduleCached(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit {
+		t.Fatal("whole-schedule frame did not hydrate")
+	}
+	if err := CheckSchedule(log, sched); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package light
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"runtime"
 	"slices"
@@ -35,6 +36,10 @@ import (
 // The final schedule is a single deterministic topological sort of the
 // global partial order extended with the solver-chosen disjuncts.
 //
+// synthesize is the one implementation of this pipeline. ComputeSchedule
+// runs it over a whole log; the streaming solver (stream.go) runs it over
+// one timeline-SCC component at a time and merges the results.
+//
 // Soundness of the merge (why the extended graph is acyclic):
 //   - With no chosen edges the graph is the propagated partial order, which
 //     Propagate verified acyclic (a hard cycle means the recording is
@@ -54,67 +59,6 @@ import (
 //     in one cluster-graph SCC, and the partitioner merges residual-bearing
 //     clusters of an SCC into one component — contradiction.
 
-// Engine selects the schedule-synthesis strategy.
-type Engine int
-
-const (
-	// EngineAuto is the two-tier graph-first engine: global propagation fast
-	// path, residual-only CDCL(T) fallback, topological merge. The default.
-	EngineAuto Engine = iota
-	// EngineCDCL is the PR-1 pipeline — every component is encoded and
-	// discharged to the CDCL(T) solver — kept as the differential-testing
-	// baseline and selectable via the cmd front ends' -engine flag.
-	EngineCDCL
-	// EngineStream is the offline form of the streaming solver (stream.go):
-	// it feeds the log's per-thread buffers through a StreamSolver as if
-	// each thread retired in turn, then finishes. Byte-identical to
-	// EngineAuto on every log; selectable for differential testing and the
-	// lightfuzz stream oracle.
-	EngineStream
-)
-
-// String returns the flag spelling of the engine.
-func (e Engine) String() string {
-	switch e {
-	case EngineCDCL:
-		return "cdcl"
-	case EngineStream:
-		return "stream"
-	}
-	return "auto"
-}
-
-// ParseEngine maps a -engine flag value to an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "auto":
-		return EngineAuto, nil
-	case "cdcl":
-		return EngineCDCL, nil
-	case "stream":
-		return EngineStream, nil
-	}
-	return EngineAuto, fmt.Errorf("light: unknown engine %q (want auto, cdcl, or stream)", s)
-}
-
-// DefaultEngine is the engine ComputeSchedule uses; the cmd front ends set
-// it from their -engine flag. Both engines produce schedules that satisfy
-// the full Section 4.2 system (checker-verified equivalent), but the orders
-// may differ textually.
-var DefaultEngine = EngineAuto
-
-// ComputeScheduleEngine computes a schedule with an explicit engine and
-// solve-worker count (0 means GOMAXPROCS).
-func ComputeScheduleEngine(log *trace.Log, eng Engine, jobs int) (*Schedule, error) {
-	switch eng {
-	case EngineCDCL:
-		return computeSchedule(log, true, jobs)
-	case EngineStream:
-		return computeScheduleStream(log, jobs)
-	}
-	return computeScheduleAuto(log, jobs)
-}
-
 // residualComp is one tier-2 component: a residual-disjunction-bearing
 // cluster group that needs CDCL(T) search.
 type residualComp struct {
@@ -130,10 +74,9 @@ type residualComp struct {
 // order, each thread's counters ascending — so node IDs equal positions in
 // the (thread, counter)-sorted variable list and map 1:1 onto an
 // smt.OrderEngine's layout. An access resolves to its node by one binary
-// search in its thread's counters. The batch engine builds it from the
-// items without materializing a variable set (newDenseIndex); the
-// streaming solver indexes a TC-form subsystem's sorted variables
-// (indexSorted).
+// search in its thread's counters. newDenseIndex builds it from an item
+// set without materializing a variable set; the streaming solver indexes
+// its already-sorted timeline (indexSorted).
 type denseIndex struct {
 	chainOf  map[int32]int32 // thread -> chain
 	counters [][]uint64      // chain -> sorted distinct counters
@@ -216,28 +159,108 @@ func (x *denseIndex) chainSizes() []int {
 	return sizes
 }
 
-// computeScheduleAuto is the graph-first engine. It builds the Section 4.2
-// system straight into OrderEngine node IDs: every location's items are
-// resolved to nodes once, and genLocConstraints emits their edges and
-// disjunctions into the engine in location-ID order — the same order the
-// TC-form system lists them, so propagation derives the same Forced and
-// Residual lists. Only the locations of residual-bearing components are
-// regenerated in TC form, for the CDCL(T) tier and its cache keys.
-func computeScheduleAuto(log *trace.Log, jobs int) (*Schedule, error) {
+// denseSystem is the Section 4.2 constraint system of one item set in node
+// IDs: location li's hard edges are hard[hardAt[li]:hardAt[li+1]] and its
+// disjunctions disj[disjAt[li]:disjAt[li+1]], locations in ID order. The
+// program-order chain edges are implicit in the numbering.
+type denseSystem struct {
+	locIDs []int32
+	x      *denseIndex
+	hard   [][2]int32
+	disj   []smt.OrderDisjunction
+	hardAt []int32
+	disjAt []int32
+}
+
+// buildDense generates the constraint system of an item set over its dense
+// index x — the only place the generation rules run: every location's
+// items are resolved to nodes once and genLocConstraints emits their edges
+// and disjunctions in location-ID order. visit, when non-nil, sees each
+// location's resolved items (synthesize clusters locations by the nodes
+// they touch).
+func buildDense(items map[int32]*locItems, x *denseIndex, visit func(li int, rcs []claimNodes, wbs []intervalNodes)) *denseSystem {
+	ds := &denseSystem{locIDs: sortedLocIDs(items), x: x}
+	n := len(ds.locIDs)
+	ds.hardAt = make([]int32, n+1)
+	ds.disjAt = make([]int32, n+1)
+	edge := func(u, v int32) { ds.hard = append(ds.hard, [2]int32{u, v}) }
+	disj := func(a1, b1, a2, b2 int32) {
+		ds.disj = append(ds.disj, smt.OrderDisjunction{A1: a1, B1: b1, A2: a2, B2: b2})
+	}
+	var rcs []claimNodes
+	var wbs []intervalNodes
+	for li, loc := range ds.locIDs {
+		ds.hardAt[li], ds.disjAt[li] = int32(len(ds.hard)), int32(len(ds.disj))
+		rcs, wbs = resolveLocItems(items[loc], x.node, rcs[:0], wbs[:0])
+		if visit != nil {
+			visit(li, rcs, wbs)
+		}
+		genLocConstraints(rcs, wbs, edge, disj)
+	}
+	ds.hardAt[n], ds.disjAt[n] = int32(len(ds.hard)), int32(len(ds.disj))
+	return ds
+}
+
+// locEdges returns location li's hard edges in TC form.
+func (ds *denseSystem) locEdges(li int) [][2]trace.TC {
+	v := ds.x.vars
+	es := ds.hard[ds.hardAt[li]:ds.hardAt[li+1]]
+	out := make([][2]trace.TC, len(es))
+	for i, e := range es {
+		out[i] = [2]trace.TC{v[e[0]], v[e[1]]}
+	}
+	return out
+}
+
+// tcDisj returns disjunction di in TC form.
+func (ds *denseSystem) tcDisj(di int32) disjunction {
+	v, d := ds.x.vars, ds.disj[di]
+	return disjunction{a1: v[d.A1], b1: v[d.B1], a2: v[d.A2], b2: v[d.B2]}
+}
+
+// locOfDisj returns the index of the location that generated disjunction di.
+func (ds *denseSystem) locOfDisj(di int32) int {
+	return sort.Search(len(ds.locIDs), func(li int) bool { return ds.disjAt[li+1] > di })
+}
+
+// synthesis is the core's result over one item set, in the node IDs of its
+// dense index: the hard edges (every location's conjunctive edges; the
+// program-order chains are implicit in the numbering), the propagation-
+// forced edges, and one chosen disjunct per residual disjunction. The
+// schedule is the smallest-node-first topological sort of the chains plus
+// all three edge sets.
+type synthesis struct {
+	vars   []trace.TC // node -> access
+	chains []int
+	hard   [][2]int32
+	forced [][2]int32
+	chosen [][2]int32
+	stats  ScheduleStats
+}
+
+// synthesize is the schedule-synthesis core over one item set: generate the
+// system into node IDs (buildDense), propagate it to fixpoint, partition
+// the residual disjunctions into components, seed each with its bridges,
+// and discharge the components to CDCL(T) on a pool of jobs workers (0
+// means GOMAXPROCS). Results land in disjoint slots, so any worker count
+// yields the same synthesis. It also returns the propagated engine, which
+// already holds the hard and forced edges, so a caller that sorts this one
+// synthesis alone needs to add only the chosen ones (OrderEngine.TopoOrder).
+// Once ctx is done, CDCL(T) searches give up and synthesize returns
+// ctx.Err().
+func synthesize(ctx context.Context, items map[int32]*locItems, jobs int) (*synthesis, *smt.OrderEngine, error) {
 	partSpan := obs.StartSpan("partition")
-	items := collectItems(log)
-	locIDs := sortedLocIDs(items)
 	x := newDenseIndex(items)
 	chains := x.chainSizes()
+	nLocs := len(items)
 
-	eng := smt.NewOrderEngine(chains)
 	// owner maps a node to the first location touching it; locations that
-	// share a node are unioned into one cluster (buildClusters' rule).
+	// share a node are unioned into one cluster.
 	owner := make([]int32, len(x.vars))
 	for i := range owner {
 		owner[i] = -1
 	}
-	uf := newUnionFind(len(locIDs))
+	uf := newUnionFind(nLocs)
 	own := func(li int, n int32) {
 		if o := owner[n]; o < 0 {
 			owner[n] = int32(li)
@@ -245,22 +268,7 @@ func computeScheduleAuto(log *trace.Log, jobs int) (*Schedule, error) {
 			uf.union(li, int(o))
 		}
 	}
-	// disjStart[li] is the index of location li's first disjunction.
-	disjStart := make([]int32, len(locIDs)+1)
-	nConj, nDisj := 0, int32(0)
-	addEdge := func(u, v int32) {
-		eng.AddEdge(u, v)
-		nConj++
-	}
-	addDisj := func(a1, b1, a2, b2 int32) {
-		eng.AddDisjunction(smt.OrderDisjunction{A1: a1, B1: b1, A2: a2, B2: b2})
-		nDisj++
-	}
-	var rcs []claimNodes
-	var wbs []intervalNodes
-	for li, loc := range locIDs {
-		disjStart[li] = nDisj
-		rcs, wbs = resolveLocItems(items[loc], x.node, rcs[:0], wbs[:0])
+	ds := buildDense(items, x, func(li int, rcs []claimNodes, wbs []intervalNodes) {
 		for _, rc := range rcs {
 			if rc.w >= 0 {
 				own(li, rc.w)
@@ -272,31 +280,31 @@ func computeScheduleAuto(log *trace.Log, jobs int) (*Schedule, error) {
 			own(li, wb.lo)
 			own(li, wb.hi)
 		}
-		genLocConstraints(rcs, wbs, addEdge, addDisj)
-	}
-	disjStart[len(locIDs)] = nDisj
-	locOfDisj := func(di int32) int {
-		return sort.Search(len(locIDs), func(li int) bool { return disjStart[li+1] > di })
-	}
+	})
 
+	eng := smt.NewOrderEngine(chains)
+	for _, e := range ds.hard {
+		eng.AddEdge(e[0], e[1])
+	}
+	eng.AddDisjunctions(ds.disj)
 	out := eng.Propagate()
 	if out.Unsat {
-		return nil, fmt.Errorf("light: replay constraint system unsatisfiable (propagation over %d vars, %d disjunctions) — this contradicts Lemma 4.1 and indicates a recording bug",
-			len(x.vars), nDisj)
+		return nil, nil, fmt.Errorf("light: replay constraint system unsatisfiable (propagation over %d vars, %d disjunctions) — this contradicts Lemma 4.1 and indicates a recording bug",
+			len(x.vars), len(ds.disj))
 	}
 
 	// Partition: location clusters, merging only residual-bearing clusters
 	// that share a cluster-graph SCC (see partition.go).
-	residualLoc := make([]bool, len(locIDs))
+	residualLoc := make([]bool, nLocs)
 	for _, di := range out.Residual {
-		residualLoc[locOfDisj(di)] = true
+		residualLoc[ds.locOfDisj(di)] = true
 	}
 	groups := partitionResidual(uf, owner, chains, residualLoc)
 
 	// Group bookkeeping: per-group node counts (every location sharing a
 	// node sits in its owner's cluster, hence its group) and the residual
 	// disjunctions each group owns.
-	groupOfLoc := make([]int32, len(locIDs))
+	groupOfLoc := make([]int32, nLocs)
 	for gi, locs := range groups {
 		for _, li := range locs {
 			groupOfLoc[li] = int32(gi)
@@ -309,11 +317,12 @@ func computeScheduleAuto(log *trace.Log, jobs int) (*Schedule, error) {
 	}
 	residualOfGroup := make([][]int32, len(groups))
 	for _, di := range out.Residual {
-		gi := groupOfLoc[locOfDisj(di)]
+		gi := groupOfLoc[ds.locOfDisj(di)]
 		residualOfGroup[gi] = append(residualOfGroup[gi], di)
 	}
 
-	// Assemble the tier-2 components in TC form.
+	// Assemble the tier-2 components in TC form (their cache keys are
+	// TC-structural, see cache.go).
 	var comps []*residualComp
 	compOfGroup := make([]int, len(groups))
 	for gi := range groups {
@@ -329,22 +338,18 @@ func computeScheduleAuto(log *trace.Log, jobs int) (*Schedule, error) {
 				comps[ci].vars = append(comps[ci].vars, tc)
 			}
 		}
-		lsOf := make(map[int]*locSys)
 		for gi, ci := range compOfGroup {
 			if ci < 0 {
 				continue
 			}
 			c := comps[ci]
 			for _, li := range groups[gi] {
-				ls := buildLocSys(locIDs[li], items[locIDs[li]])
-				lsOf[li] = ls
-				c.locs = append(c.locs, ls.loc)
-				c.conj = append(c.conj, ls.conj...)
+				c.locs = append(c.locs, ds.locIDs[li])
+				c.conj = append(c.conj, ds.locEdges(li)...)
 			}
 			c.conj = append(c.conj, chainEdges(c.vars)...)
 			for _, di := range residualOfGroup[gi] {
-				li := locOfDisj(di)
-				c.disj = append(c.disj, lsOf[li].disj[di-disjStart[li]])
+				c.disj = append(c.disj, ds.tcDisj(di))
 			}
 		}
 		// Distribute the propagation-forced edges to their components as
@@ -380,18 +385,14 @@ func computeScheduleAuto(log *trace.Log, jobs int) (*Schedule, error) {
 	partSpan.SetItems(int64(len(groups)))
 	partSpan.End()
 
-	// Tier 2: solve the residual components on a worker pool. Results land
-	// in disjoint slots, so any worker count yields the same schedule.
+	// Tier 2: solve the residual components on a worker pool.
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
 	// The pool never spins more workers than there are residual components,
 	// but the resolved pool size is what reports record as solve_jobs — a
 	// fully fastpath-resolved log must not report a zero-sized pool.
-	workers := jobs
-	if workers > len(comps) {
-		workers = len(comps)
-	}
+	workers := min(jobs, len(comps))
 	type compResult struct {
 		chosen [][2]trace.TC // one satisfied disjunct edge per residual disjunction
 		stats  ScheduleStats
@@ -402,127 +403,95 @@ func computeScheduleAuto(log *trace.Log, jobs int) (*Schedule, error) {
 	results := make([]compResult, len(comps))
 	solveSpan := obs.StartSpan("solve")
 	solveStart := time.Now()
-	timed := func(res *compResult, c *residualComp, sv *smt.Solver) {
-		start := time.Now()
-		res.chosen, res.stats, res.err = solveResidualComp(c, sv)
-		res.ns = time.Since(start).Nanoseconds()
-		if obsOn {
-			mSolveComponentNS.Observe(res.ns)
-			mSolveComponentVars.Observe(int64(len(c.vars)))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	worker := func() {
+		sv := smt.NewSolver()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(comps) {
+				return
+			}
+			res, c := &results[i], comps[i]
+			sv.Reset()
+			start := time.Now()
+			res.chosen, res.stats, res.err = solveResidualComp(ctx, c, sv)
+			res.ns = time.Since(start).Nanoseconds()
+			if obsOn {
+				mSolveComponentNS.Observe(res.ns)
+				mSolveComponentVars.Observe(int64(len(c.vars)))
+			}
 		}
 	}
-	if workers <= 1 {
-		sv := smt.NewSolver()
-		for i, c := range comps {
-			sv.Reset()
-			timed(&results[i], c, sv)
-		}
+	if workers == 1 {
+		worker()
 	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sv := smt.NewSolver()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(comps) {
-						return
-					}
-					sv.Reset()
-					timed(&results[i], comps[i], sv)
-				}
+				worker()
 			}()
 		}
 		wg.Wait()
 	}
-	solveNS := time.Since(solveStart).Nanoseconds()
+	solveSpan.SetItems(int64(len(comps)))
+	solveSpan.End()
 
-	// Merge: one global topological sort of the propagated partial order
-	// extended with the chosen disjunct edges.
-	extra := make([][2]int32, 0, len(out.Residual))
-	var stats ScheduleStats
+	syn := &synthesis{
+		vars:   x.vars,
+		chains: chains,
+		hard:   ds.hard,
+		forced: out.Forced,
+		chosen: make([][2]int32, 0, len(out.Residual)),
+	}
+	stats := &syn.stats
 	for i := range results {
 		r := &results[i]
 		if r.err != nil {
-			return nil, r.err
+			return nil, nil, r.err
 		}
 		for _, e := range r.chosen {
-			extra = append(extra, [2]int32{x.node(e[0]), x.node(e[1])})
+			syn.chosen = append(syn.chosen, [2]int32{x.node(e[0]), x.node(e[1])})
 		}
 		stats.SolveBusyNS += r.ns
 		stats.CacheHits += r.stats.CacheHits
 		stats.CacheMisses += r.stats.CacheMisses
 		stats.Solver.Add(r.stats.Solver)
 	}
-	orderIdx, ok := eng.TopoOrder(extra)
-	if !ok {
-		return nil, fmt.Errorf("light: internal error: schedule merge produced a cycle (%d components, %d chosen edges)", len(comps), len(extra))
-	}
-	solveSpan.SetItems(int64(len(comps)))
-	solveSpan.End()
-
 	stats.IntVars = len(x.vars)
 	// Hard edges: the per-location edges plus the program-order chains.
-	stats.Conjunctive = nConj
+	stats.Conjunctive = len(ds.hard)
 	for _, size := range chains {
 		stats.Conjunctive += size - 1
 	}
-	stats.Disjunctions = int(nDisj)
+	stats.Disjunctions = len(ds.disj)
 	stats.Resolved = out.Resolved
 	stats.Components = len(groups)
 	stats.FastpathComponents = len(groups) - len(comps)
 	for _, size := range groupSize {
-		if size > stats.LargestComponent {
-			stats.LargestComponent = size
-		}
+		stats.LargestComponent = max(stats.LargestComponent, size)
 	}
-	stats.ParallelSolveNS = solveNS
+	stats.ParallelSolveNS = time.Since(solveStart).Nanoseconds()
 	stats.SolveJobs = jobs
 	stats.SolveWorkers = workers
-	sched := &Schedule{
-		Log:      log,
-		Order:    make([]trace.TC, len(orderIdx)),
-		Pos:      make(map[trace.TC]int, len(orderIdx)),
-		RangeEnd: make(map[trace.TC]uint64),
-		Stats:    stats,
-	}
-	for i, n := range orderIdx {
-		sched.Order[i] = x.vars[n]
-		sched.Pos[x.vars[n]] = i
-	}
-	for _, rg := range log.Ranges {
-		sched.RangeEnd[trace.TC{Thread: rg.Thread, Counter: rg.Start}] = rg.End
-	}
-	if obsOn {
-		mSolveRuns.Inc()
-		mSolveIntVars.Add(uint64(stats.IntVars))
-		mSolveDisjunctions.Add(uint64(stats.Disjunctions))
-		mSolveResolved.Add(uint64(stats.Resolved))
-		mSolveComponents.Observe(int64(stats.Components))
-		mSolveUtilization.Set(stats.WorkerUtilization())
-		mSolveFastpathComponents.Add(uint64(stats.FastpathComponents))
-		mSolveCDCLComponents.Add(uint64(len(comps)))
-		mSolveCacheHits.Add(uint64(stats.CacheHits))
-		mSolveCacheMisses.Add(uint64(stats.CacheMisses))
-		mSolveFastpathRate.Set(stats.FastpathRate())
-	}
-	return sched, nil
+	return syn, eng, nil
 }
 
 // solveResidualComp discharges one tier-2 component to the CDCL(T) solver
 // (or the schedule cache) and returns, for each residual disjunction, the
 // disjunct edge the model satisfies. Deterministic: the same component
-// yields the same choices on every call, on any worker, cached or not.
-func solveResidualComp(c *residualComp, sv *smt.Solver) ([][2]trace.TC, ScheduleStats, error) {
+// yields the same choices on every call, on any worker, cached or not. A
+// search abandoned because ctx is done returns ctx.Err() and stores
+// nothing.
+func solveResidualComp(ctx context.Context, c *residualComp, sv *smt.Solver) ([][2]trace.TC, ScheduleStats, error) {
 	var stats ScheduleStats
 	key, useCache := residualCompKey(c)
 	if useCache {
-		if e, ok := schedCache.lookup(key); ok && e.sel != nil {
-			chosen, cstats, err := chosenFromSelection(c, e.sel)
-			cstats.CacheHits = 1
-			return chosen, cstats, err
+		if sel, ok := schedCache.lookup(key); ok {
+			chosen, err := chosenFromSelection(c, sel)
+			stats.CacheHits = 1
+			return chosen, stats, err
 		}
 		stats.CacheMisses = 1
 	}
@@ -544,8 +513,11 @@ func solveResidualComp(c *residualComp, sv *smt.Solver) ([][2]trace.TC, Schedule
 	for _, d := range c.disj {
 		p.Assert(smt.Or(smt.Lt(vars[d.a1], vars[d.b1]), smt.Lt(vars[d.a2], vars[d.b2])))
 	}
-	res := sv.Solve(p)
+	res := sv.SolveContext(ctx, p)
 	stats.Solver = res.Stats
+	if err := ctx.Err(); err != nil && res.Status == smt.Unknown {
+		return nil, stats, err
+	}
 	if res.Status != smt.Sat {
 		return nil, stats, fmt.Errorf("light: replay constraint system unsatisfiable (component over locations %v: %d vars, %d residual disjunctions) — this contradicts Lemma 4.1 and indicates a recording bug",
 			c.locs, len(c.vars), len(c.disj))
@@ -553,26 +525,22 @@ func solveResidualComp(c *residualComp, sv *smt.Solver) ([][2]trace.TC, Schedule
 
 	sel := make([]uint8, len(c.disj))
 	for i, d := range c.disj {
-		if res.Values[vars[d.a1]] < res.Values[vars[d.b1]] {
-			sel[i] = 0
-		} else {
+		if res.Values[vars[d.a1]] >= res.Values[vars[d.b1]] {
 			sel[i] = 1
 		}
 	}
 	if useCache {
-		schedCache.store(key, &cacheEntry{sel: sel})
+		schedCache.store(key, sel)
 	}
-	chosen, cstats, err := chosenFromSelection(c, sel)
-	cstats.CacheHits, cstats.CacheMisses = stats.CacheHits, stats.CacheMisses
-	cstats.Solver = stats.Solver
-	return chosen, cstats, err
+	chosen, err := chosenFromSelection(c, sel)
+	return chosen, stats, err
 }
 
 // chosenFromSelection maps a per-disjunction disjunct selection back to
 // concrete edges.
-func chosenFromSelection(c *residualComp, sel []uint8) ([][2]trace.TC, ScheduleStats, error) {
+func chosenFromSelection(c *residualComp, sel []uint8) ([][2]trace.TC, error) {
 	if len(sel) != len(c.disj) {
-		return nil, ScheduleStats{}, fmt.Errorf("light: internal error: cached selection length %d for %d disjunctions", len(sel), len(c.disj))
+		return nil, fmt.Errorf("light: internal error: cached selection length %d for %d disjunctions", len(sel), len(c.disj))
 	}
 	chosen := make([][2]trace.TC, len(c.disj))
 	for i, d := range c.disj {
@@ -582,5 +550,70 @@ func chosenFromSelection(c *residualComp, sel []uint8) ([][2]trace.TC, ScheduleS
 			chosen[i] = [2]trace.TC{d.a2, d.b2}
 		}
 	}
-	return chosen, ScheduleStats{}, nil
+	return chosen, nil
+}
+
+// ComputeSchedule builds the constraint system of Section 4.2 from a log,
+// discharges it with DefaultSolveJobs workers, and extracts the replay
+// order.
+func ComputeSchedule(log *trace.Log) (*Schedule, error) {
+	return ComputeScheduleJobs(log, DefaultSolveJobs)
+}
+
+// ComputeScheduleJobs is ComputeSchedule with an explicit solve-worker
+// count: 1 solves the components serially, higher counts solve them
+// concurrently (0 means GOMAXPROCS). The resulting schedule is identical
+// either way.
+func ComputeScheduleJobs(log *trace.Log, jobs int) (*Schedule, error) {
+	syn, eng, err := synthesize(context.Background(), collectItems(log), jobs)
+	if err != nil {
+		return nil, err
+	}
+	order, ok := eng.TopoOrder(syn.chosen)
+	if !ok {
+		return nil, fmt.Errorf("light: internal error: schedule merge produced a cycle (%d components, %d chosen edges)", syn.stats.Components, len(syn.chosen))
+	}
+	tcs := make([]trace.TC, len(order))
+	for i, n := range order {
+		tcs[i] = syn.vars[n]
+	}
+	observeSolve(&syn.stats)
+	return newSchedule(log, tcs, syn.stats), nil
+}
+
+// newSchedule wraps a total order into a Schedule: positions plus the
+// log's range gates.
+func newSchedule(log *trace.Log, order []trace.TC, stats ScheduleStats) *Schedule {
+	sched := &Schedule{
+		Log:      log,
+		Order:    order,
+		Pos:      make(map[trace.TC]int, len(order)),
+		RangeEnd: make(map[trace.TC]uint64),
+		Stats:    stats,
+	}
+	for i, tc := range order {
+		sched.Pos[tc] = i
+	}
+	for _, rg := range log.Ranges {
+		sched.RangeEnd[trace.TC{Thread: rg.Thread, Counter: rg.Start}] = rg.End
+	}
+	return sched
+}
+
+// observeSolve records one schedule computation in the solve metrics.
+func observeSolve(s *ScheduleStats) {
+	if !obs.Enabled() {
+		return
+	}
+	mSolveRuns.Inc()
+	mSolveIntVars.Add(uint64(s.IntVars))
+	mSolveDisjunctions.Add(uint64(s.Disjunctions))
+	mSolveResolved.Add(uint64(s.Resolved))
+	mSolveComponents.Observe(int64(s.Components))
+	mSolveUtilization.Set(s.WorkerUtilization())
+	mSolveFastpathComponents.Add(uint64(s.FastpathComponents))
+	mSolveCDCLComponents.Add(uint64(s.Components - s.FastpathComponents))
+	mSolveCacheHits.Add(uint64(s.CacheHits))
+	mSolveCacheMisses.Add(uint64(s.CacheMisses))
+	mSolveFastpathRate.Set(s.FastpathRate())
 }

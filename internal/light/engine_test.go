@@ -45,7 +45,7 @@ func bridgedResidualLog() *trace.Log {
 func TestEngineResidualFallback(t *testing.T) {
 	log := residualLog()
 	ResetScheduleCache()
-	sched, err := ComputeScheduleEngine(log, EngineAuto, 1)
+	sched, err := ComputeScheduleJobs(log, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestEngineResidualFallback(t *testing.T) {
 func TestEngineBridgedResidual(t *testing.T) {
 	log := bridgedResidualLog()
 	ResetScheduleCache()
-	sched, err := ComputeScheduleEngine(log, EngineAuto, 1)
+	sched, err := ComputeScheduleJobs(log, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestEngineDeterminism(t *testing.T) {
 
 	defer func() { DefaultSolveCache = true }()
 	DefaultSolveCache = false
-	uncached, err := ComputeScheduleEngine(log, EngineAuto, 1)
+	uncached, err := ComputeScheduleJobs(log, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestEngineDeterminism(t *testing.T) {
 
 	ResetScheduleCache()
 	for _, jobs := range []int{1, 4} {
-		sched, err := ComputeScheduleEngine(log, EngineAuto, jobs)
+		sched, err := ComputeScheduleJobs(log, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestEngineDeterminism(t *testing.T) {
 		}
 	}
 	// The second cached run must have hit.
-	sched, err := ComputeScheduleEngine(log, EngineAuto, 1)
+	sched, err := ComputeScheduleJobs(log, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestEngineDeterminism(t *testing.T) {
 // of the pipeline relies on (IntVars == len(Order), utilization in range).
 func TestEngineStatsShape(t *testing.T) {
 	log := residualLog()
-	sched, err := ComputeScheduleEngine(log, EngineAuto, 2)
+	sched, err := ComputeScheduleJobs(log, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,30 +144,8 @@ func TestEngineStatsShape(t *testing.T) {
 	}
 }
 
-// TestParseEngine covers the flag mapping.
-func TestParseEngine(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want Engine
-		ok   bool
-	}{
-		{"auto", EngineAuto, true},
-		{"cdcl", EngineCDCL, true},
-		{"z3", EngineAuto, false},
-		{"", EngineAuto, false},
-	} {
-		got, err := ParseEngine(c.in)
-		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("ParseEngine(%q) = %v, %v", c.in, got, err)
-		}
-	}
-	if EngineAuto.String() != "auto" || EngineCDCL.String() != "cdcl" {
-		t.Error("Engine.String mismatch")
-	}
-}
-
 // TestEngineUnsatLog: contradictory hard edges must surface as an error
-// from propagation, matching the legacy engine's behavior.
+// from propagation, on the batch and the streamed path alike.
 func TestEngineUnsatLog(t *testing.T) {
 	// Cyclic dependences: t0:2 reads t1:1's write, t1:... with crossing
 	// order that contradicts program order.
@@ -179,10 +157,10 @@ func TestEngineUnsatLog(t *testing.T) {
 			{Loc: 1, W: trace.TC{Thread: 1, Counter: 2}, R: trace.TC{Thread: 0, Counter: 1}},
 		},
 	}
-	if _, err := ComputeScheduleEngine(log, EngineAuto, 1); err == nil {
-		t.Fatal("graph-first engine accepted a contradictory log")
+	if _, err := ComputeScheduleJobs(log, 1); err == nil {
+		t.Fatal("batch solve accepted a contradictory log")
 	}
-	if _, err := ComputeScheduleEngine(log, EngineCDCL, 1); err == nil {
-		t.Fatal("legacy engine accepted a contradictory log")
+	if _, err := ComputeScheduleStreamed(log, 1); err == nil {
+		t.Fatal("streamed solve accepted a contradictory log")
 	}
 }

@@ -55,7 +55,7 @@ type goldenStats struct {
 	IntVars, Disjunctions, Conjunctive, Resolved int
 	Components, LargestComponent                 int
 	FastpathComponents, CacheHits, CacheMisses   int
-	MergeEdges, SolveJobs, SolveWorkers          int
+	SolveJobs, SolveWorkers                      int
 	Decisions, Conflicts, Propagations, Restarts int64
 	TheoryChecks, Seeded                         int64
 	SolverClauses, SolverVars                    int
@@ -66,7 +66,7 @@ func pinStats(s ScheduleStats) goldenStats {
 		IntVars: s.IntVars, Disjunctions: s.Disjunctions, Conjunctive: s.Conjunctive, Resolved: s.Resolved,
 		Components: s.Components, LargestComponent: s.LargestComponent,
 		FastpathComponents: s.FastpathComponents, CacheHits: s.CacheHits, CacheMisses: s.CacheMisses,
-		MergeEdges: s.MergeEdges, SolveJobs: s.SolveJobs, SolveWorkers: s.SolveWorkers,
+		SolveJobs: s.SolveJobs, SolveWorkers: s.SolveWorkers,
 		Decisions: s.Solver.Decisions, Conflicts: s.Solver.Conflicts, Propagations: s.Solver.Propagations,
 		Restarts: s.Solver.Restarts, TheoryChecks: s.Solver.TheoryChecks, Seeded: s.Solver.Seeded,
 		SolverClauses: s.Solver.Clauses, SolverVars: s.Solver.Vars,
@@ -175,7 +175,7 @@ func loadGoldenLog(t *testing.T, src goldenSource) *trace.Log {
 func solveGolden(t *testing.T, name string, log *trace.Log) (goldenPin, *Schedule) {
 	t.Helper()
 	ResetScheduleCache()
-	sched, err := ComputeScheduleEngine(log, EngineAuto, 4)
+	sched, err := ComputeScheduleJobs(log, 4)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -237,9 +237,9 @@ func TestGoldenSchedules(t *testing.T) {
 		pin, sched := solveGolden(t, src.name, log)
 		got = append(got, pin)
 
-		streamed, err := ComputeScheduleEngine(log, EngineStream, 4)
+		streamed, err := ComputeScheduleStreamed(log, 4)
 		if err != nil {
-			t.Fatalf("%s: stream engine: %v", src.name, err)
+			t.Fatalf("%s: streamed solve: %v", src.name, err)
 		}
 		if d := DiffSchedules(sched, streamed); !d.Equal() {
 			t.Errorf("%s: streamed schedule differs from batch: %s", src.name, d)

@@ -162,7 +162,7 @@ func Reproduced(log *trace.Log, replay *vm.Result) bool {
 // speculatively as threads retire) and finishes the stream as soon as the
 // run ends, so the schedule is ready after only the epoch tail instead of
 // record + full solve. Returns the record artifacts, the schedule (byte-
-// identical to the batch engine's), the solver's speculation counters,
+// identical to ComputeSchedule's), the solver's speculation counters,
 // and the time-to-first-replay — the wall time from record start until
 // the schedule was ready.
 func RecordAndSolve(prog *compiler.Program, opts Options, cfg RunConfig, jobs int) (*RecordOutcome, *Schedule, StreamStats, time.Duration, error) {

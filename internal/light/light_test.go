@@ -505,6 +505,10 @@ fun main() {
 	}
 }
 
+// TestPreprocessingMatchesDirectSolve: the propagation pass that decides
+// disjunctions before any search must leave a schedule the checker accepts,
+// and its resolved count must account for every disjunction whenever no
+// component needed CDCL(T).
 func TestPreprocessingMatchesDirectSolve(t *testing.T) {
 	prog := compile(t, `
 class C { field f; field g; }
@@ -527,16 +531,20 @@ fun main() {
 `)
 	for seed := uint64(0); seed < 3; seed++ {
 		rec := Record(prog, Options{O1: true}, RunConfig{Seed: seed})
-		pre, err1 := ComputeSchedule(rec.Log)
-		raw, err2 := ComputeScheduleNoPreprocess(rec.Log)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("seed %d: pre=%v raw=%v", seed, err1, err2)
+		pre, err := ComputeSchedule(rec.Log)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if len(pre.Order) != len(raw.Order) {
-			t.Errorf("seed %d: order sizes differ: %d vs %d", seed, len(pre.Order), len(raw.Order))
+		if err := CheckSchedule(rec.Log, pre); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if pre.Stats.Resolved == 0 && pre.Stats.Disjunctions > 0 {
-			t.Logf("seed %d: preprocessing resolved nothing of %d", seed, pre.Stats.Disjunctions)
+		st := pre.Stats
+		if st.Resolved > st.Disjunctions {
+			t.Errorf("seed %d: resolved %d of %d disjunctions", seed, st.Resolved, st.Disjunctions)
+		}
+		if st.FastpathComponents == st.Components && st.Resolved != st.Disjunctions {
+			t.Errorf("seed %d: no CDCL component, but only %d of %d disjunctions resolved",
+				seed, st.Resolved, st.Disjunctions)
 		}
 	}
 }

@@ -49,7 +49,7 @@ var (
 	mSolveDisjunctions = obs.NewCounter("light_solve_disjunctions_total",
 		"non-interference disjunctions generated across all solves")
 	mSolveResolved = obs.NewCounter("light_solve_resolved_total",
-		"disjunctions discharged by partial-order preprocessing")
+		"disjunctions decided by propagation, without search")
 	mSolveComponents = obs.NewHistogram("light_solve_components",
 		"independent constraint components per solve (partition.go)")
 	mSolveComponentVars = obs.NewHistogram("light_solve_component_vars",
@@ -71,8 +71,6 @@ var (
 		"component schedule cache hits (solves skipped entirely)")
 	mSolveCacheMisses = obs.NewCounter("light_solve_cache_misses_total",
 		"component schedule cache misses (solves performed and stored)")
-	mPartitionMergeEdges = obs.NewCounter("light_partition_merge_edges_total",
-		"cluster-graph edges inside collapsed SCCs (legacy partition coarsening)")
 
 	// Streaming engine (DESIGN.md §4f): speculative component solving
 	// overlapped with recording.

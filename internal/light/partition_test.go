@@ -10,7 +10,7 @@ import (
 
 // orderIsModel asserts that a schedule's total order satisfies every
 // constraint of the full (unpartitioned) system built from the log — the
-// soundness contract of the concatenation merge in partition.go.
+// soundness contract of the partitioned solve's global merge.
 func orderIsModel(t *testing.T, log *trace.Log, sched *Schedule) {
 	t.Helper()
 	sys := buildSystem(log)
@@ -41,8 +41,8 @@ func orderIsModel(t *testing.T, log *trace.Log, sched *Schedule) {
 }
 
 // TestPartitionDisjointComponents: two dependences over disjoint thread and
-// location sets must split into two components whose orders concatenate in
-// smallest-variable order.
+// location sets must split into two components, merged in smallest-variable
+// order.
 func TestPartitionDisjointComponents(t *testing.T) {
 	log := &trace.Log{
 		Threads: []string{"t0", "t1", "t2", "t3"},
@@ -73,12 +73,10 @@ func TestPartitionDisjointComponents(t *testing.T) {
 }
 
 // TestPartitionSCCCollapse: two locations whose accesses alternate along both
-// thread timelines. The legacy engine's concatenation merge cannot restore
-// program order across them, so it must collapse them into one component —
-// and the collapse must be visible in the MergeEdges diagnostic. The
-// graph-first engine sorts globally instead of concatenating, and the
-// clusters carry no residual disjunctions, so it keeps them separate and
-// solves both on the fast path.
+// thread timelines form one cluster-graph SCC. The engine sorts globally
+// instead of concatenating per-component orders, and the clusters carry no
+// residual disjunctions, so it keeps them separate and solves both on the
+// fast path.
 func TestPartitionSCCCollapse(t *testing.T) {
 	log := &trace.Log{
 		Threads: []string{"t0", "t1"},
@@ -88,19 +86,7 @@ func TestPartitionSCCCollapse(t *testing.T) {
 			{Loc: 1, W: trace.TC{Thread: 1, Counter: 1}, R: trace.TC{Thread: 0, Counter: 2}},
 		},
 	}
-	legacy, err := ComputeScheduleEngine(log, EngineCDCL, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Stats.Components != 1 {
-		t.Fatalf("legacy components = %d, want 1 (SCC collapse)", legacy.Stats.Components)
-	}
-	if legacy.Stats.MergeEdges == 0 {
-		t.Fatal("SCC collapse produced no merge-edge diagnostic")
-	}
-	orderIsModel(t, log, legacy)
-
-	auto, err := ComputeScheduleEngine(log, EngineAuto, 1)
+	auto, err := ComputeScheduleJobs(log, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

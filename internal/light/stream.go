@@ -1,8 +1,10 @@
 package light
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -16,32 +18,28 @@ import (
 
 // Streaming schedule synthesis (DESIGN.md §4f).
 //
-// The batch engine waits for Recorder.Finish, builds the whole Section 4.2
-// system, and pays one global propagation + reachability pass. But every
-// generated constraint is per-location, locations cluster into components
-// (partition.go), and a component's constraint content is fully determined
-// by the retired threads' dep/range buffers that mention its locations. So
-// components can be solved while the recording is still running: each time
-// a thread retires (ThreadExited hands over its final, immutable buffers),
-// the solver folds the buffers into per-location caches, recomputes the
-// component decomposition, and speculatively discharges every component it
-// has not seen before, keyed by a content fingerprint.
+// The batch path waits for Recorder.Finish and runs the synthesis core
+// (synthesize, engine.go) over the whole log. But every generated
+// constraint is per-location, locations cluster into timeline-SCC
+// components (partition.go), and a component's constraint content is fully
+// determined by the retired threads' dep/range buffers that mention its
+// locations. So components can be solved while the recording is still
+// running: each time a thread retires (ThreadExited hands over its final,
+// immutable buffers), the solver folds the buffers into per-location item
+// caches, recomputes the component decomposition, and runs the core on
+// every component it has not seen before, keyed by a content fingerprint.
+// The streaming solver only schedules core calls; it solves nothing itself.
 //
-// The per-retirement work is incremental, which is what bounds the epoch
-// tail. Each location keeps its per-thread buffer fragments (sorted by
-// thread ID, the canonical order Recorder.Finish emits), and a retirement
-// dirties only the locations its thread touched: those — and only those —
-// re-collect their items, regenerate their locSys (buildLocSys), and
+// The per-retirement work is incremental. Each location keeps its
+// per-thread buffer fragments (sorted by thread ID, the canonical order
+// Recorder.Finish emits), and a retirement dirties only the locations its
+// thread touched: those — and only those — re-collect their items and
 // refresh their content hash. Variable-to-location ownership and the
 // location union-find grow monotonically (an item, once handed over, never
 // changes, and a later retirement can only add variables — a suppressed
 // singleton write's variable survives as its dependence's anchor), so the
 // sorted variable timeline is maintained by merge insertion and each round
-// pays one O(vars) edge scan plus a Tarjan SCC pass — not a full system
-// rebuild. Finish then assembles the final system directly from the caches:
-// the timeline *is* the sorted variable list, the per-location conjunctive
-// edges are already generated, and every component fingerprint was solved
-// by the worker's final round, so the tail is one topological merge.
+// pays one O(vars) edge scan plus a Tarjan SCC pass — not a full rebuild.
 //
 // Speculation is validated, never trusted: a component is *closed* only
 // when no live run can extend any of its clusters, and the solver cannot
@@ -50,34 +48,33 @@ import (
 // add a variable to a retired thread's chain and reroute the cluster
 // graph). A speculative solution is therefore reused only when its
 // component fingerprint — member locations plus their full item content —
-// matches a final component exactly. A matching fingerprint means the
-// subsystem the speculative solve saw is byte-identical to the one the
-// batch engine would build for that component, so propagation forces the
-// same edges, the same residual disjunctions go to CDCL(T) with the same
-// seeds and bridges, and the same disjuncts are chosen. The final schedule
-// is one deterministic topological merge (smt.TopoOrderChains) of the
-// per-thread chains, the conjunctive edges, the per-component forced
-// edges, and the chosen disjuncts — which skips the global reachability
-// matrix entirely, the step that dominates batch solve time. The result is
-// byte-identical to the batch auto engine's schedule (pinned by
-// TestStreamMatchesAuto and the lightfuzz stream oracle).
+// matches a final component exactly. A component is a whole cluster-graph
+// SCC, so no hard path between two of its accesses leaves it: the core run
+// on its items propagates the same forced edges, forms the same residual
+// components with the same seeds and bridges, and chooses the same
+// disjuncts as the batch run over the whole log. Finish translates every
+// component's hard, forced and chosen edges into the timeline's node IDs
+// and sorts once (smt.TopoOrderChains); the order depends only on the
+// edges' transitive closure, so it is byte-identical to the batch schedule
+// (pinned by TestStreamMatchesAuto and the lightfuzz stream oracle).
 //
-// If the feed did not cover the log — the recorder detached the solver on
-// an epoch reset, or a caller fed partial buffers — Finish detects the
-// mismatch by item count and falls back to the batch engine wholesale:
-// nothing speculative is trusted, and the contract (byte identity with the
-// batch schedule) holds trivially.
+// Finish abandons speculation still in flight: a CDCL(T) search on a
+// component of a partial recording can take far longer than the final
+// components' (fewer hard edges leave more free choices), and its result
+// is stale once the recording has ended. The abandoned search stores
+// nothing, and Finish solves any final component left unsolved itself.
+//
+// With speculation off, or when the feed did not cover the log — the
+// recorder detached the solver on an epoch reset, or a caller fed partial
+// buffers — Finish runs the batch path on the log instead: nothing
+// speculative is trusted, and the contract holds trivially.
 
-// streamSpeculate gates the worker's speculative component solves.
-// Speculation only pays when a spare core can absorb it while the
-// recording runs; in a single-CPU process every speculative solve — and
-// even the per-retirement incremental assembly feeding it — lands on the
-// serial critical path and can only delay Finish. With speculation off
-// the worker merely counts feed coverage and the whole system is built
-// once on the Finish tail (assembleFromLog), which still beats the batch
-// engine: the streaming partitioner replaces the residual-partition and
-// global-reachability passes. Package tests override this to pin both
-// paths.
+// streamSpeculate gates the speculative component solves. Speculation only
+// pays when a spare core can absorb it while the recording runs; in a
+// single-CPU process every speculative solve — and even the per-retirement
+// bookkeeping feeding it — lands on the serial critical path and can only
+// delay Finish, so the solver then runs the batch path on the Finish tail.
+// Package tests override this to pin both paths.
 var streamSpeculate = runtime.GOMAXPROCS(0) > 1
 
 // StreamSolver consumes a recording as it is produced and solves schedule
@@ -96,6 +93,9 @@ type StreamSolver struct {
 	closed bool
 
 	done chan struct{}
+	// spec is the context of speculative solves; Finish cancels it.
+	spec       context.Context
+	cancelSpec context.CancelFunc
 
 	// Worker-owned incremental state; the worker goroutine has exclusive
 	// access until done is closed, after which Finish (and Stats) may read
@@ -108,13 +108,11 @@ type StreamSolver struct {
 	nRanges  int
 
 	// Per-location caches: the retired buffer fragments (per thread, in
-	// thread-ID order), the generated constraints, and the item-content
-	// hash. Only locations dirtied by a retirement are rebuilt. With
-	// speculation off the fragment path is bypassed entirely: Finish
-	// assembles every location once, straight from the log.
-	frags  map[int32]*locFrags
-	sysOf  map[int32]*locSys
-	hashOf map[int32][32]byte
+	// thread-ID order), the items collected from them, and the item-content
+	// hash. Only locations dirtied by a retirement are rebuilt.
+	frags   map[int32]*locFrags
+	itemsOf map[int32]*locItems
+	hashOf  map[int32][32]byte
 
 	// Clustering state, grown monotonically: locations get dense indices in
 	// first-seen order, the union-find joins locations sharing a variable,
@@ -128,8 +126,7 @@ type StreamSolver struct {
 	timeline []trace.TC
 	newVars  []trace.TC
 
-	solved map[[32]byte]*sccSolution
-	sv     *smt.Solver
+	solved map[[32]byte]*compSolution
 	stats  StreamStats
 }
 
@@ -159,8 +156,8 @@ type StreamStats struct {
 	SpecSolved int
 	// Reused counts final components whose speculative solution survived
 	// fingerprint validation; Stragglers were solved on the Finish tail
-	// (after the recording ended); Wasted speculative solutions matched no
-	// final component.
+	// (after the recording ended — every component, when Finish ran the
+	// batch path); Wasted speculative solutions matched no final component.
 	Reused     int
 	Stragglers int
 	Wasted     int
@@ -170,9 +167,17 @@ type StreamStats struct {
 	FinishNS int64
 }
 
-// NewStreamSolver creates a streaming solver whose straggler solves use a
+// compSolution is the core's result for one component; spec records
+// whether the solve ran speculatively (before Finish closed the stream).
+type compSolution struct {
+	spec bool
+	syn  *synthesis
+	err  error
+}
+
+// NewStreamSolver creates a streaming solver whose batch fallback uses a
 // pool of the given size semantics (0 means GOMAXPROCS; like the batch
-// engine, the schedule is byte-identical for every value).
+// path, the schedule is byte-identical for every value).
 func NewStreamSolver(jobs int) *StreamSolver {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
@@ -183,23 +188,22 @@ func NewStreamSolver(jobs int) *StreamSolver {
 		done:     make(chan struct{}),
 		seenTids: make(map[int32]bool),
 		frags:    make(map[int32]*locFrags),
-		sysOf:    make(map[int32]*locSys),
+		itemsOf:  make(map[int32]*locItems),
 		hashOf:   make(map[int32][32]byte),
 		locIdx:   make(map[int32]int),
 		uf:       newUnionFind(0),
 		owner:    make(map[trace.TC]int),
-		solved:   make(map[[32]byte]*sccSolution),
-		sv:       smt.NewSolver(),
+		solved:   make(map[[32]byte]*compSolution),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.spec, s.cancelSpec = context.WithCancel(context.Background())
 	if s.specOn {
 		go s.worker()
 	} else {
-		// No speculation means nothing consumes retirements while the run
-		// is live, so no worker goroutine either: ThreadRetired just queues
-		// the buffers and Finish drains them inline. The record phase then
-		// pays only a mutexed append per thread exit — no wakeups, no
-		// context switches.
+		// No speculation means Finish runs the batch path on the log, so
+		// nothing consumes retirements: no worker goroutine, and
+		// ThreadRetired drops the buffers — no wakeups, no context
+		// switches during the record phase.
 		close(s.done)
 	}
 	return s
@@ -209,12 +213,13 @@ func NewStreamSolver(jobs int) *StreamSolver {
 // calls it from ThreadExited; the slices must not be mutated afterwards.
 // It never blocks on solving — work happens on the solver's goroutine.
 func (s *StreamSolver) ThreadRetired(tid int32, deps []trace.Dep, ranges []trace.Range) {
+	if !s.specOn {
+		return // Finish runs the batch path on the log
+	}
 	s.mu.Lock()
 	if !s.closed {
 		s.queue = append(s.queue, retiredThread{tid: tid, deps: deps, ranges: ranges})
-		if s.specOn {
-			s.cond.Signal()
-		}
+		s.cond.Signal()
 	}
 	s.mu.Unlock()
 }
@@ -237,25 +242,32 @@ func (s *StreamSolver) worker() {
 			}
 			continue
 		}
-		dirtySet := make(map[int32]bool)
-		for _, rt := range batch {
-			for _, loc := range s.ingest(rt) {
-				dirtySet[loc] = true
-			}
-		}
-		if len(dirtySet) == 0 {
-			continue
-		}
-		dirty := make([]int32, 0, len(dirtySet))
-		for loc := range dirtySet {
-			dirty = append(dirty, loc)
-		}
-		sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
-		for _, loc := range dirty {
-			s.rebuildLoc(loc)
-		}
-		s.round(closed)
+		s.absorb(batch, closed)
 	}
+}
+
+// absorb folds one batch of retirements into the caches and, when it
+// dirtied any location, runs a round. tail marks batches drained after
+// Finish closed the stream.
+func (s *StreamSolver) absorb(batch []retiredThread, tail bool) {
+	dirtySet := make(map[int32]bool)
+	for _, rt := range batch {
+		for _, loc := range s.ingest(rt) {
+			dirtySet[loc] = true
+		}
+	}
+	if len(dirtySet) == 0 {
+		return
+	}
+	dirty := make([]int32, 0, len(dirtySet))
+	for loc := range dirtySet {
+		dirty = append(dirty, loc)
+	}
+	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
+	for _, loc := range dirty {
+		s.rebuildLoc(loc)
+	}
+	s.round(tail)
 }
 
 // ingest splits one retirement's buffers into per-location fragments and
@@ -307,11 +319,11 @@ func (s *StreamSolver) ingest(rt retiredThread) []int32 {
 	return dirty
 }
 
-// collectLocItems is collectItemsFrom restricted to one location's
-// fragments, walked in thread-ID order — exactly the item sequence the
-// batch collector produces for this location from the final log. The
-// restriction is sound because collectItemsFrom's processing — the item
-// map, range containment, and singleton-write dedup — is independent per
+// collectLocItems is collectItems restricted to one location's fragments,
+// walked in thread-ID order — exactly the item sequence the batch
+// collector produces for this location from the final log. The
+// restriction is sound because collectItems' processing — the item map,
+// range containment, and singleton-write dedup — is independent per
 // location; specializing drops the map machinery from the per-rebuild
 // hot path (small inputs dedup by linear scan, spilling to a map only
 // past 32 singleton writes).
@@ -387,28 +399,19 @@ func collectLocItems(f *locFrags) *locItems {
 }
 
 // rebuildLoc re-collects one dirtied location's items from its fragments,
-// regenerates its constraints and (when speculating) content hash, and
-// registers any newly discovered variables with the clustering state.
+// refreshes its content hash, and registers any newly discovered variables
+// with the clustering state.
 func (s *StreamSolver) rebuildLoc(loc int32) {
 	li := collectLocItems(s.frags[loc])
-	ls := buildLocSys(loc, li)
-	s.sysOf[loc] = ls
-	if s.specOn {
-		// The content hash only exists to validate speculative reuse; with
-		// speculation off nothing is ever looked up by fingerprint.
-		s.hashOf[loc] = hashLocItems(loc, li)
-	}
+	s.itemsOf[loc] = li
+	s.hashOf[loc] = hashLocItems(loc, li)
 
-	s.registerLoc(loc, ls)
-}
-
-// registerLoc files one location's (re)generated system with the
-// clustering state: a dense index on first sight, then every variable
-// either unions this location with the variable's owner or is claimed and
-// staged for the timeline merge. A rebuilt location's variable set only
-// grows (see the package comment), so re-registering re-unions the old
-// members — harmless — and stages only the new ones.
-func (s *StreamSolver) registerLoc(loc int32, ls *locSys) {
+	// File the location with the clustering state: a dense index on first
+	// sight, then every variable either unions this location with the
+	// variable's owner or is claimed and staged for the timeline merge. A
+	// rebuilt location's variable set only grows (see the package comment),
+	// so re-registering re-unions the old members — harmless — and stages
+	// only the new ones.
 	idx, ok := s.locIdx[loc]
 	if !ok {
 		idx = len(s.locIDs)
@@ -416,36 +419,14 @@ func (s *StreamSolver) registerLoc(loc int32, ls *locSys) {
 		s.locIDs = append(s.locIDs, loc)
 		s.uf.parent = append(s.uf.parent, idx)
 	}
-	for _, tc := range ls.vars {
+	locVarSet(li, func(tc trace.TC) {
 		if j, ok := s.owner[tc]; ok {
 			s.uf.union(idx, j)
 		} else {
 			s.owner[tc] = idx
 			s.newVars = append(s.newVars, tc)
 		}
-	}
-}
-
-// assembleFromLog builds every location's system and the clustering state
-// in one pass over the finished log — the speculation-off tail. With no
-// speculative consumer, per-retirement assembly buys nothing on a single
-// CPU, so the worker only counts coverage and the whole build runs here,
-// collected by the batch collector itself: each location's items, and
-// hence its constraints, are identical to what the fragment path
-// concatenates, because the fragments are exactly the log's buffers split
-// per location.
-func (s *StreamSolver) assembleFromLog(log *trace.Log) {
-	items := collectItems(log)
-	locs := make([]int32, 0, len(items))
-	for loc := range items {
-		locs = append(locs, loc)
-	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-	for _, loc := range locs {
-		ls := buildLocSys(loc, items[loc])
-		s.sysOf[loc] = ls
-		s.registerLoc(loc, ls)
-	}
+	})
 }
 
 // mergeTimeline folds the staged variables into the sorted timeline.
@@ -473,12 +454,11 @@ func (s *StreamSolver) mergeTimeline() {
 }
 
 // partition computes the current component decomposition: the variable-
-// sharing clusters glued by timeline SCCs, exactly streamPartition's rule
-// over the same data, but against the incrementally maintained state. The
-// SCC collapse runs on a scratch union-find so the persistent clustering
-// stays purely variable-driven. Groups hold sorted location IDs and appear
-// in order of their smallest member — the same deterministic order
-// streamPartition produces, independent of retirement order.
+// sharing clusters glued by timeline SCCs, against the incrementally
+// maintained state. The SCC collapse runs on a scratch union-find so the
+// persistent clustering stays purely variable-driven. Groups hold sorted
+// location IDs and appear in order of their smallest member, independent
+// of retirement order.
 func (s *StreamSolver) partition() [][]int32 {
 	s.mergeTimeline()
 	n := len(s.locIDs)
@@ -522,10 +502,170 @@ func (s *StreamSolver) partition() [][]int32 {
 	return groups
 }
 
+// solve runs the synthesis core on one component's items; a speculative
+// solve gives up once Finish cancels speculation.
+func (s *StreamSolver) solve(locs []int32, spec bool) *compSolution {
+	items := make(map[int32]*locItems, len(locs))
+	for _, loc := range locs {
+		items[loc] = s.itemsOf[loc]
+	}
+	ctx := context.Background()
+	if spec {
+		ctx = s.spec
+	}
+	syn, _, err := synthesize(ctx, items, 1)
+	return &compSolution{spec: spec, syn: syn, err: err}
+}
+
+// round recomputes the component decomposition and solves every component
+// fingerprint not seen before. tail marks rounds that run after Finish
+// closed the queue: their solves are on the critical path (stragglers),
+// not speculation. A fingerprint missing from the current decomposition
+// can never return — item content only grows and SCCs only merge — so its
+// solution is dropped.
+func (s *StreamSolver) round(tail bool) {
+	s.stats.Rounds++
+	live := make(map[[32]byte]bool)
+	for _, locs := range s.partition() {
+		fp := s.groupFP(locs)
+		live[fp] = true
+		if _, ok := s.solved[fp]; ok {
+			continue
+		}
+		sol := s.solve(locs, !tail)
+		if errors.Is(sol.err, context.Canceled) {
+			return // Finish abandoned speculation and solves what is missing
+		}
+		s.solved[fp] = sol
+		if tail {
+			s.stats.Stragglers++
+		} else {
+			s.stats.SpecSolved++
+		}
+	}
+	for fp := range s.solved {
+		if !live[fp] {
+			delete(s.solved, fp)
+		}
+	}
+}
+
+// Finish completes the stream: it waits for the worker to drain, validates
+// that the feed covered the whole log, and merges the component solutions
+// into the final schedule — the worker's final round already solved every
+// current component fingerprint, so the tail is normally just the merge.
+// With speculation off or a partial feed it runs the batch path instead.
+// Either way the result is byte-identical to ComputeSchedule on the log.
+func (s *StreamSolver) Finish(log *trace.Log) (*Schedule, error) {
+	s.mu.Lock()
+	s.closed = true
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	s.cancelSpec()
+	<-s.done
+
+	finishStart := time.Now()
+	span := obs.StartSpan("stream-finish")
+	var sched *Schedule
+	var err error
+	if s.specOn && s.nDeps == len(log.Deps) && s.nRanges == len(log.Ranges) {
+		sched, err = s.merge(log, finishStart)
+	} else {
+		sched, err = ComputeScheduleJobs(log, s.jobs)
+		if err == nil {
+			s.stats.Stragglers = sched.Stats.Components
+		}
+	}
+	s.stats.Wasted = s.stats.SpecSolved - s.stats.Reused
+	s.stats.FinishNS = time.Since(finishStart).Nanoseconds()
+	span.End()
+	if obs.Enabled() {
+		mStreamRuns.Inc()
+		mStreamSpecSolved.Add(uint64(s.stats.SpecSolved))
+		mStreamReused.Add(uint64(s.stats.Reused))
+		mStreamStragglers.Add(uint64(s.stats.Stragglers))
+		mStreamWasted.Add(uint64(s.stats.Wasted))
+		mStreamFinishNS.Observe(s.stats.FinishNS)
+	}
+	return sched, err
+}
+
+// merge looks up every final component's solution (solving any whose
+// speculative solve was abandoned), translates its edges into the
+// timeline's node IDs, and sorts once.
+func (s *StreamSolver) merge(log *trace.Log, start time.Time) (*Schedule, error) {
+	groups := s.partition()
+	g := indexSorted(s.timeline)
+	chains := g.chainSizes()
+	var stats ScheduleStats
+	var hard, extra [][2]int32
+	for _, locs := range groups {
+		fp := s.groupFP(locs)
+		sol, ok := s.solved[fp]
+		switch {
+		case !ok:
+			// The worker's speculative solve of this component was
+			// abandoned when Finish began.
+			sol = s.solve(locs, false)
+			s.stats.Stragglers++
+		case sol.spec:
+			s.stats.Reused++
+		}
+		if sol.err != nil {
+			return nil, sol.err
+		}
+		syn := sol.syn
+		node := make([]int32, len(syn.vars))
+		for i, tc := range syn.vars {
+			node[i] = g.node(tc)
+		}
+		for _, e := range syn.hard {
+			hard = append(hard, [2]int32{node[e[0]], node[e[1]]})
+		}
+		for _, es := range [][][2]int32{syn.forced, syn.chosen} {
+			for _, e := range es {
+				extra = append(extra, [2]int32{node[e[0]], node[e[1]]})
+			}
+		}
+		cs := &syn.stats
+		stats.Conjunctive += len(syn.hard)
+		stats.Disjunctions += cs.Disjunctions
+		stats.Resolved += cs.Resolved
+		stats.Components += cs.Components
+		stats.FastpathComponents += cs.FastpathComponents
+		stats.LargestComponent = max(stats.LargestComponent, cs.LargestComponent)
+		stats.CacheHits += cs.CacheHits
+		stats.CacheMisses += cs.CacheMisses
+		stats.SolveBusyNS += cs.SolveBusyNS
+		stats.Solver.Add(cs.Solver)
+	}
+	for _, size := range chains {
+		stats.Conjunctive += size - 1 // the implicit program-order chain edges
+	}
+
+	order, ok := smt.TopoOrderChains(chains, hard, extra)
+	if !ok {
+		return nil, fmt.Errorf("light: internal error: streamed schedule merge produced a cycle (%d components, %d forced and chosen edges)", len(groups), len(extra))
+	}
+	tcs := make([]trace.TC, len(order))
+	for i, n := range order {
+		tcs[i] = g.vars[n]
+	}
+	stats.IntVars = len(g.vars)
+	stats.ParallelSolveNS = time.Since(start).Nanoseconds()
+	stats.SolveJobs = s.jobs
+	stats.SolveWorkers = 1
+	observeSolve(&stats)
+	return newSchedule(log, tcs, stats), nil
+}
+
+// Stats reports the speculation counters; valid after Finish returns.
+func (s *StreamSolver) Stats() StreamStats { return s.stats }
+
 // groupFP content-addresses one component as the hash of its members'
 // (location, item-content-hash) pairs in location order. Two equal
-// fingerprints mean the assembled subsystems are byte-identical, which is
-// the reuse criterion for speculative solutions.
+// fingerprints mean the components' item sets are identical, which is the
+// reuse criterion for speculative solutions.
 func (s *StreamSolver) groupFP(locs []int32) [32]byte {
 	h := sha256.New()
 	var buf [binary.MaxVarintLen64]byte
@@ -544,458 +684,10 @@ func (s *StreamSolver) groupFP(locs []int32) [32]byte {
 	return out
 }
 
-// assembleSub builds one component's subsystem from the per-location
-// caches. locs must be sorted, so sub.locs matches the location order
-// buildSystem emits; solveSCCSystem consumes only the per-location
-// breakdown and the variable list, both of which are cached verbatim.
-// Callers that already hold the subsystem's node index pass withVars
-// false to skip building the sorted variable list.
-func (s *StreamSolver) assembleSub(locs []int32, withVars bool) *system {
-	sub := &system{}
-	for _, loc := range locs {
-		ls := s.sysOf[loc]
-		sub.locs = append(sub.locs, ls)
-		if withVars {
-			sub.vars = append(sub.vars, ls.vars...)
-		}
-	}
-	sortTCs(sub.vars)
-	sub.vars = dedupTCs(sub.vars)
-	return sub
-}
-
-// round recomputes the component decomposition and solves every component
-// fingerprint not seen before. tail marks rounds that run after Finish
-// closed the queue: their solves are on the critical path (stragglers),
-// not speculation.
-func (s *StreamSolver) round(tail bool) {
-	s.stats.Rounds++
-	for _, locs := range s.partition() {
-		fp := s.groupFP(locs)
-		if _, ok := s.solved[fp]; ok {
-			continue
-		}
-		sol := solveSCCSystem(s.assembleSub(locs, true), s.sv)
-		sol.fp = fp
-		sol.spec = !tail
-		s.solved[fp] = sol
-		if tail {
-			s.stats.Stragglers++
-		} else {
-			s.stats.SpecSolved++
-		}
-	}
-}
-
-// Finish completes the stream: it waits for the worker to drain, validates
-// that the feed covered the whole log, and assembles the final schedule
-// from the per-location caches — the timeline is already the sorted
-// variable list and the worker's final round already solved every current
-// component fingerprint, so the tail is normally just the topological
-// merge. The result is byte-identical to computeScheduleAuto on the same
-// log; a partial feed falls back to that engine outright.
-func (s *StreamSolver) Finish(log *trace.Log) (*Schedule, error) {
-	s.mu.Lock()
-	s.closed = true
-	var pending []retiredThread
-	if s.specOn {
-		s.cond.Broadcast()
-	} else {
-		pending = s.queue
-		s.queue = nil
-	}
-	s.mu.Unlock()
-	<-s.done
-	for _, rt := range pending {
-		// Worker-less (speculation-off) drain: only coverage accounting is
-		// needed before the count check below.
-		if !s.seenTids[rt.tid] {
-			s.seenTids[rt.tid] = true
-			s.nDeps += len(rt.deps)
-			s.nRanges += len(rt.ranges)
-		}
-	}
-
-	finishStart := time.Now()
-	solveSpan := obs.StartSpan("stream-finish")
-
-	if s.nDeps != len(log.Deps) || s.nRanges != len(log.Ranges) {
-		// The feed did not cover the log: the recorder detached the solver
-		// (an epoch reset) or the caller fed partial buffers. No speculative
-		// result is trustworthy, so solve the log with the batch engine the
-		// streamed schedule is defined to match.
-		s.stats.Wasted = s.stats.SpecSolved
-		sched, err := computeScheduleAuto(log, s.jobs)
-		s.stats.FinishNS = time.Since(finishStart).Nanoseconds()
-		solveSpan.End()
-		if obs.Enabled() {
-			mStreamRuns.Inc()
-			mStreamWasted.Add(uint64(s.stats.Wasted))
-			mStreamFinishNS.Observe(s.stats.FinishNS)
-		}
-		return sched, err
-	}
-
-	if !s.specOn {
-		s.assembleFromLog(log)
-	}
-
-	groups := s.partition()
-	g := indexSorted(s.timeline)
-
-	used := make([]*sccSolution, 0, len(groups))
-	for _, locs := range groups {
-		if len(s.solved) > 0 {
-			fp := s.groupFP(locs)
-			if sol, ok := s.solved[fp]; ok {
-				if sol.spec {
-					s.stats.Reused++
-				}
-				used = append(used, sol)
-				continue
-			}
-			// Unreachable in practice with speculation on — the worker's
-			// final round solved every current fingerprint — but solve
-			// rather than fail if it ever isn't.
-			s.stats.Stragglers++
-			sol := solveSCCSystem(s.assembleSub(locs, true), s.sv)
-			sol.fp = fp
-			s.solved[fp] = sol
-			used = append(used, sol)
-			continue
-		}
-		// Speculation off: every component is solved here, on the tail.
-		// No fingerprint is needed (there is nothing to match against),
-		// and a component spanning every location has the timeline as its
-		// sorted variable list, so the index above is reused as-is.
-		s.stats.Stragglers++
-		var sol *sccSolution
-		if len(locs) == len(s.locIDs) {
-			sol = solveSCCSystemIdx(s.assembleSub(locs, false), g, s.sv)
-		} else {
-			sol = solveSCCSystem(s.assembleSub(locs, true), s.sv)
-		}
-		used = append(used, sol)
-	}
-	s.stats.Wasted = s.stats.SpecSolved - s.stats.Reused
-
-	var stats ScheduleStats
-	sortedLocs := append([]int32(nil), s.locIDs...)
-	sort.Slice(sortedLocs, func(i, j int) bool { return sortedLocs[i] < sortedLocs[j] })
-	var hard [][2]int32
-	for _, loc := range sortedLocs {
-		ls := s.sysOf[loc]
-		for _, e := range ls.conj {
-			hard = append(hard, [2]int32{g.node(e[0]), g.node(e[1])})
-		}
-		stats.Conjunctive += len(ls.conj)
-		stats.Disjunctions += len(ls.disj)
-	}
-	chains := g.chainSizes()
-	for _, sz := range chains {
-		stats.Conjunctive += sz - 1 // the implicit program-order chain edges
-	}
-
-	var extra [][2]int32
-	for _, sol := range used {
-		if sol.err != nil {
-			return nil, sol.err
-		}
-		for _, e := range sol.forced {
-			hard = append(hard, [2]int32{g.node(e[0]), g.node(e[1])})
-		}
-		for _, e := range sol.chosen {
-			extra = append(extra, [2]int32{g.node(e[0]), g.node(e[1])})
-		}
-		stats.Resolved += sol.resolved
-		stats.Components += sol.groups
-		stats.FastpathComponents += sol.groups - sol.cdclComps
-		if sol.largest > stats.LargestComponent {
-			stats.LargestComponent = sol.largest
-		}
-		stats.CacheHits += sol.cacheHits
-		stats.CacheMisses += sol.cacheMisses
-		stats.SolveBusyNS += sol.busyNS
-		stats.Solver.Add(sol.solver)
-	}
-
-	order, ok := smt.TopoOrderChains(chains, hard, extra)
-	if !ok {
-		return nil, fmt.Errorf("light: internal error: streamed schedule merge produced a cycle (%d components, %d chosen edges)", len(groups), len(extra))
-	}
-
-	stats.IntVars = len(g.vars)
-	s.stats.FinishNS = time.Since(finishStart).Nanoseconds()
-	stats.ParallelSolveNS = s.stats.FinishNS
-	stats.SolveJobs = s.jobs
-	stats.SolveWorkers = 1
-
-	sched := &Schedule{
-		Log:      log,
-		Order:    make([]trace.TC, len(order)),
-		Pos:      make(map[trace.TC]int, len(order)),
-		RangeEnd: make(map[trace.TC]uint64),
-		Stats:    stats,
-	}
-	for i, idx := range order {
-		sched.Order[i] = g.vars[idx]
-		sched.Pos[g.vars[idx]] = i
-	}
-	for _, rg := range log.Ranges {
-		sched.RangeEnd[trace.TC{Thread: rg.Thread, Counter: rg.Start}] = rg.End
-	}
-	solveSpan.SetItems(int64(len(groups)))
-	solveSpan.End()
-	if obs.Enabled() {
-		mSolveRuns.Inc()
-		mSolveIntVars.Add(uint64(stats.IntVars))
-		mSolveDisjunctions.Add(uint64(stats.Disjunctions))
-		mSolveResolved.Add(uint64(stats.Resolved))
-		mSolveComponents.Observe(int64(stats.Components))
-		mSolveFastpathComponents.Add(uint64(stats.FastpathComponents))
-		mSolveCacheHits.Add(uint64(stats.CacheHits))
-		mSolveCacheMisses.Add(uint64(stats.CacheMisses))
-		mSolveFastpathRate.Set(stats.FastpathRate())
-		mStreamRuns.Inc()
-		mStreamSpecSolved.Add(uint64(s.stats.SpecSolved))
-		mStreamReused.Add(uint64(s.stats.Reused))
-		mStreamStragglers.Add(uint64(s.stats.Stragglers))
-		mStreamWasted.Add(uint64(s.stats.Wasted))
-		mStreamFinishNS.Observe(s.stats.FinishNS)
-	}
-	return sched, nil
-}
-
-// Stats reports the speculation counters; valid after Finish returns.
-func (s *StreamSolver) Stats() StreamStats { return s.stats }
-
-// sccSolution is the solved state of one component's subsystem: the
-// propagation-forced edges, the CDCL-chosen disjuncts, and the effort
-// counters the final schedule's stats aggregate. spec records whether the
-// solve ran speculatively (before Finish closed the stream).
-type sccSolution struct {
-	fp          [32]byte
-	spec        bool
-	forced      [][2]trace.TC
-	chosen      [][2]trace.TC
-	resolved    int
-	groups      int
-	cdclComps   int
-	largest     int
-	cacheHits   int
-	cacheMisses int
-	busyNS      int64
-	solver      smt.Stats
-	err         error
-}
-
-// solveSCCSystem discharges one component subsystem exactly the way the
-// batch engine would treat those locations inside its global pass:
-// propagate the hard edges and disjunctions to fixpoint, merge the
-// residual-bearing clusters into one CDCL component (the subsystem *is*
-// one timeline SCC, so that is precisely partitionResidual's merge rule
-// restricted to it), seed forced edges and global-partial-order bridges,
-// and record the chosen disjunct per residual disjunction. Because every
-// constraint is location-local and a component's chains and reachability
-// are self-contained (see the soundness argument in DESIGN.md §4f), the
-// forced and chosen edge sets equal the batch engine's restriction to
-// this component whenever the item content matches.
-func solveSCCSystem(sub *system, sv *smt.Solver) *sccSolution {
-	return solveSCCSystemIdx(sub, indexSorted(sub.vars), sv)
-}
-
-// solveSCCSystemIdx is solveSCCSystem against a caller-built node index,
-// for callers that already hold the subsystem's sorted variable list (the
-// Finish tail's global component reuses the timeline index instead of
-// re-sorting every variable). g must index exactly sub's variable set.
-func solveSCCSystemIdx(sub *system, g *denseIndex, sv *smt.Solver) *sccSolution {
-	sol := &sccSolution{}
-	start := time.Now()
-	defer func() { sol.busyNS = time.Since(start).Nanoseconds() }()
-
-	eng := smt.NewOrderEngine(g.chainSizes())
-	for _, ls := range sub.locs {
-		for _, e := range ls.conj {
-			eng.AddEdge(g.node(e[0]), g.node(e[1]))
-		}
-	}
-	// disjAt maps a disjunction index back to its location and its
-	// position in that location's list.
-	type disjAt struct{ li, i int32 }
-	var disjLoc []disjAt
-	for li, ls := range sub.locs {
-		for i, d := range ls.disj {
-			eng.AddDisjunction(smt.OrderDisjunction{
-				A1: g.node(d.a1), B1: g.node(d.b1),
-				A2: g.node(d.a2), B2: g.node(d.b2),
-			})
-			disjLoc = append(disjLoc, disjAt{int32(li), int32(i)})
-		}
-	}
-	out := eng.Propagate()
-	if out.Unsat {
-		sol.err = fmt.Errorf("light: replay constraint system unsatisfiable (propagation over %d vars, %d disjunctions) — this contradicts Lemma 4.1 and indicates a recording bug",
-			len(g.vars), len(disjLoc))
-		return sol
-	}
-	sol.resolved = out.Resolved
-	for _, e := range out.Forced {
-		sol.forced = append(sol.forced, [2]trace.TC{g.vars[e[0]], g.vars[e[1]]})
-	}
-	if len(out.Residual) == 0 {
-		// Propagation decided everything: no CDCL component forms, every
-		// cluster is a fastpath group. Accesses are per-location, so the
-		// variable-sharing clusters are exactly the member locations — the
-		// same counts buildClusters would report, without paying for it.
-		// This is the hot exit: on choice-free workloads it keeps the final
-		// tail solve at propagation cost.
-		sol.groups = len(sub.locs)
-		for _, ls := range sub.locs {
-			if len(ls.vars) > sol.largest {
-				sol.largest = len(ls.vars)
-			}
-		}
-		return sol
-	}
-
-	// Grouping within the component: residual-bearing clusters merge into
-	// one CDCL component, choice-free clusters stay fastpath singleton
-	// groups (partitionResidual's rule, with the SCC loop already implied
-	// by the component boundary).
-	residualLoc := make([]bool, len(sub.locs))
-	for _, di := range out.Residual {
-		residualLoc[disjLoc[di].li] = true
-	}
-	cg := buildClusters(sub)
-	anchor := -1
-	for i := range sub.locs {
-		if residualLoc[i] {
-			if anchor < 0 {
-				anchor = i
-			} else {
-				cg.uf.union(anchor, i)
-			}
-		}
-	}
-	groupOf := make(map[int]int)
-	var groups [][]int
-	for i := range sub.locs {
-		root := cg.uf.find(i)
-		gi, ok := groupOf[root]
-		if !ok {
-			gi = len(groups)
-			groupOf[root] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], i)
-	}
-	sol.groups = len(groups)
-
-	groupVars := make([][]trace.TC, len(groups))
-	for gi, locs := range groups {
-		var vs []trace.TC
-		for _, li := range locs {
-			vs = append(vs, sub.locs[li].vars...)
-		}
-		sortTCs(vs)
-		groupVars[gi] = dedupTCs(vs)
-		if len(groupVars[gi]) > sol.largest {
-			sol.largest = len(groupVars[gi])
-		}
-	}
-	groupOfLoc := make([]int, len(sub.locs))
-	for gi, locs := range groups {
-		for _, li := range locs {
-			groupOfLoc[li] = gi
-		}
-	}
-	residualOfGroup := make([][]int32, len(groups))
-	for _, di := range out.Residual {
-		gi := groupOfLoc[disjLoc[di].li]
-		residualOfGroup[gi] = append(residualOfGroup[gi], di)
-	}
-
-	var comps []*residualComp
-	compOfGroup := make([]int, len(groups))
-	for gi := range groups {
-		if len(residualOfGroup[gi]) == 0 {
-			compOfGroup[gi] = -1
-			continue
-		}
-		c := &residualComp{vars: groupVars[gi]}
-		for _, li := range groups[gi] {
-			c.locs = append(c.locs, sub.locs[li].loc)
-			c.conj = append(c.conj, sub.locs[li].conj...)
-		}
-		c.conj = append(c.conj, chainEdges(c.vars)...)
-		for _, di := range residualOfGroup[gi] {
-			at := disjLoc[di]
-			c.disj = append(c.disj, sub.locs[at.li].disj[at.i])
-		}
-		compOfGroup[gi] = len(comps)
-		comps = append(comps, c)
-	}
-	sol.cdclComps = len(comps)
-	if len(comps) > 0 && len(out.Forced) > 0 {
-		nodeGroup := make([]int32, len(g.vars))
-		for gi, vs := range groupVars {
-			for _, tc := range vs {
-				nodeGroup[g.node(tc)] = int32(gi)
-			}
-		}
-		for _, e := range out.Forced {
-			gi := nodeGroup[e[0]]
-			if ci := compOfGroup[gi]; ci >= 0 {
-				c := comps[ci]
-				c.forced = append(c.forced, [2]trace.TC{g.vars[e[0]], g.vars[e[1]]})
-			}
-		}
-	}
-	for _, c := range comps {
-		eps := make([]trace.TC, 0, 4*len(c.disj))
-		for _, d := range c.disj {
-			eps = append(eps, d.a1, d.b1, d.a2, d.b2)
-		}
-		sortTCs(eps)
-		eps = dedupTCs(eps)
-		for _, u := range eps {
-			for _, v := range eps {
-				if u.Thread == v.Thread {
-					continue
-				}
-				if eng.Reaches(g.node(u), g.node(v)) {
-					c.bridges = append(c.bridges, [2]trace.TC{u, v})
-				}
-			}
-		}
-	}
-
-	obsOn := obs.Enabled()
-	for _, c := range comps {
-		sv.Reset()
-		compStart := time.Now()
-		chosen, cstats, err := solveResidualComp(c, sv)
-		ns := time.Since(compStart).Nanoseconds()
-		if obsOn {
-			mSolveComponentNS.Observe(ns)
-			mSolveComponentVars.Observe(int64(len(c.vars)))
-		}
-		if err != nil {
-			sol.err = err
-			return sol
-		}
-		sol.chosen = append(sol.chosen, chosen...)
-		sol.cacheHits += cstats.CacheHits
-		sol.cacheMisses += cstats.CacheMisses
-		sol.solver.Add(cstats.Solver)
-	}
-	return sol
-}
-
 // hashLocItems content-addresses one location's complete item sequence.
-// Equal hashes mean buildLocSys generates byte-identical constraints, so
+// Equal hashes mean the location generates byte-identical constraints, so
 // a component fingerprint over member (location, hash) pairs certifies
-// that the assembled subsystems match (see groupFP).
+// that the component's item sets match (see groupFP).
 func hashLocItems(loc int32, li *locItems) [32]byte {
 	h := sha256.New()
 	var buf [binary.MaxVarintLen64]byte
@@ -1031,14 +723,21 @@ func hashLocItems(loc int32, li *locItems) [32]byte {
 	return out
 }
 
-// computeScheduleStream is the offline form of the streaming engine
-// (-engine stream): it replays the log's per-thread buffers through a
-// StreamSolver in thread-ID order, as if every thread retired in turn,
-// then finishes. Differential tests and the lightfuzz stream oracle use
-// it to pin the streamed schedule byte-identical to the batch engine
-// without re-running the program.
-func computeScheduleStream(log *trace.Log, jobs int) (*Schedule, error) {
+// ComputeScheduleStreamed is the offline form of the streaming solver: it
+// replays the log's per-thread buffers through a StreamSolver in thread-ID
+// order, as if every thread retired in turn, then finishes. Differential
+// tests and the lightfuzz stream oracle use it to pin the streamed schedule
+// byte-identical to ComputeSchedule without re-running the program.
+func ComputeScheduleStreamed(log *trace.Log, jobs int) (*Schedule, error) {
 	ss := NewStreamSolver(jobs)
+	for _, rt := range retirements(log) {
+		ss.ThreadRetired(rt.tid, rt.deps, rt.ranges)
+	}
+	return ss.Finish(log)
+}
+
+// retirements splits the log into per-thread buffers in thread-ID order.
+func retirements(log *trace.Log) []retiredThread {
 	deps := make(map[int32][]trace.Dep)
 	ranges := make(map[int32][]trace.Range)
 	seen := make(map[int32]bool)
@@ -1058,8 +757,9 @@ func computeScheduleStream(log *trace.Log, jobs int) (*Schedule, error) {
 		touch(rg.Thread)
 	}
 	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	for _, tid := range tids {
-		ss.ThreadRetired(tid, deps[tid], ranges[tid])
+	rts := make([]retiredThread, len(tids))
+	for i, tid := range tids {
+		rts[i] = retiredThread{tid: tid, deps: deps[tid], ranges: ranges[tid]}
 	}
-	return ss.Finish(log)
+	return rts
 }

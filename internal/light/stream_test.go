@@ -2,22 +2,23 @@ package light
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
 // requireByteIdentical fails unless the streamed schedule matches the batch
-// auto engine byte for byte — the streaming engine's core contract.
+// schedule byte for byte — the streaming solver's core contract.
 func requireByteIdentical(t *testing.T, log *trace.Log) *Schedule {
 	t.Helper()
-	auto, err := ComputeScheduleEngine(log, EngineAuto, 4)
+	auto, err := ComputeScheduleJobs(log, 4)
 	if err != nil {
-		t.Fatalf("auto engine: %v", err)
+		t.Fatalf("batch solve: %v", err)
 	}
-	streamed, err := ComputeScheduleEngine(log, EngineStream, 4)
+	streamed, err := ComputeScheduleStreamed(log, 4)
 	if err != nil {
-		t.Fatalf("stream engine: %v", err)
+		t.Fatalf("streamed solve: %v", err)
 	}
 	if d := DiffSchedules(auto, streamed); !d.Equal() {
 		t.Fatalf("streamed schedule differs from batch: %s", d)
@@ -29,7 +30,7 @@ func requireByteIdentical(t *testing.T, log *trace.Log) *Schedule {
 }
 
 // TestStreamMatchesAuto pins the acceptance criterion: streamed schedules
-// are byte-identical to the batch auto engine on every workload.
+// are byte-identical to the batch schedule on every workload.
 func TestStreamMatchesAuto(t *testing.T) {
 	all := workloads.All()
 	if testing.Short() {
@@ -51,7 +52,7 @@ func TestStreamMatchesAuto(t *testing.T) {
 // TestStreamMatchesAutoResidual covers the log shapes the workloads never
 // produce — residual components that actually reach CDCL(T), including
 // bridged ones whose merge soundness depends on seeded bridge literals.
-// The streamed forced/chosen edge sets must reproduce the batch engine's
+// The streamed forced/chosen edge sets must reproduce the batch path's
 // exactly for byte identity to hold, so this is the sharpest test of the
 // per-component solve.
 func TestStreamMatchesAutoResidual(t *testing.T) {
@@ -95,7 +96,7 @@ func TestStreamVariantsMatch(t *testing.T) {
 
 // TestRecordAndSolve drives the live pipelined path: threads retire into
 // the stream solver during the run, and Finish only pays the epoch tail.
-// The resulting schedule must equal the batch engine's on the same log,
+// The resulting schedule must equal the batch schedule of the same log,
 // and the speculation counters must be consistent.
 func TestRecordAndSolve(t *testing.T) {
 	w := workloads.ByName("jgf-crypt")
@@ -113,7 +114,7 @@ func TestRecordAndSolve(t *testing.T) {
 	if ttfr <= 0 {
 		t.Fatalf("ttfr = %v", ttfr)
 	}
-	auto, err := ComputeScheduleEngine(rec.Log, EngineAuto, 4)
+	auto, err := ComputeScheduleJobs(rec.Log, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,45 +138,11 @@ func TestRecordAndSolve(t *testing.T) {
 	}
 }
 
-// TestStreamPartitionMatchesResidualGroups: on the final item set, the
-// streaming partitioner's components must contain exactly the location
-// groups partitionResidual computes (union of each component's residual
-// merge), which is what makes speculative solutions reusable verbatim.
-func TestStreamPartitionMatchesResidualGroups(t *testing.T) {
-	w := workloads.ByName("jgf-crypt")
-	if w == nil {
-		t.Fatal("jgf-crypt workload missing")
-	}
-	prog, err := w.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := Record(prog, Options{O1: true}, RunConfig{Seed: 11})
-	sys := buildSystem(rec.Log)
-	groups := streamPartition(sys.items)
-
-	// Every location appears exactly once across components.
-	seen := make(map[int32]bool)
-	total := 0
-	for _, locs := range groups {
-		for _, loc := range locs {
-			if seen[loc] {
-				t.Fatalf("location %d in two components", loc)
-			}
-			seen[loc] = true
-			total++
-		}
-	}
-	if total != len(sys.locs) {
-		t.Fatalf("components cover %d locations, system has %d", total, len(sys.locs))
-	}
-}
-
 // TestStreamSpeculationModes pins byte identity under both speculation
 // settings regardless of this machine's core count. With speculation on
 // (the multi-core default) components are solved during the recording and
-// validated by fingerprint; with it off (the single-core default) all
-// solving lands on the Finish tail. Both must produce the batch schedule,
+// validated by fingerprint; with it off (the single-core default) Finish
+// runs the batch path on the tail. Both must produce the batch schedule,
 // on a real workload and on the synthetic residual shapes.
 func TestStreamSpeculationModes(t *testing.T) {
 	w := workloads.ByName("jgf-crypt")
@@ -196,5 +163,44 @@ func TestStreamSpeculationModes(t *testing.T) {
 		requireByteIdentical(t, residualLog())
 		requireByteIdentical(t, bridgedResidualLog())
 		requireByteIdentical(t, replicatedResidualLog(4))
+	}
+}
+
+// TestStreamAbandonedSpeculation: once Finish cancels speculation, a
+// speculative CDCL(T) search gives up and stores nothing, and Finish's merge
+// solves the component itself — the schedule is still the batch one. The
+// test stops the worker and drives one speculative round itself, so the
+// abandoned path runs on every execution.
+func TestStreamAbandonedSpeculation(t *testing.T) {
+	old := streamSpeculate
+	streamSpeculate = true
+	defer func() { streamSpeculate = old }()
+	for _, log := range []*trace.Log{residualLog(), bridgedResidualLog(), replicatedResidualLog(4)} {
+		ResetScheduleCache()
+		s := NewStreamSolver(1)
+		s.mu.Lock()
+		s.closed = true
+		s.cond.Broadcast()
+		s.mu.Unlock()
+		<-s.done
+		s.cancelSpec()
+		s.absorb(retirements(log), false)
+		if len(s.solved) != 0 || s.stats.SpecSolved != 0 {
+			t.Fatalf("abandoned speculation stored %d solutions (%d counted)", len(s.solved), s.stats.SpecSolved)
+		}
+		sched, err := s.merge(log, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.stats.Stragglers == 0 {
+			t.Fatal("merge solved no straggler")
+		}
+		batch, err := ComputeScheduleJobs(log, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := DiffSchedules(batch, sched); !d.Equal() {
+			t.Fatalf("schedule after abandoned speculation differs from batch: %s", d)
+		}
 	}
 }

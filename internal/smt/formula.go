@@ -139,9 +139,6 @@ func (p *Problem) IntVarNamed(name string) IntVar {
 	return v
 }
 
-// IntVarCount returns the number of allocated integer variables.
-func (p *Problem) IntVarCount() int { return int(p.nextInt) }
-
 // Assert adds a formula that must hold.
 func (p *Problem) Assert(e Expr) { p.asserts = append(p.asserts, e) }
 

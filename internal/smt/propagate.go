@@ -30,7 +30,7 @@ type OrderOutcome struct {
 	// deterministic order they were derived. Every forced edge is implied
 	// by the constraint system (it holds in every model).
 	Forced [][2]int32
-	// Residual lists the indices (into the engine's AddDisjunction order) of
+	// Residual lists the indices (into the engine's registration order) of
 	// disjunctions neither implied nor unit-forced: the genuinely free
 	// choices that need search.
 	Residual []int32
@@ -109,10 +109,16 @@ func (e *OrderEngine) AddEdge(u, v int32) {
 	e.preds[v] = append(e.preds[v], u)
 }
 
-// AddDisjunction registers (A1 < B1) or (A2 < B2) and returns its index.
-func (e *OrderEngine) AddDisjunction(d OrderDisjunction) int {
-	e.disjs = append(e.disjs, d)
-	return len(e.disjs) - 1
+// AddDisjunctions registers each (A1 < B1) or (A2 < B2) of ds; a
+// disjunction's index is its position in registration order. The engine
+// may keep ds itself rather than a copy, so the caller must not modify it
+// afterwards.
+func (e *OrderEngine) AddDisjunctions(ds []OrderDisjunction) {
+	if len(e.disjs) == 0 {
+		e.disjs = ds
+		return
+	}
+	e.disjs = append(e.disjs, ds...)
 }
 
 // Reaches reports whether u happens-before-or-equals v in the current
