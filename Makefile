@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci verify vet build test race bench bench-solve bench-gate bench-ttfr fuzz-smoke fuzz flake-smoke lightd-smoke stat-smoke report docs-check trace-check
+.PHONY: ci verify vet build test race bench bench-solve bench-replay bench-gate bench-ttfr fuzz-smoke fuzz flake-smoke lightd-smoke stat-smoke report docs-check trace-check
 
-ci: docs-check build test race bench-solve trace-check bench-gate bench-ttfr fuzz-smoke flake-smoke lightd-smoke stat-smoke
+ci: docs-check build test race bench-solve bench-replay trace-check bench-gate bench-ttfr fuzz-smoke flake-smoke lightd-smoke stat-smoke
 
 verify: ci
 
@@ -65,6 +65,12 @@ bench:
 # visible next to the ns/op and allocation columns.
 bench-solve:
 	$(GO) test -run xxx -bench 'BenchmarkSolveFastpath' -benchtime 3x .
+
+# bench-replay measures enforced re-execution of a pre-solved schedule on
+# par-hotfield (one contended location) and jgf-crypt (disjoint data), with
+# allocation columns.
+bench-replay:
+	$(GO) test -run xxx -bench 'BenchmarkReplay' -benchtime 3x .
 
 # trace-check drives the lighttrace inspector end to end: summary, export
 # (schema-validated Chrome trace JSON over the bugrepro program and fuzz

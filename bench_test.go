@@ -7,6 +7,7 @@
 //	BenchmarkFig6Bugs      — trigger + replay latency per Figure 6 bug
 //	BenchmarkFig7Variants  — V_basic / V_O1 / V_both recording cost
 //	BenchmarkTable1        — per-bug offline solve and replay time
+//	BenchmarkReplay        — enforced re-execution of a pre-solved schedule
 //	BenchmarkSolverIDL     — the underlying DPLL(T) difference-logic solver
 package repro_test
 
@@ -420,6 +421,35 @@ func BenchmarkSolveFastpath(b *testing.B) {
 			b.ReportMetric(float64(st.Components), "components")
 			b.ReportMetric(st.FastpathRate(), "fastpath_rate")
 			b.ReportMetric(float64(st.Resolved), "propagation_resolved")
+		})
+	}
+}
+
+// BenchmarkReplay measures enforced re-execution alone: each row records
+// once, solves once, and replays the same schedule every iteration
+// (`make bench-replay`). par-hotfield contends one location from every
+// thread; jgf-crypt's threads sweep disjoint slices of one array.
+func BenchmarkReplay(b *testing.B) {
+	for _, name := range []string{"par-hotfield", "jgf-crypt"} {
+		c := compileWorkload(b, name)
+		cfg := light.RunConfig{Seed: 11, Instrument: c.maskO2}
+		rec := light.Record(c.prog, light.Options{O1: true}, cfg)
+		sched, err := light.ComputeSchedule(rec.Log)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := light.ReplayScheduled(c.prog, rec.Log, cfg, sched, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if out.Diverged {
+					b.Fatalf("diverged: %s", out.Reason)
+				}
+			}
+			b.ReportMetric(float64(len(sched.Order)), "gated_accesses")
 		})
 	}
 }

@@ -3,6 +3,7 @@ package light
 import (
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/smt"
 	"repro/internal/trace"
@@ -14,7 +15,10 @@ import (
 type Schedule struct {
 	Log *trace.Log
 
-	// Order lists the gated accesses in execution order.
+	// Order lists the gated accesses in execution order. The replay
+	// enforces it per location: the gated accesses of each location run in
+	// this order, and accesses of different locations only as program order
+	// requires (gates.go).
 	Order []trace.TC
 
 	// Pos maps a gated access to its position in Order.
@@ -27,6 +31,11 @@ type Schedule struct {
 
 	// Stats captures constraint-system size and solver effort for Table 1.
 	Stats ScheduleStats
+
+	// gateTable is the replayer's view of the schedule, built once on the
+	// first replay (gates.go).
+	gatesOnce sync.Once
+	gateTable *replayGates
 }
 
 // ScheduleStats describes the constraint system and its solution. Counts are

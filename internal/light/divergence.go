@@ -75,11 +75,27 @@ type DivergenceError struct {
 	// Pos is the schedule position involved (the awaited position for
 	// DivStall), -1 when the access has no position (it was unscheduled).
 	Pos int `json:"pos"`
-	// Turn is the global schedule turn observed when the divergence was
-	// flagged — the expected-vs-observed anchor of the forensic report.
+	// Turn is the executed prefix when the divergence was flagged — the
+	// first schedule position not yet executed, and the expected-vs-observed
+	// anchor of the forensic report.
 	Turn int `json:"turn"`
 	// ScheduleLen is the total number of gated accesses in the schedule.
 	ScheduleLen int `json:"schedule_len"`
+
+	// executed snapshots, when the replayer flagged the divergence, which
+	// positions of the forensic window from executedFrom on had executed.
+	// Positions past Turn can have: each location keeps its own order.
+	executed     []bool
+	executedFrom int
+}
+
+// executedAt reports whether position p had executed when the divergence
+// was flagged; without a snapshot, exactly the prefix before Turn had.
+func (e *DivergenceError) executedAt(p int) bool {
+	if i := p - e.executedFrom; e.executed != nil && i >= 0 && i < len(e.executed) {
+		return e.executed[i]
+	}
+	return p < e.Turn
 }
 
 // Error renders the divergence. The wording deliberately keeps the historic

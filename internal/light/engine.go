@@ -394,46 +394,59 @@ func synthesize(ctx context.Context, items map[int32]*locItems, jobs int) (*synt
 	// fully fastpath-resolved log must not report a zero-sized pool.
 	workers := min(jobs, len(comps))
 	type compResult struct {
-		chosen [][2]trace.TC // one satisfied disjunct edge per residual disjunction
-		stats  ScheduleStats
-		ns     int64
-		err    error
+		sel   []uint8 // the chosen disjunct per residual disjunction
+		stats ScheduleStats
+		ns    int64
+		err   error
 	}
 	obsOn := obs.Enabled()
 	results := make([]compResult, len(comps))
 	solveSpan := obs.StartSpan("solve")
 	solveStart := time.Now()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	worker := func() {
-		sv := smt.NewSolver()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(comps) {
-				return
-			}
-			res, c := &results[i], comps[i]
-			sv.Reset()
-			start := time.Now()
-			res.chosen, res.stats, res.err = solveResidualComp(ctx, c, sv)
-			res.ns = time.Since(start).Nanoseconds()
-			if obsOn {
-				mSolveComponentNS.Observe(res.ns)
-				mSolveComponentVars.Observe(int64(len(c.vars)))
+	// Key every component first and solve each distinct key once: its
+	// duplicates reuse the leader's selection as cache hits. Two workers
+	// missing one key at once would make the hit and miss counts depend on
+	// timing.
+	keys := make([][32]byte, len(comps))
+	useCache := DefaultSolveCache
+	if useCache {
+		parallelFor(workers, len(comps), func(_, i int) { keys[i], _ = residualCompKey(comps[i]) })
+	}
+	leader := make([]int, len(comps))
+	firstOf := make(map[[32]byte]int)
+	for i := range comps {
+		leader[i] = i
+		if useCache {
+			if j, ok := firstOf[keys[i]]; ok {
+				leader[i] = j
+			} else {
+				firstOf[keys[i]] = i
 			}
 		}
 	}
-	if workers == 1 {
-		worker()
-	} else {
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				worker()
-			}()
+	solvers := make([]*smt.Solver, max(workers, 1))
+	parallelFor(workers, len(comps), func(w, i int) {
+		if leader[i] != i {
+			return
 		}
-		wg.Wait()
+		if solvers[w] == nil {
+			solvers[w] = smt.NewSolver()
+		}
+		sv := solvers[w]
+		sv.Reset()
+		res, c := &results[i], comps[i]
+		start := time.Now()
+		res.sel, res.stats, res.err = solveResidualComp(ctx, c, keys[i], useCache, sv)
+		res.ns = time.Since(start).Nanoseconds()
+		if obsOn {
+			mSolveComponentNS.Observe(res.ns)
+			mSolveComponentVars.Observe(int64(len(c.vars)))
+		}
+	})
+	for i, j := range leader {
+		if j != i {
+			results[i] = compResult{sel: results[j].sel, stats: ScheduleStats{CacheHits: 1}, err: results[j].err}
+		}
 	}
 	solveSpan.SetItems(int64(len(comps)))
 	solveSpan.End()
@@ -451,7 +464,11 @@ func synthesize(ctx context.Context, items map[int32]*locItems, jobs int) (*synt
 		if r.err != nil {
 			return nil, nil, r.err
 		}
-		for _, e := range r.chosen {
+		chosen, err := chosenFromSelection(comps[i], r.sel)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, e := range chosen {
 			syn.chosen = append(syn.chosen, [2]int32{x.node(e[0]), x.node(e[1])})
 		}
 		stats.SolveBusyNS += r.ns
@@ -479,19 +496,17 @@ func synthesize(ctx context.Context, items map[int32]*locItems, jobs int) (*synt
 }
 
 // solveResidualComp discharges one tier-2 component to the CDCL(T) solver
-// (or the schedule cache) and returns, for each residual disjunction, the
-// disjunct edge the model satisfies. Deterministic: the same component
-// yields the same choices on every call, on any worker, cached or not. A
-// search abandoned because ctx is done returns ctx.Err() and stores
-// nothing.
-func solveResidualComp(ctx context.Context, c *residualComp, sv *smt.Solver) ([][2]trace.TC, ScheduleStats, error) {
+// (or the schedule cache, under the component's key when useCache) and
+// returns, for each residual disjunction, the disjunct the model satisfies
+// (see chosenFromSelection). Deterministic: the same component yields the
+// same choices on every call, on any worker, cached or not. A search
+// abandoned because ctx is done returns ctx.Err() and stores nothing.
+func solveResidualComp(ctx context.Context, c *residualComp, key [32]byte, useCache bool, sv *smt.Solver) ([]uint8, ScheduleStats, error) {
 	var stats ScheduleStats
-	key, useCache := residualCompKey(c)
 	if useCache {
 		if sel, ok := schedCache.lookup(key); ok {
-			chosen, err := chosenFromSelection(c, sel)
 			stats.CacheHits = 1
-			return chosen, stats, err
+			return sel, stats, nil
 		}
 		stats.CacheMisses = 1
 	}
@@ -532,8 +547,32 @@ func solveResidualComp(ctx context.Context, c *residualComp, sv *smt.Solver) ([]
 	if useCache {
 		schedCache.store(key, sel)
 	}
-	chosen, err := chosenFromSelection(c, sel)
-	return chosen, stats, err
+	return sel, stats, nil
+}
+
+// parallelFor calls fn(w, i) for every i in [0, n) on a pool of workers
+// goroutines, w being the calling worker's index in [0, workers); it runs
+// inline when workers is at most 1.
+func parallelFor(workers, n int, fn func(w, i int)) {
+	var next atomic.Int64
+	work := func(w int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(w, i)
+		}
+	}
+	if workers <= 1 {
+		work(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	wg.Wait()
 }
 
 // chosenFromSelection maps a per-disjunction disjunct selection back to

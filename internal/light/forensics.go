@@ -26,8 +26,8 @@ type ScheduleEntry struct {
 	Thread     int32  `json:"thread"`
 	ThreadPath string `json:"thread_path"`
 	Counter    uint64 `json:"counter"`
-	// Executed reports whether the replay reached this position before the
-	// divergence was flagged.
+	// Executed reports whether the replay had executed this position when
+	// the divergence was flagged.
 	Executed bool `json:"executed"`
 }
 
@@ -186,7 +186,7 @@ func BuildForensics(sched *Schedule, div *DivergenceError, snaps []flight.RingSn
 		tc := sched.Order[p]
 		e := ScheduleEntry{
 			Pos: p, Thread: tc.Thread, Counter: tc.Counter,
-			Executed: p < div.Turn,
+			Executed: div.executedAt(p),
 		}
 		if int(tc.Thread) < len(log.Threads) {
 			e.ThreadPath = log.Threads[tc.Thread]

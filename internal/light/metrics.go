@@ -152,7 +152,7 @@ func (c RecorderCounters) Sub(prev RecorderCounters) RecorderCounters {
 // Replayer — schedule enforcement.
 var (
 	mRepGatedWaits = obs.NewCounter("light_replay_gated_waits_total",
-		"scheduled accesses that blocked waiting for their global turn")
+		"scheduled accesses that parked until their same-location predecessor executed")
 	mRepBlindSuppressed = obs.NewCounter("light_replay_blind_writes_suppressed_total",
 		"blind writes suppressed during replay (Section 4.2)")
 	mRepDivergences = obs.NewCounter("light_replay_divergence_total",

@@ -2,6 +2,7 @@ package light
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -11,12 +12,14 @@ import (
 )
 
 // Replayer is a vm.Hooks that enforces a computed schedule: every scheduled
-// access waits for its global turn; range interiors run ungated between
-// their gated endpoints; blind writes (writes in no dependence and no range)
-// are suppressed, as Section 4.2 prescribes; and recorded system-call values
+// access waits until the schedule entry just before it on the same location
+// has executed (gates.go); range interiors run ungated between their gated
+// endpoints; blind writes (writes in no dependence and no range) are
+// suppressed, as Section 4.2 prescribes; and recorded system-call values
 // are substituted for live ones.
 type Replayer struct {
 	sched *Schedule
+	gates *replayGates
 
 	// obsOn caches obs.Enabled() at construction (see Recorder.obsOn);
 	// flightOn does the same for the flight recorder, so a disabled flight
@@ -24,23 +27,20 @@ type Replayer struct {
 	obsOn    bool
 	flightOn bool
 
-	// logRangeEnd maps each write-bearing recorded range's start access to
-	// its recorded end counter — the replayer's independent view of the log,
-	// against which a corrupted schedule's RangeEnd is caught (see
-	// DivOutOfRangeWrite).
-	logRangeEnd map[trace.TC]uint64
+	// state holds one word per schedule position: posPending, posDone, or
+	// a parked successor (parkedBy). A waiter's fast path is one load.
+	state  []atomic.Uint32
+	failed atomic.Bool
 
+	// mu guards the failure record, the thread table, and prefix.
 	mu     sync.Mutex
-	cond   *sync.Cond
-	turn   int
-	failed bool
 	reason string
 	div    *DivergenceError
-
-	// lastProgress is consulted by the stall watchdog.
-	lastProgress time.Time
-
-	threads sync.Map // *vm.Thread -> *replayThread
+	// byIdx maps a log thread index to its replay state, so an executed
+	// position can wake the successor parked on it and fail can wake all.
+	byIdx []*replayThread
+	// prefix caches the executed prefix: every position below it is done.
+	prefix int
 
 	// StallTimeout aborts the replay when no scheduled access executes for
 	// this long (a stall would indicate an infeasible schedule, which
@@ -52,11 +52,22 @@ type Replayer struct {
 	stopOnce  sync.Once
 
 	// simMu serializes the simulated heap operations in race-detector builds
-	// only. Faithful replays are already race-free through the turn gate's
+	// only. Faithful replays are already race-free through the gates'
 	// happens-before edges, but diverged threads run their accesses free by
 	// design, which would trip the detector (see race_enabled.go).
 	simMu sync.Mutex
 }
+
+// Position states. A successor parks on a pending position by swapping in
+// parkedBy(its log thread index); executing the position swaps in posDone
+// and wakes the thread it finds there.
+const (
+	posPending uint32 = 0
+	posDone    uint32 = 1
+	posParked  uint32 = 2
+)
+
+func parkedBy(idx int32) uint32 { return posParked | uint32(idx)<<2 }
 
 // run executes a simulated heap access; see simMu.
 func (r *Replayer) run(do func()) {
@@ -67,10 +78,22 @@ func (r *Replayer) run(do func()) {
 	do()
 }
 
+// replayThread is one thread's replay state, kept in its vm.Thread.HookData.
 type replayThread struct {
-	idx      int32 // thread index in the log, -1 if unknown (divergence)
-	active   map[vm.Loc]uint64
-	logEnd   map[vm.Loc]uint64 // recorded (uncorrupted) end of the open range
+	idx int32 // thread index in the log, -1 if unknown (divergence)
+
+	// gates is the thread's slice of the schedule; gi and ri are its
+	// cursors over the gated accesses and the range starts. Counters only
+	// grow, so the cursors only move forward.
+	gates *threadGates
+	gi    int
+	ri    int
+	// windows holds the open range windows by location.
+	windows map[vm.Loc]rangeWindow
+	// wake is signalled when the position this thread parked on executes,
+	// or when the replay fails.
+	wake chan struct{}
+
 	syscalls []trace.SyscallRec
 	sysPos   int
 
@@ -83,31 +106,35 @@ type replayThread struct {
 	monAcqC   uint64
 }
 
+// rangeWindow is a thread's open range on one location: interiors with
+// counters up to end run ungated while open; while logged, a write with a
+// counter up to logEnd lies inside a recorded write-bearing range and may
+// not be suppressed as blind.
+type rangeWindow struct {
+	end, logEnd  uint64
+	open, logged bool
+}
+
 // NewReplayer builds a replayer for the schedule.
 func NewReplayer(sched *Schedule) *Replayer {
-	r := &Replayer{
+	g := sched.gates()
+	return &Replayer{
 		sched:        sched,
+		gates:        g,
 		obsOn:        obs.Enabled(),
 		flightOn:     flight.Enabled(),
+		state:        make([]atomic.Uint32, len(sched.Order)),
+		byIdx:        make([]*replayThread, len(g.threads)),
 		StallTimeout: 10 * time.Second,
 		stopWatch:    make(chan struct{}),
-		lastProgress: time.Now(),
 	}
-	r.logRangeEnd = make(map[trace.TC]uint64)
-	for _, rg := range sched.Log.Ranges {
-		if rg.HasWrite {
-			r.logRangeEnd[trace.TC{Thread: rg.Thread, Counter: rg.Start}] = rg.End
-		}
-	}
-	r.cond = sync.NewCond(&r.mu)
-	return r
 }
 
 // Failed reports whether the replay diverged or stalled, with a reason.
 func (r *Replayer) Failed() (bool, string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.failed, r.reason
+	return r.failed.Load(), r.reason
 }
 
 // Divergence returns the typed first-divergence record, or nil when the
@@ -118,11 +145,20 @@ func (r *Replayer) Divergence() *DivergenceError {
 	return r.div
 }
 
-// Turn returns the number of gated accesses that have executed so far.
+// Turn returns the executed prefix: the first schedule position that has not
+// executed yet (len(Order) once all have).
 func (r *Replayer) Turn() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.turn
+	return r.executedPrefix()
+}
+
+// executedPrefix advances and returns prefix. Callers hold r.mu.
+func (r *Replayer) executedPrefix() int {
+	for r.prefix < len(r.state) && r.state[r.prefix].Load() == posDone {
+		r.prefix++
+	}
+	return r.prefix
 }
 
 // Stop terminates the stall watchdog; call after the run completes.
@@ -130,50 +166,95 @@ func (r *Replayer) Stop() {
 	r.stopOnce.Do(func() { close(r.stopWatch) })
 }
 
-// fail records the first divergence. Callers hold r.mu; div.Turn and
-// div.ScheduleLen are filled in here so every site reports the same anchor.
+// fail records the first divergence and wakes every parked thread, which
+// then runs free.
 func (r *Replayer) fail(div *DivergenceError) {
-	if !r.failed {
-		div.Turn = r.turn
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.failAt(div, r.executedPrefix())
+}
+
+// failAt is fail with the executed prefix the caller observed. Callers hold
+// r.mu; div.Turn and div.ScheduleLen are filled in here so every site
+// reports the same anchor.
+func (r *Replayer) failAt(div *DivergenceError, turn int) {
+	if !r.failed.Load() {
+		div.Turn = turn
 		div.ScheduleLen = len(r.sched.Order)
-		r.failed = true
+		lo := max(turn-ForensicScheduleWindow, 0)
+		hi := min(turn+ForensicScheduleWindow, len(r.state))
+		div.executedFrom = lo
+		for p := lo; p < hi; p++ {
+			div.executed = append(div.executed, r.state[p].Load() == posDone)
+		}
 		r.div = div
 		r.reason = div.Error()
+		r.failed.Store(true)
 		if r.obsOn {
 			mRepDivergences.Inc()
 		}
 	}
-	r.cond.Broadcast()
+	for _, rt := range r.byIdx {
+		if rt != nil {
+			rt.signal()
+		}
+	}
 }
 
-// watchdog aborts the run when turns stop advancing.
+// signal wakes the thread if it is parked; a wake already pending suffices.
+func (rt *replayThread) signal() {
+	select {
+	case rt.wake <- struct{}{}:
+	default:
+	}
+}
+
+// watchdog aborts the run when no scheduled access executes for
+// StallTimeout. It samples the count of executed positions every 100 ms, so
+// the per-access path pays nothing for it.
 func (r *Replayer) watchdog() {
 	tick := time.NewTicker(100 * time.Millisecond)
 	defer tick.Stop()
 	var fl *flight.Ring // lazily created, owned by this goroutine
+	lastDone, lastChange := -1, time.Now()
 	for {
 		select {
 		case <-r.stopWatch:
 			return
 		case <-tick.C:
+			if r.failed.Load() {
+				continue
+			}
 			r.mu.Lock()
-			stalled := !r.failed && r.turn < len(r.sched.Order) &&
-				time.Since(r.lastProgress) > r.StallTimeout
-			if stalled {
-				next := r.sched.Order[r.turn]
-				r.fail(&DivergenceError{
+			p := r.executedPrefix()
+			done := p
+			for q := p; q < len(r.state); q++ {
+				if r.state[q].Load() == posDone {
+					done++
+				}
+			}
+			if p == len(r.state) || done != lastDone {
+				lastDone, lastChange = done, time.Now()
+			} else if time.Since(lastChange) > r.StallTimeout {
+				// The stall anchor is the first position not yet executed.
+				next := r.sched.Order[p]
+				var path string
+				if next.Thread >= 0 && int(next.Thread) < len(r.sched.Log.Threads) {
+					path = r.sched.Log.Threads[next.Thread]
+				}
+				r.failAt(&DivergenceError{
 					Kind:       DivStall,
-					ThreadPath: r.sched.Log.Threads[next.Thread],
+					ThreadPath: path,
 					Thread:     next.Thread,
 					Counter:    next.Counter,
 					Loc:        -1,
-					Pos:        r.turn,
-				})
+					Pos:        p,
+				}, p)
 				if r.flightOn {
 					if fl == nil {
 						fl = flight.NewRing("replay", -1, "watchdog")
 					}
-					fl.Record(flight.Event{Kind: flight.EvDivergence, Counter: next.Counter, Loc: -1, A: int64(r.turn)})
+					fl.Record(flight.Event{Kind: flight.EvDivergence, Counter: next.Counter, Loc: -1, A: int64(p)})
 				}
 			}
 			r.mu.Unlock()
@@ -181,40 +262,49 @@ func (r *Replayer) watchdog() {
 	}
 }
 
-// ThreadStarted resolves the thread's log identity and starts the watchdog.
+// ThreadStarted resolves the thread's log identity, stores its replay state
+// in t.HookData, and starts the watchdog.
 func (r *Replayer) ThreadStarted(t *vm.Thread) {
 	r.startOnce.Do(func() { go r.watchdog() })
-	rt := &replayThread{idx: -1, active: make(map[vm.Loc]uint64), logEnd: make(map[vm.Loc]uint64)}
+	rt := newReplayThread()
 	idx := r.sched.Log.ThreadIndex(t.Path)
 	rt.idx = idx
+	t.HookData = rt
 	if r.flightOn {
 		rt.fl = flight.NewRing("replay", idx, t.Path)
 	}
-	if idx >= 0 {
-		rt.syscalls = r.sched.Log.Syscalls[idx]
-	} else {
-		r.mu.Lock()
+	if idx < 0 {
 		r.fail(&DivergenceError{
 			Kind: DivUnknownThread, ThreadPath: t.Path, Thread: -1, Loc: -1, Pos: -1,
 		})
-		r.mu.Unlock()
 		if rt.fl != nil {
 			rt.fl.Record(flight.Event{Kind: flight.EvDivergence, Loc: -1})
 		}
+		return
 	}
-	r.threads.Store(t, rt)
+	rt.gates = &r.gates.threads[idx]
+	rt.syscalls = r.sched.Log.Syscalls[idx]
+	r.mu.Lock()
+	r.byIdx[idx] = rt
+	r.mu.Unlock()
 }
 
 // ThreadExited is a no-op.
 func (r *Replayer) ThreadExited(*vm.Thread) {}
 
+func newReplayThread() *replayThread {
+	return &replayThread{idx: -1, windows: make(map[vm.Loc]rangeWindow), wake: make(chan struct{}, 1)}
+}
+
+// threadState returns the thread's replay state; a thread the replayer never
+// saw start runs free.
 func (r *Replayer) threadState(t *vm.Thread) *replayThread {
-	if v, ok := r.threads.Load(t); ok {
-		return v.(*replayThread)
+	if rt, ok := t.HookData.(*replayThread); ok {
+		return rt
 	}
-	rt := &replayThread{idx: -1, active: make(map[vm.Loc]uint64), logEnd: make(map[vm.Loc]uint64)}
-	actual, _ := r.threads.LoadOrStore(t, rt)
-	return actual.(*replayThread)
+	rt := newReplayThread()
+	t.HookData = rt
+	return rt
 }
 
 // flightAccess records the flight event for one executed access: monitor
@@ -242,37 +332,75 @@ func (rt *replayThread) flightAccess(a vm.Access, pos int) {
 	rt.fl.Record(flight.Event{Kind: kind, Counter: a.Counter, Loc: a.Loc.Off, A: int64(pos)})
 }
 
+// nextGated advances the gated cursor to counter c and reports c's schedule
+// position when c is a gated access.
+func (rt *replayThread) nextGated(c uint64) (int32, bool) {
+	gs := rt.gates.gated
+	for rt.gi < len(gs) && gs[rt.gi].counter < c {
+		rt.gi++
+	}
+	if rt.gi < len(gs) && gs[rt.gi].counter == c {
+		rt.gi++
+		return gs[rt.gi-1].pos, true
+	}
+	return 0, false
+}
+
+// updateWindows opens the range window a gated range start begins and
+// closes the windows a gated access on their location ends.
+func (rt *replayThread) updateWindows(a vm.Access) {
+	rs := rt.gates.ranges
+	for rt.ri < len(rs) && rs[rt.ri].start < a.Counter {
+		rt.ri++
+	}
+	isStart := rt.ri < len(rs) && rs[rt.ri].start == a.Counter
+	if !isStart && len(rt.windows) == 0 {
+		return
+	}
+	w, had := rt.windows[a.Loc]
+	switch {
+	case isStart:
+		rg := rs[rt.ri]
+		w.end, w.open = rg.end, true
+		if rg.hasWrite {
+			w.logEnd, w.logged = rg.logEnd, true
+		}
+	case !had:
+		return
+	case w.open && a.Counter >= w.end:
+		w.open = false
+	}
+	if w.logged && a.Counter >= w.logEnd {
+		w.logged = false
+	}
+	if w.open || w.logged {
+		rt.windows[a.Loc] = w
+	} else if had {
+		delete(rt.windows, a.Loc)
+	}
+}
+
 // SharedAccess gates scheduled accesses and suppresses blind writes.
 func (r *Replayer) SharedAccess(a vm.Access, do func()) {
 	rt := r.threadState(a.Thread)
-	if rt.idx < 0 {
+	if rt.gates == nil {
 		r.run(do) // diverged thread: run free, failure already flagged
 		return
 	}
-	key := trace.TC{Thread: rt.idx, Counter: a.Counter}
-	if pos, ok := r.sched.Pos[key]; ok {
+	if pos, ok := rt.nextGated(a.Counter); ok {
 		r.waitTurn(rt, a, pos)
 		r.run(do)
 		if r.flightOn && rt.fl != nil {
-			rt.flightAccess(a, pos)
+			rt.flightAccess(a, int(pos))
 			rt.fl.Record(flight.Event{Kind: flight.EvScheduleStep, Counter: a.Counter, Loc: a.Loc.Off, A: int64(pos)})
 		}
-		if end, isStart := r.sched.RangeEnd[key]; isStart {
-			rt.active[a.Loc] = end
-			if lend, ok := r.logRangeEnd[key]; ok {
-				rt.logEnd[a.Loc] = lend
-			}
-		} else if end, ok := rt.active[a.Loc]; ok && a.Counter >= end {
-			delete(rt.active, a.Loc)
-		}
-		if lend, ok := rt.logEnd[a.Loc]; ok && a.Counter >= lend {
-			delete(rt.logEnd, a.Loc)
-		}
-		r.advance()
+		rt.updateWindows(a)
+		r.advance(pos)
 		return
 	}
 	// Unscheduled access: a range interior, or a blind write.
-	if end, ok := rt.active[a.Loc]; ok && a.Counter <= end {
+	w, inWindow := rt.windows[a.Loc]
+	if inWindow && w.open && a.Counter <= w.end {
 		r.run(do)
 		if r.flightOn && rt.fl != nil {
 			rt.flightAccess(a, -1)
@@ -285,13 +413,11 @@ func (r *Replayer) SharedAccess(a vm.Access, do func()) {
 		// range's window. Arriving here with the window closed means the
 		// schedule's RangeEnd disagrees with the log — a corruption the
 		// checker would reject and the replay must not silently absorb.
-		if lend, ok := rt.logEnd[a.Loc]; ok && a.Counter <= lend {
-			r.mu.Lock()
+		if inWindow && w.logged && a.Counter <= w.logEnd {
 			r.fail(&DivergenceError{
 				Kind: DivOutOfRangeWrite, ThreadPath: a.Thread.Path, Thread: rt.idx,
 				Counter: a.Counter, Loc: a.Loc.Off, Pos: -1,
 			})
-			r.mu.Unlock()
 			if r.flightOn && rt.fl != nil {
 				rt.fl.Record(flight.Event{Kind: flight.EvDivergence, Counter: a.Counter, Loc: a.Loc.Off})
 			}
@@ -308,46 +434,53 @@ func (r *Replayer) SharedAccess(a vm.Access, do func()) {
 	}
 	// An unscheduled, out-of-range read indicates divergence; execute it to
 	// keep the thread alive but flag the replay.
-	r.mu.Lock()
 	r.fail(&DivergenceError{
 		Kind: DivUnscheduledRead, ThreadPath: a.Thread.Path, Thread: rt.idx,
 		Counter: a.Counter, Loc: a.Loc.Off, Pos: -1,
 	})
-	r.mu.Unlock()
 	if r.flightOn && rt.fl != nil {
 		rt.fl.Record(flight.Event{Kind: flight.EvDivergence, Counter: a.Counter, Loc: a.Loc.Off})
 	}
 	r.run(do)
 }
 
-func (r *Replayer) waitTurn(rt *replayThread, a vm.Access, pos int) {
-	r.mu.Lock()
-	if r.turn != pos && !r.failed {
-		if r.obsOn {
-			mRepGatedWaits.Inc()
+// waitTurn blocks until the position pos waits for has executed, or the
+// replay has failed.
+func (r *Replayer) waitTurn(rt *replayThread, a vm.Access, pos int32) {
+	q, poll := r.gates.waitFor(pos)
+	if q < 0 || r.state[q].Load() == posDone || r.failed.Load() {
+		return
+	}
+	if r.obsOn {
+		mRepGatedWaits.Inc()
+	}
+	if r.flightOn && rt.fl != nil {
+		rt.fl.Record(flight.Event{Kind: flight.EvWaitBegin, Counter: a.Counter, Loc: a.Loc.Off, A: int64(pos), B: int64(q)})
+	}
+	st := &r.state[q]
+	if !poll && st.CompareAndSwap(posPending, parkedBy(rt.idx)) {
+		// fail sets failed before it signals, so checking failed after the
+		// swap cannot miss a failure.
+		for st.Load() != posDone && !r.failed.Load() {
+			<-rt.wake
 		}
-		if r.flightOn && rt.fl != nil {
-			rt.fl.Record(flight.Event{Kind: flight.EvWaitBegin, Counter: a.Counter, Loc: a.Loc.Off, A: int64(pos), B: int64(r.turn)})
-			for r.turn != pos && !r.failed {
-				r.cond.Wait()
-			}
-			rt.fl.Record(flight.Event{Kind: flight.EvWaitEnd, Counter: a.Counter, Loc: a.Loc.Off, A: int64(pos), B: int64(r.turn)})
-			r.mu.Unlock()
-			return
+	} else {
+		// Only corrupted schedules poll (see buildReplayGates); a failed
+		// swap means q has just executed.
+		for st.Load() != posDone && !r.failed.Load() {
+			time.Sleep(50 * time.Microsecond)
 		}
 	}
-	for r.turn != pos && !r.failed {
-		r.cond.Wait()
+	if r.flightOn && rt.fl != nil {
+		rt.fl.Record(flight.Event{Kind: flight.EvWaitEnd, Counter: a.Counter, Loc: a.Loc.Off, A: int64(pos), B: int64(q)})
 	}
-	r.mu.Unlock()
 }
 
-func (r *Replayer) advance() {
-	r.mu.Lock()
-	r.turn++
-	r.lastProgress = time.Now()
-	r.cond.Broadcast()
-	r.mu.Unlock()
+// advance marks pos executed and wakes the successor parked on it.
+func (r *Replayer) advance(pos int32) {
+	if old := r.state[pos].Swap(posDone); old&posParked != 0 {
+		r.byIdx[old>>2].signal()
+	}
 }
 
 // Syscall substitutes the recorded value (Section 3.2).

@@ -39,9 +39,12 @@ const (
 	EvLockAcquire
 	// EvLockRelease is a monitor release (the ghost write on MonExit).
 	EvLockRelease
-	// EvWaitBegin marks a replay thread blocking for its global turn.
+	// EvWaitBegin marks a replay thread blocking until the schedule entry
+	// just before its access on the same location has executed; A carries
+	// the access's schedule position, B the awaited position.
 	EvWaitBegin
-	// EvWaitEnd marks the blocked thread resuming at its turn.
+	// EvWaitEnd marks the blocked thread resuming; A and B as for
+	// EvWaitBegin.
 	EvWaitEnd
 	// EvBlindWrite is a write the replayer suppressed as blind (Section 4.2).
 	EvBlindWrite
