@@ -54,8 +54,11 @@ build:
 test:
 	$(GO) test ./...
 
+# race also repeats the replayer's stall and per-location stress tests: a
+# stall verdict is exact (no clock), so it must hold on every interleaving.
 race:
-	$(GO) test -race ./internal/light/ ./internal/smt/ ./internal/fuzz/
+	$(GO) test -race ./internal/light/ ./internal/smt/ ./internal/fuzz/ ./internal/vm/
+	$(GO) test -race -count=20 -run 'Stall|Deadlock|StressPerLocation' ./internal/light/
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

@@ -23,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"repro/internal/flake"
 	"repro/internal/light"
@@ -39,7 +38,6 @@ func main() {
 	intensity := fs.Int("intensity", 30, "perturbation intensity, percent of scheduling points (1-100)")
 	jobs := fs.Int("jobs", 4, "concurrent campaign workers")
 	shrinkBudget := fs.Int("shrink-budget", 64, "delta-debugging candidate evaluations per signature")
-	stall := fs.Duration("stall", 2*time.Second, "replay stall watchdog per verification replay")
 	outDir := fs.String("out", "", "directory for report.json, report.txt and per-cluster bundles")
 	expect := fs.Int("expect", 0, "CI gate: require at least N replay-verified signatures (flips exit polarity)")
 	basic := fs.Bool("basic", false, "use the V_basic recorder instead of V_O1")
@@ -72,7 +70,6 @@ func main() {
 			Intensity:    *intensity,
 			Jobs:         *jobs,
 			ShrinkBudget: *shrinkBudget,
-			StallTimeout: *stall,
 			Opts:         light.Options{O1: !*basic},
 			Logf:         logf,
 		}

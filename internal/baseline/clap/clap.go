@@ -78,7 +78,6 @@ func Reproduce(prog *compiler.Program, log *Log, instrument []bool) *Outcome {
 	out.SolveTime = time.Since(solveStart)
 
 	rep := light.NewReplayer(sched)
-	defer rep.Stop()
 	replayStart := time.Now()
 	res := vm.Run(vm.Config{
 		Prog: prog, Hooks: rep, Seed: log.Seed,

@@ -62,8 +62,9 @@ func replayEnv(hdr Header) (*compiler.Program, []bool, error) {
 
 // ReplayEpoch replays a sealed epoch's runs and verifies each against its
 // recording. runIndex selects a single run, or -1 for every run in the
-// epoch. The replay stall watchdog is lowered so a damaged log turns into
-// a verdict quickly instead of hanging an HTTP request.
+// epoch. A damaged log turns into a diverged verdict as soon as its replay
+// stalls (the replayer's exact stall condition), so a request never hangs on
+// one.
 func ReplayEpoch(data *SegmentData, runIndex int) (*Verdict, error) {
 	prog, mask, err := replayEnv(data.Header)
 	if err != nil {
@@ -129,10 +130,7 @@ func replayRun(prog *compiler.Program, mask []bool, rr RunRecord) (RunVerdict, *
 	if hit {
 		mReplayCacheHits.Inc()
 	}
-	out, err := light.ReplayScheduled(prog, rr.Log, light.RunConfig{
-		Instrument:   mask,
-		StallTimeout: 2 * time.Second,
-	}, sched, time.Since(solveStart))
+	out, err := light.ReplayScheduled(prog, rr.Log, light.RunConfig{Instrument: mask}, sched, time.Since(solveStart))
 	if err != nil {
 		return RunVerdict{}, nil, fmt.Errorf("epoch: replaying run %d: %w", rr.Meta.Index, err)
 	}

@@ -92,7 +92,6 @@ func (h *hunter) writeBundle(dir string, c *cluster) error {
 	rep, repErr := light.Replay(h.prog, out.log, light.RunConfig{
 		Instrument:        h.mask,
 		MaxStepsPerThread: maxStepsPerThread,
-		StallTimeout:      h.cfg.StallTimeout,
 	})
 	snaps := flight.Snapshot()
 	flight.Disable()

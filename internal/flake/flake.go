@@ -60,10 +60,6 @@ type Config struct {
 	ShrinkBudget int
 	// Opts selects the recorder variant for the always-on recording.
 	Opts light.Options
-	// StallTimeout bounds each verification replay's stall watchdog
-	// (default 2s): a campaign replays every failing log, and a stalled
-	// replay — a recorder fault — must be detected in bounded time.
-	StallTimeout time.Duration
 	// ArtifactsDir, when non-empty, receives one bundle directory per
 	// cluster (prog.mj, repro.lightlog, repro.json, trace.json, flight.json,
 	// forensics.json on divergence).
@@ -129,9 +125,6 @@ func Hunt(cfg Config) (*WorkloadReport, error) {
 	}
 	if cfg.ShrinkBudget <= 0 {
 		cfg.ShrinkBudget = 64
-	}
-	if cfg.StallTimeout <= 0 {
-		cfg.StallTimeout = 2 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -282,7 +275,6 @@ func (h *hunter) classify(out *runOutcome, withReplay bool) (Signature, *light.R
 	rep, err := light.Replay(h.prog, out.log, light.RunConfig{
 		Instrument:        h.mask,
 		MaxStepsPerThread: maxStepsPerThread,
-		StallTimeout:      h.cfg.StallTimeout,
 	})
 	if err != nil {
 		return solveSignature(err), nil, true

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/light"
@@ -31,7 +30,6 @@ func testHunter(t *testing.T, name string, intensity int, opts light.Options) *h
 		cfg: Config{
 			Workload: w, Runs: 1, Intensity: intensity, Jobs: 1,
 			ShrinkBudget: 32, Opts: opts, Logf: func(string, ...any) {},
-			StallTimeout: 500 * time.Millisecond,
 		},
 		prog: prog,
 		mask: analysis.Analyze(prog).InstrumentMask(true),

@@ -16,8 +16,10 @@ const (
 	// window that should have covered it was closed (a corrupted or
 	// inconsistent schedule).
 	DivOutOfRangeWrite
-	// DivStall: no scheduled access executed for the stall timeout; the next
-	// gated access never arrived (an infeasible or corrupted schedule).
+	// DivStall: the schedule cannot finish. Every live thread is blocked at
+	// its gate on a pending position or in a join on a live thread, or no
+	// thread is left while positions are pending (an infeasible or corrupted
+	// schedule, or the wrong program). Detected exactly, with no timeout.
 	DivStall
 	// DivUnknownThread: the replay spawned a thread the record run never
 	// created.

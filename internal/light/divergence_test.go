@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs/flight"
 	"repro/internal/trace"
@@ -173,8 +172,6 @@ fun main() {
 	sched.RangeEnd[trace.TC{Thread: rg.Thread, Counter: rg.Start}] = rg.Start
 
 	rep := NewReplayer(sched)
-	rep.StallTimeout = 2 * time.Second
-	defer rep.Stop()
 	replayWith(prog, rep, rec.Log)
 	failed, reason := rep.Failed()
 	if !failed {
@@ -217,8 +214,6 @@ func TestDivergenceTypedOnCorruptedSchedule(t *testing.T) {
 		return // unsatisfiable is an equally valid detection
 	}
 	rep := NewReplayer(sched)
-	rep.StallTimeout = 500 * time.Millisecond
-	defer rep.Stop()
 	replayWith(prog, rep, &corrupted)
 	failed, reason := rep.Failed()
 	if !failed {
@@ -260,8 +255,6 @@ func TestReplayDetectsMissingThreadTyped(t *testing.T) {
 		return
 	}
 	rep := NewReplayer(sched)
-	rep.StallTimeout = 500 * time.Millisecond
-	defer rep.Stop()
 	replayWith(prog, rep, &truncated)
 	if failed, _ := rep.Failed(); !failed {
 		t.Fatal("missing-thread replay not flagged")

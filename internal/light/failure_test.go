@@ -3,7 +3,6 @@ package light
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/compiler"
 	"repro/internal/trace"
@@ -47,8 +46,6 @@ fun main() {
 		t.Fatal(err)
 	}
 	rep := NewReplayer(sched)
-	rep.StallTimeout = 500 * time.Millisecond
-	defer rep.Stop()
 	res := replayWith(other, rep, rec.Log)
 	_ = res
 	failed, reason := rep.Failed()
@@ -77,8 +74,6 @@ func TestReplayDetectsCounterCorruption(t *testing.T) {
 		return // unsatisfiable is an equally valid detection
 	}
 	rep := NewReplayer(sched)
-	rep.StallTimeout = 500 * time.Millisecond
-	defer rep.Stop()
 	replayWith(prog, rep, &corrupted)
 	failed, reason := rep.Failed()
 	if !failed {
@@ -98,8 +93,6 @@ func TestReplayDetectsMissingThread(t *testing.T) {
 		return
 	}
 	rep := NewReplayer(sched)
-	rep.StallTimeout = 500 * time.Millisecond
-	defer rep.Stop()
 	replayWith(prog, rep, &truncated)
 	if failed, _ := rep.Failed(); !failed {
 		t.Fatal("missing-thread replay not flagged")
@@ -108,7 +101,6 @@ func TestReplayDetectsMissingThread(t *testing.T) {
 
 // replayWith runs the program under an explicit replayer (test plumbing).
 func replayWith(prog *compiler.Program, rep *Replayer, log *trace.Log) bool {
-	defer rep.Stop()
 	runReplayVM(prog, rep, log)
 	failed, _ := rep.Failed()
 	return failed

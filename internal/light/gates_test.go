@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/compiler"
 	"repro/internal/obs"
@@ -165,36 +164,37 @@ func TestReplayDisjointThreadsNeverWait(t *testing.T) {
 	}
 }
 
+// unreachableEntrySchedule records disjointSrc and inserts into its
+// schedule, right after main's entries at position at, an access of worker 1
+// that the log does not locate and the run never reaches: every thread runs
+// to its end, and the replay ends with that position pending.
+func unreachableEntrySchedule(t *testing.T) (prog *compiler.Program, rec *RecordOutcome, bad *Schedule, at int) {
+	t.Helper()
+	prog = compile(t, disjointSrc)
+	rec = Record(prog, Options{}, RunConfig{Seed: 3})
+	sched, err := ComputeSchedule(rec.Log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at = slices.IndexFunc(sched.Order, func(tc trace.TC) bool { return tc.Thread != 0 })
+	if at < 0 {
+		t.Fatal("schedule has no worker entries")
+	}
+	order := slices.Insert(slices.Clone(sched.Order), at, trace.TC{Thread: 1, Counter: 1 << 40})
+	return prog, rec, newSchedule(rec.Log, order, sched.Stats), at
+}
+
 // TestStallForensicsReadDoneState stalls a replay on a schedule entry that
 // never executes while later entries on other locations do: the stall must
 // anchor at the executed prefix (Pos == Turn), and the forensic window must
 // mark the later entries executed, reading each position's done state rather
 // than assuming only the prefix ran.
 func TestStallForensicsReadDoneState(t *testing.T) {
-	prog := compile(t, disjointSrc)
-	rec := Record(prog, Options{}, RunConfig{Seed: 3})
-	sched, err := ComputeSchedule(rec.Log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Insert, right after main's entries, an access of worker 1 that the
-	// log does not locate and the run never reaches.
-	at := slices.IndexFunc(sched.Order, func(tc trace.TC) bool { return tc.Thread != 0 })
-	if at < 0 {
-		t.Fatal("schedule has no worker entries")
-	}
-	order := slices.Insert(slices.Clone(sched.Order), at, trace.TC{Thread: 1, Counter: 1 << 40})
-	bad := newSchedule(rec.Log, order, sched.Stats)
-
+	prog, rec, bad, at := unreachableEntrySchedule(t)
 	rep := NewReplayer(bad)
-	rep.StallTimeout = 300 * time.Millisecond
 	runReplayVM(prog, rep, rec.Log)
-	// The run ends before the watchdog fires; wait for the stall.
-	deadline := time.Now().Add(5 * time.Second)
-	for rep.Divergence() == nil && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	rep.Stop()
+	// The last thread's exit left the inserted position pending: the stall
+	// is flagged before the run returns.
 	div := rep.Divergence()
 	if div == nil || div.Kind != DivStall {
 		t.Fatalf("divergence %v, want a stall", div)
@@ -277,10 +277,38 @@ fun main() {
 }
 `
 
-// TestReplayStressPerLocation replays parallel and monitor-heavy programs
-// on real parallelism over many seeds: with threads released as soon as
-// their location's predecessor executes, every replay must still follow its
-// schedule, reproduce the recorded behavior, and end on the recorded heap.
+// spawnJoinSrc has workers that spawn and join short-lived children in a
+// loop, each child adding to a shared counter under its lock; main reads the
+// counter back after the joins. Parents block in join while children are
+// being spawned, so a replay that counted a child live only once its own
+// goroutine ran would see every live thread blocked and report a false stall.
+const spawnJoinSrc = `
+class C { field n; }
+var c = null;
+fun leaf(k) { sync (c) { c.n = c.n + k; } }
+fun worker(w) {
+  for (var r = 0; r < 6; r = r + 1) {
+    var a = spawn leaf(w);
+    var b = spawn leaf(r);
+    join a;
+    join b;
+  }
+}
+fun main() {
+  c = new C();
+  c.n = 0;
+  var ts = newarr(4);
+  for (var w = 0; w < 4; w = w + 1) { ts[w] = spawn worker(w); }
+  for (var w = 0; w < 4; w = w + 1) { join ts[w]; }
+  sync (c) { print(c.n); }
+}
+`
+
+// TestReplayStressPerLocation replays parallel, monitor-heavy and
+// spawn-and-join-heavy programs on real parallelism over many seeds: with
+// threads released as soon as their location's predecessor executes, every
+// replay must still follow its schedule, reproduce the recorded behavior, and
+// end on the recorded heap.
 // The programs share data only under locks or in disjoint slices, so race
 // builds run it too and the detector checks the gates' happens-before
 // edges.
@@ -290,7 +318,10 @@ func TestReplayStressPerLocation(t *testing.T) {
 	}
 	// par-hotfield is left out: its densely interleaved recordings can
 	// leave a residual component the CDCL(T) tier takes seconds to solve.
-	progs := map[string]*compiler.Program{"handoff": compile(t, handoffSrc)}
+	progs := map[string]*compiler.Program{
+		"handoff":    compile(t, handoffSrc),
+		"spawn-join": compile(t, spawnJoinSrc),
+	}
 	for _, name := range []string{"par-striped", "srv-pool"} {
 		prog, err := workloads.ByName(name).Compile()
 		if err != nil {

@@ -25,10 +25,6 @@ type RunConfig struct {
 	// hunter's interleaving bias, see vm.PerturbOptions). Replay runs never
 	// perturb: the enforced schedule replaces timing.
 	Perturb *vm.PerturbOptions
-	// StallTimeout overrides the replayer's stall watchdog (0 = its 10s
-	// default). Campaigns that replay thousands of logs — some deliberately
-	// broken — lower it so each stall divergence is detected quickly.
-	StallTimeout time.Duration
 }
 
 // RecordOutcome bundles the artifacts of a record run.
@@ -69,8 +65,9 @@ type ReplayOutcome struct {
 	// including the replayer's set-up.
 	SolveTime  time.Duration
 	ReplayTime time.Duration
-	// Diverged is set when the replay left the recorded behavior (which
-	// Theorem 1 guarantees not to happen for well-formed logs).
+	// Diverged is set when the replay left the recorded behavior or could
+	// not finish its schedule (DivStall), which Theorem 1 guarantees not to
+	// happen for well-formed logs.
 	Diverged bool
 	Reason   string
 	// Divergence is the typed first-divergence record (nil when faithful),
@@ -103,10 +100,6 @@ func ReplayScheduled(prog *compiler.Program, log *trace.Log, cfg RunConfig, sche
 	span.SetItems(int64(len(sched.Order)))
 	replayStart := time.Now()
 	rep := NewReplayer(sched)
-	if cfg.StallTimeout > 0 {
-		rep.StallTimeout = cfg.StallTimeout
-	}
-	defer rep.Stop()
 	res := vm.Run(vm.Config{
 		Prog:              prog,
 		Hooks:             rep,

@@ -32,7 +32,8 @@ type Replayer struct {
 	state  []atomic.Uint32
 	failed atomic.Bool
 
-	// mu guards the failure record, the thread table, and prefix.
+	// mu guards the failure record, the thread table, prefix, and each
+	// thread's wait registration (see checkStall).
 	mu     sync.Mutex
 	reason string
 	div    *DivergenceError
@@ -41,15 +42,6 @@ type Replayer struct {
 	byIdx []*replayThread
 	// prefix caches the executed prefix: every position below it is done.
 	prefix int
-
-	// StallTimeout aborts the replay when no scheduled access executes for
-	// this long (a stall would indicate an infeasible schedule, which
-	// Lemma 4.1 rules out for well-formed logs).
-	StallTimeout time.Duration
-
-	stopWatch chan struct{}
-	startOnce sync.Once
-	stopOnce  sync.Once
 
 	// simMu serializes the simulated heap operations in race-detector builds
 	// only. Faithful replays are already race-free through the gates'
@@ -93,6 +85,12 @@ type replayThread struct {
 	// wake is signalled when the position this thread parked on executes,
 	// or when the replay fails.
 	wake chan struct{}
+	// The wait registration, guarded by Replayer.mu: waitQ is the position
+	// the thread last waited for at its gate, -1 if it joined since; joining
+	// is the thread it last joined. exited is set once the thread exits.
+	waitQ   int32
+	joining *replayThread
+	exited  bool
 
 	syscalls []trace.SyscallRec
 	sysPos   int
@@ -119,14 +117,12 @@ type rangeWindow struct {
 func NewReplayer(sched *Schedule) *Replayer {
 	g := sched.gates()
 	return &Replayer{
-		sched:        sched,
-		gates:        g,
-		obsOn:        obs.Enabled(),
-		flightOn:     flight.Enabled(),
-		state:        make([]atomic.Uint32, len(sched.Order)),
-		byIdx:        make([]*replayThread, len(g.threads)),
-		StallTimeout: 10 * time.Second,
-		stopWatch:    make(chan struct{}),
+		sched:    sched,
+		gates:    g,
+		obsOn:    obs.Enabled(),
+		flightOn: flight.Enabled(),
+		state:    make([]atomic.Uint32, len(sched.Order)),
+		byIdx:    make([]*replayThread, len(g.threads)),
 	}
 }
 
@@ -159,11 +155,6 @@ func (r *Replayer) executedPrefix() int {
 		r.prefix++
 	}
 	return r.prefix
-}
-
-// Stop terminates the stall watchdog; call after the run completes.
-func (r *Replayer) Stop() {
-	r.stopOnce.Do(func() { close(r.stopWatch) })
 }
 
 // fail records the first divergence and wakes every parked thread, which
@@ -209,63 +200,11 @@ func (rt *replayThread) signal() {
 	}
 }
 
-// watchdog aborts the run when no scheduled access executes for
-// StallTimeout. It samples the count of executed positions every 100 ms, so
-// the per-access path pays nothing for it.
-func (r *Replayer) watchdog() {
-	tick := time.NewTicker(100 * time.Millisecond)
-	defer tick.Stop()
-	var fl *flight.Ring // lazily created, owned by this goroutine
-	lastDone, lastChange := -1, time.Now()
-	for {
-		select {
-		case <-r.stopWatch:
-			return
-		case <-tick.C:
-			if r.failed.Load() {
-				continue
-			}
-			r.mu.Lock()
-			p := r.executedPrefix()
-			done := p
-			for q := p; q < len(r.state); q++ {
-				if r.state[q].Load() == posDone {
-					done++
-				}
-			}
-			if p == len(r.state) || done != lastDone {
-				lastDone, lastChange = done, time.Now()
-			} else if time.Since(lastChange) > r.StallTimeout {
-				// The stall anchor is the first position not yet executed.
-				next := r.sched.Order[p]
-				var path string
-				if next.Thread >= 0 && int(next.Thread) < len(r.sched.Log.Threads) {
-					path = r.sched.Log.Threads[next.Thread]
-				}
-				r.failAt(&DivergenceError{
-					Kind:       DivStall,
-					ThreadPath: path,
-					Thread:     next.Thread,
-					Counter:    next.Counter,
-					Loc:        -1,
-					Pos:        p,
-				}, p)
-				if r.flightOn {
-					if fl == nil {
-						fl = flight.NewRing("replay", -1, "watchdog")
-					}
-					fl.Record(flight.Event{Kind: flight.EvDivergence, Counter: next.Counter, Loc: -1, A: int64(p)})
-				}
-			}
-			r.mu.Unlock()
-		}
-	}
-}
-
-// ThreadStarted resolves the thread's log identity, stores its replay state
-// in t.HookData, and starts the watchdog.
+// ThreadStarted resolves the thread's log identity and stores its replay
+// state in t.HookData and the thread table, where checkStall counts it live.
+// The VM calls it on the spawning goroutine, so a spawned thread is live
+// before its parent can block.
 func (r *Replayer) ThreadStarted(t *vm.Thread) {
-	r.startOnce.Do(func() { go r.watchdog() })
 	rt := newReplayThread()
 	idx := r.sched.Log.ThreadIndex(t.Path)
 	rt.idx = idx
@@ -289,11 +228,73 @@ func (r *Replayer) ThreadStarted(t *vm.Thread) {
 	r.mu.Unlock()
 }
 
-// ThreadExited is a no-op.
-func (r *Replayer) ThreadExited(*vm.Thread) {}
+// ThreadExited marks the thread exited and checks for a stall: the exit may
+// leave every live thread blocked, or none live with positions pending.
+func (r *Replayer) ThreadExited(t *vm.Thread) {
+	rt := r.threadState(t)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rt.exited = true
+	r.checkStall(rt)
+}
+
+// checkStall flags DivStall at the executed prefix when the schedule is not
+// finished and no live thread can run: each waits at its gate for a position
+// still pending, or joins a thread still live. It runs where a stall can
+// begin (a thread blocks at its gate, starts a join wait, or exits) and
+// re-reads every awaited position, so a registration left from a wait that
+// has ended cannot cause a false stall. Callers hold r.mu; rt is the caller,
+// whose flight ring records the stall.
+func (r *Replayer) checkStall(rt *replayThread) {
+	if r.failed.Load() {
+		return
+	}
+	for _, o := range r.byIdx {
+		switch {
+		case o == nil || o.exited:
+		case o.waitQ >= 0 && r.state[o.waitQ].Load() != posDone:
+		case o.waitQ < 0 && o.joining != nil && !o.joining.exited:
+		default:
+			return // o can run
+		}
+	}
+	p := r.executedPrefix()
+	if p == len(r.state) {
+		return
+	}
+	next := r.sched.Order[p]
+	var path string
+	if next.Thread >= 0 && int(next.Thread) < len(r.sched.Log.Threads) {
+		path = r.sched.Log.Threads[next.Thread]
+	}
+	r.failAt(&DivergenceError{
+		Kind: DivStall, ThreadPath: path, Thread: next.Thread, Counter: next.Counter, Loc: -1, Pos: p,
+	}, p)
+	if r.flightOn && rt.fl != nil {
+		rt.fl.Record(flight.Event{Kind: flight.EvDivergence, Counter: next.Counter, Loc: -1, A: int64(p)})
+	}
+}
+
+// joinBegins registers a join wait after the thread read another thread's
+// life location: in replay mode the VM's join then blocks until that thread
+// exits.
+func (r *Replayer) joinBegins(rt *replayThread, a vm.Access) {
+	h, ok := a.Loc.Base.(*vm.ThreadHandle)
+	if !ok || h == a.Thread.Handle {
+		return // a thread's start read of its own life location
+	}
+	idx := r.sched.Log.ThreadIndex(h.Path)
+	if idx < 0 {
+		return // an unknown thread: the replay has failed already
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rt.waitQ, rt.joining = -1, r.byIdx[idx]
+	r.checkStall(rt)
+}
 
 func newReplayThread() *replayThread {
-	return &replayThread{idx: -1, windows: make(map[vm.Loc]rangeWindow), wake: make(chan struct{}, 1)}
+	return &replayThread{idx: -1, waitQ: -1, windows: make(map[vm.Loc]rangeWindow), wake: make(chan struct{}, 1)}
 }
 
 // threadState returns the thread's replay state; a thread the replayer never
@@ -396,6 +397,9 @@ func (r *Replayer) SharedAccess(a vm.Access, do func()) {
 		}
 		rt.updateWindows(a)
 		r.advance(pos)
+		if a.Loc.Off == vm.GhostLife && a.Kind == vm.Read {
+			r.joinBegins(rt, a)
+		}
 		return
 	}
 	// Unscheduled access: a range interior, or a blind write.
@@ -458,6 +462,10 @@ func (r *Replayer) waitTurn(rt *replayThread, a vm.Access, pos int32) {
 		rt.fl.Record(flight.Event{Kind: flight.EvWaitBegin, Counter: a.Counter, Loc: a.Loc.Off, A: int64(pos), B: int64(q)})
 	}
 	st := &r.state[q]
+	r.mu.Lock()
+	rt.waitQ = q
+	r.checkStall(rt)
+	r.mu.Unlock()
 	if !poll && st.CompareAndSwap(posPending, parkedBy(rt.idx)) {
 		// fail sets failed before it signals, so checking failed after the
 		// swap cannot miss a failure.

@@ -62,10 +62,16 @@ type Hooks interface {
 	// without calling compute.
 	Syscall(t *Thread, seq uint64, kind SyscallKind, compute func() Value) Value
 
-	// ThreadStarted and ThreadExited bracket a thread's execution on its
-	// own goroutine (after the ghost start-read / before the ghost
-	// life-write visibility to joiners, respectively).
+	// ThreadStarted announces a thread before it runs. The VM calls it on
+	// the spawning goroutine: for main in Run, and for a child in the
+	// parent, after the spawn's ghost life-write and before the child's
+	// goroutine starts (so before the child's ghost start-read). A thread
+	// is therefore known to the hooks before its parent can block on
+	// anything. What ThreadStarted stores in t.HookData is visible to the
+	// thread's own goroutine.
 	ThreadStarted(t *Thread)
+	// ThreadExited runs on the thread's own goroutine after its ghost exit
+	// life-write and before joiners can see it exit (Done closes after).
 	ThreadExited(t *Thread)
 }
 

@@ -10,21 +10,26 @@ import (
 // perturbTestSrc has deterministic per-thread control flow (no shared value
 // feeds a branch), so every run performs the identical access sequence per
 // thread regardless of interleaving — the precondition for comparing whole
-// decision sequences across runs.
+// decision sequences across runs. Each worker's unsynchronized accesses go
+// to its own slot of a shared array, so the native run is free of data races
+// and the package passes under the race detector.
 const perturbTestSrc = `
-var a = 0;
+var a = null;
 var b = 0;
 var lock = null;
 
 fun work(id, n) {
   for (var i = 0; i < n; i = i + 1) {
-    a = a + id;
+    a[id] = a[id] + id;
     sync (lock) { b = b + 1; }
   }
 }
 
 fun main() {
   lock = newmap();
+  a = newarr(3);
+  a[1] = 0;
+  a[2] = 0;
   var t1 = spawn work(1, 20);
   var t2 = spawn work(2, 20);
   join t1; join t2;

@@ -151,9 +151,9 @@ func Run(cfg Config) *Result {
 func (v *VM) Run() *Result {
 	main := v.newThread(nil, "0")
 	v.wg.Add(1)
+	v.hooks.ThreadStarted(main)
 	go func() {
 		defer v.wg.Done()
-		v.hooks.ThreadStarted(main)
 		err := func() *RuntimeErr {
 			if _, e := v.exec(main, v.prog.GlobalInit, nil); e != nil {
 				return e
@@ -208,13 +208,15 @@ func (v *VM) prepareChild(parent *Thread) *ThreadHandle {
 	return child.Handle
 }
 
-// startChild launches the prepared child on its own goroutine.
+// startChild launches the prepared child on its own goroutine. The child is
+// announced to the hooks here, on the parent's goroutine, so it is live
+// before the parent can block (see Hooks.ThreadStarted).
 func (v *VM) startChild(_ *Thread, h *ThreadHandle, fn *compiler.Func, args []Value) {
 	child := h.thread
 	v.wg.Add(1)
+	v.hooks.ThreadStarted(child)
 	go func() {
 		defer v.wg.Done()
-		v.hooks.ThreadStarted(child)
 		// First transition of the child: ghost read of the life location,
 		// pairing with the parent's spawn write (Section 4.3).
 		v.ghostAccess(child, Read, LifeLoc(h), false)
