@@ -1,16 +1,21 @@
 # Repository verification targets. `make ci` (or `make verify`) is the
-# default gate: vet, build, doc-comment lint (docs-check), the full test
-# suite, the race-detector run over the concurrency-bearing packages (the
-# recorder's lock-free paths and the parallel partitioned solver), and a
-# bounded randomized differential campaign (fuzz-smoke).
+# default gate: gofmt (fmt-check), vet, build, doc-comment lint
+# (docs-check), the full test suite, the race-detector run over the
+# concurrency-bearing packages (the recorder's lock-free paths and the
+# parallel partitioned solver), and a bounded randomized differential
+# campaign (fuzz-smoke).
 
 GO ?= go
 
-.PHONY: ci verify vet build test race bench bench-solve bench-replay bench-gate bench-ttfr fuzz-smoke fuzz flake-smoke lightd-smoke stat-smoke report docs-check trace-check
+.PHONY: ci verify fmt-check vet build test race bench bench-solve bench-replay bench-gate bench-ttfr fuzz-smoke fuzz flake-smoke lightd-smoke stat-smoke report docs-check trace-check
 
-ci: docs-check build test race bench-solve bench-replay trace-check bench-gate bench-ttfr fuzz-smoke flake-smoke lightd-smoke stat-smoke
+ci: fmt-check docs-check build test race bench-solve bench-replay trace-check bench-gate bench-ttfr fuzz-smoke flake-smoke lightd-smoke stat-smoke
 
 verify: ci
+
+# fmt-check fails when any Go file is not gofmt-formatted.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -63,11 +68,12 @@ race:
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# bench-solve measures cold-cache schedule synthesis on the JGF rows and
-# par-hotfield; the fastpath_rate and components columns make the tier split
-# visible next to the ns/op and allocation columns.
+# bench-solve measures cold-cache schedule synthesis on four committed
+# golden recordings (jgf-crypt, jgf-sor, srv-proxy, par-handoff), so its rows
+# compare across commits; the fastpath_rate and components columns make the
+# tier split visible next to the ns/op and allocation columns.
 bench-solve:
-	$(GO) test -run xxx -bench 'BenchmarkSolveFastpath' -benchtime 3x .
+	$(GO) test -run xxx -bench 'BenchmarkSolveFastpath' -benchtime 10x .
 
 # bench-replay measures enforced re-execution of a pre-solved schedule on
 # par-hotfield (one contended location) and jgf-crypt (disjoint data), with

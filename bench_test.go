@@ -12,7 +12,10 @@
 package repro_test
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -342,6 +345,7 @@ fun main() {
 		{"parallel", runtime.GOMAXPROCS(0)},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var st light.ScheduleStats
 			for i := 0; i < b.N; i++ {
 				sched, err := light.ComputeScheduleJobs(log, cfg.jobs)
@@ -384,6 +388,7 @@ fun main() {
 		}
 		rec := light.Record(prog, light.Options{O1: true}, light.RunConfig{Seed: 9})
 		b.Run(fmt.Sprintf("iters-%d", iters), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sched, err := light.ComputeSchedule(rec.Log)
 				if err != nil {
@@ -392,7 +397,7 @@ fun main() {
 				if i == 0 {
 					b.ReportMetric(float64(rec.Log.SpaceLongs), "space-longs")
 					b.ReportMetric(float64(sched.Stats.Disjunctions), "disjunctions")
-					b.ReportMetric(float64(sched.Stats.Resolved), "preprocessed")
+					b.ReportMetric(float64(sched.Stats.Resolved), "propagation_resolved")
 				}
 			}
 		})
@@ -401,18 +406,25 @@ fun main() {
 
 // BenchmarkSolveFastpath measures cold-cache offline schedule synthesis
 // (propagation fast path + CDCL(T) fallback, cache cleared every iteration)
-// on the JGF rows plus par-hotfield, whose hot-field contention makes the
-// densest constraint system of the multicore suite (`make bench-solve`).
+// on committed recordings, so rows compare across commits: jgf-crypt and
+// jgf-sor (many locations, few disjunctions), srv-proxy and par-handoff
+// (the densest disjunction sets of the golden logs) (`make bench-solve`).
 func BenchmarkSolveFastpath(b *testing.B) {
-	for _, name := range []string{"jgf-crypt", "jgf-sor", "jgf-series", "par-hotfield"} {
-		c := compileWorkload(b, name)
-		rec := light.Record(c.prog, light.Options{O1: true}, light.RunConfig{Seed: 11, Instrument: c.maskO2})
+	for _, name := range []string{"jgf-crypt", "jgf-sor", "srv-proxy", "par-handoff"} {
+		data, err := os.ReadFile(filepath.Join("internal", "light", "testdata", "golden", name+".lightlog"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		log, err := trace.Decode(bytes.NewReader(data))
+		if err != nil {
+			b.Fatalf("%s: %v", name, err)
+		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var st light.ScheduleStats
 			for i := 0; i < b.N; i++ {
 				light.ResetScheduleCache()
-				sched, err := light.ComputeScheduleJobs(rec.Log, runtime.GOMAXPROCS(0))
+				sched, err := light.ComputeScheduleJobs(log, runtime.GOMAXPROCS(0))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -112,7 +112,7 @@ func TestReportTraceJSON(t *testing.T) {
 		}
 		phases[s.Name] = true
 	}
-	for _, want := range []string{"record", "encode", "partition", "solve", "replay"} {
+	for _, want := range []string{"record", "encode", "build", "propagate", "partition", "solve", "topo", "replay"} {
 		if !phases[want] {
 			t.Errorf("span dump missing phase %q (got %v)", want, phases)
 		}

@@ -22,7 +22,8 @@
 // Observability: -metrics-addr HOST:PORT serves the live recorder/solver/
 // replayer counters at /metrics (Prometheus text format) for the duration
 // of the run; -trace-json PATH dumps the phase spans (record → encode →
-// partition → solve → replay) as JSON on exit ("-" for stdout);
+// build → propagate → partition → solve → topo → replay) as JSON on exit
+// ("-" for stdout);
 // -flight N enables the per-thread flight recorder (bounded event rings,
 // DESIGN.md §7) and -flight-trace PATH exports the recording as Chrome
 // trace JSON viewable in Perfetto; -forensics DIR writes a structured

@@ -148,8 +148,8 @@ func StartSession(store *Store, cfg SessionConfig) (*Session, error) {
 	s := &Session{
 		cfg: cfg, store: store, prog: prog, mask: mask,
 		maskAll: an.InstrumentMask(false),
-		rec:  light.NewRecorder(light.Options{O1: !cfg.NoO1}),
-		stop: make(chan struct{}), done: make(chan struct{}),
+		rec:     light.NewRecorder(light.Options{O1: !cfg.NoO1}),
+		stop:    make(chan struct{}), done: make(chan struct{}),
 		presolveBusy: make(chan struct{}, 1),
 		hdr: Header{
 			Workload: name, Source: source, SeedBase: cfg.SeedBase,

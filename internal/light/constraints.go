@@ -155,13 +155,13 @@ type system struct {
 // location (deterministically, in location-ID order).
 func buildSystem(log *trace.Log) *system {
 	items := collectItems(log)
-	ds := buildDense(items, newDenseIndex(items), nil)
+	ds := buildDense(items)
 	sys := &system{items: items, vars: ds.x.vars}
 	for li, loc := range ds.locIDs {
 		ls := &locSys{loc: loc, conj: ds.locEdges(li)}
 		ls.disj = make([]disjunction, 0, ds.disjAt[li+1]-ds.disjAt[li])
-		for di := ds.disjAt[li]; di < ds.disjAt[li+1]; di++ {
-			ls.disj = append(ls.disj, ds.tcDisj(di))
+		for _, d := range ds.disj[ds.disjAt[li]:ds.disjAt[li+1]] {
+			ls.disj = append(ls.disj, ds.x.tcDisj(d))
 		}
 		sys.locs = append(sys.locs, ls)
 	}
@@ -230,7 +230,9 @@ func resolveLocItems(li *locItems, node func(trace.TC) int32, rcs []claimNodes, 
 // non-interference disjunctions; C, the mutual exclusion of write-bearing
 // intervals. It emits hard edges u < v through edge and disjunctions
 // (a1 < b1) or (a2 < b2) through disj, in a fixed order: per read claim
-// its edge then its disjunctions, then the interval pairs.
+// its edge then its disjunctions, then the interval pairs. Either callback
+// may be nil, which skips the rules that feed only it: schedule synthesis
+// generates all hard edges before any disjunction (synthesize).
 //
 // Node IDs must number accesses chain-major — each thread's accesses
 // consecutive and ascending by counter. An interval's IDs then span one
@@ -240,6 +242,9 @@ func genLocConstraints(rcs []claimNodes, wbs []intervalNodes, edge func(u, v int
 	// A: dependence constraints.
 	for _, rc := range rcs {
 		if rc.w < 0 {
+			if edge == nil {
+				continue
+			}
 			// Initial-value reads precede every write to the location.
 			for _, wb := range wbs {
 				if wb.lo <= rc.lo && rc.hi <= wb.hi {
@@ -249,7 +254,12 @@ func genLocConstraints(rcs []claimNodes, wbs []intervalNodes, edge func(u, v int
 			}
 			continue
 		}
-		edge(rc.w, rc.lo)
+		if edge != nil {
+			edge(rc.w, rc.lo)
+		}
+		if disj == nil {
+			continue
+		}
 		// B: non-interference with every write-bearing interval that is
 		// not the dependence's own anchor (Equation 1, generalized).
 		for _, wb := range wbs {
@@ -261,6 +271,9 @@ func genLocConstraints(rcs []claimNodes, wbs []intervalNodes, edge func(u, v int
 			}
 			disj(wb.hi, rc.w, rc.hi, wb.lo)
 		}
+	}
+	if disj == nil {
+		return
 	}
 	// C: mutual exclusion of write-bearing ranges. Singleton pairs are
 	// pure output dependences, which the paper proves need no order.
@@ -297,16 +310,10 @@ func collectItems(log *trace.Log) map[int32]*locItems {
 	}
 
 	// Write-bearing ranges first, so singleton detection can consult them.
-	type key struct {
-		th int32
-		c  uint64
-	}
-	inRange := make(map[int32][]trace.Range) // loc -> hasWrite ranges
 	for _, rg := range log.Ranges {
 		li := get(rg.Loc)
 		if rg.HasWrite {
 			li.wbs = append(li.wbs, writeBearing{Thread: rg.Thread, Lo: rg.Start, Hi: rg.End})
-			inRange[rg.Loc] = append(inRange[rg.Loc], rg)
 		}
 		if rg.StartsWithRead {
 			hi := rg.End
@@ -318,43 +325,34 @@ func collectItems(log *trace.Log) map[int32]*locItems {
 			li.rcs = append(li.rcs, readClaim{W: rg.W, Thread: rg.Thread, Lo: rg.Start, Hi: hi})
 		}
 	}
-
-	// Every dependence source — whether referenced by an individual Dep or
-	// as a Range's W — is a write the replay must schedule, so it needs a
-	// write-bearing item for the non-interference pairing (unless it is the
-	// last write of a HasWrite range, which already is one).
-	seenW := make(map[int32]map[key]bool) // loc -> singleton writes added
-	addSource := func(loc int32, w trace.TC) {
-		if w.IsInitial() {
-			return
-		}
-		for _, rg := range inRange[loc] {
-			if rg.Thread == w.Thread && rg.Start <= w.Counter && w.Counter <= rg.End {
-				return // contained in a write-bearing range of its thread
-			}
-		}
-		m := seenW[loc]
-		if m == nil {
-			m = make(map[key]bool)
-			seenW[loc] = m
-		}
-		k := key{w.Thread, w.Counter}
-		if !m[k] {
-			m[k] = true
-			get(loc).wbs = append(get(loc).wbs, writeBearing{
-				Thread: w.Thread, Lo: w.Counter, Hi: w.Counter, Singleton: true,
-			})
-		}
-	}
+	// Then the dependence sources, in the order they are referenced.
 	for _, d := range log.Deps {
 		li := get(d.Loc)
 		li.rcs = append(li.rcs, readClaim{W: d.W, Thread: d.R.Thread, Lo: d.R.Counter, Hi: d.R.Counter})
-		addSource(d.Loc, d.W)
+		li.addSource(d.W)
 	}
 	for _, rg := range log.Ranges {
 		if rg.StartsWithRead {
-			addSource(rg.Loc, rg.W)
+			items[rg.Loc].addSource(rg.W)
 		}
 	}
 	return items
+}
+
+// addSource files dependence source w — whether referenced by an individual
+// Dep or as a Range's W — as a write-bearing item: it is a write the replay
+// must schedule, so it needs one for the non-interference pairing. An item
+// of its thread that already covers it is enough: the HasWrite range
+// containing it, or its own singleton filed for an earlier reference. The
+// HasWrite ranges must therefore be filed first.
+func (li *locItems) addSource(w trace.TC) {
+	if w.IsInitial() {
+		return
+	}
+	for _, wb := range li.wbs {
+		if wb.Thread == w.Thread && wb.Lo <= w.Counter && w.Counter <= wb.Hi {
+			return
+		}
+	}
+	li.wbs = append(li.wbs, writeBearing{Thread: w.Thread, Lo: w.Counter, Hi: w.Counter, Singleton: true})
 }

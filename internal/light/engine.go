@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,44 +159,82 @@ func (x *denseIndex) chainSizes() []int {
 }
 
 // denseSystem is the Section 4.2 constraint system of one item set in node
-// IDs: location li's hard edges are hard[hardAt[li]:hardAt[li+1]] and its
-// disjunctions disj[disjAt[li]:disjAt[li+1]], locations in ID order. The
-// program-order chain edges are implicit in the numbering.
+// IDs, locations in ID order. Every location's items are resolved to nodes
+// once: location li's read claims are rcs[rcsAt[li]:rcsAt[li+1]], its
+// write-bearing intervals wbs[wbsAt[li]:wbsAt[li+1]] and its hard edges
+// hard[hardAt[li]:hardAt[li+1]]. The program-order chain edges are implicit
+// in the numbering. Disjunctions are generated per location on demand
+// (genDisj); only buildDense stores them, location li's being
+// disj[disjAt[li]:disjAt[li+1]].
 type denseSystem struct {
 	locIDs []int32
 	x      *denseIndex
+	rcs    []claimNodes
+	wbs    []intervalNodes
 	hard   [][2]int32
 	disj   []smt.OrderDisjunction
+	rcsAt  []int32
+	wbsAt  []int32
 	hardAt []int32
 	disjAt []int32
 }
 
-// buildDense generates the constraint system of an item set over its dense
-// index x — the only place the generation rules run: every location's
-// items are resolved to nodes once and genLocConstraints emits their edges
-// and disjunctions in location-ID order. visit, when non-nil, sees each
-// location's resolved items (synthesize clusters locations by the nodes
-// they touch).
-func buildDense(items map[int32]*locItems, x *denseIndex, visit func(li int, rcs []claimNodes, wbs []intervalNodes)) *denseSystem {
+// newDenseSystem resolves an item set's items to the node IDs of its dense
+// index x and generates every location's hard edges (genLocConstraints with
+// no disjunction callback), in location-ID order.
+func newDenseSystem(items map[int32]*locItems, x *denseIndex) *denseSystem {
 	ds := &denseSystem{locIDs: sortedLocIDs(items), x: x}
+	nrc, nwb := 0, 0
+	for _, li := range items {
+		nrc += len(li.rcs)
+		nwb += len(li.wbs)
+	}
+	ds.rcs = make([]claimNodes, 0, nrc)
+	ds.wbs = make([]intervalNodes, 0, nwb)
+	ds.hard = make([][2]int32, 0, nrc)
 	n := len(ds.locIDs)
+	ds.rcsAt = make([]int32, n+1)
+	ds.wbsAt = make([]int32, n+1)
 	ds.hardAt = make([]int32, n+1)
-	ds.disjAt = make([]int32, n+1)
 	edge := func(u, v int32) { ds.hard = append(ds.hard, [2]int32{u, v}) }
+	for li, loc := range ds.locIDs {
+		ds.rcsAt[li], ds.wbsAt[li], ds.hardAt[li] = int32(len(ds.rcs)), int32(len(ds.wbs)), int32(len(ds.hard))
+		ds.rcs, ds.wbs = resolveLocItems(items[loc], x.node, ds.rcs, ds.wbs)
+		genLocConstraints(ds.rcs[ds.rcsAt[li]:], ds.wbs[ds.wbsAt[li]:], edge, nil)
+	}
+	ds.rcsAt[n], ds.wbsAt[n], ds.hardAt[n] = int32(len(ds.rcs)), int32(len(ds.wbs)), int32(len(ds.hard))
+	return ds
+}
+
+// locItemNodes returns location li's resolved read claims and intervals.
+func (ds *denseSystem) locItemNodes(li int) ([]claimNodes, []intervalNodes) {
+	return ds.rcs[ds.rcsAt[li]:ds.rcsAt[li+1]], ds.wbs[ds.wbsAt[li]:ds.wbsAt[li+1]]
+}
+
+// genDisj generates location li's disjunctions (genLocConstraints with no
+// edge callback), in the rules' fixed order.
+func (ds *denseSystem) genDisj(li int, disj func(a1, b1, a2, b2 int32)) {
+	rcs, wbs := ds.locItemNodes(li)
+	genLocConstraints(rcs, wbs, nil, disj)
+}
+
+// buildDense generates the whole constraint system of an item set, storing
+// every disjunction: the materialized form the checker and the forensics
+// view consume (buildSystem). Schedule synthesis generates the same
+// disjunctions but keeps only those the hard order does not settle
+// (synthesize).
+func buildDense(items map[int32]*locItems) *denseSystem {
+	ds := newDenseSystem(items, newDenseIndex(items))
+	n := len(ds.locIDs)
+	ds.disjAt = make([]int32, n+1)
 	disj := func(a1, b1, a2, b2 int32) {
 		ds.disj = append(ds.disj, smt.OrderDisjunction{A1: a1, B1: b1, A2: a2, B2: b2})
 	}
-	var rcs []claimNodes
-	var wbs []intervalNodes
-	for li, loc := range ds.locIDs {
-		ds.hardAt[li], ds.disjAt[li] = int32(len(ds.hard)), int32(len(ds.disj))
-		rcs, wbs = resolveLocItems(items[loc], x.node, rcs[:0], wbs[:0])
-		if visit != nil {
-			visit(li, rcs, wbs)
-		}
-		genLocConstraints(rcs, wbs, edge, disj)
+	for li := range ds.locIDs {
+		ds.disjAt[li] = int32(len(ds.disj))
+		ds.genDisj(li, disj)
 	}
-	ds.hardAt[n], ds.disjAt[n] = int32(len(ds.hard)), int32(len(ds.disj))
+	ds.disjAt[n] = int32(len(ds.disj))
 	return ds
 }
 
@@ -212,15 +249,10 @@ func (ds *denseSystem) locEdges(li int) [][2]trace.TC {
 	return out
 }
 
-// tcDisj returns disjunction di in TC form.
-func (ds *denseSystem) tcDisj(di int32) disjunction {
-	v, d := ds.x.vars, ds.disj[di]
+// tcDisj returns a node-ID disjunction in TC form.
+func (x *denseIndex) tcDisj(d smt.OrderDisjunction) disjunction {
+	v := x.vars
 	return disjunction{a1: v[d.A1], b1: v[d.B1], a2: v[d.A2], b2: v[d.B2]}
-}
-
-// locOfDisj returns the index of the location that generated disjunction di.
-func (ds *denseSystem) locOfDisj(di int32) int {
-	return sort.Search(len(ds.locIDs), func(li int) bool { return ds.disjAt[li+1] > di })
 }
 
 // synthesis is the core's result over one item set, in the node IDs of its
@@ -238,22 +270,83 @@ type synthesis struct {
 	stats  ScheduleStats
 }
 
-// synthesize is the schedule-synthesis core over one item set: generate the
-// system into node IDs (buildDense), propagate it to fixpoint, partition
-// the residual disjunctions into components, seed each with its bridges,
-// and discharge the components to CDCL(T) on a pool of jobs workers (0
-// means GOMAXPROCS). Results land in disjoint slots, so any worker count
-// yields the same synthesis. It also returns the propagated engine, which
-// already holds the hard and forced edges, so a caller that sorts this one
-// synthesis alone needs to add only the chosen ones (OrderEngine.TopoOrder).
-// Once ctx is done, CDCL(T) searches give up and synthesize returns
-// ctx.Err().
-func synthesize(ctx context.Context, items map[int32]*locItems, jobs int) (*synthesis, *smt.OrderEngine, error) {
-	partSpan := obs.StartSpan("partition")
-	x := newDenseIndex(items)
-	chains := x.chainSizes()
-	nLocs := len(items)
+// propagated is an item set's constraint system after propagation: its
+// dense form (hard edges only), the engine holding the hard and forced
+// edges and the disjunctions the hard order did not settle, keptLoc
+// mapping each of those to the location generating it, the count of every
+// generated disjunction, and the propagation outcome.
+type propagated struct {
+	ds      *denseSystem
+	eng     *smt.OrderEngine
+	keptLoc []int32
+	nDisj   int
+	out     *smt.OrderOutcome
+}
 
+// propagateItems generates an item set's constraint system and propagates
+// it to fixpoint in two passes. Pass 1 resolves the items to node IDs and
+// generates every hard edge (newDenseSystem); the engine is sealed over
+// them. Pass 2 generates the disjunctions and registers only those the hard
+// order does not already settle.
+//
+// Registering only those changes no result: propagation only ever adds
+// reachability, so a disjunction the hard order implies is one a scan of
+// every disjunction would drop at its turn, with no side effect, and the
+// kept ones are scanned in the same relative order against the same
+// evolving partial order (DESIGN.md §4d).
+func propagateItems(items map[int32]*locItems) (*propagated, error) {
+	buildSpan := obs.StartSpan("build")
+	x := newDenseIndex(items)
+	p := &propagated{ds: newDenseSystem(items, x), eng: smt.NewOrderEngine(x.chainSizes())}
+	for _, e := range p.ds.hard {
+		p.eng.AddEdge(e[0], e[1])
+	}
+	p.eng.Seal() // a hard cycle drops every disjunction; Propagate reports it
+	cur := int32(0)
+	disj := func(a1, b1, a2, b2 int32) {
+		p.nDisj++
+		if p.eng.AddDisjunction(smt.OrderDisjunction{A1: a1, B1: b1, A2: a2, B2: b2}) {
+			p.keptLoc = append(p.keptLoc, cur)
+		}
+	}
+	for li := range p.ds.locIDs {
+		cur = int32(li)
+		p.ds.genDisj(li, disj)
+	}
+	buildSpan.SetItems(int64(p.nDisj))
+	buildSpan.End()
+
+	propSpan := obs.StartSpan("propagate")
+	p.out = p.eng.Propagate()
+	propSpan.SetItems(int64(len(p.keptLoc)))
+	propSpan.End()
+	if p.out.Unsat {
+		return nil, fmt.Errorf("light: replay constraint system unsatisfiable (propagation over %d vars, %d disjunctions) — this contradicts Lemma 4.1 and indicates a recording bug",
+			len(x.vars), p.nDisj)
+	}
+	return p, nil
+}
+
+// synthesize is the schedule-synthesis core over one item set: generate
+// and propagate the system (propagateItems), partition the residual
+// disjunctions into components, seed each with its bridges, and discharge
+// the components to CDCL(T) on a pool of jobs workers (0 means
+// GOMAXPROCS). Results land in disjoint slots, so any worker count yields
+// the same synthesis. It also returns the propagated engine, which already
+// holds the hard and forced edges, so a caller that sorts this one
+// synthesis alone needs to add only the chosen ones
+// (OrderEngine.TopoOrder). Once ctx is done, CDCL(T) searches give up and
+// synthesize returns ctx.Err().
+func synthesize(ctx context.Context, items map[int32]*locItems, jobs int) (*synthesis, *smt.OrderEngine, error) {
+	p, err := propagateItems(items)
+	if err != nil {
+		return nil, nil, err
+	}
+	ds, eng, out, x := p.ds, p.eng, p.out, p.ds.x
+	chains := x.chainSizes()
+	nLocs := len(ds.locIDs)
+
+	partSpan := obs.StartSpan("partition")
 	// owner maps a node to the first location touching it; locations that
 	// share a node are unioned into one cluster.
 	owner := make([]int32, len(x.vars))
@@ -268,7 +361,8 @@ func synthesize(ctx context.Context, items map[int32]*locItems, jobs int) (*synt
 			uf.union(li, int(o))
 		}
 	}
-	ds := buildDense(items, x, func(li int, rcs []claimNodes, wbs []intervalNodes) {
+	for li := range ds.locIDs {
+		rcs, wbs := ds.locItemNodes(li)
 		for _, rc := range rcs {
 			if rc.w >= 0 {
 				own(li, rc.w)
@@ -280,24 +374,13 @@ func synthesize(ctx context.Context, items map[int32]*locItems, jobs int) (*synt
 			own(li, wb.lo)
 			own(li, wb.hi)
 		}
-	})
-
-	eng := smt.NewOrderEngine(chains)
-	for _, e := range ds.hard {
-		eng.AddEdge(e[0], e[1])
-	}
-	eng.AddDisjunctions(ds.disj)
-	out := eng.Propagate()
-	if out.Unsat {
-		return nil, nil, fmt.Errorf("light: replay constraint system unsatisfiable (propagation over %d vars, %d disjunctions) — this contradicts Lemma 4.1 and indicates a recording bug",
-			len(x.vars), len(ds.disj))
 	}
 
 	// Partition: location clusters, merging only residual-bearing clusters
 	// that share a cluster-graph SCC (see partition.go).
 	residualLoc := make([]bool, nLocs)
 	for _, di := range out.Residual {
-		residualLoc[ds.locOfDisj(di)] = true
+		residualLoc[p.keptLoc[di]] = true
 	}
 	groups := partitionResidual(uf, owner, chains, residualLoc)
 
@@ -317,7 +400,7 @@ func synthesize(ctx context.Context, items map[int32]*locItems, jobs int) (*synt
 	}
 	residualOfGroup := make([][]int32, len(groups))
 	for _, di := range out.Residual {
-		gi := groupOfLoc[ds.locOfDisj(di)]
+		gi := groupOfLoc[p.keptLoc[di]]
 		residualOfGroup[gi] = append(residualOfGroup[gi], di)
 	}
 
@@ -349,7 +432,7 @@ func synthesize(ctx context.Context, items map[int32]*locItems, jobs int) (*synt
 			}
 			c.conj = append(c.conj, chainEdges(c.vars)...)
 			for _, di := range residualOfGroup[gi] {
-				c.disj = append(c.disj, ds.tcDisj(di))
+				c.disj = append(c.disj, x.tcDisj(eng.Disjunction(di)))
 			}
 		}
 		// Distribute the propagation-forced edges to their components as
@@ -482,7 +565,7 @@ func synthesize(ctx context.Context, items map[int32]*locItems, jobs int) (*synt
 	for _, size := range chains {
 		stats.Conjunctive += size - 1
 	}
-	stats.Disjunctions = len(ds.disj)
+	stats.Disjunctions = p.nDisj
 	stats.Resolved = out.Resolved
 	stats.Components = len(groups)
 	stats.FastpathComponents = len(groups) - len(comps)
@@ -608,6 +691,8 @@ func ComputeScheduleJobs(log *trace.Log, jobs int) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
+	topoSpan := obs.StartSpan("topo")
+	defer topoSpan.End()
 	order, ok := eng.TopoOrder(syn.chosen)
 	if !ok {
 		return nil, fmt.Errorf("light: internal error: schedule merge produced a cycle (%d components, %d chosen edges)", syn.stats.Components, len(syn.chosen))
@@ -617,6 +702,7 @@ func ComputeScheduleJobs(log *trace.Log, jobs int) (*Schedule, error) {
 		tcs[i] = syn.vars[n]
 	}
 	observeSolve(&syn.stats)
+	topoSpan.SetItems(int64(len(tcs)))
 	return newSchedule(log, tcs, syn.stats), nil
 }
 

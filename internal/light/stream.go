@@ -324,17 +324,13 @@ func (s *StreamSolver) ingest(rt retiredThread) []int32 {
 // collector produces for this location from the final log. The
 // restriction is sound because collectItems' processing — the item map,
 // range containment, and singleton-write dedup — is independent per
-// location; specializing drops the map machinery from the per-rebuild
-// hot path (small inputs dedup by linear scan, spilling to a map only
-// past 32 singleton writes).
+// location.
 func collectLocItems(f *locFrags) *locItems {
 	li := &locItems{}
-	var inRange []trace.Range // hasWrite ranges, for singleton suppression
 	for i := range f.tids {
 		for _, rg := range f.ranges[i] {
 			if rg.HasWrite {
 				li.wbs = append(li.wbs, writeBearing{Thread: rg.Thread, Lo: rg.Start, Hi: rg.End})
-				inRange = append(inRange, rg)
 			}
 			if rg.StartsWithRead {
 				hi := rg.End
@@ -347,51 +343,16 @@ func collectLocItems(f *locFrags) *locItems {
 			}
 		}
 	}
-	var seenW []trace.TC
-	var seenWMap map[trace.TC]bool
-	addSource := func(w trace.TC) {
-		if w.IsInitial() {
-			return
-		}
-		for _, rg := range inRange {
-			if rg.Thread == w.Thread && rg.Start <= w.Counter && w.Counter <= rg.End {
-				return // contained in a write-bearing range of its thread
-			}
-		}
-		if seenWMap != nil {
-			if seenWMap[w] {
-				return
-			}
-			seenWMap[w] = true
-		} else {
-			for _, p := range seenW {
-				if p == w {
-					return
-				}
-			}
-			seenW = append(seenW, w)
-			if len(seenW) == 32 {
-				seenWMap = make(map[trace.TC]bool, 64)
-				for _, p := range seenW {
-					seenWMap[p] = true
-				}
-			}
-		}
-		li.wbs = append(li.wbs, writeBearing{
-			Thread: w.Thread, Lo: w.Counter, Hi: w.Counter,
-			Singleton: true,
-		})
-	}
 	for i := range f.tids {
 		for _, d := range f.deps[i] {
 			li.rcs = append(li.rcs, readClaim{W: d.W, Thread: d.R.Thread, Lo: d.R.Counter, Hi: d.R.Counter})
-			addSource(d.W)
+			li.addSource(d.W)
 		}
 	}
 	for i := range f.tids {
 		for _, rg := range f.ranges[i] {
 			if rg.StartsWithRead {
-				addSource(rg.W)
+				li.addSource(rg.W)
 			}
 		}
 	}

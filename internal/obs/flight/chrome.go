@@ -55,7 +55,8 @@ const (
 	// PIDReplay is the Chrome process holding the replay run's threads.
 	PIDReplay int64 = 2
 	// PIDPhases is the Chrome process holding the pipeline phase spans
-	// (record → encode → partition → solve → replay).
+	// (record → encode → build → propagate → partition → solve → topo →
+	// replay).
 	PIDPhases int64 = 10
 )
 

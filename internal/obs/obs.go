@@ -1,7 +1,8 @@
 // Package obs is the observability core for the Light pipeline: atomic
 // counters, gauges, and fixed-log2-bucket histograms behind a process-wide
-// enable switch, a phase-scoped span tracer (record → encode → partition →
-// solve → replay), and a Prometheus text-format renderer served over HTTP.
+// enable switch, a phase-scoped span tracer (record → encode → build →
+// propagate → partition → solve → topo → replay), and a Prometheus
+// text-format renderer served over HTTP.
 //
 // The package is zero-dependency (stdlib only) and race-clean: every metric
 // is updated with sync/atomic operations, so instrumented hot paths — the

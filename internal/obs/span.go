@@ -9,13 +9,16 @@ import (
 )
 
 // Span is one completed pipeline phase: a name from the fixed record →
-// encode → partition → solve → replay vocabulary (free-form names are
-// allowed), its wall-clock extent, and optional byte/item payload sizes.
+// encode → build → propagate → partition → solve → topo → replay
+// vocabulary (free-form names are allowed), its wall-clock extent, and
+// optional byte/item payload sizes. The schedule solve splits into build
+// (index, hard edges, disjunction generation), propagate, partition
+// (components and bridges), solve (CDCL(T)) and topo (the final sort).
 // Spans are collected only while tracing is enabled (EnableTracing) and are
 // dumped as JSON by WriteSpans — the cmd front ends' -trace-json flag.
 type Span struct {
-	// Name identifies the phase ("record", "encode", "partition", "solve",
-	// "replay", ...).
+	// Name identifies the phase ("record", "encode", "build", "propagate",
+	// "partition", "solve", "topo", "replay", ...).
 	Name string `json:"name"`
 	// StartUnixNS is the span's start in Unix nanoseconds.
 	StartUnixNS int64 `json:"start_unix_ns"`

@@ -10,6 +10,14 @@ package smt
 // disjunction unit propagation to fixpoint: whenever one disjunct of a
 // clause is contradicted by the current partial order the other disjunct is
 // asserted and its edge inserted (with incremental reachability repair).
+//
+// The engine has three phases: hard edges are added, Seal builds the
+// reachability index over them, and Propagate runs to fixpoint.
+// Disjunctions may be added before or after Seal; after it, one with a
+// disjunct the hard order already implies is counted as resolved and
+// dropped on the spot, since propagation only ever adds reachability and
+// would drop it at its turn anyway. On real recordings that is almost
+// every disjunction, so they are never stored.
 // Propagation only ever asserts *implied* literals, so its conclusions can
 // seed a CDCL(T) search without biasing it — the soundness property the
 // two-tier schedule engine in internal/light relies on.
@@ -23,16 +31,17 @@ type OrderDisjunction struct {
 // OrderOutcome reports one Propagate pass.
 type OrderOutcome struct {
 	// Resolved counts disjunctions decided by propagation: either dropped
-	// because one disjunct was already implied by the partial order, or
-	// forced because one disjunct was contradicted.
+	// because one disjunct was already implied by the partial order (on
+	// registration after Seal, or during the scan), or forced because one
+	// disjunct was contradicted.
 	Resolved int
 	// Forced lists the edges asserted by unit propagation, in the
 	// deterministic order they were derived. Every forced edge is implied
 	// by the constraint system (it holds in every model).
 	Forced [][2]int32
-	// Residual lists the indices (into the engine's registration order) of
-	// disjunctions neither implied nor unit-forced: the genuinely free
-	// choices that need search.
+	// Residual lists the indices (see AddDisjunction) of kept disjunctions
+	// neither implied nor unit-forced: the genuinely free choices that need
+	// search.
 	Residual []int32
 	// Unsat is set when the hard edges contain a cycle or some disjunction
 	// has both disjuncts contradicted by the partial order.
@@ -53,11 +62,13 @@ type OrderEngine struct {
 	succs [][]int32 // cross (non-chain) edges, hard + forced
 	preds [][]int32
 
-	reach []int32 // flattened node*nc -> min reachable pos in that chain, -1 none
-	built bool
-	unsat bool
+	reach  []int32 // flattened node*nc -> min reachable pos in that chain, -1 none
+	sealed bool    // Seal ran: reach is valid, no more hard edges
+	built  bool    // Propagate ran
+	unsat  bool
 
-	disjs []OrderDisjunction
+	disjs   []OrderDisjunction
+	dropped int // disjunctions resolved on registration (implied after Seal)
 }
 
 // NewOrderEngine creates an engine over the given chain sizes. Node IDs are
@@ -91,15 +102,15 @@ func (e *OrderEngine) Len() int { return len(e.chain) }
 func (e *OrderEngine) Node(c, p int) int32 { return e.starts[c] + int32(p) }
 
 // AddEdge asserts the hard constraint u < v. Edges may only be added before
-// Propagate; forced edges discovered later are inserted internally with
+// Seal; forced edges discovered later are inserted internally with
 // reachability repair.
 func (e *OrderEngine) AddEdge(u, v int32) {
+	if e.sealed {
+		panic("smt: OrderEngine.AddEdge after Seal")
+	}
 	if u == v {
 		e.unsat = true
 		return
-	}
-	if e.built {
-		panic("smt: OrderEngine.AddEdge after Propagate")
 	}
 	// Chain-implied edges are redundant; skip the common case cheaply.
 	if e.chain[u] == e.chain[v] && e.pos[u] < e.pos[v] {
@@ -109,17 +120,39 @@ func (e *OrderEngine) AddEdge(u, v int32) {
 	e.preds[v] = append(e.preds[v], u)
 }
 
-// AddDisjunctions registers each (A1 < B1) or (A2 < B2) of ds; a
-// disjunction's index is its position in registration order. The engine
-// may keep ds itself rather than a copy, so the caller must not modify it
-// afterwards.
-func (e *OrderEngine) AddDisjunctions(ds []OrderDisjunction) {
-	if len(e.disjs) == 0 {
-		e.disjs = ds
-		return
+// Seal builds the reachability index over the hard edges, after which
+// Reaches answers queries and AddEdge panics. It reports false when the
+// hard edges are contradictory (a cycle); Propagate then reports Unsat.
+// Propagate seals an unsealed engine itself.
+func (e *OrderEngine) Seal() bool {
+	if !e.sealed {
+		e.sealed = true
+		if !e.unsat && !e.buildReach() {
+			e.unsat = true
+		}
 	}
-	e.disjs = append(e.disjs, ds...)
+	return !e.unsat
 }
+
+// AddDisjunction registers (A1 < B1) or (A2 < B2) and reports whether it
+// was kept. After Seal, a disjunction with a disjunct the partial order
+// already implies is resolved instead (counted in Propagate's Resolved), and
+// so is every disjunction of an engine Seal found contradictory. A kept
+// disjunction's index is its position among the kept ones.
+func (e *OrderEngine) AddDisjunction(d OrderDisjunction) bool {
+	if e.built {
+		panic("smt: OrderEngine.AddDisjunction after Propagate")
+	}
+	if e.sealed && (e.unsat || e.implied(d.A1, d.B1) || e.implied(d.A2, d.B2)) {
+		e.dropped++
+		return false
+	}
+	e.disjs = append(e.disjs, d)
+	return true
+}
+
+// Disjunction returns the kept disjunction with index i.
+func (e *OrderEngine) Disjunction(i int32) OrderDisjunction { return e.disjs[i] }
 
 // Reaches reports whether u happens-before-or-equals v in the current
 // partial order (hard edges plus every forced edge so far).
@@ -130,6 +163,10 @@ func (e *OrderEngine) Reaches(u, v int32) bool {
 	r := e.reach[int(u)*e.nc+int(e.chain[v])]
 	return r >= 0 && r <= e.pos[v]
 }
+
+// implied reports whether the strict edge a < b holds in the partial order
+// (so a == b never counts).
+func (e *OrderEngine) implied(a, b int32) bool { return a != b && e.Reaches(a, b) }
 
 // mergeInto folds node src's reach vector into dst's, reporting change.
 func (e *OrderEngine) mergeInto(dst, src int32) bool {
@@ -247,19 +284,18 @@ func (e *OrderEngine) insertEdge(u, v int32) bool {
 	return true
 }
 
-// Propagate builds the reachability index and runs disjunction unit
-// propagation to fixpoint. It must be called exactly once; afterwards the
-// engine answers Reaches queries against the propagated partial order and
-// can produce a TopoOrder.
+// Propagate runs disjunction unit propagation to fixpoint over the kept
+// disjunctions, in index order, sealing the engine first if needed. It must
+// be called exactly once; afterwards the engine answers Reaches queries
+// against the propagated partial order and can produce a TopoOrder.
 func (e *OrderEngine) Propagate() *OrderOutcome {
-	out := &OrderOutcome{}
 	if e.built {
 		panic("smt: OrderEngine.Propagate called twice")
 	}
 	e.built = true
-	if e.unsat || !e.buildReach() {
+	out := &OrderOutcome{Resolved: e.dropped}
+	if !e.Seal() {
 		out.Unsat = true
-		e.unsat = true
 		return out
 	}
 
@@ -267,9 +303,7 @@ func (e *OrderEngine) Propagate() *OrderOutcome {
 	for i := range e.disjs {
 		active = append(active, int32(i))
 	}
-	// implied: the disjunct already holds in the partial order (a strict
-	// edge, so a == b never counts). impossible: its reverse holds.
-	implied := func(a, b int32) bool { return a != b && e.Reaches(a, b) }
+	// impossible: the disjunct's reverse holds.
 	impossible := func(a, b int32) bool { return e.Reaches(b, a) }
 	for {
 		changed := false
@@ -277,7 +311,7 @@ func (e *OrderEngine) Propagate() *OrderOutcome {
 		for _, di := range active {
 			d := e.disjs[di]
 			switch {
-			case implied(d.A1, d.B1) || implied(d.A2, d.B2):
+			case e.implied(d.A1, d.B1) || e.implied(d.A2, d.B2):
 				out.Resolved++
 				changed = true
 			case impossible(d.A1, d.B1) && impossible(d.A2, d.B2):

@@ -59,9 +59,9 @@ func TestOrderEngineUnitPropagation(t *testing.T) {
 	e.AddEdge(a1, b0) // a before b (hard)
 	// (b0 < a0) or (c1 < d0): first disjunct contradicted (a0 < a1 < b0),
 	// and the second is genuinely free, so it must be forced.
-	e.AddDisjunctions([]OrderDisjunction{{A1: b0, B1: a0, A2: c1, B2: d0}})
+	e.AddDisjunction(OrderDisjunction{A1: b0, B1: a0, A2: c1, B2: d0})
 	// Cascade: once c1 < d0 is forced, (d0 < c1) or (b1 < d0) forces b1 < d0.
-	e.AddDisjunctions([]OrderDisjunction{{A1: d0, B1: c1, A2: b1, B2: d0}})
+	e.AddDisjunction(OrderDisjunction{A1: d0, B1: c1, A2: b1, B2: d0})
 	out := e.Propagate()
 	if out.Unsat {
 		t.Fatal("unexpected unsat")
@@ -85,7 +85,7 @@ func TestOrderEngineImpliedDisjunctDropped(t *testing.T) {
 	a0, a1 := e.Node(0, 0), e.Node(0, 1)
 	b0 := e.Node(1, 0)
 	e.AddEdge(a1, b0)
-	e.AddDisjunctions([]OrderDisjunction{{A1: a0, B1: b0, A2: b0, B2: a0}})
+	e.AddDisjunction(OrderDisjunction{A1: a0, B1: b0, A2: b0, B2: a0})
 	out := e.Propagate()
 	if out.Unsat || out.Resolved != 1 || len(out.Forced) != 0 || len(out.Residual) != 0 {
 		t.Fatalf("got %+v, want 1 resolved, no forced, no residual", out)
@@ -98,7 +98,7 @@ func TestOrderEngineResidual(t *testing.T) {
 	e := NewOrderEngine([]int{2, 2})
 	a0 := e.Node(0, 0)
 	b0 := e.Node(1, 0)
-	e.AddDisjunctions([]OrderDisjunction{{A1: a0, B1: b0, A2: b0, B2: a0}})
+	e.AddDisjunction(OrderDisjunction{A1: a0, B1: b0, A2: b0, B2: a0})
 	out := e.Propagate()
 	if out.Unsat || out.Resolved != 0 || len(out.Residual) != 1 || out.Residual[0] != 0 {
 		t.Fatalf("got %+v, want the single disjunction residual", out)
@@ -114,7 +114,7 @@ func TestOrderEngineDisjunctionUnsat(t *testing.T) {
 	e.AddEdge(a0, b0)
 	e.AddEdge(b1, a1) // interleaved: a0 < b0, b1 < a1
 	// (b1 < a0) or (a1 < b0): both contradicted.
-	e.AddDisjunctions([]OrderDisjunction{{A1: b1, B1: a0, A2: a1, B2: b0}})
+	e.AddDisjunction(OrderDisjunction{A1: b1, B1: a0, A2: a1, B2: b0})
 	if out := e.Propagate(); !out.Unsat {
 		t.Fatal("expected unsat")
 	}
@@ -154,12 +154,88 @@ func TestOrderEngineIncrementalRepair(t *testing.T) {
 	e.AddEdge(e.Node(0, 2), e.Node(1, 0))
 	// (c2_0 < c1_0) or (c1_2 < c2_0); first contradicted via hard edge below.
 	e.AddEdge(e.Node(1, 0), e.Node(2, 0))
-	e.AddDisjunctions([]OrderDisjunction{{A1: e.Node(2, 0), B1: e.Node(1, 0), A2: e.Node(1, 2), B2: e.Node(2, 0)}})
+	e.AddDisjunction(OrderDisjunction{A1: e.Node(2, 0), B1: e.Node(1, 0), A2: e.Node(1, 2), B2: e.Node(2, 0)})
 	out := e.Propagate()
 	if out.Unsat || len(out.Forced) != 1 {
 		t.Fatalf("got %+v, want one forced edge", out)
 	}
 	if !e.Reaches(e.Node(0, 0), e.Node(2, 2)) {
 		t.Error("repair did not propagate to chain-0 head")
+	}
+}
+
+// TestOrderEngineSealReaches checks that Seal alone makes the hard order
+// queryable, before any propagation.
+func TestOrderEngineSealReaches(t *testing.T) {
+	e := NewOrderEngine([]int{2, 2})
+	a0, a1 := e.Node(0, 0), e.Node(0, 1)
+	b0, b1 := e.Node(1, 0), e.Node(1, 1)
+	e.AddEdge(a1, b0)
+	if !e.Seal() {
+		t.Fatal("Seal reported a cycle")
+	}
+	if !e.Reaches(a0, b1) || e.Reaches(b0, a1) {
+		t.Error("sealed reachability wrong")
+	}
+}
+
+// TestOrderEngineSealHardCycle checks that Seal reports contradictory hard
+// edges and Propagate then reports unsat.
+func TestOrderEngineSealHardCycle(t *testing.T) {
+	e := NewOrderEngine([]int{2, 2})
+	e.AddEdge(e.Node(0, 1), e.Node(1, 0))
+	e.AddEdge(e.Node(1, 1), e.Node(0, 0))
+	if e.Seal() {
+		t.Fatal("Seal accepted a hard cycle")
+	}
+	if e.AddDisjunction(OrderDisjunction{A1: e.Node(0, 0), B1: e.Node(1, 1), A2: e.Node(1, 0), B2: e.Node(0, 1)}) {
+		t.Error("disjunction kept on a contradictory engine")
+	}
+	if out := e.Propagate(); !out.Unsat {
+		t.Fatal("expected unsat after a failed Seal")
+	}
+}
+
+// TestOrderEngineSealMisuse checks that a hard edge after Seal and a second
+// Propagate both panic.
+func TestOrderEngineSealMisuse(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	e := NewOrderEngine([]int{2, 2})
+	e.Seal()
+	mustPanic("AddEdge after Seal", func() { e.AddEdge(e.Node(0, 0), e.Node(1, 0)) })
+	e.Propagate()
+	mustPanic("second Propagate", func() { e.Propagate() })
+}
+
+// TestOrderEngineSealDropsImplied checks that after Seal a disjunction with
+// an implied disjunct is dropped on registration and counted in Resolved,
+// while an open one is kept under the next index.
+func TestOrderEngineSealDropsImplied(t *testing.T) {
+	e := NewOrderEngine([]int{2, 2})
+	a0, a1 := e.Node(0, 0), e.Node(0, 1)
+	b0, b1 := e.Node(1, 0), e.Node(1, 1)
+	e.AddEdge(a0, b0)
+	e.Seal()
+	if e.AddDisjunction(OrderDisjunction{A1: b1, B1: a1, A2: a0, B2: b1}) {
+		t.Error("implied disjunction kept")
+	}
+	open := OrderDisjunction{A1: a1, B1: b1, A2: b1, B2: a1}
+	if !e.AddDisjunction(open) {
+		t.Fatal("open disjunction dropped")
+	}
+	if e.Disjunction(0) != open {
+		t.Errorf("kept disjunction 0 = %+v, want %+v", e.Disjunction(0), open)
+	}
+	out := e.Propagate()
+	if out.Unsat || out.Resolved != 1 || !reflect.DeepEqual(out.Residual, []int32{0}) {
+		t.Fatalf("got %+v, want 1 resolved and residual [0]", out)
 	}
 }
