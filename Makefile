@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: ci verify fmt-check vet build test race bench bench-solve bench-replay bench-gate bench-ttfr fuzz-smoke fuzz flake-smoke lightd-smoke stat-smoke report docs-check trace-check
+.PHONY: ci verify fmt-check vet build test race bench bench-solve bench-replay bench-gate bench-contract fuzz-smoke fuzz flake-smoke lightd-smoke stat-smoke report docs-check trace-check
 
-ci: fmt-check docs-check build test race bench-solve bench-replay trace-check bench-gate bench-ttfr fuzz-smoke flake-smoke lightd-smoke stat-smoke
+ci: fmt-check docs-check build test race bench-solve bench-replay trace-check bench-gate bench-contract fuzz-smoke flake-smoke lightd-smoke stat-smoke
 
 verify: ci
 
@@ -45,13 +45,11 @@ bench-gate:
 		-gate-threshold $(BENCH_GATE_THRESHOLD) -runs $(BENCH_GATE_RUNS) \
 		-procs $(BENCH_GATE_PROCS)
 
-# bench-ttfr is the streaming-pipeline smoke: measure time-to-first-replay
-# (pipelined record+solve, components solved as threads retire) against the
-# batch record + full solve total on the jgf suite, best-of-N to filter
-# scheduler noise, and fail unless the streamed pipeline wins on every row.
-BENCH_TTFR_RUNS ?= 5
-bench-ttfr:
-	$(GO) run ./cmd/lightbench -ttfr -runs $(BENCH_TTFR_RUNS)
+# bench-contract runs the lightperf benchmark's own tests (bench/ is a
+# separate module, so `go test ./...` skips it): they build the benchmark
+# against light's public API and drive every workload through a smoke run.
+bench-contract:
+	cd bench && $(GO) test .
 
 build:
 	$(GO) build ./...
@@ -89,10 +87,10 @@ trace-check:
 	$(GO) test ./cmd/lighttrace/ ./internal/obs/flight/
 
 # fuzz-smoke is the CI-sized randomized gate: a bounded lightfuzz campaign
-# (generator -> record -> replay -> oracles, including the streamed-vs-batch
-# byte-identity check on every recorded log), a perturbed campaign, the
-# stored seed corpus as a regression suite, and short runs of the native
-# go-fuzz targets.
+# (generator -> record -> replay -> oracles, including the 1-vs-N-worker
+# byte-identity check and the checker on every recorded log), a perturbed
+# campaign, the stored seed corpus as a regression suite, and short runs of
+# the native go-fuzz targets.
 fuzz-smoke:
 	$(GO) run ./cmd/lightfuzz -seeds 100 -jobs 4
 	$(GO) run ./cmd/lightfuzz -seeds 40 -jobs 4 -perturb 30

@@ -45,7 +45,6 @@ func main() {
 	all := flag.Bool("all", false, "run the whole evaluation")
 	report := flag.Bool("report", false, "run the workload sweep and write the bench trajectory JSON")
 	gate := flag.Bool("gate", false, "rerun the multicore sweep and fail on record-overhead regression vs -baseline")
-	ttfr := flag.Bool("ttfr", false, "measure streamed time-to-first-replay vs batch record+solve on the jgf suite; fail unless streamed wins")
 	baseline := flag.String("baseline", "BENCH_light.json", "committed trajectory file the gate compares against")
 	gateThreshold := flag.Float64("gate-threshold", 1.25, "gate fails when a proc level's overhead avg exceeds baseline × this factor")
 	procsFlag := flag.String("procs", "1,2,4,8", "GOMAXPROCS ladder for the multicore sweep (comma-separated)")
@@ -135,40 +134,11 @@ func main() {
 		if err := harness.RunReportSweep(rpt, workloads.Parallel(), procs, cfg); err != nil {
 			fatal(err)
 		}
-		// When the baseline tracks the streaming pipeline (schema v4), the
-		// gate must measure it too: the jgf ttfr suite is a few seconds.
-		if base.Aggregate.TTFRSpeedup > 0 {
-			rows, err := harness.TTFRRows(cfg)
-			if err != nil {
-				fatal(err)
-			}
-			var batch, streamed float64
-			for _, r := range rows {
-				batch += r.RecordSolveMS
-				streamed += r.TTFRMS
-			}
-			if streamed > 0 {
-				rpt.Aggregate.TTFRSpeedup = batch / streamed
-			}
-		}
 		fmt.Print(harness.FormatGate(base, rpt, *gateThreshold))
 		if err := harness.CompareGate(base, rpt, *gateThreshold); err != nil {
 			fatal(err)
 		}
 		fmt.Println("bench gate: PASS")
-	}
-
-	if *ttfr {
-		ran = true
-		rows, err := harness.TTFRRows(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(harness.FormatTTFR(rows))
-		if err := harness.CheckTTFR(rows); err != nil {
-			fatal(err)
-		}
-		fmt.Println("ttfr gate: PASS")
 	}
 
 	if *all || *fig == "4" || *fig == "5" {

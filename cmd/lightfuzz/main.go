@@ -3,8 +3,8 @@
 // toward recorder-hostile patterns, records and replays each one under
 // rotating recorder variants, and checks three independent oracles
 // (replay reproduction + final heap state, LEAP/Stride cross-recording,
-// solve equivalence: 1-vs-N workers and streamed-vs-batch byte identity,
-// both schedules checker-validated). Failures are minimized by a
+// solve equivalence: 1-vs-N workers byte identity, the schedule
+// checker-validated). Failures are minimized by a
 // delta-debugging shrinker and written as reproducible corpus files.
 //
 // Usage:

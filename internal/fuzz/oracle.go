@@ -46,9 +46,8 @@ type CheckOptions struct {
 //     shared-heap fingerprint;
 //  2. cross-check Light's recorded dependence set against the ground truth
 //     of a serialized run observed simultaneously by LEAP and Stride;
-//  3. solve every schedule with 1 and with N workers and streamed through
-//     the StreamSolver, require identical schedules, and validate them
-//     with the standalone checker.
+//  3. solve every schedule with 1 and with N workers, require identical
+//     schedules, and validate them with the standalone checker.
 func Check(src string, o CheckOptions) error {
 	prog, err := compiler.CompileSource(src)
 	if err != nil {
@@ -67,11 +66,7 @@ func Check(src string, o CheckOptions) error {
 	}
 
 	rec := light.Record(prog, o.LightOpts, cfg)
-	batch, err := checkSolveJobs(rec.Log, o.SolveJobs)
-	if err != nil {
-		return err
-	}
-	if err := checkStream(rec.Log, batch); err != nil {
+	if err := checkSolveJobs(rec.Log, o.SolveJobs); err != nil {
 		return err
 	}
 	if err := checkReplay(prog, rec, cfg); err != nil {
@@ -87,45 +82,24 @@ func Check(src string, o CheckOptions) error {
 
 // checkSolveJobs locks in the parallel-solver equivalence claim: the
 // partitioned solve must produce the identical schedule for every worker
-// count. It returns the 1-worker schedule.
-func checkSolveJobs(log *trace.Log, jobs int) (*light.Schedule, error) {
+// count, and that schedule must pass the standalone checker.
+func checkSolveJobs(log *trace.Log, jobs int) error {
 	if jobs <= 1 {
 		jobs = 4
 	}
 	s1, err := light.ComputeScheduleJobs(log, 1)
 	if err != nil {
-		return nil, fmt.Errorf("solve(jobs=1): %w", err)
+		return fmt.Errorf("solve(jobs=1): %w", err)
 	}
 	sn, err := light.ComputeScheduleJobs(log, jobs)
 	if err != nil {
-		return nil, fmt.Errorf("solve(jobs=%d): %w", jobs, err)
+		return fmt.Errorf("solve(jobs=%d): %w", jobs, err)
 	}
 	if d := light.DiffSchedules(s1, sn); !d.Equal() {
-		return nil, fmt.Errorf("solve-jobs divergence (1 worker vs %d): %s", jobs, d)
+		return fmt.Errorf("solve-jobs divergence (1 worker vs %d): %s", jobs, d)
 	}
-	return s1, nil
-}
-
-// checkStream locks in the streaming solver's byte-identity claim: the
-// incremental solver (components solved as threads retire, merged at
-// Finish) must produce the exact schedule the batch path computes from the
-// completed log — same total order, same per-access positions, same range
-// gates. Both schedules also pass the standalone checker independently, so
-// a divergence report always names a real disagreement rather than a
-// shared bug.
-func checkStream(log *trace.Log, batch *light.Schedule) error {
-	if err := light.CheckSchedule(log, batch); err != nil {
-		return fmt.Errorf("batch schedule rejected: %w", err)
-	}
-	streamed, err := light.ComputeScheduleStreamed(log, 1)
-	if err != nil {
-		return fmt.Errorf("streamed solve: %w", err)
-	}
-	if err := light.CheckSchedule(log, streamed); err != nil {
-		return fmt.Errorf("streamed schedule rejected: %w", err)
-	}
-	if d := light.DiffSchedules(batch, streamed); !d.Equal() {
-		return fmt.Errorf("stream divergence (batch vs streamed): %s", d)
+	if err := light.CheckSchedule(log, s1); err != nil {
+		return fmt.Errorf("schedule rejected: %w", err)
 	}
 	return nil
 }

@@ -29,16 +29,16 @@ import (
 // contention suite at 1/2/4/8 procs, and per-proc-level aggregate summaries
 // under aggregate.multicore. Row-level "solve_jobs" now records the solver
 // pool size actually resolved (0 → GOMAXPROCS), never the raw flag value.
-// v4 adds the streaming-synthesis columns: "ttfr_ms" (time-to-first-replay
-// of the pipelined record+solve, measured with light.RecordAndSolve) next
-// to "record_solve_ms" (the batch record + full solve total it competes
-// with), and "solve_cache_hit_rate" from two extra warm solve passes of the
-// row's log through the whole-schedule cache. "solve_cache_hits" now counts
-// the hits those warm passes actually observe (component + whole-schedule),
-// which fixes the column reading 0 on every row: the sweep workloads are
-// 100% propagation-fastpath, so the component cache alone never engaged.
-// The aggregate gains "ttfr_speedup": jgf-suite record_solve_ms over
-// ttfr_ms, the dimensionless quantity the bench gate tracks.
+// v4 adds "ttfr_ms" (time-to-first-replay: record plus a cold solve,
+// light.RecordAndSolve, timed like the record column) and
+// "solve_cache_hit_rate" from two extra warm solve passes of the row's log
+// through the whole-schedule cache. "solve_cache_hits" now counts the hits
+// those warm passes actually observe (component + whole-schedule), which
+// fixes the column reading 0 on every row: the sweep workloads are 100%
+// propagation-fastpath, so the component cache alone never engaged. The
+// streaming solver's "record_solve_ms" column and "ttfr_speedup" aggregate
+// were dropped with the streaming solver; as with "solve_engine", readers
+// ignore them in older files.
 const ReportSchema = "light-bench/v4"
 
 // DefaultSweepProcs is the GOMAXPROCS ladder of the multicore sweep.
@@ -113,12 +113,10 @@ type ReportRow struct {
 	SolvePropagationResolved int     `json:"solve_propagation_resolved"`
 	SolveCacheHits           int     `json:"solve_cache_hits"`
 
-	// Streaming synthesis columns (schema v4, DESIGN.md §4f): the pipelined
-	// record+solve's time-to-first-replay vs the batch record + full solve
-	// total, and the hit rate of two warm re-solves of the same log through
-	// the whole-schedule cache (0 when -solvecache=false).
+	// Schema v4 columns: the time-to-first-replay (record plus a cold
+	// solve), and the hit rate of two warm re-solves of the row's log
+	// through the whole-schedule cache (0 when -solvecache=false).
 	TTFRMS            float64 `json:"ttfr_ms"`
-	RecordSolveMS     float64 `json:"record_solve_ms"`
 	SolveCacheHitRate float64 `json:"solve_cache_hit_rate"`
 
 	// Replay: enforced re-execution time and the determinism verdict
@@ -139,10 +137,6 @@ type ReportSummary struct {
 	// ReplayPassRate is the fraction of workloads whose replay neither
 	// diverged nor failed the reproduction check.
 	ReplayPassRate float64 `json:"replay_pass_rate"`
-	// TTFRSpeedup is the jgf-suite batch record+solve total divided by the
-	// streamed time-to-first-replay total (>1 means the pipeline pays off;
-	// schema v4). Dimensionless, so the gate can compare it across machines.
-	TTFRSpeedup float64 `json:"ttfr_speedup,omitempty"`
 	// Multicore aggregates the GOMAXPROCS sweep over the contention suite:
 	// one entry per proc level, in ladder order (schema v3). Empty when the
 	// report was built without a sweep.
@@ -254,16 +248,23 @@ func MeasureReportRow(w *workloads.Workload, cfg Config) (*ReportRow, error) {
 	row.SolvePropagationResolved = rep.Schedule.Stats.Resolved
 	row.SolveCacheHits = rep.Schedule.Stats.CacheHits
 	row.ReplayOK = !rep.Diverged && light.Reproduced(rec.Log, rep.Result)
-
-	// Streaming columns (schema v4): the paired streamed-vs-batch
-	// comparison MeasureTTFR runs for the bench-ttfr gate, so the artifact
-	// records the same quantity the gate asserts on.
-	ttfrRow, err := MeasureTTFR(w, cfg)
-	if err != nil {
-		return nil, err
+	if err := light.CheckSchedule(rec.Log, rep.Schedule); err != nil {
+		return nil, fmt.Errorf("workload %s: schedule: %w", w.Name, err)
 	}
-	row.TTFRMS = ttfrRow.TTFRMS
-	row.RecordSolveMS = ttfrRow.RecordSolveMS
+
+	// Time-to-first-replay, timed like the record column. The cache reset
+	// keeps every solve cold.
+	row.TTFRMS = float64(measureMin(cfg, func(seed uint64) {
+		light.ResetScheduleCache()
+		out, _, _, _, err := light.RecordAndSolve(prog, light.Options{O1: true}, light.RunConfig{Seed: seed, Instrument: maskO2}, 0)
+		note(out.Result, "ttfr")
+		if err != nil && runErr == nil {
+			runErr = fmt.Errorf("workload %s: ttfr solve: %w", w.Name, err)
+		}
+	})) / float64(time.Millisecond)
+	if runErr != nil {
+		return nil, runErr
+	}
 
 	// Warm-cache columns: re-solve the representative log through the
 	// whole-schedule cache. The first pass populates; the measured passes
@@ -338,25 +339,7 @@ func RunReport(ws []*workloads.Workload, cfg Config) (*Report, error) {
 		rpt.Aggregate.LogBytesPer1kEventsMean = bytesPer / float64(withRatio)
 	}
 	rpt.Aggregate.OverheadFactor = aggregateRows(baseRows(rpt))
-	rpt.Aggregate.TTFRSpeedup = ttfrSpeedup(rpt.Workloads)
 	return rpt, nil
-}
-
-// ttfrSpeedup computes the jgf-suite batch-over-streamed total time ratio
-// (0 when the rows carry no streaming columns).
-func ttfrSpeedup(rows []*ReportRow) float64 {
-	var batch, streamed float64
-	for _, r := range rows {
-		if r.Suite != "jgf" {
-			continue
-		}
-		batch += r.RecordSolveMS
-		streamed += r.TTFRMS
-	}
-	if streamed <= 0 {
-		return 0
-	}
-	return batch / streamed
 }
 
 // RunReportSweep appends the GOMAXPROCS sweep to a report: every workload of
@@ -479,9 +462,8 @@ func ValidateReport(rpt *Report) error {
 		case r.SolvePropagationResolved < 0 || r.SolveCacheHits < 0:
 			return fmt.Errorf("%s: negative engine counters (resolved %d, cache hits %d)",
 				r.Name, r.SolvePropagationResolved, r.SolveCacheHits)
-		case r.TTFRMS <= 0 || r.RecordSolveMS <= 0:
-			return fmt.Errorf("%s: missing streaming columns (ttfr %g ms, record+solve %g ms)",
-				r.Name, r.TTFRMS, r.RecordSolveMS)
+		case r.TTFRMS <= 0:
+			return fmt.Errorf("%s: missing ttfr column (%g ms)", r.Name, r.TTFRMS)
 		case r.SolveCacheHitRate < 0 || r.SolveCacheHitRate > 1:
 			return fmt.Errorf("%s: solve cache hit rate %g outside [0,1]", r.Name, r.SolveCacheHitRate)
 		}
@@ -536,9 +518,6 @@ func FormatReport(rpt *Report) string {
 		a.OverheadFactor.Average, a.OverheadFactor.Median, a.OverheadFactor.Min, a.OverheadFactor.Max))
 	sb.WriteString(fmt.Sprintf("log volume: %.0f bytes per 1k events (mean); solve total %.2fms; fastpath rate %.0f%%; replay pass rate %.0f%%\n",
 		a.LogBytesPer1kEventsMean, a.SolveMSTotal, a.SolveFastpathRate*100, a.ReplayPassRate*100))
-	if a.TTFRSpeedup > 0 {
-		sb.WriteString(fmt.Sprintf("ttfr speedup (jgf): %.2fx streamed vs batch record+solve\n", a.TTFRSpeedup))
-	}
 	for _, m := range a.Multicore {
 		sb.WriteString(fmt.Sprintf("multicore @%d procs: record overhead avg %.2fx, max %.2fx over %d workloads\n",
 			m.GOMAXPROCS, m.OverheadAvg, m.OverheadMax, m.Workloads))

@@ -67,7 +67,7 @@ func TestRunReportFullSweep(t *testing.T) {
 		"log_space_longs", "log_bytes", "log_events", "log_bytes_per_1k_events",
 		"solve_ms", "solve_jobs", "solve_components", "solve_largest_component",
 		"solve_worker_utilization", "replay_ms", "replay_ok",
-		"ttfr_ms", "record_solve_ms", "solve_cache_hit_rate",
+		"ttfr_ms", "solve_cache_hit_rate",
 	}
 	for _, key := range required {
 		if _, ok := raw.Workloads[0][key]; !ok {
@@ -95,7 +95,7 @@ func TestValidateReportRejects(t *testing.T) {
 				NativeNS: 100, RecordNS: 150, OverheadFactor: 1.5,
 				SpaceLongs: 10, LogBytes: 20, LogEvents: 30,
 				SolveJobs: 1, Components: 1, LargestComponent: 1,
-				TTFRMS: 1.5, RecordSolveMS: 2.0, SolveCacheHitRate: 1,
+				TTFRMS: 1.5, SolveCacheHitRate: 1,
 			}},
 		}
 	}
@@ -134,7 +134,6 @@ func TestValidateReportRejects(t *testing.T) {
 		{"zero solve jobs", func(r *Report) { r.Workloads[0].SolveJobs = 0 }},
 		{"negative retry counter", func(r *Report) { r.Workloads[0].RecReadRetries = -1 }},
 		{"missing ttfr", func(r *Report) { r.Workloads[0].TTFRMS = 0 }},
-		{"missing batch total", func(r *Report) { r.Workloads[0].RecordSolveMS = 0 }},
 		{"hit rate out of range", func(r *Report) { r.Workloads[0].SolveCacheHitRate = 1.5 }},
 	}
 	for _, tc := range cases {

@@ -25,11 +25,7 @@ func ReadReportFile(path string) (*Report, error) {
 // record overhead within threshold× the baseline's (1.0 = no regression at
 // all; the default leaves headroom for timer noise). A proc level in the
 // baseline but missing from the current run fails — a gate that silently
-// skips levels is no gate. When the baseline carries a ttfr_speedup
-// aggregate (schema v4), the current run must have measured one too, and it
-// must not fall below baseline ÷ threshold — the dimensionless guard that
-// keeps the streaming pipeline's time-to-first-replay advantage from
-// regressing. Returns nil when the gate passes.
+// skips levels is no gate. Returns nil when the gate passes.
 func CompareGate(baseline, current *Report, threshold float64) error {
 	if threshold <= 0 {
 		return fmt.Errorf("bench gate: threshold %g, want > 0", threshold)
@@ -53,18 +49,6 @@ func CompareGate(baseline, current *Report, threshold float64) error {
 			failures = append(failures, fmt.Sprintf(
 				"@%d procs: record overhead avg %.3fx exceeds %.3fx (baseline %.3fx × threshold %.2f)",
 				base.GOMAXPROCS, now.OverheadAvg, limit, base.OverheadAvg, threshold))
-		}
-	}
-	if base := baseline.Aggregate.TTFRSpeedup; base > 0 {
-		now := current.Aggregate.TTFRSpeedup
-		floor := base / threshold
-		switch {
-		case now <= 0:
-			failures = append(failures, "ttfr_speedup in baseline but not measured")
-		case now < floor:
-			failures = append(failures, fmt.Sprintf(
-				"ttfr speedup %.3fx fell below %.3fx (baseline %.3fx ÷ threshold %.2f)",
-				now, floor, base, threshold))
 		}
 	}
 	if len(failures) > 0 {
@@ -91,10 +75,6 @@ func FormatGate(baseline, current *Report, threshold float64) string {
 		}
 		sb.WriteString(fmt.Sprintf("%6d %11.3fx %12s %11.3fx\n",
 			base.GOMAXPROCS, base.OverheadAvg, curStr, base.OverheadAvg*threshold))
-	}
-	if base := baseline.Aggregate.TTFRSpeedup; base > 0 {
-		sb.WriteString(fmt.Sprintf("ttfr speedup: baseline %.3fx, current %.3fx, floor %.3fx\n",
-			base, current.Aggregate.TTFRSpeedup, base/threshold))
 	}
 	return sb.String()
 }

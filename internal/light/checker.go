@@ -19,9 +19,9 @@ import (
 //   - every write-bearing range start is mapped by RangeEnd to its recorded
 //     end (the Lemma 4.3 gating contract the replayer relies on).
 //
-// The batch and the streamed schedule must both be checker-clean on every
-// log; the differential tests drive this across the workload sweep, the bug
-// repros, and every log a fuzz campaign records.
+// Every computed schedule must be checker-clean; the differential tests
+// drive this across the workload sweep, the bug repros, and every log a
+// fuzz campaign records.
 func CheckSchedule(log *trace.Log, sched *Schedule) error {
 	sys := buildSystem(log)
 

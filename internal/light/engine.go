@@ -2,7 +2,6 @@ package light
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"runtime"
 	"slices"
@@ -35,9 +34,8 @@ import (
 // The final schedule is a single deterministic topological sort of the
 // global partial order extended with the solver-chosen disjuncts.
 //
-// synthesize is the one implementation of this pipeline. ComputeSchedule
-// runs it over a whole log; the streaming solver (stream.go) runs it over
-// one timeline-SCC component at a time and merges the results.
+// synthesize is the one implementation of this pipeline; ComputeSchedule
+// runs it over a whole log.
 //
 // Soundness of the merge (why the extended graph is acyclic):
 //   - With no chosen edges the graph is the propagated partial order, which
@@ -74,8 +72,7 @@ type residualComp struct {
 // the (thread, counter)-sorted variable list and map 1:1 onto an
 // smt.OrderEngine's layout. An access resolves to its node by one binary
 // search in its thread's counters. newDenseIndex builds it from an item
-// set without materializing a variable set; the streaming solver indexes
-// its already-sorted timeline (indexSorted).
+// set without materializing a variable set.
 type denseIndex struct {
 	chainOf  map[int32]int32 // thread -> chain
 	counters [][]uint64      // chain -> sorted distinct counters
@@ -121,24 +118,6 @@ func newDenseIndex(items map[int32]*locItems) *denseIndex {
 		for _, ctr := range counters[c] {
 			x.vars = append(x.vars, trace.TC{Thread: threads[old], Counter: ctr})
 		}
-	}
-	return x
-}
-
-// indexSorted indexes an access list already sorted by (thread, counter)
-// and deduplicated.
-func indexSorted(vars []trace.TC) *denseIndex {
-	x := &denseIndex{chainOf: make(map[int32]int32), vars: vars}
-	for i := 0; i < len(vars); {
-		j := i
-		cs := []uint64(nil)
-		for ; j < len(vars) && vars[j].Thread == vars[i].Thread; j++ {
-			cs = append(cs, vars[j].Counter)
-		}
-		x.chainOf[vars[i].Thread] = int32(len(x.counters))
-		x.counters = append(x.counters, cs)
-		x.base = append(x.base, int32(i))
-		i = j
 	}
 	return x
 }
@@ -256,16 +235,12 @@ func (x *denseIndex) tcDisj(d smt.OrderDisjunction) disjunction {
 }
 
 // synthesis is the core's result over one item set, in the node IDs of its
-// dense index: the hard edges (every location's conjunctive edges; the
-// program-order chains are implicit in the numbering), the propagation-
-// forced edges, and one chosen disjunct per residual disjunction. The
-// schedule is the smallest-node-first topological sort of the chains plus
-// all three edge sets.
+// dense index: one chosen disjunct per residual disjunction. The schedule
+// is the smallest-node-first topological sort of the propagated partial
+// order (the chains, the hard edges and the forced edges) plus the chosen
+// edges.
 type synthesis struct {
 	vars   []trace.TC // node -> access
-	chains []int
-	hard   [][2]int32
-	forced [][2]int32
 	chosen [][2]int32
 	stats  ScheduleStats
 }
@@ -333,11 +308,9 @@ func propagateItems(items map[int32]*locItems) (*propagated, error) {
 // the components to CDCL(T) on a pool of jobs workers (0 means
 // GOMAXPROCS). Results land in disjoint slots, so any worker count yields
 // the same synthesis. It also returns the propagated engine, which already
-// holds the hard and forced edges, so a caller that sorts this one
-// synthesis alone needs to add only the chosen ones
-// (OrderEngine.TopoOrder). Once ctx is done, CDCL(T) searches give up and
-// synthesize returns ctx.Err().
-func synthesize(ctx context.Context, items map[int32]*locItems, jobs int) (*synthesis, *smt.OrderEngine, error) {
+// holds the hard and forced edges, so the caller sorts by adding only the
+// chosen ones (OrderEngine.TopoOrder).
+func synthesize(items map[int32]*locItems, jobs int) (*synthesis, *smt.OrderEngine, error) {
 	p, err := propagateItems(items)
 	if err != nil {
 		return nil, nil, err
@@ -519,7 +492,7 @@ func synthesize(ctx context.Context, items map[int32]*locItems, jobs int) (*synt
 		sv.Reset()
 		res, c := &results[i], comps[i]
 		start := time.Now()
-		res.sel, res.stats, res.err = solveResidualComp(ctx, c, keys[i], useCache, sv)
+		res.sel, res.stats, res.err = solveResidualComp(c, keys[i], useCache, sv)
 		res.ns = time.Since(start).Nanoseconds()
 		if obsOn {
 			mSolveComponentNS.Observe(res.ns)
@@ -536,9 +509,6 @@ func synthesize(ctx context.Context, items map[int32]*locItems, jobs int) (*synt
 
 	syn := &synthesis{
 		vars:   x.vars,
-		chains: chains,
-		hard:   ds.hard,
-		forced: out.Forced,
 		chosen: make([][2]int32, 0, len(out.Residual)),
 	}
 	stats := &syn.stats
@@ -582,9 +552,8 @@ func synthesize(ctx context.Context, items map[int32]*locItems, jobs int) (*synt
 // (or the schedule cache, under the component's key when useCache) and
 // returns, for each residual disjunction, the disjunct the model satisfies
 // (see chosenFromSelection). Deterministic: the same component yields the
-// same choices on every call, on any worker, cached or not. A search
-// abandoned because ctx is done returns ctx.Err() and stores nothing.
-func solveResidualComp(ctx context.Context, c *residualComp, key [32]byte, useCache bool, sv *smt.Solver) ([]uint8, ScheduleStats, error) {
+// same choices on every call, on any worker, cached or not.
+func solveResidualComp(c *residualComp, key [32]byte, useCache bool, sv *smt.Solver) ([]uint8, ScheduleStats, error) {
 	var stats ScheduleStats
 	if useCache {
 		if sel, ok := schedCache.lookup(key); ok {
@@ -611,11 +580,8 @@ func solveResidualComp(ctx context.Context, c *residualComp, key [32]byte, useCa
 	for _, d := range c.disj {
 		p.Assert(smt.Or(smt.Lt(vars[d.a1], vars[d.b1]), smt.Lt(vars[d.a2], vars[d.b2])))
 	}
-	res := sv.SolveContext(ctx, p)
+	res := sv.Solve(p)
 	stats.Solver = res.Stats
-	if err := ctx.Err(); err != nil && res.Status == smt.Unknown {
-		return nil, stats, err
-	}
 	if res.Status != smt.Sat {
 		return nil, stats, fmt.Errorf("light: replay constraint system unsatisfiable (component over locations %v: %d vars, %d residual disjunctions) — this contradicts Lemma 4.1 and indicates a recording bug",
 			c.locs, len(c.vars), len(c.disj))
@@ -687,7 +653,7 @@ func ComputeSchedule(log *trace.Log) (*Schedule, error) {
 // concurrently (0 means GOMAXPROCS). The resulting schedule is identical
 // either way.
 func ComputeScheduleJobs(log *trace.Log, jobs int) (*Schedule, error) {
-	syn, eng, err := synthesize(context.Background(), collectItems(log), jobs)
+	syn, eng, err := synthesize(collectItems(log), jobs)
 	if err != nil {
 		return nil, err
 	}

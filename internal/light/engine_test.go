@@ -145,7 +145,7 @@ func TestEngineStatsShape(t *testing.T) {
 }
 
 // TestEngineUnsatLog: contradictory hard edges must surface as an error
-// from propagation, on the batch and the streamed path alike.
+// from propagation.
 func TestEngineUnsatLog(t *testing.T) {
 	// Cyclic dependences: t0:2 reads t1:1's write, t1:... with crossing
 	// order that contradicts program order.
@@ -159,8 +159,5 @@ func TestEngineUnsatLog(t *testing.T) {
 	}
 	if _, err := ComputeScheduleJobs(log, 1); err == nil {
 		t.Fatal("batch solve accepted a contradictory log")
-	}
-	if _, err := ComputeScheduleStreamed(log, 1); err == nil {
-		t.Fatal("streamed solve accepted a contradictory log")
 	}
 }

@@ -31,9 +31,6 @@ func (r *Recorder) Reset() {
 	r.nextLoc.Store(0)
 	r.obsOn = obs.Enabled()
 	r.flightOn = flight.Enabled()
-	// A stream solver is one-shot (its Finish consumed this run's buffers);
-	// drop it so the next run does not feed a finished solver.
-	r.opts.Stream = nil
 }
 
 // EpochRun is one complete record run of a continuously-recorded session:

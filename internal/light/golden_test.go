@@ -213,7 +213,8 @@ func explainHash(t *testing.T, log *trace.Log, sched *Schedule) string {
 }
 
 // TestGoldenSchedules pins the engine's schedules, stats and cache keys on
-// every golden log, and checks the streaming engine lands on the same order.
+// every golden log (solved with 4 workers), and checks a serial solve lands
+// on the same order.
 func TestGoldenSchedules(t *testing.T) {
 	pinPath := filepath.Join(goldenDir, "schedules.json")
 	want := map[string]goldenPin{}
@@ -237,12 +238,12 @@ func TestGoldenSchedules(t *testing.T) {
 		pin, sched := solveGolden(t, src.name, log)
 		got = append(got, pin)
 
-		streamed, err := ComputeScheduleStreamed(log, 4)
+		serial, err := ComputeScheduleJobs(log, 1)
 		if err != nil {
-			t.Fatalf("%s: streamed solve: %v", src.name, err)
+			t.Fatalf("%s: serial solve: %v", src.name, err)
 		}
-		if d := DiffSchedules(sched, streamed); !d.Equal() {
-			t.Errorf("%s: streamed schedule differs from batch: %s", src.name, d)
+		if d := DiffSchedules(serial, sched); !d.Equal() {
+			t.Errorf("%s: 4-worker schedule differs from serial: %s", src.name, d)
 		}
 		if *updateGolden {
 			continue

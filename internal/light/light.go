@@ -89,8 +89,8 @@ func Replay(prog *compiler.Program, log *trace.Log, cfg RunConfig) (*ReplayOutco
 }
 
 // ReplayScheduled re-executes the program under an already-computed
-// schedule — the entry point for callers that obtained the schedule from
-// the streaming solver or the persistent schedule cache (epoch replay).
+// schedule — the entry point for callers that obtained the schedule
+// elsewhere, such as the persistent schedule cache (epoch replay).
 // solveTime is whatever the caller spent obtaining the schedule (zero for
 // a cache hit) and is passed through to the outcome.
 func ReplayScheduled(prog *compiler.Program, log *trace.Log, cfg RunConfig, sched *Schedule, solveTime time.Duration) (*ReplayOutcome, error) {
@@ -153,25 +153,39 @@ func Reproduced(log *trace.Log, replay *vm.Result) bool {
 	return true
 }
 
-// RecordAndSolve is the pipelined record→solve path: it records the
-// program with a StreamSolver attached (components are solved
-// speculatively as threads retire) and finishes the stream as soon as the
-// run ends, so the schedule is ready after only the epoch tail instead of
-// record + full solve. Returns the record artifacts, the schedule (byte-
-// identical to ComputeSchedule's), the solver's speculation counters,
-// and the time-to-first-replay — the wall time from record start until
-// the schedule was ready.
+// StreamStats splits RecordAndSolve's schedule synthesis into the part
+// overlapped with recording and the part after it. Synthesis runs entirely
+// after the recording, so SpecSolved, Reused and Wasted are always zero,
+// Stragglers counts every component and FinishNS is the whole solve.
+type StreamStats struct {
+	// SpecSolved counts components solved while the recording ran; Reused
+	// and Wasted count those whose solution was, or was not, kept.
+	SpecSolved int
+	Reused     int
+	Wasted     int
+	// Stragglers counts the components solved after the recording ended.
+	Stragglers int
+	// FinishNS is the wall time from the end of the recording until the
+	// schedule was ready.
+	FinishNS int64
+}
+
+// RecordAndSolve records the program and solves its schedule with jobs
+// solve workers (ComputeScheduleJobs). Returns the record artifacts, the
+// schedule, the synthesis split (StreamStats), and the time-to-first-replay:
+// the wall time from record start until the schedule was ready.
 func RecordAndSolve(prog *compiler.Program, opts Options, cfg RunConfig, jobs int) (*RecordOutcome, *Schedule, StreamStats, time.Duration, error) {
-	ss := NewStreamSolver(jobs)
-	opts.Stream = ss
 	start := time.Now()
 	rec := Record(prog, opts, cfg)
-	sched, err := ss.Finish(rec.Log)
+	solveStart := time.Now()
+	sched, err := ComputeScheduleJobs(rec.Log, jobs)
+	st := StreamStats{FinishNS: time.Since(solveStart).Nanoseconds()}
 	ttfr := time.Since(start)
 	if err != nil {
-		return rec, nil, ss.Stats(), ttfr, err
+		return rec, nil, st, ttfr, err
 	}
-	return rec, sched, ss.Stats(), ttfr, nil
+	st.Stragglers = sched.Stats.Components
+	return rec, sched, st, ttfr, nil
 }
 
 // RecordAndReplay is the end-to-end convenience used by tests and examples:

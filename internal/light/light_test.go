@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/compiler"
+	"repro/internal/trace"
 	"repro/internal/vm"
+	"repro/internal/workloads"
 )
 
 func compile(t *testing.T, src string) *compiler.Program {
@@ -502,6 +505,125 @@ fun main() {
 	}
 	if len(sched.Order) != sched.Stats.IntVars {
 		t.Errorf("order length %d != vars %d", len(sched.Order), sched.Stats.IntVars)
+	}
+}
+
+// TestRecordAndSolve pins the record-then-solve contract: the schedule is
+// the serial batch schedule of the recorded log and passes the checker, the
+// solve time lies inside the time-to-first-replay, and every component is
+// solved after the recording.
+func TestRecordAndSolve(t *testing.T) {
+	w := workloads.ByName("jgf-crypt")
+	if w == nil {
+		t.Fatal("jgf-crypt workload missing")
+	}
+	prog, err := w.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, sched, st, ttfr, err := RecordAndSolve(prog, Options{O1: true}, RunConfig{Seed: 11}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := ComputeScheduleJobs(rec.Log, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := DiffSchedules(serial, sched); !d.Equal() {
+		t.Fatalf("RecordAndSolve schedule differs from the serial batch solve: %s", d)
+	}
+	if err := CheckSchedule(rec.Log, sched); err != nil {
+		t.Fatalf("schedule rejected by checker: %v", err)
+	}
+	if st.FinishNS <= 0 || time.Duration(st.FinishNS) > ttfr {
+		t.Fatalf("FinishNS = %d, want in (0, ttfr %d]", st.FinishNS, ttfr)
+	}
+	if st.Stragglers != sched.Stats.Components {
+		t.Fatalf("Stragglers = %d, want every component (%d)", st.Stragglers, sched.Stats.Components)
+	}
+	if st.SpecSolved != 0 || st.Reused != 0 || st.Wasted != 0 {
+		t.Fatalf("speculation counters %+v, want 0", st)
+	}
+}
+
+// requireMatchesAuto fails unless sched, solved from log with several
+// workers, is byte-identical to the schedule ComputeSchedule (the automatic
+// worker count) and the serial solve give for the same log, and passes the
+// checker.
+func requireMatchesAuto(t *testing.T, log *trace.Log, sched *Schedule) {
+	t.Helper()
+	auto, err := ComputeSchedule(log)
+	if err != nil {
+		t.Fatalf("auto solve: %v", err)
+	}
+	if d := DiffSchedules(auto, sched); !d.Equal() {
+		t.Fatalf("schedule differs from the auto solve: %s", d)
+	}
+	serial, err := ComputeScheduleJobs(log, 1)
+	if err != nil {
+		t.Fatalf("serial solve: %v", err)
+	}
+	if d := DiffSchedules(serial, sched); !d.Equal() {
+		t.Fatalf("schedule differs from the serial solve: %s", d)
+	}
+	if err := CheckSchedule(log, sched); err != nil {
+		t.Fatalf("schedule rejected by checker: %v", err)
+	}
+}
+
+// TestStreamMatchesAuto: on every workload, the schedule RecordAndSolve
+// returns alongside its StreamStats is byte-identical to the auto and
+// serial batch schedules of the recorded log.
+func TestStreamMatchesAuto(t *testing.T) {
+	all := workloads.All()
+	if testing.Short() {
+		all = all[:6]
+	}
+	for _, w := range all {
+		w := w
+		t.Run(w.Name, func(t *testing.T) {
+			prog, err := w.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, sched, st, _, err := RecordAndSolve(prog, Options{O1: true}, RunConfig{Seed: 11}, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Stragglers != sched.Stats.Components {
+				t.Fatalf("Stragglers = %d, want every component (%d)", st.Stragglers, sched.Stats.Components)
+			}
+			requireMatchesAuto(t, rec.Log, sched)
+		})
+	}
+}
+
+// TestStreamMatchesAutoResidual covers the log shapes the workloads never
+// produce — residual components that actually reach CDCL(T), including
+// bridged ones whose soundness depends on seeded bridge literals. The
+// 4-worker solve RecordAndSolve runs must reproduce the auto and serial
+// forced/chosen edge sets exactly for byte identity to hold.
+func TestStreamMatchesAutoResidual(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		log  *trace.Log
+	}{
+		{"residual", residualLog()},
+		{"bridged", bridgedResidualLog()},
+		{"replicated", replicatedResidualLog(4)},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			ResetScheduleCache()
+			sched, err := ComputeScheduleJobs(c.log, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sched.Stats.Components == 0 {
+				t.Fatal("synthetic log produced no components")
+			}
+			requireMatchesAuto(t, c.log, sched)
+		})
 	}
 }
 

@@ -72,21 +72,6 @@ var (
 	mSolveCacheMisses = obs.NewCounter("light_solve_cache_misses_total",
 		"component schedule cache misses (solves performed and stored)")
 
-	// Streaming engine (DESIGN.md §4f): speculative component solving
-	// overlapped with recording.
-	mStreamRuns = obs.NewCounter("light_stream_runs_total",
-		"streamed schedule computations performed")
-	mStreamSpecSolved = obs.NewCounter("light_stream_spec_solved_total",
-		"components solved speculatively while recording was still running")
-	mStreamReused = obs.NewCounter("light_stream_reused_total",
-		"final components whose speculative solution survived fingerprint validation")
-	mStreamStragglers = obs.NewCounter("light_stream_stragglers_total",
-		"final components re-solved at Finish (content changed after speculation)")
-	mStreamWasted = obs.NewCounter("light_stream_wasted_total",
-		"speculative solutions that matched no final component")
-	mStreamFinishNS = obs.NewHistogram("light_stream_finish_ns",
-		"wall nanoseconds of the streaming Finish tail (the time-to-first-replay solve cost)")
-
 	// Persistent solve cache (diskcache.go).
 	mDiskCacheHydrated = obs.NewCounter("light_solvecache_disk_hydrated_total",
 		"cache entries loaded from the persistent store at open")

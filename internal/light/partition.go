@@ -18,8 +18,7 @@ import (
 // thread timelines, which makes them one strongly connected component (SCC)
 // of the cluster graph. The schedule engine (engine.go) propagates the
 // whole system at once and sorts it globally, so it only needs the SCCs to
-// decide which residual-bearing clusters must share one CDCL(T) search;
-// the streaming solver (stream.go) solves one cluster-graph SCC at a time.
+// decide which residual-bearing clusters must share one CDCL(T) search.
 
 // partitionResidual is the schedule engine's partitioner. It clusters
 // locations and finds the cluster-graph SCCs, and within each SCC it merges
@@ -101,9 +100,7 @@ func partitionResidual(uf *unionFind, owner []int32, chains []int, residualLoc [
 }
 
 // locVarSet enumerates the variables a location's items touch without
-// generating any constraints: the dense index numbers them, and the
-// streaming partitioner clusters locations by them online, before
-// constraint generation is worth paying for.
+// generating any constraints, for the dense index to number.
 func locVarSet(li *locItems, add func(trace.TC)) {
 	for _, rc := range li.rcs {
 		add(trace.TC{Thread: rc.Thread, Counter: rc.Lo})

@@ -39,12 +39,6 @@ type Options struct {
 	// fuzzing harness: an incomplete log must be caught by the replay oracle,
 	// which is how the end-to-end detection path is itself tested.
 	FaultDropDep func(trace.Dep) bool
-	// Stream, when non-nil, receives each thread's final dep/range buffers
-	// at thread exit so schedule components can be solved while the
-	// recording is still running (stream.go). The hook costs one non-
-	// blocking enqueue per thread exit — nothing on the access hot path.
-	// A stream solver is one-shot: Reset drops the reference.
-	Stream *StreamSolver
 }
 
 // numStripes aliases the stripe count shared with the trace summary (2^10
@@ -310,11 +304,6 @@ func (r *Recorder) ThreadExited(t *vm.Thread) {
 	r.mu.Lock()
 	r.merged = append(r.merged, ts)
 	r.mu.Unlock()
-	if r.opts.Stream != nil {
-		// The buffers are final and immutable from here on; the stream
-		// solver only reads them.
-		r.opts.Stream.ThreadRetired(int32(t.ID), ts.deps, ts.ranges)
-	}
 }
 
 // SharedAccess implements Algorithm 1 for one dynamic access.

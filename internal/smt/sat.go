@@ -87,10 +87,6 @@ type solver struct {
 	stats Stats
 
 	claInc float64
-
-	// done, when non-nil, aborts the search once closed: solve then
-	// returns Unknown at its next check (every 256 decisions).
-	done <-chan struct{}
 }
 
 // reset prepares the solver for a fresh solve of nVars SAT variables,
@@ -464,13 +460,6 @@ func (s *solver) solve() Status {
 		v := s.pickBranchVar()
 		if v == -1 {
 			return Sat
-		}
-		if s.done != nil && s.stats.Decisions%256 == 0 {
-			select {
-			case <-s.done:
-				return Unknown
-			default:
-			}
 		}
 		s.stats.Decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))

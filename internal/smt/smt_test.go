@@ -1,7 +1,6 @@
 package smt
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -177,28 +176,6 @@ func TestEmptyProblem(t *testing.T) {
 	p := NewProblem()
 	if res := p.Solve(); res.Status != Sat {
 		t.Errorf("empty problem unsat")
-	}
-}
-
-// TestSolveContextCanceled: a search that needs a decision stops with
-// Unknown and no model once its context is done, and the same solver then
-// solves the problem normally.
-func TestSolveContextCanceled(t *testing.T) {
-	p := NewProblem()
-	w1, r1 := p.IntVarNamed("w1"), p.IntVarNamed("r1")
-	w2, r2 := p.IntVarNamed("w2"), p.IntVarNamed("r2")
-	p.AssertLt(w1, r1)
-	p.AssertLt(w2, r2)
-	p.Assert(Or(Lt(r2, w1), Lt(r1, w2)))
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sv := NewSolver()
-	if res := sv.SolveContext(ctx, p); res.Status != Unknown || res.Values != nil {
-		t.Fatalf("canceled solve = %v with model %v, want unknown and none", res.Status, res.Values)
-	}
-	if res := sv.Solve(p); res.Status != Sat {
-		t.Fatalf("solve after a canceled one = %v, want sat", res.Status)
 	}
 }
 

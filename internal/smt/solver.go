@@ -1,7 +1,5 @@
 package smt
 
-import "context"
-
 // Solver is a reusable DPLL(T) solver instance. A zero Solver is ready to
 // use; Solve may be called repeatedly on different Problems, and the solver
 // retains its internal allocations (trail, watch lists, activity arrays,
@@ -29,13 +27,6 @@ func (sv *Solver) Reset() {
 // Solve compiles the problem's assertions (once per Problem) and runs the
 // DPLL(T) search, reusing this Solver's allocations.
 func (sv *Solver) Solve(p *Problem) Result {
-	return sv.SolveContext(context.Background(), p)
-}
-
-// SolveContext is Solve that gives up once ctx is done: the search stops at
-// its next check, every 256 decisions, and returns Status Unknown with no
-// model. Until then it takes exactly the steps Solve takes.
-func (sv *Solver) SolveContext(ctx context.Context, p *Problem) Result {
 	if !p.compile() {
 		return Result{Status: Unsat}
 	}
@@ -44,9 +35,7 @@ func (sv *Solver) SolveContext(ctx context.Context, p *Problem) Result {
 	for _, lits := range p.clauses {
 		sv.sat.addClause(lits)
 	}
-	sv.sat.done = ctx.Done()
 	st := sv.sat.solve()
-	sv.sat.done = nil
 	res := Result{Status: st, Stats: sv.sat.stats}
 	res.Stats.Clauses = len(p.clauses)
 	res.Stats.Vars = len(p.atoms)
