@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/baseline/leap"
@@ -409,6 +410,9 @@ fun main() {
 // on committed recordings, so rows compare across commits: jgf-crypt and
 // jgf-sor (many locations, few disjunctions), srv-proxy and par-handoff
 // (the densest disjunction sets of the golden logs) (`make bench-solve`).
+// Each solved schedule is then checked with CheckSchedule outside the timed
+// region; check_ns and check_per_solve report the checker's cost per solve
+// and its ratio to the solve time.
 func BenchmarkSolveFastpath(b *testing.B) {
 	for _, name := range []string{"jgf-crypt", "jgf-sor", "srv-proxy", "par-handoff"} {
 		data, err := os.ReadFile(filepath.Join("internal", "light", "testdata", "golden", name+".lightlog"))
@@ -422,14 +426,26 @@ func BenchmarkSolveFastpath(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var st light.ScheduleStats
+			var solve, check time.Duration
 			for i := 0; i < b.N; i++ {
 				light.ResetScheduleCache()
+				t0 := time.Now()
 				sched, err := light.ComputeScheduleJobs(log, runtime.GOMAXPROCS(0))
 				if err != nil {
 					b.Fatal(err)
 				}
+				solve += time.Since(t0)
 				st = sched.Stats
+				b.StopTimer()
+				t0 = time.Now()
+				if err := light.CheckSchedule(log, sched); err != nil {
+					b.Fatal(err)
+				}
+				check += time.Since(t0)
+				b.StartTimer()
 			}
+			b.ReportMetric(float64(check.Nanoseconds())/float64(b.N), "check_ns")
+			b.ReportMetric(check.Seconds()/solve.Seconds(), "check_per_solve")
 			b.ReportMetric(float64(st.Components), "components")
 			b.ReportMetric(st.FastpathRate(), "fastpath_rate")
 			b.ReportMetric(float64(st.Resolved), "propagation_resolved")

@@ -18,9 +18,7 @@
 //
 // Observability: -metrics-addr HOST:PORT serves the live pipeline counters
 // at /metrics (Prometheus text format) plus the Go profiling endpoints under
-// /debug/pprof/; -trace-json PATH dumps the phase spans
-// (record/encode/partition/solve/replay) as JSON on exit. -cpuprofile,
-// -memprofile, and -runtime-trace write whole-run pprof profiles and a Go
+// /debug/pprof/. -cpuprofile, -memprofile, and -runtime-trace write whole-run pprof profiles and a Go
 // runtime execution trace for offline analysis.
 package main
 
@@ -56,7 +54,6 @@ func main() {
 	solveCache := flag.Bool("solvecache", true, "reuse cached component schedules across solves")
 	solveCacheDir := flag.String("solvecache-dir", "", "persist solved schedules to this directory, hydrated on startup (empty = in-memory only)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus metrics at this address under /metrics")
-	traceJSON := flag.String("trace-json", "", "write the phase-span trace to this file on exit (\"-\" = stdout)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
 	runtimeTrace := flag.String("runtime-trace", "", "write a Go runtime execution trace to this file")
@@ -76,9 +73,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "serving metrics at http://%s/metrics\n", addr)
-	}
-	if *traceJSON != "" {
-		obs.EnableTracing()
 	}
 	profiles := &harness.Profiles{CPUPath: *cpuProfile, MemPath: *memProfile, TracePath: *runtimeTrace}
 	if err := profiles.Start(); err != nil {
@@ -226,31 +220,6 @@ func main() {
 		os.Exit(2)
 	}
 	if err := profiles.Stop(); err != nil {
-		fatal(err)
-	}
-	writeSpans(*traceJSON)
-}
-
-// writeSpans dumps the phase-span trace collected under -trace-json.
-func writeSpans(path string) {
-	if path == "" {
-		return
-	}
-	if path == "-" {
-		if err := obs.WriteSpans(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := obs.WriteSpans(f); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
 		fatal(err)
 	}
 }

@@ -82,39 +82,3 @@ func TestReportEndToEnd(t *testing.T) {
 		}
 	}
 }
-
-// TestReportTraceJSON checks the -trace-json span dump alongside -report.
-func TestReportTraceJSON(t *testing.T) {
-	bin := buildLightbench(t)
-	dir := t.TempDir()
-	out := filepath.Join(dir, "bench.json")
-	spans := filepath.Join(dir, "spans.json")
-
-	cmd := exec.Command(bin, "-report", "-runs", "1", "-suite", "jgf", "-procs", "1", "-out", out, "-trace-json", spans)
-	if stdout, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("lightbench: %v\n%s", err, stdout)
-	}
-	raw, err := os.ReadFile(spans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []struct {
-		Name  string `json:"name"`
-		DurNS int64  `json:"dur_ns"`
-	}
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatalf("span dump is not valid JSON: %v", err)
-	}
-	phases := map[string]bool{}
-	for _, s := range got {
-		if s.DurNS < 0 {
-			t.Errorf("span %s has negative duration", s.Name)
-		}
-		phases[s.Name] = true
-	}
-	for _, want := range []string{"record", "encode", "build", "propagate", "partition", "solve", "topo", "replay"} {
-		if !phases[want] {
-			t.Errorf("span dump missing phase %q (got %v)", want, phases)
-		}
-	}
-}

@@ -21,14 +21,13 @@
 //
 // Observability: -metrics-addr HOST:PORT serves the live recorder/solver/
 // replayer counters at /metrics (Prometheus text format) for the duration
-// of the run; -trace-json PATH dumps the phase spans (record → encode →
-// build → propagate → partition → solve → topo → replay) as JSON on exit
-// ("-" for stdout);
-// -flight N enables the per-thread flight recorder (bounded event rings,
-// DESIGN.md §7) and -flight-trace PATH exports the recording as Chrome
-// trace JSON viewable in Perfetto; -forensics DIR writes a structured
-// divergence report (forensics.json + forensics.txt) when a replay
-// diverges or stalls. See DESIGN.md §7 for the metric reference.
+// of the run; -flight N enables the per-thread flight recorder (bounded
+// event rings, DESIGN.md §7) and -flight-trace PATH exports it, with the
+// phase spans (record → encode → build → propagate → partition → solve →
+// topo → replay), as Chrome trace JSON viewable in Perfetto; -forensics
+// DIR writes a structured divergence report (forensics.json +
+// forensics.txt) when a replay diverges or stalls. See DESIGN.md §7 for
+// the metric reference.
 package main
 
 import (
@@ -68,7 +67,6 @@ func main() {
 	solveCache := fs.Bool("solvecache", true, "reuse cached component schedules across solves")
 	solveCacheDir := fs.String("solvecache-dir", "", "persist solved schedules to this directory, hydrated on startup (empty = in-memory only)")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus metrics at this address under /metrics")
-	traceJSON := fs.String("trace-json", "", "write the phase-span trace to this file on exit (\"-\" = stdout)")
 	flightCap := fs.Int("flight", 0, "enable the flight recorder with this per-thread ring capacity (0 = off)")
 	flightTrace := fs.String("flight-trace", "", "write the flight recording as Chrome trace JSON to this file on exit (implies -flight)")
 	forensicsDir := fs.String("forensics", "", "on replay divergence, write forensics.json and forensics.txt into this directory")
@@ -91,10 +89,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "serving metrics at http://%s/metrics\n", addr)
 	}
-	if *traceJSON != "" {
-		obs.EnableTracing()
-	}
-	defer writeSpans(*traceJSON)
 	if *flightTrace != "" && *flightCap == 0 {
 		*flightCap = flight.DefaultCapacity
 	}
@@ -282,30 +276,6 @@ func printAnalysis(prog *compiler.Program, an *analysis.Result) {
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: lightrr run|record|solve|inspect|replay|roundtrip|disasm|analyze [flags] prog.mj")
 	os.Exit(2)
-}
-
-// writeSpans dumps the phase-span trace collected under -trace-json.
-func writeSpans(path string) {
-	if path == "" {
-		return
-	}
-	if path == "-" {
-		if err := obs.WriteSpans(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := obs.WriteSpans(f); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
 }
 
 // writeFlightTrace drains the flight rings (plus the phase spans) into a

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/bugs"
+	"repro/internal/obs/flight"
 )
 
 // buildLightrr compiles the CLI once per test binary into a temp dir.
@@ -163,6 +165,50 @@ func TestEndToEndBugRepro(t *testing.T) {
 	}
 	if !strings.Contains(out, bugLine) {
 		t.Fatalf("replay output missing the recorded failure line %q:\n%s", bugLine, out)
+	}
+}
+
+// TestFlightTracePhases checks that the Chrome trace written by
+// -flight-trace carries every pipeline phase span on its pipeline process:
+// record and encode from a record run, the schedule phases and replay from
+// a replay of its log.
+func TestFlightTracePhases(t *testing.T) {
+	bin := buildLightrr(t)
+	dir := t.TempDir()
+	prog := filepath.Join(dir, "quickstart.mj")
+	if err := os.WriteFile(prog, []byte(quickstartSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(dir, "run.lightlog")
+	phases := map[string]bool{}
+	for _, args := range [][]string{
+		{"record", "-seed", "42", "-o", logPath, "-flight-trace", filepath.Join(dir, "record.json"), prog},
+		{"replay", "-log", logPath, "-flight-trace", filepath.Join(dir, "replay.json"), prog},
+	} {
+		if out, code := run(t, bin, args...); code != 0 {
+			t.Fatalf("lightrr %s exited %d:\n%s", args[0], code, out)
+		}
+		raw, err := os.ReadFile(args[len(args)-2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr flight.ChromeTrace
+		if err := json.Unmarshal(raw, &tr); err != nil {
+			t.Fatalf("%s trace is not valid JSON: %v", args[0], err)
+		}
+		for _, e := range tr.TraceEvents {
+			if e.PID == flight.PIDPhases && e.Phase == "X" {
+				if e.Dur < 0 {
+					t.Errorf("span %s has negative duration", e.Name)
+				}
+				phases[e.Name] = true
+			}
+		}
+	}
+	for _, want := range []string{"record", "encode", "build", "propagate", "partition", "topo", "replay"} {
+		if !phases[want] {
+			t.Errorf("flight traces missing phase span %q (got %v)", want, phases)
+		}
 	}
 }
 

@@ -43,13 +43,9 @@ func TestSweepAllPrograms(t *testing.T) {
 			}
 			// Native run: must terminate within the step budget. Bug
 			// programs may fail with their defect; that is their point.
-			// Skipped under -race: with no instrumentation there is nothing
-			// serializing the modeled program's intentional data races.
-			if !raceDetector {
-				res := vm.Run(vm.Config{Prog: prog, Seed: 1, SleepUnit: 100})
-				if len(res.Threads) == 0 {
-					t.Fatal("native run produced no threads")
-				}
+			res := vm.Run(vm.Config{Prog: prog, Seed: 1, SleepUnit: 100})
+			if len(res.Threads) == 0 {
+				t.Fatal("native run produced no threads")
 			}
 
 			cfg := light.RunConfig{Seed: 1, SleepUnit: 500}

@@ -1,6 +1,10 @@
 package light
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bugs"
@@ -92,8 +96,25 @@ func TestCheckerDifferentialSynthetic(t *testing.T) {
 	}
 }
 
+// rejectedByBoth fails the test unless both CheckSchedule and the rule
+// reference (checkRules) reject the schedule; want, when non-empty, must
+// appear in CheckSchedule's error, naming the rule that broke.
+func rejectedByBoth(t *testing.T, log *trace.Log, s *Schedule, want string) {
+	t.Helper()
+	err := CheckSchedule(log, s)
+	if err == nil {
+		t.Fatal("CheckSchedule accepted the corrupted schedule")
+	}
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("CheckSchedule: %v; want an error mentioning %q", err, want)
+	}
+	if checkRules(log, s) == nil {
+		t.Fatal("rule reference accepted the corrupted schedule")
+	}
+}
+
 // TestCheckerRejectsCorruption: the checker must fail on every class of
-// schedule damage it claims to detect.
+// schedule damage it claims to detect, and so must the rule reference.
 func TestCheckerRejectsCorruption(t *testing.T) {
 	log := bridgedResidualLog()
 	good, err := ComputeScheduleJobs(log, 1)
@@ -125,30 +146,31 @@ func TestCheckerRejectsCorruption(t *testing.T) {
 	t.Run("truncated", func(t *testing.T) {
 		s := clone()
 		s.Order = s.Order[:len(s.Order)-1]
-		if CheckSchedule(log, s) == nil {
-			t.Fatal("checker accepted a truncated schedule")
-		}
+		rejectedByBoth(t, log, s, "")
 	})
 	t.Run("duplicate-entry", func(t *testing.T) {
 		s := clone()
 		s.Order[len(s.Order)-1] = s.Order[0]
-		if CheckSchedule(log, s) == nil {
-			t.Fatal("checker accepted a duplicated entry")
-		}
+		rejectedByBoth(t, log, s, "")
 	})
 	t.Run("foreign-entry", func(t *testing.T) {
 		s := clone()
 		s.Order[0] = trace.TC{Thread: 99, Counter: 99}
-		if CheckSchedule(log, s) == nil {
-			t.Fatal("checker accepted a non-system variable")
-		}
+		rejectedByBoth(t, log, s, "")
+	})
+	t.Run("unscheduled-entry", func(t *testing.T) {
+		// An access of a logged thread that no log item names, after that
+		// thread's last entry so program order still holds.
+		s := clone()
+		extra := trace.TC{Thread: 0, Counter: 1000}
+		s.Order = append(s.Order, extra)
+		s.Pos[extra] = len(s.Order) - 1
+		rejectedByBoth(t, log, s, "not a scheduled access")
 	})
 	t.Run("stale-pos", func(t *testing.T) {
 		s := clone()
 		s.Order[0], s.Order[1] = s.Order[1], s.Order[0]
-		if CheckSchedule(log, s) == nil {
-			t.Fatal("checker accepted Pos inconsistent with Order")
-		}
+		rejectedByBoth(t, log, s, "Pos")
 	})
 	t.Run("hard-edge-violated", func(t *testing.T) {
 		s := clone()
@@ -157,9 +179,7 @@ func TestCheckerRejectsCorruption(t *testing.T) {
 			s.Order[i], s.Order[j] = s.Order[j], s.Order[i]
 		}
 		reindex(s)
-		if CheckSchedule(log, s) == nil {
-			t.Fatal("checker accepted a reversed schedule")
-		}
+		rejectedByBoth(t, log, s, "")
 	})
 	t.Run("range-end-missing", func(t *testing.T) {
 		s := clone()
@@ -167,9 +187,7 @@ func TestCheckerRejectsCorruption(t *testing.T) {
 			delete(s.RangeEnd, k)
 			break
 		}
-		if CheckSchedule(log, s) == nil {
-			t.Fatal("checker accepted a schedule with a dropped range gate")
-		}
+		rejectedByBoth(t, log, s, "RangeEnd")
 	})
 	t.Run("range-end-wrong", func(t *testing.T) {
 		s := clone()
@@ -177,9 +195,7 @@ func TestCheckerRejectsCorruption(t *testing.T) {
 			s.RangeEnd[k]++
 			break
 		}
-		if CheckSchedule(log, s) == nil {
-			t.Fatal("checker accepted a schedule with a shifted range gate")
-		}
+		rejectedByBoth(t, log, s, "RangeEnd")
 	})
 	t.Run("disjunction-violated", func(t *testing.T) {
 		// A residual log whose only constraints are disjunctions: order the
@@ -204,10 +220,127 @@ func TestCheckerRejectsCorruption(t *testing.T) {
 		for i, tc := range order {
 			s.Pos[tc] = i
 		}
-		if CheckSchedule(rl, s) == nil {
-			t.Fatal("checker accepted interleaved write ranges")
-		}
+		rejectedByBoth(t, rl, s, "interrupts")
 	})
+
+	// One case per replay rule, each on a hand-built log whose good order
+	// both checkers accept and whose bad order breaks that rule alone.
+	tc := func(th int32, c uint64) trace.TC { return trace.TC{Thread: th, Counter: c} }
+	dep := func(loc int32, w, r trace.TC) trace.Dep { return trace.Dep{Loc: loc, W: w, R: r} }
+	initial := trace.TC{Thread: trace.InitialThread}
+	for _, c := range []struct {
+		name      string
+		deps      []trace.Dep
+		ranges    []trace.Range
+		good, bad []trace.TC
+		want      string
+	}{
+		{
+			name: "read-before-source",
+			deps: []trace.Dep{dep(0, tc(0, 1), tc(1, 1))},
+			good: []trace.TC{tc(0, 1), tc(1, 1)},
+			bad:  []trace.TC{tc(1, 1), tc(0, 1)},
+			want: "before its source",
+		},
+		{
+			name: "foreign-write-between",
+			deps: []trace.Dep{dep(0, tc(0, 1), tc(1, 1)), dep(0, tc(2, 1), tc(3, 1))},
+			good: []trace.TC{tc(0, 1), tc(1, 1), tc(2, 1), tc(3, 1)},
+			bad:  []trace.TC{tc(0, 1), tc(2, 1), tc(1, 1), tc(3, 1)},
+			want: "does not see its source",
+		},
+		{
+			name:   "singleton-in-range",
+			deps:   []trace.Dep{dep(0, tc(1, 1), tc(2, 1))},
+			ranges: []trace.Range{{Loc: 0, Thread: 0, Start: 1, End: 3, W: tc(0, 1), HasWrite: true}},
+			good:   []trace.TC{tc(0, 1), tc(0, 3), tc(1, 1), tc(2, 1)},
+			bad:    []trace.TC{tc(0, 1), tc(1, 1), tc(0, 3), tc(2, 1)},
+			want:   "interrupts",
+		},
+		{
+			name: "initial-read-after-write",
+			deps: []trace.Dep{dep(0, initial, tc(1, 1)), dep(0, tc(0, 1), tc(2, 1))},
+			good: []trace.TC{tc(1, 1), tc(0, 1), tc(2, 1)},
+			bad:  []trace.TC{tc(0, 1), tc(1, 1), tc(2, 1)},
+			want: "initial-value read",
+		},
+		{
+			name: "program-order-swap",
+			deps: []trace.Dep{dep(0, tc(0, 1), tc(1, 1)), dep(1, tc(0, 2), tc(1, 2))},
+			good: []trace.TC{tc(0, 1), tc(0, 2), tc(1, 1), tc(1, 2)},
+			bad:  []trace.TC{tc(0, 2), tc(0, 1), tc(1, 1), tc(1, 2)},
+			want: "program order",
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			l := &trace.Log{Threads: []string{"t0", "t1", "t2", "t3"}, NumLocs: 2, Deps: c.deps, Ranges: c.ranges}
+			good := newSchedule(l, c.good, ScheduleStats{})
+			if err := CheckSchedule(l, good); err != nil {
+				t.Fatalf("CheckSchedule rejected the good order: %v", err)
+			}
+			if err := checkRules(l, good); err != nil {
+				t.Fatalf("rule reference rejected the good order: %v", err)
+			}
+			rejectedByBoth(t, l, newSchedule(l, c.bad, ScheduleStats{}), c.want)
+		})
+	}
+}
+
+// diffCheckers solves a log, requires both CheckSchedule and the rule
+// reference to accept the schedule, then applies mutants seeded mutations
+// (swaps of adjacent entries, swaps of any two entries, and moves of one
+// entry that keep program order, each with Pos reindexed) and requires the
+// two checkers to agree on every one. It returns how many mutations both
+// rejected.
+func diffCheckers(log *trace.Log, seed int64, mutants int) (rejected int, err error) {
+	sched, err := ComputeScheduleJobs(log, 1)
+	if err != nil {
+		return 0, err
+	}
+	if err := CheckSchedule(log, sched); err != nil {
+		return 0, fmt.Errorf("CheckSchedule rejects the solved schedule: %v", err)
+	}
+	if err := checkRules(log, sched); err != nil {
+		return 0, fmt.Errorf("rule reference rejects the solved schedule: %v", err)
+	}
+	n := len(sched.Order)
+	if n < 2 {
+		return 0, nil
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for m := 0; m < mutants; m++ {
+		order := append([]trace.TC(nil), sched.Order...)
+		i := rng.Intn(n)
+		switch m % 3 {
+		case 0: // swap with the next entry
+			if i == n-1 {
+				i--
+			}
+			order[i], order[i+1] = order[i+1], order[i]
+		case 1: // swap two entries
+			j := rng.Intn(n)
+			order[i], order[j] = order[j], order[i]
+		case 2: // move one entry, keeping its thread's program order
+			lo, hi := i-1, i+1
+			for lo >= 0 && order[lo].Thread != order[i].Thread {
+				lo--
+			}
+			for hi < n && order[hi].Thread != order[i].Thread {
+				hi++
+			}
+			e := order[i]
+			order = slices.Insert(slices.Delete(order, i, i+1), lo+1+rng.Intn(hi-1-lo), e)
+		}
+		mut := newSchedule(log, order, sched.Stats)
+		got, want := CheckSchedule(log, mut), checkRules(log, mut)
+		if (got == nil) != (want == nil) {
+			return rejected, fmt.Errorf("mutation %d: CheckSchedule says %v, rule reference says %v", m, got, want)
+		}
+		if got != nil {
+			rejected++
+		}
+	}
+	return rejected, nil
 }
 
 // TestComponentCountRegression pins the engine's component counts on the

@@ -2,7 +2,6 @@ package light
 
 import (
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/smt"
@@ -128,54 +127,6 @@ type writeBearing struct {
 type locItems struct {
 	rcs []readClaim
 	wbs []writeBearing
-}
-
-// locSys is one location's contribution to the constraint system. Every
-// generated constraint relates accesses of a single location, which is what
-// makes the system partitionable (see partition.go).
-type locSys struct {
-	loc  int32
-	conj [][2]trace.TC
-	disj []disjunction
-}
-
-// system is the generated constraint system in TC form: the per-location
-// breakdown plus vars, every touched access sorted by (thread, counter) —
-// the global timeline, whose consecutive same-thread pairs are the
-// program-order chain edges (see chain). The checker and the forensics view
-// consume it; schedule synthesis works on the node-ID form it is mapped
-// from (buildDense, engine.go).
-type system struct {
-	items map[int32]*locItems
-	vars  []trace.TC
-	locs  []*locSys
-}
-
-// buildSystem generates the Section 4.2 constraints from a log, grouped by
-// location (deterministically, in location-ID order).
-func buildSystem(log *trace.Log) *system {
-	items := collectItems(log)
-	ds := buildDense(items)
-	sys := &system{items: items, vars: ds.x.vars}
-	for li, loc := range ds.locIDs {
-		ls := &locSys{loc: loc, conj: ds.locEdges(li)}
-		ls.disj = make([]disjunction, 0, ds.disjAt[li+1]-ds.disjAt[li])
-		for _, d := range ds.disj[ds.disjAt[li]:ds.disjAt[li+1]] {
-			ls.disj = append(ls.disj, ds.x.tcDisj(d))
-		}
-		sys.locs = append(sys.locs, ls)
-	}
-	return sys
-}
-
-// chain returns the program-order edges between consecutive accesses of
-// each thread — the hard edges the per-location constraints do not list.
-func (s *system) chain() [][2]trace.TC { return chainEdges(s.vars) }
-
-// has reports whether tc is a variable of the system.
-func (s *system) has(tc trace.TC) bool {
-	i := sort.Search(len(s.vars), func(i int) bool { return !tcLess(s.vars[i], tc) })
-	return i < len(s.vars) && s.vars[i] == tc
 }
 
 // sortedLocIDs returns the item set's locations in ascending order.

@@ -34,9 +34,9 @@ import (
 // counts it as rejected. The inner hash covers
 // kind‖key‖body, so an entry whose frame CRC was deliberately recomputed
 // around corrupted content is still rejected at hydration — and a kind-3
-// hit is additionally revalidated with CheckSchedule before use, so a
-// poisoned entry can fail closed (recompute) but can never surface a
-// schedule the checker rejects.
+// hit is additionally revalidated with CheckSchedule (one pass, sharing no
+// code with synthesis) before use, so a poisoned entry can fail closed
+// (recompute) but can never surface a schedule the checker rejects.
 //
 // Failure policy mirrors the epoch store: a torn tail frame (crash mid-
 // append) is truncated silently on open; interior corruption — a mangled
@@ -537,10 +537,10 @@ func logScheduleKey(log *trace.Log) [32]byte {
 }
 
 // ComputeScheduleCached is ComputeSchedule behind the whole-schedule
-// cache: a hit skips synthesis entirely (the dominant cost of a repeated
-// replay) after revalidating the cached order with CheckSchedule — a
-// poisoned or stale entry is dropped and recomputed, it can never surface
-// an invalid schedule. Returns whether the schedule came from the cache.
+// cache: a hit skips synthesis and pays only CheckSchedule's one-pass
+// revalidation of the cached order — a poisoned or stale entry is dropped
+// and recomputed, it can never surface an invalid schedule. Returns whether
+// the schedule came from the cache.
 func ComputeScheduleCached(log *trace.Log) (*Schedule, bool, error) {
 	if !DefaultSolveCache {
 		sched, err := ComputeSchedule(log)

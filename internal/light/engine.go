@@ -143,19 +143,16 @@ func (x *denseIndex) chainSizes() []int {
 // write-bearing intervals wbs[wbsAt[li]:wbsAt[li+1]] and its hard edges
 // hard[hardAt[li]:hardAt[li+1]]. The program-order chain edges are implicit
 // in the numbering. Disjunctions are generated per location on demand
-// (genDisj); only buildDense stores them, location li's being
-// disj[disjAt[li]:disjAt[li+1]].
+// (genDisj) and never stored.
 type denseSystem struct {
 	locIDs []int32
 	x      *denseIndex
 	rcs    []claimNodes
 	wbs    []intervalNodes
 	hard   [][2]int32
-	disj   []smt.OrderDisjunction
 	rcsAt  []int32
 	wbsAt  []int32
 	hardAt []int32
-	disjAt []int32
 }
 
 // newDenseSystem resolves an item set's items to the node IDs of its dense
@@ -195,26 +192,6 @@ func (ds *denseSystem) locItemNodes(li int) ([]claimNodes, []intervalNodes) {
 func (ds *denseSystem) genDisj(li int, disj func(a1, b1, a2, b2 int32)) {
 	rcs, wbs := ds.locItemNodes(li)
 	genLocConstraints(rcs, wbs, nil, disj)
-}
-
-// buildDense generates the whole constraint system of an item set, storing
-// every disjunction: the materialized form the checker and the forensics
-// view consume (buildSystem). Schedule synthesis generates the same
-// disjunctions but keeps only those the hard order does not settle
-// (synthesize).
-func buildDense(items map[int32]*locItems) *denseSystem {
-	ds := newDenseSystem(items, newDenseIndex(items))
-	n := len(ds.locIDs)
-	ds.disjAt = make([]int32, n+1)
-	disj := func(a1, b1, a2, b2 int32) {
-		ds.disj = append(ds.disj, smt.OrderDisjunction{A1: a1, B1: b1, A2: a2, B2: b2})
-	}
-	for li := range ds.locIDs {
-		ds.disjAt[li] = int32(len(ds.disj))
-		ds.genDisj(li, disj)
-	}
-	ds.disjAt[n] = int32(len(ds.disj))
-	return ds
 }
 
 // locEdges returns location li's hard edges in TC form.

@@ -1,9 +1,11 @@
 package light
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/obs/flight"
 	"repro/internal/trace"
@@ -73,10 +75,11 @@ func fmtTC(tc trace.TC) string {
 	return fmt.Sprintf("t%d#%d", tc.Thread, tc.Counter)
 }
 
-// ExplainAccess rebuilds the log's constraint system (the same construction
-// CheckSchedule validates against) and collects every constraint the access
-// participates in. sched may be nil; when given, it supplies the access's
-// schedule position.
+// ExplainAccess collects what the log says about one access and every
+// Section 4.2 constraint it participates in: those of its own location
+// (genLocConstraints), and program order to its thread's neighbouring
+// scheduled accesses. sched may be nil; when given, it supplies the
+// access's schedule position.
 func ExplainAccess(log *trace.Log, tc trace.TC, sched *Schedule) *AccessExplanation {
 	ex := &AccessExplanation{TC: tc, Pos: -1}
 	if tc.Thread >= 0 && int(tc.Thread) < len(log.Threads) {
@@ -100,47 +103,62 @@ func ExplainAccess(log *trace.Log, tc trace.TC, sched *Schedule) *AccessExplanat
 			})
 		}
 	}
-
-	sys := buildSystem(log)
-	ex.Scheduled = sys.has(tc)
 	if sched != nil {
 		if p, ok := sched.Pos[tc]; ok {
 			ex.Pos = p
 		}
 	}
-	for _, ls := range sys.locs {
-		for _, e := range ls.conj {
+
+	items := collectItems(log)
+	x := newDenseIndex(items)
+	i, ok := slices.BinarySearchFunc(x.vars, tc, func(a, b trace.TC) int {
+		return cmp.Or(cmp.Compare(a.Thread, b.Thread), cmp.Compare(a.Counter, b.Counter))
+	})
+	if ex.Scheduled = ok; !ok {
+		return ex
+	}
+	own := map[int32]*locItems{}
+	for loc, li := range items {
+		locVarSet(li, func(a trace.TC) {
+			if a == tc {
+				own[loc] = li
+			}
+		})
+	}
+	ds := newDenseSystem(own, x)
+	for li, loc := range ds.locIDs {
+		for _, e := range ds.locEdges(li) {
 			if e[0] == tc || e[1] == tc {
 				ex.Constraints = append(ex.Constraints, ConstraintRef{
-					Kind: "dependence", Loc: ls.loc,
+					Kind: "dependence", Loc: loc,
 					Text: fmt.Sprintf("%s < %s", fmtTC(e[0]), fmtTC(e[1])),
 				})
 			}
 		}
-		for _, d := range ls.disj {
-			if d.a1 == tc || d.b1 == tc || d.a2 == tc || d.b2 == tc {
-				kind := "non-interference"
-				// Write-exclusion disjunctions pair two write-bearing
-				// intervals symmetrically: (hi1 < lo2) or (hi2 < lo1).
-				if d.a1.Thread == d.b2.Thread && d.a2.Thread == d.b1.Thread {
-					kind = "write-exclusion"
-				}
-				ex.Constraints = append(ex.Constraints, ConstraintRef{
-					Kind: kind, Loc: ls.loc,
-					Text: fmt.Sprintf("(%s < %s) or (%s < %s)",
-						fmtTC(d.a1), fmtTC(d.b1), fmtTC(d.a2), fmtTC(d.b2)),
-				})
+		ds.genDisj(li, func(a1, b1, a2, b2 int32) {
+			v := x.vars
+			d := disjunction{a1: v[a1], b1: v[b1], a2: v[a2], b2: v[b2]}
+			if d.a1 != tc && d.b1 != tc && d.a2 != tc && d.b2 != tc {
+				return
 			}
-		}
-	}
-	// Program-order chain neighbours.
-	for _, e := range sys.chain() {
-		if e[0] == tc || e[1] == tc {
+			kind := "non-interference"
+			// Write-exclusion disjunctions pair two write-bearing
+			// intervals symmetrically: (hi1 < lo2) or (hi2 < lo1).
+			if d.a1.Thread == d.b2.Thread && d.a2.Thread == d.b1.Thread {
+				kind = "write-exclusion"
+			}
 			ex.Constraints = append(ex.Constraints, ConstraintRef{
-				Kind: "program-order", Loc: -1,
-				Text: fmt.Sprintf("%s < %s", fmtTC(e[0]), fmtTC(e[1])),
+				Kind: kind, Loc: loc,
+				Text: fmt.Sprintf("(%s < %s) or (%s < %s)",
+					fmtTC(d.a1), fmtTC(d.b1), fmtTC(d.a2), fmtTC(d.b2)),
 			})
-		}
+		})
+	}
+	for _, e := range chainEdges(x.vars[max(i-1, 0):min(i+2, len(x.vars))]) {
+		ex.Constraints = append(ex.Constraints, ConstraintRef{
+			Kind: "program-order", Loc: -1,
+			Text: fmt.Sprintf("%s < %s", fmtTC(e[0]), fmtTC(e[1])),
+		})
 	}
 	return ex
 }

@@ -194,7 +194,7 @@ func solveGolden(t *testing.T, name string, log *trace.Log) (goldenPin, *Schedul
 }
 
 // explainSamples bounds the accesses explainHash explains per log (each
-// call rebuilds the constraint system).
+// call generates its access's location's constraints).
 const explainSamples = 24
 
 // explainHash digests ExplainAccess over evenly spaced scheduled accesses.

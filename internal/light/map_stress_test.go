@@ -52,7 +52,7 @@ fun main() {
 // heap. Race builds take the stripe-lock path instead (and the program's
 // own races would trip the detector), so the test is skipped there.
 func TestMapArrayStress(t *testing.T) {
-	if raceDetector {
+	if vm.RaceDetector {
 		t.Skip("race builds serialize the recorder's read path")
 	}
 	prog := compile(t, mapStressSrc)

@@ -98,7 +98,7 @@ func TestRecorderCountersPopulate(t *testing.T) {
 // path counts it. Race builds serialize writes on the stripe lock without the
 // seqlock, so the fallback counters legitimately never move there.
 func TestRecorderSeqConflictCounters(t *testing.T) {
-	if raceDetector {
+	if vm.RaceDetector {
 		t.Skip("race builds use the lock-based write path; no seqlock fallback")
 	}
 	obs.Enable()

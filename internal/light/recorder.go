@@ -225,7 +225,7 @@ type Recorder struct {
 	// stripes are the write-path fallback locks: a writer that loses the
 	// per-location seqlock CAS queues on its location's stripe instead of
 	// spinning unboundedly (and race builds serialize all accesses on them,
-	// see race_enabled.go). Entries are cache-line padded.
+	// see vm.RaceDetector). Entries are cache-line padded.
 	stripes [numStripes]stripe
 
 	mu     sync.Mutex
@@ -322,10 +322,10 @@ func (r *Recorder) SharedAccess(a vm.Access, do func()) {
 			do()
 			ls.lw.Store(mine)
 			prev = stampSelf(ls, me)
-		} else if raceDetector {
+		} else if vm.RaceDetector {
 			// Race builds serialize the write section on the stripe lock so
 			// the simulated program's own races don't trip the detector (see
-			// race_enabled.go); readers hold the same lock.
+			// vm.RaceDetector); readers hold the same lock.
 			st := r.stripeFor(ls)
 			st.Lock()
 			old = ls.lw.Load()
@@ -366,10 +366,10 @@ func (r *Recorder) SharedAccess(a vm.Access, do func()) {
 		do()
 		observed = ls.lw.Load()
 		prev = stampSelf(ls, me)
-	} else if raceDetector {
+	} else if vm.RaceDetector {
 		// Race builds: hold the writers' stripe lock instead of running the
 		// optimistic loop, so the simulated program's own races don't trip
-		// the detector (see race_enabled.go). Equivalent outcome: lw cannot
+		// the detector (see vm.RaceDetector). Equivalent outcome: lw cannot
 		// change while we hold the lock, so no retry is ever needed.
 		st := r.stripeFor(ls)
 		st.Lock()

@@ -46,7 +46,7 @@ type Replayer struct {
 	// simMu serializes the simulated heap operations in race-detector builds
 	// only. Faithful replays are already race-free through the gates'
 	// happens-before edges, but diverged threads run their accesses free by
-	// design, which would trip the detector (see race_enabled.go).
+	// design, which would trip the detector (see vm.RaceDetector).
 	simMu sync.Mutex
 }
 
@@ -63,7 +63,7 @@ func parkedBy(idx int32) uint32 { return posParked | uint32(idx)<<2 }
 
 // run executes a simulated heap access; see simMu.
 func (r *Replayer) run(do func()) {
-	if raceDetector {
+	if vm.RaceDetector {
 		r.simMu.Lock()
 		defer r.simMu.Unlock()
 	}

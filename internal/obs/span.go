@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,8 +12,9 @@ import (
 // optional byte/item payload sizes. The schedule solve splits into build
 // (index, hard edges, disjunction generation), propagate, partition
 // (components and bridges), solve (CDCL(T)) and topo (the final sort).
-// Spans are collected only while tracing is enabled (EnableTracing) and are
-// dumped as JSON by WriteSpans — the cmd front ends' -trace-json flag.
+// Spans are collected only while tracing is enabled (EnableTracing); the
+// flight recorder's Chrome trace export draws them on its pipeline track
+// (lightrr -flight-trace).
 type Span struct {
 	// Name identifies the phase ("record", "encode", "build", "propagate",
 	// "partition", "solve", "topo", "replay", ...).
@@ -41,9 +40,6 @@ func EnableTracing() { tracingEnabled.Store(true) }
 
 // DisableTracing turns span collection off (test support).
 func DisableTracing() { tracingEnabled.Store(false) }
-
-// TracingEnabled reports whether span collection is on.
-func TracingEnabled() bool { return tracingEnabled.Load() }
 
 var (
 	spanMu  sync.Mutex
@@ -97,11 +93,4 @@ func ResetSpans() {
 	spanMu.Lock()
 	spanLog = nil
 	spanMu.Unlock()
-}
-
-// WriteSpans dumps the completed spans as indented JSON.
-func WriteSpans(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Spans())
 }

@@ -1,5 +1,7 @@
 package vm
 
+import "sync"
+
 // AccessKind distinguishes reads from writes of shared locations.
 type AccessKind uint8
 
@@ -93,8 +95,17 @@ type FrameHooks interface {
 // It exists so wrappers always have an inner hook to delegate to.
 type NopHooks struct{}
 
+// nopRaceMu serializes NopHooks accesses in race builds (RaceDetector).
+var nopRaceMu sync.Mutex
+
 // SharedAccess performs the access.
-func (NopHooks) SharedAccess(_ Access, do func()) { do() }
+func (NopHooks) SharedAccess(_ Access, do func()) {
+	if RaceDetector {
+		nopRaceMu.Lock()
+		defer nopRaceMu.Unlock()
+	}
+	do()
+}
 
 // Syscall evaluates the live value.
 func (NopHooks) Syscall(_ *Thread, _ uint64, _ SyscallKind, compute func() Value) Value {
