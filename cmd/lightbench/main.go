@@ -51,7 +51,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "base seed")
 	suite := flag.String("suite", "", "restrict to one suite (jgf, stamp, server, dacapo)")
 	solveJobs := flag.Int("solvejobs", 0, "workers for the partitioned schedule solve (0 = GOMAXPROCS)")
-	solveCache := flag.Bool("solvecache", true, "reuse cached component schedules across solves")
 	solveCacheDir := flag.String("solvecache-dir", "", "persist solved schedules to this directory, hydrated on startup (empty = in-memory only)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus metrics at this address under /metrics")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -59,7 +58,6 @@ func main() {
 	runtimeTrace := flag.String("runtime-trace", "", "write a Go runtime execution trace to this file")
 	flag.Parse()
 	light.DefaultSolveJobs = *solveJobs
-	light.DefaultSolveCache = *solveCache
 	if *solveCacheDir != "" {
 		if _, err := light.SetSolveCacheDir(*solveCacheDir, 0); err != nil {
 			// A quarantined cache is a warning: the store reopened empty.

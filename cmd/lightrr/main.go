@@ -15,8 +15,6 @@
 //
 // Common flags: -seed N, -sleep-unit NS, -basic (disable O1), -no-o2,
 // -solvejobs N (schedule-solve workers; 0 = GOMAXPROCS; DESIGN.md §4d),
-// -solvecache=false (disable the component schedule cache),
-// -solvecache-dir DIR (persist solved schedules across processes),
 // -tool light|leap|stride|clap|chimera (roundtrip only).
 //
 // Observability: -metrics-addr HOST:PORT serves the live recorder/solver/
@@ -64,8 +62,6 @@ func main() {
 	noO2 := fs.Bool("no-o2", false, "disable the lock-subsumption instrumentation reduction")
 	tool := fs.String("tool", "light", "roundtrip tool: light, leap, stride, clap, chimera")
 	solveJobs := fs.Int("solvejobs", 0, "workers for the partitioned schedule solve (0 = GOMAXPROCS)")
-	solveCache := fs.Bool("solvecache", true, "reuse cached component schedules across solves")
-	solveCacheDir := fs.String("solvecache-dir", "", "persist solved schedules to this directory, hydrated on startup (empty = in-memory only)")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus metrics at this address under /metrics")
 	flightCap := fs.Int("flight", 0, "enable the flight recorder with this per-thread ring capacity (0 = off)")
 	flightTrace := fs.String("flight-trace", "", "write the flight recording as Chrome trace JSON to this file on exit (implies -flight)")
@@ -74,13 +70,6 @@ func main() {
 		os.Exit(2)
 	}
 	light.DefaultSolveJobs = *solveJobs
-	light.DefaultSolveCache = *solveCache
-	if *solveCacheDir != "" {
-		if _, err := light.SetSolveCacheDir(*solveCacheDir, 0); err != nil {
-			// A quarantined cache is a warning: the store reopened empty.
-			fmt.Fprintln(os.Stderr, "lightrr:", err)
-		}
-	}
 
 	if *metricsAddr != "" {
 		addr, err := obs.ServeMetrics(*metricsAddr)
@@ -204,7 +193,6 @@ func solve(path string) {
 	fmt.Printf("components: %d independent (largest %d vars), %d fastpath / %d CDCL (rate %.2f)\n",
 		st.Components, st.LargestComponent, st.FastpathComponents,
 		st.Components-st.FastpathComponents, st.FastpathRate())
-	fmt.Printf("cache: %d component hits, %d misses\n", st.CacheHits, st.CacheMisses)
 	fmt.Printf("solver: %d decisions, %d conflicts, %d propagations, %d seeded literals\n",
 		st.Solver.Decisions, st.Solver.Conflicts, st.Solver.Propagations, st.Solver.Seeded)
 	fmt.Printf("schedule: %d gated accesses\n", len(sched.Order))

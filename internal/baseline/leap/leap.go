@@ -299,7 +299,10 @@ func (r *Replayer) ThreadStarted(t *vm.Thread) {
 // ThreadExited is a no-op.
 func (r *Replayer) ThreadExited(*vm.Thread) {}
 
-// SharedAccess blocks until the location vector's cursor names this thread.
+// SharedAccess blocks until the location vector's cursor names this
+// thread, performs the access, and only then advances the cursor: the next
+// thread in the vector must not access the location before this access
+// has happened.
 func (r *Replayer) SharedAccess(a vm.Access, do func()) {
 	v, ok := r.threads.Load(a.Thread)
 	rt, _ := v.(*replayThread)
@@ -322,11 +325,11 @@ func (r *Replayer) SharedAccess(a vm.Access, do func()) {
 		r.failed = true
 		r.reason = "leap replay: access vector exhausted"
 	}
-	r.cursors[key]++
-	r.last = time.Now()
 	r.mu.Unlock()
 	do()
 	r.mu.Lock()
+	r.cursors[key]++
+	r.last = time.Now()
 	r.cond.Broadcast()
 	r.mu.Unlock()
 }

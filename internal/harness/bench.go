@@ -32,10 +32,11 @@ import (
 // v4 adds "ttfr_ms" (time-to-first-replay: record plus a cold solve,
 // light.RecordAndSolve, timed like the record column) and
 // "solve_cache_hit_rate" from two extra warm solve passes of the row's log
-// through the whole-schedule cache. "solve_cache_hits" now counts the hits
-// those warm passes actually observe (component + whole-schedule), which
-// fixes the column reading 0 on every row: the sweep workloads are 100%
-// propagation-fastpath, so the component cache alone never engaged. The
+// through the whole-schedule cache. "solve_cache_hits" now counts the
+// whole-schedule hits those warm passes observe, which fixes the column
+// reading 0 on every row: the sweep workloads are 100%
+// propagation-fastpath, so the residual-component cache (since deleted)
+// never engaged, and its share of the column was always 0. The
 // streaming solver's "record_solve_ms" column and "ttfr_speedup" aggregate
 // were dropped with the streaming solver; as with "solve_engine", readers
 // ignore them in older files.
@@ -107,15 +108,15 @@ type ReportRow struct {
 
 	// Graph-first engine columns (schema v2, DESIGN.md §4d): the fraction of
 	// components fully decided by propagation, the disjunctions discharged
-	// without search, and cache hits observed across the row's solves (the
-	// representative solve plus the v4 warm passes).
+	// without search, and whole-schedule cache hits observed by the v4 warm
+	// passes.
 	SolveFastpathRate        float64 `json:"solve_fastpath_rate"`
 	SolvePropagationResolved int     `json:"solve_propagation_resolved"`
 	SolveCacheHits           int     `json:"solve_cache_hits"`
 
 	// Schema v4 columns: the time-to-first-replay (record plus a cold
 	// solve), and the hit rate of two warm re-solves of the row's log
-	// through the whole-schedule cache (0 when -solvecache=false).
+	// through the whole-schedule cache.
 	TTFRMS            float64 `json:"ttfr_ms"`
 	SolveCacheHitRate float64 `json:"solve_cache_hit_rate"`
 
@@ -246,7 +247,6 @@ func MeasureReportRow(w *workloads.Workload, cfg Config) (*ReportRow, error) {
 	row.WorkerUtilization = rep.Schedule.Stats.WorkerUtilization()
 	row.SolveFastpathRate = rep.Schedule.Stats.FastpathRate()
 	row.SolvePropagationResolved = rep.Schedule.Stats.Resolved
-	row.SolveCacheHits = rep.Schedule.Stats.CacheHits
 	row.ReplayOK = !rep.Diverged && light.Reproduced(rec.Log, rep.Result)
 	if err := light.CheckSchedule(rec.Log, rep.Schedule); err != nil {
 		return nil, fmt.Errorf("workload %s: schedule: %w", w.Name, err)
@@ -268,8 +268,7 @@ func MeasureReportRow(w *workloads.Workload, cfg Config) (*ReportRow, error) {
 
 	// Warm-cache columns: re-solve the representative log through the
 	// whole-schedule cache. The first pass populates; the measured passes
-	// should hit, so a healthy cache puts the hit rate at 1.0 (and 0 with
-	// -solvecache=false).
+	// should hit, so a healthy cache puts the hit rate at 1.0.
 	if _, _, err := light.ComputeScheduleCached(rec.Log); err != nil {
 		return nil, fmt.Errorf("workload %s: cache populate: %w", w.Name, err)
 	}
@@ -284,7 +283,7 @@ func MeasureReportRow(w *workloads.Workload, cfg Config) (*ReportRow, error) {
 			hits++
 		}
 	}
-	row.SolveCacheHits += hits
+	row.SolveCacheHits = hits
 	row.SolveCacheHitRate = float64(hits) / warmPasses
 	return row, nil
 }

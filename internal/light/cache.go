@@ -8,150 +8,135 @@ import (
 	"repro/internal/trace"
 )
 
-// Component schedule cache (DESIGN.md §4d). Fuzz campaigns, regression
-// sweeps, and replay-many-times workflows re-solve identical constraint
-// components over and over; replicated program structure even repeats
-// components within one solve. The cache keys a residual component by a
-// canonical content hash of its constraint system — variables renamed to
-// their dense index in the component's sorted variable list, so the key
-// depends only on constraint *structure*, never on absolute thread IDs or
-// counters — and stores the solver's decision, not the solver's work: the
-// chosen disjunct per residual disjunction. The CDCL(T) search is a
-// deterministic function of the canonical structure (problem construction
-// consumes the component in canonical order), so a hit reproduces exactly
-// what the miss path would compute.
-
-// DefaultSolveCache enables the component schedule cache; the cmd front
-// ends expose it as -solvecache. Disabling it only costs time: hits and
-// misses produce identical schedules.
-var DefaultSolveCache = true
+// Whole-schedule cache (DESIGN.md §4f). Epoch replay, pre-solve, lightd
+// and the bench sweep re-solve identical logs; propagation is most of the
+// cost of those solves, so the cache stores the final order keyed by the
+// log's content. A hit is revalidated with CheckSchedule before use. The
+// persistent store (diskcache.go) writes entries through and hydrates
+// them on open.
 
 // schedCacheMax bounds the entry count; at the cap the cache stops
 // admitting new entries (eviction would only change hit rates, and a full
 // reset on overflow would make hit rates load-order-dependent in tests).
 const schedCacheMax = 4096
 
-// scheduleCache is a bounded, process-wide, mutex-guarded map from a
-// component key to its selection: the chosen disjunct (0/1) per residual
-// disjunction. Entries are immutable after store.
-type scheduleCache struct {
+// schedOrderStore caches complete schedule orders keyed by log content
+// hash. Entries are immutable after store.
+type schedOrderStore struct {
 	mu sync.Mutex
-	m  map[[32]byte][]uint8
+	m  map[[32]byte][]trace.TC
 }
 
-var schedCache = &scheduleCache{m: make(map[[32]byte][]uint8)}
+var schedOrderCache = &schedOrderStore{m: make(map[[32]byte][]trace.TC)}
 
-func (c *scheduleCache) lookup(k [32]byte) ([]uint8, bool) {
+func (c *schedOrderStore) lookup(k [32]byte) ([]trace.TC, bool) {
 	c.mu.Lock()
-	e, ok := c.m[k]
+	tcs, ok := c.m[k]
 	c.mu.Unlock()
-	return e, ok
+	return tcs, ok
 }
 
 // hydrate inserts an entry without writing it back to disk (it just came
 // from there).
-func (c *scheduleCache) hydrate(k [32]byte, sel []uint8) {
+func (c *schedOrderStore) hydrate(k [32]byte, tcs []trace.TC) {
 	c.mu.Lock()
 	if len(c.m) < schedCacheMax {
-		c.m[k] = sel
+		c.m[k] = tcs
 	}
 	c.mu.Unlock()
 }
 
-func (c *scheduleCache) store(k [32]byte, sel []uint8) {
-	c.hydrate(k, sel)
+func (c *schedOrderStore) store(k [32]byte, tcs []trace.TC) {
+	c.hydrate(k, tcs)
 	// Write through to the persistent store (no-op when -solvecache-dir is
 	// not configured).
-	persistEntry(encodeDiskEntry(diskKindSel, k, encodeSelBody(sel)))
+	persistEntry(encodeDiskEntry(diskKindSchedule, k, encodeScheduleBody(tcs)))
 }
 
-// ResetScheduleCache empties the in-memory component and whole-schedule
-// caches (benchmarks and tests that measure cold-solve behavior). The
-// persistent store, if configured, is untouched.
+func (c *schedOrderStore) drop(k [32]byte) {
+	c.mu.Lock()
+	delete(c.m, k)
+	c.mu.Unlock()
+}
+
+// ResetScheduleCache empties the in-memory whole-schedule cache
+// (benchmarks and tests that measure cold-solve behavior). The persistent
+// store, if configured, is untouched.
 func ResetScheduleCache() {
-	schedCache.mu.Lock()
-	schedCache.m = make(map[[32]byte][]uint8)
-	schedCache.mu.Unlock()
 	schedOrderCache.mu.Lock()
 	schedOrderCache.m = make(map[[32]byte][]trace.TC)
 	schedOrderCache.mu.Unlock()
 }
 
-// cacheHasher canonicalizes a component into a sha256 stream.
-type cacheHasher struct {
-	sum func() [32]byte
-	w   func(p []byte)
-	buf [binary.MaxVarintLen64]byte
-	idx map[trace.TC]int32
-}
-
-func newCacheHasher(vars []trace.TC) *cacheHasher {
+// logScheduleKey content-addresses a log for whole-schedule caching: the
+// schedule is a deterministic function of the dep/range content. The
+// leading tag 1 is kept so whole-schedule keys persisted by earlier
+// versions still hit.
+func logScheduleKey(log *trace.Log) [32]byte {
 	h := sha256.New()
-	ch := &cacheHasher{
-		sum: func() [32]byte {
-			var out [32]byte
-			h.Sum(out[:0])
-			return out
-		},
-		w:   func(p []byte) { h.Write(p) },
-		idx: make(map[trace.TC]int32, len(vars)),
+	var buf [binary.MaxVarintLen64]byte
+	u := func(v uint64) {
+		n := binary.PutUvarint(buf[:], v)
+		h.Write(buf[:n])
 	}
-	for i, tc := range vars {
-		ch.idx[tc] = int32(i)
+	u(1)
+	u(uint64(len(log.Threads)))
+	u(uint64(uint32(log.NumLocs)))
+	u(uint64(len(log.Deps)))
+	for _, d := range log.Deps {
+		u(uint64(uint32(d.Loc)))
+		u(uint64(uint32(d.W.Thread)))
+		u(d.W.Counter)
+		u(uint64(uint32(d.R.Thread)))
+		u(d.R.Counter)
 	}
-	// Variable count plus chain structure: canonical indices are positions
-	// in the (thread, counter)-sorted list, so the per-thread chain layout
-	// is fully described by the same-thread-as-previous bit vector.
-	ch.uint(uint64(len(vars)))
-	for i := 1; i < len(vars); i++ {
-		if vars[i].Thread == vars[i-1].Thread {
-			ch.byte(1)
+	u(uint64(len(log.Ranges)))
+	for _, rg := range log.Ranges {
+		u(uint64(uint32(rg.Loc)))
+		u(uint64(uint32(rg.Thread)))
+		u(rg.Start)
+		u(rg.End)
+		u(uint64(uint32(rg.W.Thread)))
+		u(rg.W.Counter)
+		if rg.HasWrite {
+			u(1)
 		} else {
-			ch.byte(0)
+			u(0)
+		}
+		if rg.StartsWithRead {
+			u(1)
+		} else {
+			u(0)
 		}
 	}
-	return ch
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
 }
 
-func (ch *cacheHasher) byte(b uint8) { ch.w([]byte{b}) }
-
-func (ch *cacheHasher) uint(v uint64) {
-	n := binary.PutUvarint(ch.buf[:], v)
-	ch.w(ch.buf[:n])
-}
-
-func (ch *cacheHasher) tc(t trace.TC) { ch.uint(uint64(ch.idx[t])) }
-
-func (ch *cacheHasher) edges(es [][2]trace.TC) {
-	ch.uint(uint64(len(es)))
-	for _, e := range es {
-		ch.tc(e[0])
-		ch.tc(e[1])
+// ComputeScheduleCached is ComputeSchedule behind the whole-schedule
+// cache: a hit skips synthesis and pays only CheckSchedule's one-pass
+// revalidation of the cached order — a poisoned or stale entry is dropped
+// and recomputed, it can never surface an invalid schedule. Returns whether
+// the schedule came from the cache. A caller that wants a cold solve calls
+// ComputeSchedule.
+func ComputeScheduleCached(log *trace.Log) (*Schedule, bool, error) {
+	key := logScheduleKey(log)
+	if order, ok := schedOrderCache.lookup(key); ok {
+		sched := newSchedule(log, order, ScheduleStats{IntVars: len(order)})
+		if err := CheckSchedule(log, sched); err == nil {
+			mScheduleCacheHits.Inc()
+			return sched, true, nil
+		}
+		// Fail closed: drop the poisoned entry and recompute.
+		schedOrderCache.drop(key)
+		mDiskCacheRejected.Inc()
 	}
-}
-
-func (ch *cacheHasher) disjs(ds []disjunction) {
-	ch.uint(uint64(len(ds)))
-	for _, d := range ds {
-		ch.tc(d.a1)
-		ch.tc(d.b1)
-		ch.tc(d.a2)
-		ch.tc(d.b2)
+	sched, err := ComputeSchedule(log)
+	if err != nil {
+		return nil, false, err
 	}
-}
-
-// residualCompKey hashes a tier-2 component: chain structure, conjunctive
-// edges, seeds (forced + bridges), and residual disjunctions, all in the
-// deterministic order problem construction consumes them.
-func residualCompKey(c *residualComp) ([32]byte, bool) {
-	if !DefaultSolveCache {
-		return [32]byte{}, false
-	}
-	ch := newCacheHasher(c.vars)
-	ch.byte(1) // key tag, kept so persisted keys stay valid
-	ch.edges(c.conj)
-	ch.edges(c.forced)
-	ch.edges(c.bridges)
-	ch.disjs(c.disj)
-	return ch.sum(), true
+	schedOrderCache.store(key, sched.Order)
+	mScheduleCacheMisses.Inc()
+	return sched, false, nil
 }

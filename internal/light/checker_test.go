@@ -90,7 +90,6 @@ func TestCheckerDifferentialSynthetic(t *testing.T) {
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			ResetScheduleCache()
 			checkBatch(t, c.log)
 		})
 	}

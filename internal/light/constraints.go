@@ -53,10 +53,6 @@ type ScheduleStats struct {
 	// FastpathComponents counts components decided by propagation alone —
 	// no CDCL(T) invocation (DESIGN.md §4d).
 	FastpathComponents int
-	// CacheHits/CacheMisses count component schedule cache outcomes
-	// (cache.go); hits skip the CDCL search entirely.
-	CacheHits   int
-	CacheMisses int
 	// ParallelSolveNS is the wall time of the per-component solve phase.
 	ParallelSolveNS int64
 	// SolveBusyNS is the summed per-component solve time; with SolveWorkers

@@ -14,29 +14,28 @@ import (
 	"repro/internal/trace"
 )
 
-// Persistent solve cache (DESIGN.md §4f). The in-memory component cache
-// (cache.go) only helps within one process; fuzz campaigns, bench sweeps,
-// repeated lightd replay requests, and fleets replaying the same workload
-// re-solve identical structures across process boundaries. This file spills
-// the cache to disk as a single append-only WAL of CRC-32C frames (the
-// internal/trace/frame.go codec the epoch store already uses) and hydrates
-// it on open.
+// Persistent solve cache (DESIGN.md §4f). The in-memory whole-schedule
+// cache (cache.go) only helps within one process; fuzz campaigns, bench
+// sweeps, repeated lightd replay requests, and fleets replaying the same
+// workload re-solve identical logs across process boundaries. This file
+// spills the cache to disk as a single append-only WAL of CRC-32C frames
+// (the internal/trace/frame.go codec the epoch store already uses) and
+// hydrates it on open.
 //
 // Entry layout (frame payload):
 //
 //	| kind (1 byte) | key (32 bytes) | inner sha256 (32 bytes) | body |
 //
-// kind 1 is a residual component selection (body: uvarint count, then one
-// 0/1 byte per residual disjunction), kind 3 a whole-schedule order (body:
-// uvarint count, then (thread, counter) uvarint pairs; key = content hash
-// of the log). Kind 2, a component order of an engine that no longer
-// exists, is no longer written; a file that still holds one opens fine and
-// counts it as rejected. The inner hash covers
-// kind‖key‖body, so an entry whose frame CRC was deliberately recomputed
-// around corrupted content is still rejected at hydration — and a kind-3
-// hit is additionally revalidated with CheckSchedule (one pass, sharing no
-// code with synthesis) before use, so a poisoned entry can fail closed
-// (recompute) but can never surface a schedule the checker rejects.
+// kind 3 is a whole-schedule order (body: uvarint count, then (thread,
+// counter) uvarint pairs; key = content hash of the log). Kinds 1 and 2,
+// per-component entries of caches that no longer exist, are no longer
+// written; a file that still holds them opens fine and counts them as
+// rejected. The inner hash covers kind‖key‖body, so an entry whose frame
+// CRC was deliberately recomputed around corrupted content is still
+// rejected at hydration — and a hit is additionally revalidated with
+// CheckSchedule (one pass, sharing no code with synthesis) before use, so
+// a poisoned entry can fail closed (recompute) but can never surface a
+// schedule the checker rejects.
 //
 // Failure policy mirrors the epoch store: a torn tail frame (crash mid-
 // append) is truncated silently on open; interior corruption — a mangled
@@ -60,11 +59,9 @@ var ErrSolveCacheCorrupt = errors.New("light: persistent solve cache corrupt")
 // solveCacheFile is the WAL's file name inside the cache directory.
 const solveCacheFile = "solvecache.wal"
 
-// Persisted entry kinds.
-const (
-	diskKindSel      = 1 // residual component selection
-	diskKindSchedule = 3 // whole-schedule order, keyed by log content hash
-)
+// diskKindSchedule tags a whole-schedule order, keyed by log content hash
+// (the only kind written or hydrated).
+const diskKindSchedule = 3
 
 // DiskCacheStats describes the persistent store right after open.
 type DiskCacheStats struct {
@@ -104,8 +101,8 @@ var (
 )
 
 // SetSolveCacheDir installs (or, with dir == "", removes) the persistent
-// solve cache: existing entries are hydrated into the in-memory caches,
-// and every future component or schedule solve is written through. budget
+// solve cache: existing entries are hydrated into the in-memory
+// whole-schedule cache, and every future cache miss is written through. budget
 // <= 0 means DefaultSolveCacheBytes. The returned stats describe what was
 // recovered; an ErrSolveCacheCorrupt error reports a quarantined file, in
 // which case the cache is still installed (empty) and usable.
@@ -129,7 +126,7 @@ func SetSolveCacheDir(dir string, budget int64) (*DiskCacheStats, error) {
 	return stats, err
 }
 
-// persistEntry write-through: called by the in-memory caches on store.
+// persistEntry write-through: called by the in-memory cache on store.
 func persistEntry(payload []byte) {
 	solveDiskMu.Lock()
 	dc := solveDisk
@@ -140,7 +137,7 @@ func persistEntry(payload []byte) {
 }
 
 // openDiskCache opens dir/solvecache.wal, recovers its contents, and
-// hydrates the in-memory caches.
+// hydrates the in-memory whole-schedule cache.
 func openDiskCache(dir string, budget int64) (*diskCache, *DiskCacheStats, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("light: solve cache dir: %w", err)
@@ -204,6 +201,8 @@ func openDiskCache(dir string, budget int64) (*diskCache, *DiskCacheStats, error
 
 	if interior {
 		// Interior corruption: quarantine the whole file and restart empty.
+		// The scan stopped at the damage, so only frames before it were
+		// hydrated, and those are valid.
 		qpath := path + ".corrupt"
 		for i := 1; ; i++ {
 			if _, err := os.Stat(qpath); os.IsNotExist(err) {
@@ -218,7 +217,6 @@ func openDiskCache(dir string, budget int64) (*diskCache, *DiskCacheStats, error
 		if err != nil {
 			return nil, nil, err
 		}
-		dropHydrated()
 		return &diskCache{path: path, f: f, budget: budget},
 			&DiskCacheStats{Quarantined: qpath},
 			fmt.Errorf("%w: interior frame damage, quarantined to %s", ErrSolveCacheCorrupt, qpath)
@@ -245,15 +243,6 @@ func openDiskCache(dir string, budget int64) (*diskCache, *DiskCacheStats, error
 	stats.Bytes = dc.size
 	mDiskCacheHydrated.Add(uint64(stats.Entries))
 	return dc, stats, nil
-}
-
-// dropHydrated empties the in-memory caches; used when a quarantine means
-// previously-hydrated state (none, on a fresh open) must not leak.
-func dropHydrated() {
-	// Hydration happens during decode, before quarantine can be decided —
-	// but interior corruption aborts the scan before any frame past the
-	// damage, and frames before it are genuinely valid. Nothing to drop;
-	// kept as an explicit decision point.
 }
 
 func (dc *diskCache) close() {
@@ -347,8 +336,9 @@ func encodeDiskEntry(kind byte, key [32]byte, body []byte) []byte {
 	return append(out, body...)
 }
 
-// decodeDiskEntry validates one payload and, when valid, hydrates it into
-// the matching in-memory cache. Returns false for rejected entries.
+// decodeDiskEntry validates one payload and, when it is a valid kind-3
+// entry, hydrates it into the whole-schedule cache. Returns false for
+// rejected entries.
 func decodeDiskEntry(payload []byte) bool {
 	if len(payload) < 1+32+32 {
 		return false
@@ -364,49 +354,15 @@ func decodeDiskEntry(payload []byte) bool {
 	h.Write(body)
 	var want [32]byte
 	h.Sum(want[:0])
-	if inner != want {
+	if inner != want || kind != diskKindSchedule {
 		return false
 	}
-	switch kind {
-	case diskKindSel:
-		sel, ok := decodeSelBody(body)
-		if !ok {
-			return false
-		}
-		schedCache.hydrate(key, sel)
-		return true
-	case diskKindSchedule:
-		tcs, ok := decodeScheduleBody(body)
-		if !ok {
-			return false
-		}
-		schedOrderCache.hydrate(key, tcs)
-		return true
+	tcs, ok := decodeScheduleBody(body)
+	if !ok {
+		return false
 	}
-	return false
-}
-
-func encodeSelBody(sel []uint8) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	out := make([]byte, 0, len(sel)+4)
-	n := binary.PutUvarint(buf[:], uint64(len(sel)))
-	out = append(out, buf[:n]...)
-	return append(out, sel...)
-}
-
-func decodeSelBody(body []byte) ([]uint8, bool) {
-	n, w := binary.Uvarint(body)
-	if w <= 0 || uint64(len(body)-w) != n {
-		return nil, false
-	}
-	sel := make([]uint8, n)
-	copy(sel, body[w:])
-	for _, s := range sel {
-		if s > 1 {
-			return nil, false
-		}
-	}
-	return sel, true
+	schedOrderCache.hydrate(key, tcs)
+	return true
 }
 
 func encodeScheduleBody(order []trace.TC) []byte {
@@ -447,121 +403,4 @@ func decodeScheduleBody(body []byte) ([]trace.TC, bool) {
 		return nil, false
 	}
 	return order, true
-}
-
-// ---- Whole-schedule cache ----------------------------------------------
-
-// schedOrderStore caches complete schedule orders keyed by log content
-// hash. On the sweep workloads 100% of components resolve by propagation,
-// so the component cache alone cannot make a repeated replay cheap — the
-// propagation pass itself is the cost. Caching the final order makes the
-// second solve of an identical log O(validate), which is what the epoch
-// replay path and the bench sweep's cross-run hit rate measure.
-type schedOrderStore struct {
-	mu sync.Mutex
-	m  map[[32]byte][]trace.TC
-}
-
-var schedOrderCache = &schedOrderStore{m: make(map[[32]byte][]trace.TC)}
-
-func (c *schedOrderStore) lookup(k [32]byte) ([]trace.TC, bool) {
-	c.mu.Lock()
-	tcs, ok := c.m[k]
-	c.mu.Unlock()
-	return tcs, ok
-}
-
-func (c *schedOrderStore) hydrate(k [32]byte, tcs []trace.TC) {
-	c.mu.Lock()
-	if len(c.m) < schedCacheMax {
-		c.m[k] = tcs
-	}
-	c.mu.Unlock()
-}
-
-func (c *schedOrderStore) store(k [32]byte, tcs []trace.TC) {
-	c.hydrate(k, tcs)
-	persistEntry(encodeDiskEntry(diskKindSchedule, k, encodeScheduleBody(tcs)))
-}
-
-func (c *schedOrderStore) drop(k [32]byte) {
-	c.mu.Lock()
-	delete(c.m, k)
-	c.mu.Unlock()
-}
-
-// logScheduleKey content-addresses a log for whole-schedule caching: the
-// schedule is a deterministic function of the dep/range content. The
-// leading tag 1 is kept so whole-schedule keys persisted by earlier
-// versions still hit.
-func logScheduleKey(log *trace.Log) [32]byte {
-	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
-	u := func(v uint64) {
-		n := binary.PutUvarint(buf[:], v)
-		h.Write(buf[:n])
-	}
-	u(1)
-	u(uint64(len(log.Threads)))
-	u(uint64(uint32(log.NumLocs)))
-	u(uint64(len(log.Deps)))
-	for _, d := range log.Deps {
-		u(uint64(uint32(d.Loc)))
-		u(uint64(uint32(d.W.Thread)))
-		u(d.W.Counter)
-		u(uint64(uint32(d.R.Thread)))
-		u(d.R.Counter)
-	}
-	u(uint64(len(log.Ranges)))
-	for _, rg := range log.Ranges {
-		u(uint64(uint32(rg.Loc)))
-		u(uint64(uint32(rg.Thread)))
-		u(rg.Start)
-		u(rg.End)
-		u(uint64(uint32(rg.W.Thread)))
-		u(rg.W.Counter)
-		if rg.HasWrite {
-			u(1)
-		} else {
-			u(0)
-		}
-		if rg.StartsWithRead {
-			u(1)
-		} else {
-			u(0)
-		}
-	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
-}
-
-// ComputeScheduleCached is ComputeSchedule behind the whole-schedule
-// cache: a hit skips synthesis and pays only CheckSchedule's one-pass
-// revalidation of the cached order — a poisoned or stale entry is dropped
-// and recomputed, it can never surface an invalid schedule. Returns whether
-// the schedule came from the cache.
-func ComputeScheduleCached(log *trace.Log) (*Schedule, bool, error) {
-	if !DefaultSolveCache {
-		sched, err := ComputeSchedule(log)
-		return sched, false, err
-	}
-	key := logScheduleKey(log)
-	if order, ok := schedOrderCache.lookup(key); ok {
-		sched := newSchedule(log, order, ScheduleStats{IntVars: len(order), CacheHits: 1})
-		if err := CheckSchedule(log, sched); err == nil {
-			mScheduleCacheHits.Inc()
-			return sched, true, nil
-		}
-		// Fail closed: drop the poisoned entry and recompute.
-		schedOrderCache.drop(key)
-		mDiskCacheRejected.Inc()
-	}
-	sched, err := ComputeSchedule(log)
-	if err != nil {
-		return nil, false, err
-	}
-	schedOrderCache.store(key, sched.Order)
-	mScheduleCacheMisses.Inc()
-	return sched, false, nil
 }

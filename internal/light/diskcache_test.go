@@ -125,8 +125,12 @@ func TestDiskCacheInteriorCorruption(t *testing.T) {
 	defer closeSolveDir(t)
 	openSolveDir(t, dir, 0)
 	log := residualLog()
-	if _, _, err := ComputeScheduleCached(log); err != nil {
-		t.Fatal(err)
+	// Two whole-schedule frames, so the damaged first one has a valid
+	// frame after it.
+	for _, l := range []*trace.Log{log, bridgedResidualLog()} {
+		if _, _, err := ComputeScheduleCached(l); err != nil {
+			t.Fatal(err)
+		}
 	}
 	closeSolveDir(t)
 
@@ -317,9 +321,10 @@ func TestDiskCacheKeyStable(t *testing.T) {
 }
 
 // TestDiskCacheLegacyKindSkipped: a cache file written by an earlier
-// version may hold kind-2 frames (component orders of an engine that no
-// longer exists). Opening it must not fail: the kind-2 frame counts as
-// rejected and every other frame still hydrates.
+// version may hold kind-1 frames (residual-component selections) and
+// kind-2 frames (component orders), both of caches that no longer exist.
+// Opening it must not fail: both frames count as rejected and the kind-3
+// whole-schedule frame still hits.
 func TestDiskCacheLegacyKindSkipped(t *testing.T) {
 	dir := t.TempDir()
 	defer closeSolveDir(t)
@@ -330,49 +335,33 @@ func TestDiskCacheLegacyKindSkipped(t *testing.T) {
 	}
 	closeSolveDir(t)
 
-	// Split the file's frames by kind and put a well-formed kind-2 frame
-	// between the kind-1 and kind-3 ones.
 	raw, err := os.ReadFile(walPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sel, rest [][]byte
-	for r := bytes.NewReader(raw); r.Len() > 0; {
-		payload, err := trace.ReadFrame(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if payload[0] == diskKindSel {
-			sel = append(sel, payload)
-		} else {
-			rest = append(rest, payload)
-		}
+	schedule, err := trace.ReadFrame(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(sel) == 0 || len(rest) != 1 || rest[0][0] != diskKindSchedule {
-		t.Fatalf("unexpected cache file: %d selection frames, %d others", len(sel), len(rest))
+	if len(schedule) != len(raw)-trace.FrameHeaderSize || schedule[0] != diskKindSchedule {
+		t.Fatalf("unexpected cache file: %d bytes, first frame kind %d", len(raw), schedule[0])
 	}
-	// Kind-2 body: uvarint resolved, uvarint count, canonical indices.
-	legacy := encodeDiskEntry(2, [32]byte{2}, []byte{0, 2, 1, 0})
+	// Well-formed legacy frames as the earlier version wrote them. Kind-1
+	// body: uvarint count, one 0/1 byte per residual disjunction. Kind-2
+	// body: uvarint resolved, uvarint count, canonical indices.
+	sel := encodeDiskEntry(1, [32]byte{1}, []byte{3, 0, 1, 1})
+	order := encodeDiskEntry(2, [32]byte{2}, []byte{0, 2, 1, 0})
 	var buf []byte
-	for _, p := range sel {
+	for _, p := range [][]byte{sel, order, schedule} {
 		buf = trace.AppendFrame(buf, p)
 	}
-	buf = trace.AppendFrame(buf, legacy)
-	buf = trace.AppendFrame(buf, rest[0])
 	if err := os.WriteFile(walPath(dir), buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	stats := openSolveDir(t, dir, 0)
-	if stats.Rejected != 1 || stats.Entries != len(sel)+1 || stats.Quarantined != "" {
-		t.Fatalf("open stats %+v, want 1 rejected, %d entries, no quarantine", stats, len(sel)+1)
-	}
-	for _, p := range sel {
-		var key [32]byte
-		copy(key[:], p[1:33])
-		if _, ok := schedCache.lookup(key); !ok {
-			t.Fatal("selection frame did not hydrate")
-		}
+	if stats.Rejected != 2 || stats.Entries != 1 || stats.Quarantined != "" {
+		t.Fatalf("open stats %+v, want 2 rejected, 1 entry, no quarantine", stats)
 	}
 	sched, hit, err := ComputeScheduleCached(log)
 	if err != nil {

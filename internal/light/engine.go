@@ -354,8 +354,7 @@ func synthesize(items map[int32]*locItems, jobs int) (*synthesis, *smt.OrderEngi
 		residualOfGroup[gi] = append(residualOfGroup[gi], di)
 	}
 
-	// Assemble the tier-2 components in TC form (their cache keys are
-	// TC-structural, see cache.go).
+	// Assemble the tier-2 components in TC form.
 	var comps []*residualComp
 	compOfGroup := make([]int, len(groups))
 	for gi := range groups {
@@ -427,41 +426,17 @@ func synthesize(items map[int32]*locItems, jobs int) (*synthesis, *smt.OrderEngi
 	// fully fastpath-resolved log must not report a zero-sized pool.
 	workers := min(jobs, len(comps))
 	type compResult struct {
-		sel   []uint8 // the chosen disjunct per residual disjunction
-		stats ScheduleStats
-		ns    int64
-		err   error
+		chosen [][2]trace.TC // the satisfied disjunct per residual disjunction
+		solver smt.Stats
+		ns     int64
+		err    error
 	}
 	obsOn := obs.Enabled()
 	results := make([]compResult, len(comps))
 	solveSpan := obs.StartSpan("solve")
 	solveStart := time.Now()
-	// Key every component first and solve each distinct key once: its
-	// duplicates reuse the leader's selection as cache hits. Two workers
-	// missing one key at once would make the hit and miss counts depend on
-	// timing.
-	keys := make([][32]byte, len(comps))
-	useCache := DefaultSolveCache
-	if useCache {
-		parallelFor(workers, len(comps), func(_, i int) { keys[i], _ = residualCompKey(comps[i]) })
-	}
-	leader := make([]int, len(comps))
-	firstOf := make(map[[32]byte]int)
-	for i := range comps {
-		leader[i] = i
-		if useCache {
-			if j, ok := firstOf[keys[i]]; ok {
-				leader[i] = j
-			} else {
-				firstOf[keys[i]] = i
-			}
-		}
-	}
 	solvers := make([]*smt.Solver, max(workers, 1))
 	parallelFor(workers, len(comps), func(w, i int) {
-		if leader[i] != i {
-			return
-		}
 		if solvers[w] == nil {
 			solvers[w] = smt.NewSolver()
 		}
@@ -469,18 +444,13 @@ func synthesize(items map[int32]*locItems, jobs int) (*synthesis, *smt.OrderEngi
 		sv.Reset()
 		res, c := &results[i], comps[i]
 		start := time.Now()
-		res.sel, res.stats, res.err = solveResidualComp(c, keys[i], useCache, sv)
+		res.chosen, res.solver, res.err = solveResidualComp(c, sv)
 		res.ns = time.Since(start).Nanoseconds()
 		if obsOn {
 			mSolveComponentNS.Observe(res.ns)
 			mSolveComponentVars.Observe(int64(len(c.vars)))
 		}
 	})
-	for i, j := range leader {
-		if j != i {
-			results[i] = compResult{sel: results[j].sel, stats: ScheduleStats{CacheHits: 1}, err: results[j].err}
-		}
-	}
 	solveSpan.SetItems(int64(len(comps)))
 	solveSpan.End()
 
@@ -494,17 +464,11 @@ func synthesize(items map[int32]*locItems, jobs int) (*synthesis, *smt.OrderEngi
 		if r.err != nil {
 			return nil, nil, r.err
 		}
-		chosen, err := chosenFromSelection(comps[i], r.sel)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, e := range chosen {
+		for _, e := range r.chosen {
 			syn.chosen = append(syn.chosen, [2]int32{x.node(e[0]), x.node(e[1])})
 		}
 		stats.SolveBusyNS += r.ns
-		stats.CacheHits += r.stats.CacheHits
-		stats.CacheMisses += r.stats.CacheMisses
-		stats.Solver.Add(r.stats.Solver)
+		stats.Solver.Add(r.solver)
 	}
 	stats.IntVars = len(x.vars)
 	// Hard edges: the per-location edges plus the program-order chains.
@@ -526,20 +490,10 @@ func synthesize(items map[int32]*locItems, jobs int) (*synthesis, *smt.OrderEngi
 }
 
 // solveResidualComp discharges one tier-2 component to the CDCL(T) solver
-// (or the schedule cache, under the component's key when useCache) and
-// returns, for each residual disjunction, the disjunct the model satisfies
-// (see chosenFromSelection). Deterministic: the same component yields the
-// same choices on every call, on any worker, cached or not.
-func solveResidualComp(c *residualComp, key [32]byte, useCache bool, sv *smt.Solver) ([]uint8, ScheduleStats, error) {
-	var stats ScheduleStats
-	if useCache {
-		if sel, ok := schedCache.lookup(key); ok {
-			stats.CacheHits = 1
-			return sel, stats, nil
-		}
-		stats.CacheMisses = 1
-	}
-
+// and returns, for each residual disjunction, the edge of the disjunct the
+// model satisfies. Deterministic: the same component yields the same
+// choices on every call, on any worker.
+func solveResidualComp(c *residualComp, sv *smt.Solver) ([][2]trace.TC, smt.Stats, error) {
 	p := smt.NewProblem()
 	vars := make(map[trace.TC]smt.IntVar, len(c.vars))
 	for _, tc := range c.vars {
@@ -558,22 +512,20 @@ func solveResidualComp(c *residualComp, key [32]byte, useCache bool, sv *smt.Sol
 		p.Assert(smt.Or(smt.Lt(vars[d.a1], vars[d.b1]), smt.Lt(vars[d.a2], vars[d.b2])))
 	}
 	res := sv.Solve(p)
-	stats.Solver = res.Stats
 	if res.Status != smt.Sat {
-		return nil, stats, fmt.Errorf("light: replay constraint system unsatisfiable (component over locations %v: %d vars, %d residual disjunctions) — this contradicts Lemma 4.1 and indicates a recording bug",
+		return nil, res.Stats, fmt.Errorf("light: replay constraint system unsatisfiable (component over locations %v: %d vars, %d residual disjunctions) — this contradicts Lemma 4.1 and indicates a recording bug",
 			c.locs, len(c.vars), len(c.disj))
 	}
 
-	sel := make([]uint8, len(c.disj))
+	chosen := make([][2]trace.TC, len(c.disj))
 	for i, d := range c.disj {
-		if res.Values[vars[d.a1]] >= res.Values[vars[d.b1]] {
-			sel[i] = 1
+		if res.Values[vars[d.a1]] < res.Values[vars[d.b1]] {
+			chosen[i] = [2]trace.TC{d.a1, d.b1}
+		} else {
+			chosen[i] = [2]trace.TC{d.a2, d.b2}
 		}
 	}
-	if useCache {
-		schedCache.store(key, sel)
-	}
-	return sel, stats, nil
+	return chosen, res.Stats, nil
 }
 
 // parallelFor calls fn(w, i) for every i in [0, n) on a pool of workers
@@ -599,23 +551,6 @@ func parallelFor(workers, n int, fn func(w, i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// chosenFromSelection maps a per-disjunction disjunct selection back to
-// concrete edges.
-func chosenFromSelection(c *residualComp, sel []uint8) ([][2]trace.TC, error) {
-	if len(sel) != len(c.disj) {
-		return nil, fmt.Errorf("light: internal error: cached selection length %d for %d disjunctions", len(sel), len(c.disj))
-	}
-	chosen := make([][2]trace.TC, len(c.disj))
-	for i, d := range c.disj {
-		if sel[i] == 0 {
-			chosen[i] = [2]trace.TC{d.a1, d.b1}
-		} else {
-			chosen[i] = [2]trace.TC{d.a2, d.b2}
-		}
-	}
-	return chosen, nil
 }
 
 // ComputeSchedule builds the constraint system of Section 4.2 from a log,
@@ -681,7 +616,5 @@ func observeSolve(s *ScheduleStats) {
 	mSolveUtilization.Set(s.WorkerUtilization())
 	mSolveFastpathComponents.Add(uint64(s.FastpathComponents))
 	mSolveCDCLComponents.Add(uint64(s.Components - s.FastpathComponents))
-	mSolveCacheHits.Add(uint64(s.CacheHits))
-	mSolveCacheMisses.Add(uint64(s.CacheMisses))
 	mSolveFastpathRate.Set(s.FastpathRate())
 }

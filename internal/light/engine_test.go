@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/smt"
 	"repro/internal/trace"
 )
 
@@ -40,27 +41,51 @@ func bridgedResidualLog() *trace.Log {
 	return log
 }
 
+// replicatedResidualLog builds k disjoint, structurally identical residual
+// components: location i carries free write-range exclusions between its
+// own pair of threads, with identical counter structure everywhere.
+func replicatedResidualLog(k int) *trace.Log {
+	log := &trace.Log{NumLocs: int32(k)}
+	for i := 0; i < k; i++ {
+		a, b := int32(2*i), int32(2*i+1)
+		log.Threads = append(log.Threads, "a", "b")
+		log.Ranges = append(log.Ranges,
+			trace.Range{Loc: int32(i), Thread: a, Start: 1, End: 2, HasWrite: true},
+			trace.Range{Loc: int32(i), Thread: b, Start: 1, End: 2, HasWrite: true},
+		)
+	}
+	return log
+}
+
 // TestEngineResidualFallback: the graph-first engine must route free
-// disjunctions to the CDCL tier and still produce a checker-clean schedule.
+// disjunctions to the CDCL tier and still produce a checker-clean schedule;
+// structurally identical components are each searched.
 func TestEngineResidualFallback(t *testing.T) {
-	log := residualLog()
-	ResetScheduleCache()
-	sched, err := ComputeScheduleJobs(log, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckSchedule(log, sched); err != nil {
-		t.Fatal(err)
-	}
-	st := sched.Stats
-	if st.Components != 1 || st.FastpathComponents != 0 {
-		t.Fatalf("components=%d fastpath=%d, want 1/0 (pure residual component)", st.Components, st.FastpathComponents)
-	}
-	if st.Resolved != 0 || st.Disjunctions != 3 {
-		t.Fatalf("resolved=%d disjunctions=%d, want 0/3", st.Resolved, st.Disjunctions)
-	}
-	if st.FastpathRate() != 0 {
-		t.Fatalf("fastpath rate = %v, want 0", st.FastpathRate())
+	for _, tc := range []struct {
+		name              string
+		log               *trace.Log
+		components, disjs int
+	}{
+		{"residual", residualLog(), 1, 3},
+		{"replicated", replicatedResidualLog(4), 4, 4},
+	} {
+		sched, err := ComputeScheduleJobs(tc.log, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := CheckSchedule(tc.log, sched); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		st := sched.Stats
+		if st.Components != tc.components || st.FastpathComponents != 0 {
+			t.Fatalf("%s: components=%d fastpath=%d, want %d/0 (pure residual components)", tc.name, st.Components, st.FastpathComponents, tc.components)
+		}
+		if st.Resolved != 0 || st.Disjunctions != tc.disjs {
+			t.Fatalf("%s: resolved=%d disjunctions=%d, want 0/%d", tc.name, st.Resolved, st.Disjunctions, tc.disjs)
+		}
+		if st.FastpathRate() != 0 {
+			t.Fatalf("%s: fastpath rate = %v, want 0", tc.name, st.FastpathRate())
+		}
 	}
 }
 
@@ -69,7 +94,6 @@ func TestEngineResidualFallback(t *testing.T) {
 // merged schedule must satisfy the full system.
 func TestEngineBridgedResidual(t *testing.T) {
 	log := bridgedResidualLog()
-	ResetScheduleCache()
 	sched, err := ComputeScheduleJobs(log, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -90,38 +114,36 @@ func TestEngineBridgedResidual(t *testing.T) {
 }
 
 // TestEngineDeterminism: the graph-first schedule must be byte-identical
-// across worker counts and cache states.
+// across worker counts, and every worker count must search every residual
+// component (equal, nonzero solver counters) rather than reuse another
+// solve's result.
 func TestEngineDeterminism(t *testing.T) {
-	log := bridgedResidualLog()
-
-	defer func() { DefaultSolveCache = true }()
-	DefaultSolveCache = false
-	uncached, err := ComputeScheduleJobs(log, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	DefaultSolveCache = true
-
-	ResetScheduleCache()
-	for _, jobs := range []int{1, 4} {
-		sched, err := ComputeScheduleJobs(log, jobs)
+	for _, tc := range []struct {
+		name string
+		log  *trace.Log
+	}{
+		{"residual", residualLog()},
+		{"bridged", bridgedResidualLog()},
+		{"replicated", replicatedResidualLog(4)},
+	} {
+		name, log := tc.name, tc.log
+		serial, err := ComputeScheduleJobs(log, 1)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if !reflect.DeepEqual(sched.Order, uncached.Order) {
-			t.Fatalf("jobs=%d schedule differs from uncached serial schedule", jobs)
+		parallel, err := ComputeScheduleJobs(log, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-	// The second cached run must have hit.
-	sched, err := ComputeScheduleJobs(log, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sched.Stats.CacheHits != 1 || sched.Stats.CacheMisses != 0 {
-		t.Fatalf("cache hits/misses = %d/%d, want 1/0 on a repeat solve", sched.Stats.CacheHits, sched.Stats.CacheMisses)
-	}
-	if !reflect.DeepEqual(sched.Order, uncached.Order) {
-		t.Fatal("cache hit changed the schedule")
+		if !reflect.DeepEqual(parallel.Order, serial.Order) {
+			t.Fatalf("%s: jobs=4 schedule differs from the serial schedule", name)
+		}
+		if serial.Stats.Solver == (smt.Stats{}) {
+			t.Fatalf("%s: serial solve never reached CDCL(T)", name)
+		}
+		if parallel.Stats.Solver != serial.Stats.Solver {
+			t.Fatalf("%s: solver stats jobs=4 %+v, jobs=1 %+v", name, parallel.Stats.Solver, serial.Stats.Solver)
+		}
 	}
 }
 

@@ -10,8 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/bugs"
@@ -24,10 +22,9 @@ import (
 // is pinned byte for byte, so a refactor of schedule synthesis can prove it
 // moved nothing. The logs are committed recordings (testdata/golden/*.lightlog)
 // of the 24 workloads, the 3 multicore workloads and the 8 bug models, plus
-// the synthetic residual and bridged logs built in code. For each log the
-// pin is the sha256 of the schedule order, every non-timing ScheduleStats
-// field, and — for logs that reach CDCL(T) — the component cache keys the
-// solve stored, which are also the persisted solve-cache keys.
+// the synthetic residual, bridged and replicated logs built in code. For
+// each log the pin is the sha256 of the schedule order, every non-timing
+// ScheduleStats field, and an ExplainAccess digest.
 //
 // To re-pin after an intended schedule change:
 //
@@ -44,7 +41,6 @@ type goldenPin struct {
 	Name  string      `json:"name"`
 	Order string      `json:"order_sha256"`
 	Stats goldenStats `json:"stats"`
-	Keys  []string    `json:"cache_keys,omitempty"`
 	// Explain digests ExplainAccess's JSON for a spread of scheduled
 	// accesses, pinning the forensic constraint view alongside the order.
 	Explain string `json:"explain_sha256"`
@@ -52,21 +48,20 @@ type goldenPin struct {
 
 // goldenStats is ScheduleStats without the wall-clock fields.
 type goldenStats struct {
-	IntVars, Disjunctions, Conjunctive, Resolved int
-	Components, LargestComponent                 int
-	FastpathComponents, CacheHits, CacheMisses   int
-	SolveJobs, SolveWorkers                      int
-	Decisions, Conflicts, Propagations, Restarts int64
-	TheoryChecks, Seeded                         int64
-	SolverClauses, SolverVars                    int
+	IntVars, Disjunctions, Conjunctive, Resolved     int
+	Components, LargestComponent, FastpathComponents int
+	SolveJobs, SolveWorkers                          int
+	Decisions, Conflicts, Propagations, Restarts     int64
+	TheoryChecks, Seeded                             int64
+	SolverClauses, SolverVars                        int
 }
 
 func pinStats(s ScheduleStats) goldenStats {
 	return goldenStats{
 		IntVars: s.IntVars, Disjunctions: s.Disjunctions, Conjunctive: s.Conjunctive, Resolved: s.Resolved,
 		Components: s.Components, LargestComponent: s.LargestComponent,
-		FastpathComponents: s.FastpathComponents, CacheHits: s.CacheHits, CacheMisses: s.CacheMisses,
-		SolveJobs: s.SolveJobs, SolveWorkers: s.SolveWorkers,
+		FastpathComponents: s.FastpathComponents,
+		SolveJobs:          s.SolveJobs, SolveWorkers: s.SolveWorkers,
 		Decisions: s.Solver.Decisions, Conflicts: s.Solver.Conflicts, Propagations: s.Solver.Propagations,
 		Restarts: s.Solver.Restarts, TheoryChecks: s.Solver.TheoryChecks, Seeded: s.Solver.Seeded,
 		SolverClauses: s.Solver.Clauses, SolverVars: s.Solver.Vars,
@@ -169,12 +164,9 @@ func loadGoldenLog(t *testing.T, src goldenSource) *trace.Log {
 	return log
 }
 
-// solveGolden solves one log on a cold in-memory cache and returns its pin.
-// The cache keys are read back from the component cache: every CDCL(T)
-// component misses on a cold cache and stores its key.
+// solveGolden solves one log and returns its pin.
 func solveGolden(t *testing.T, name string, log *trace.Log) (goldenPin, *Schedule) {
 	t.Helper()
-	ResetScheduleCache()
 	sched, err := ComputeScheduleJobs(log, 4)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -183,12 +175,6 @@ func solveGolden(t *testing.T, name string, log *trace.Log) (goldenPin, *Schedul
 		t.Fatalf("%s: checker: %v", name, err)
 	}
 	pin := goldenPin{Name: name, Order: orderHash(sched.Order), Stats: pinStats(sched.Stats)}
-	schedCache.mu.Lock()
-	for k := range schedCache.m {
-		pin.Keys = append(pin.Keys, hex.EncodeToString(k[:]))
-	}
-	schedCache.mu.Unlock()
-	sort.Strings(pin.Keys)
 	pin.Explain = explainHash(t, log, sched)
 	return pin, sched
 }
@@ -212,8 +198,8 @@ func explainHash(t *testing.T, log *trace.Log, sched *Schedule) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenSchedules pins the engine's schedules, stats and cache keys on
-// every golden log (solved with 4 workers), and checks a serial solve lands
+// TestGoldenSchedules pins the engine's schedules, stats and ExplainAccess
+// digests on every golden log (solved with 4 workers), and checks a serial solve lands
 // on the same order.
 func TestGoldenSchedules(t *testing.T) {
 	pinPath := filepath.Join(goldenDir, "schedules.json")
@@ -258,9 +244,6 @@ func TestGoldenSchedules(t *testing.T) {
 		}
 		if pin.Stats != w.Stats {
 			t.Errorf("%s: stats\n got  %+v\n want %+v", src.name, pin.Stats, w.Stats)
-		}
-		if strings.Join(pin.Keys, ",") != strings.Join(w.Keys, ",") {
-			t.Errorf("%s: cache keys %v, golden %v", src.name, pin.Keys, w.Keys)
 		}
 		if pin.Explain != w.Explain {
 			t.Errorf("%s: ExplainAccess digest %s, golden %s", src.name, pin.Explain, w.Explain)

@@ -614,7 +614,6 @@ func TestStreamMatchesAutoResidual(t *testing.T) {
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			ResetScheduleCache()
 			sched, err := ComputeScheduleJobs(c.log, 4)
 			if err != nil {
 				t.Fatal(err)

@@ -59,18 +59,14 @@ var (
 	mSolveUtilization = obs.NewGauge("light_solve_worker_utilization",
 		"busy/(workers*wall) ratio of the last parallel component solve")
 
-	// Graph-first engine (DESIGN.md §4d): propagation fast path, CDCL
-	// fallback, and the component schedule cache.
+	// Graph-first engine (DESIGN.md §4d): propagation fast path and CDCL
+	// fallback.
 	mSolveFastpathComponents = obs.NewCounter("light_solve_fastpath_components_total",
 		"components fully decided by propagation, no CDCL invocation")
 	mSolveCDCLComponents = obs.NewCounter("light_solve_cdcl_components_total",
 		"components with residual disjunctions sent to the CDCL(T) fallback")
 	mSolveFastpathRate = obs.NewGauge("light_solve_fastpath_rate",
 		"fastpath/total component ratio of the last graph-first solve")
-	mSolveCacheHits = obs.NewCounter("light_solve_cache_hits_total",
-		"component schedule cache hits (solves skipped entirely)")
-	mSolveCacheMisses = obs.NewCounter("light_solve_cache_misses_total",
-		"component schedule cache misses (solves performed and stored)")
 
 	// Persistent solve cache (diskcache.go).
 	mDiskCacheHydrated = obs.NewCounter("light_solvecache_disk_hydrated_total",
