@@ -1,15 +1,16 @@
 # Repository verification targets. `make ci` (or `make verify`) is the
 # default gate: gofmt (fmt-check), vet, build, doc-comment lint
 # (docs-check), the full test suite, the race-detector run over the
-# concurrency-bearing packages (the recorder's lock-free paths and the
-# parallel partitioned solver), and a bounded randomized differential
-# campaign (fuzz-smoke).
+# concurrency-bearing packages (the recorder's lock-free paths, the
+# replayer's gates, epoch sessions and the baseline tools), a bounded
+# randomized differential campaign (fuzz-smoke), and a run of every example
+# program (examples-smoke).
 
 GO ?= go
 
-.PHONY: ci verify fmt-check vet build test race bench bench-solve bench-replay bench-gate bench-contract fuzz-smoke fuzz flake-smoke lightd-smoke stat-smoke report docs-check trace-check
+.PHONY: ci verify fmt-check vet build test race bench bench-solve bench-replay bench-gate bench-contract fuzz-smoke fuzz flake-smoke lightd-smoke stat-smoke report docs-check trace-check examples-smoke
 
-ci: fmt-check docs-check build test race bench-solve bench-replay trace-check bench-gate bench-contract fuzz-smoke flake-smoke lightd-smoke stat-smoke
+ci: fmt-check docs-check build test race bench-solve bench-replay trace-check bench-gate bench-contract fuzz-smoke flake-smoke lightd-smoke stat-smoke examples-smoke
 
 verify: ci
 
@@ -88,8 +89,8 @@ trace-check:
 	$(GO) test ./cmd/lighttrace/ ./internal/obs/flight/
 
 # fuzz-smoke is the CI-sized randomized gate: a bounded lightfuzz campaign
-# (generator -> record -> replay -> oracles, including the 1-vs-N-worker
-# byte-identity check and the checker on every recorded log), a perturbed
+# (generator -> record -> replay -> oracles, including the schedule
+# checker on every recorded log's solve), a perturbed
 # campaign, the stored seed corpus as a regression suite, and short runs of
 # the native go-fuzz targets.
 fuzz-smoke:
@@ -131,3 +132,14 @@ lightd-smoke:
 # alerting").
 stat-smoke:
 	$(GO) test ./cmd/lightstat/ -count=1
+
+# examples-smoke runs every example program and fails on a non-zero exit.
+# examples/solver must also print the Section 4.2 replay order
+# c3 c4 c5 c1 c2 c6.
+examples-smoke:
+	$(GO) run ./examples/quickstart > /dev/null
+	$(GO) run ./examples/cache4j > /dev/null
+	$(GO) run ./examples/bugrepro > /dev/null
+	out=$$($(GO) run ./examples/solver) || exit 1; \
+	order=$$(printf '%s\n' "$$out" | sed -n 's/^ *[0-9]*\. \(c[0-9]\):.*/\1/p' | tr '\n' ' '); \
+	test "$$order" = "c3 c4 c5 c1 c2 c6 " || { echo "examples/solver: replay order '$$order', want c3 c4 c5 c1 c2 c6"; exit 1; }

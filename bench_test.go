@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 	"time"
 
@@ -255,108 +254,19 @@ func BenchmarkSolverIDL(b *testing.B) {
 				p := smt.NewProblem()
 				vars := make([]smt.IntVar, size)
 				for j := range vars {
-					vars[j] = p.IntVarNamed("")
+					vars[j] = p.NewIntVar()
 				}
 				for j := 0; j+1 < size; j++ {
 					p.AssertLt(vars[j], vars[j+1])
 				}
 				// Non-interference-shaped disjunctions over distant pairs.
 				for j := 0; j+10 < size; j += 7 {
-					p.Assert(smt.Or(smt.Lt(vars[j+10], vars[j]), smt.Lt(vars[j+3], vars[j+5])))
+					p.Assert(smt.Lt(vars[j+10], vars[j]), smt.Lt(vars[j+3], vars[j+5]))
 				}
 				if res := p.Solve(); res.Status != smt.Sat {
 					b.Fatal("unsat")
 				}
 			}
-		})
-	}
-}
-
-// replicateLog tiles k disjoint copies of a recorded log into one larger log:
-// copy j's threads and locations are offset so the copies share nothing. The
-// result has at least k independent constraint components, making it an ideal
-// workload for the partitioned solve.
-func replicateLog(base *trace.Log, k int) *trace.Log {
-	nThreads := int32(len(base.Threads))
-	shift := func(tc trace.TC, j int32) trace.TC {
-		if tc.IsInitial() {
-			return tc
-		}
-		return trace.TC{Thread: tc.Thread + j*nThreads, Counter: tc.Counter}
-	}
-	out := &trace.Log{
-		Tool:    base.Tool,
-		Seed:    base.Seed,
-		NumLocs: base.NumLocs * int32(k),
-	}
-	for j := int32(0); j < int32(k); j++ {
-		for _, p := range base.Threads {
-			out.Threads = append(out.Threads, fmt.Sprintf("%s#%d", p, j))
-		}
-		for _, d := range base.Deps {
-			out.Deps = append(out.Deps, trace.Dep{
-				Loc: d.Loc + j*base.NumLocs,
-				W:   shift(d.W, j),
-				R:   shift(d.R, j),
-			})
-		}
-		for _, r := range base.Ranges {
-			r.Loc += j * base.NumLocs
-			r.Thread += j * nThreads
-			r.W = shift(r.W, j)
-			out.Ranges = append(out.Ranges, r)
-		}
-	}
-	return out
-}
-
-// BenchmarkSolvePartitioned compares the serial (one worker) and parallel
-// (GOMAXPROCS workers) partitioned schedule solves on a log with many
-// independent components. The components and largest_component metrics show
-// the available parallelism; the speedup materializes at GOMAXPROCS >= 2.
-func BenchmarkSolvePartitioned(b *testing.B) {
-	src := `
-class C { field n; }
-var c = null;
-fun bump(k) {
-  for (var i = 0; i < k; i = i + 1) {
-    c.n = c.n + 1;
-    if (i % 4 == 0) { yield(); }
-  }
-}
-fun main() {
-  c = new C(); c.n = 0;
-  var t1 = spawn bump(120);
-  var t2 = spawn bump(120);
-  var t3 = spawn bump(120);
-  join t1; join t2; join t3;
-  print(c.n);
-}`
-	prog, err := compiler.CompileSource(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rec := light.Record(prog, light.Options{O1: true}, light.RunConfig{Seed: 9})
-	log := replicateLog(rec.Log, 8)
-	for _, cfg := range []struct {
-		name string
-		jobs int
-	}{
-		{"serial", 1},
-		{"parallel", runtime.GOMAXPROCS(0)},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var st light.ScheduleStats
-			for i := 0; i < b.N; i++ {
-				sched, err := light.ComputeScheduleJobs(log, cfg.jobs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				st = sched.Stats
-			}
-			b.ReportMetric(float64(st.Components), "components")
-			b.ReportMetric(float64(st.LargestComponent), "largest_component")
 		})
 	}
 }
@@ -428,7 +338,7 @@ func BenchmarkSolveFastpath(b *testing.B) {
 			var solve, check time.Duration
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
-				sched, err := light.ComputeScheduleJobs(log, runtime.GOMAXPROCS(0))
+				sched, err := light.ComputeSchedule(log)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -50,14 +50,12 @@ func main() {
 	runs := flag.Int("runs", 5, "measurement repetitions per configuration")
 	seed := flag.Uint64("seed", 1, "base seed")
 	suite := flag.String("suite", "", "restrict to one suite (jgf, stamp, server, dacapo)")
-	solveJobs := flag.Int("solvejobs", 0, "workers for the partitioned schedule solve (0 = GOMAXPROCS)")
 	solveCacheDir := flag.String("solvecache-dir", "", "persist solved schedules to this directory, hydrated on startup (empty = in-memory only)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus metrics at this address under /metrics")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
 	runtimeTrace := flag.String("runtime-trace", "", "write a Go runtime execution trace to this file")
 	flag.Parse()
-	light.DefaultSolveJobs = *solveJobs
 	if *solveCacheDir != "" {
 		if _, err := light.SetSolveCacheDir(*solveCacheDir, 0); err != nil {
 			// A quarantined cache is a warning: the store reopened empty.

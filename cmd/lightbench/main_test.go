@@ -74,8 +74,8 @@ func TestReportEndToEnd(t *testing.T) {
 		"name", "suite", "gomaxprocs", "native_ns", "record_ns", "overhead_factor",
 		"rec_read_retries", "rec_seqlock_conflicts", "rec_stripe_waits", "rec_foreign_taints",
 		"log_space_longs", "log_bytes", "log_events", "log_bytes_per_1k_events",
-		"solve_ms", "solve_jobs", "solve_components", "solve_largest_component",
-		"solve_worker_utilization", "replay_ms", "replay_ok",
+		"solve_ms", "solve_components", "solve_largest_component",
+		"replay_ms", "replay_ok",
 	} {
 		if _, ok := rawRpt.Workloads[0][key]; !ok {
 			t.Errorf("artifact rows missing required key %q", key)

@@ -3,8 +3,7 @@
 // toward recorder-hostile patterns, records and replays each one under
 // rotating recorder variants, and checks three independent oracles
 // (replay reproduction + final heap state, LEAP/Stride cross-recording,
-// solve equivalence: 1-vs-N workers byte identity, the schedule
-// checker-validated). Failures are minimized by a
+// the solved schedule checker-validated). Failures are minimized by a
 // delta-debugging shrinker and written as reproducible corpus files.
 //
 // Usage:
@@ -32,7 +31,6 @@ func main() {
 		start      = flag.Uint64("start", 0, "first generator seed")
 		schedSeeds = flag.Int("schedseeds", 2, "schedule seeds per program")
 		jobs       = flag.Int("jobs", 4, "concurrent oracle workers")
-		solveJobs  = flag.Int("solvejobs", 0, "N for the 1-vs-N solve equivalence check (0 = default 4)")
 		duration   = flag.Duration("duration", 0, "wall-clock budget (0 = run all seeds)")
 		corpus     = flag.String("corpus", "", "directory for failure corpus files (.lfz)")
 		artifacts  = flag.String("artifacts", "", "directory for per-failure debug bundles (shrunk .lfz + forensics + Perfetto trace)")
@@ -53,13 +51,13 @@ func main() {
 
 	switch {
 	case *shrink != "":
-		os.Exit(runShrink(*shrink, *solveJobs))
+		os.Exit(runShrink(*shrink))
 	case *regress:
 		if *corpus == "" {
 			fmt.Fprintln(os.Stderr, "lightfuzz: -regress requires -corpus")
 			os.Exit(2)
 		}
-		os.Exit(runRegress(*corpus, *solveJobs))
+		os.Exit(runRegress(*corpus))
 	}
 
 	cfg := fuzz.Config{
@@ -67,7 +65,6 @@ func main() {
 		StartSeed:    *start,
 		SchedSeeds:   *schedSeeds,
 		Jobs:         *jobs,
-		SolveJobs:    *solveJobs,
 		Duration:     *duration,
 		CorpusDir:    *corpus,
 		ArtifactsDir: *artifacts,
@@ -89,7 +86,7 @@ func main() {
 }
 
 // runRegress replays every stored corpus case through the oracle stack.
-func runRegress(dir string, solveJobs int) int {
+func runRegress(dir string) int {
 	cases, err := fuzz.LoadCorpus(dir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lightfuzz: %v\n", err)
@@ -102,7 +99,7 @@ func runRegress(dir string, solveJobs int) int {
 	failed := 0
 	start := time.Now()
 	for _, c := range cases {
-		if _, err := fuzz.Reproduce(c, solveJobs, nil); err != nil {
+		if _, err := fuzz.Reproduce(c, nil); err != nil {
 			failed++
 			fmt.Printf("  FAIL genseed=%d schedseed=%d: %s\n", c.GenSeed, c.SchedSeed, firstLine(err.Error()))
 		}
@@ -117,14 +114,14 @@ func runRegress(dir string, solveJobs int) int {
 // runShrink minimizes one stored failing case and prints the reproducer.
 // The stored failure must reproduce without fault injection; cases written
 // by the injected-fault self-test cannot be re-shrunk here.
-func runShrink(path string, solveJobs int) int {
+func runShrink(path string) int {
 	c, err := fuzz.ReadCase(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lightfuzz: %v\n", err)
 		return 1
 	}
 	fails := func(tr []uint32) bool {
-		_, err := fuzz.Reproduce(&fuzz.Case{GenSeed: c.GenSeed, SchedSeed: c.SchedSeed, Trace: tr}, solveJobs, nil)
+		_, err := fuzz.Reproduce(&fuzz.Case{GenSeed: c.GenSeed, SchedSeed: c.SchedSeed, Trace: tr}, nil)
 		return err != nil
 	}
 	if !fails(c.Trace) {

@@ -14,7 +14,6 @@
 //	lightrr analyze prog.mj              # shared/lockset/race report
 //
 // Common flags: -seed N, -sleep-unit NS, -basic (disable O1), -no-o2,
-// -solvejobs N (schedule-solve workers; 0 = GOMAXPROCS; DESIGN.md §4d),
 // -tool light|leap|stride|clap|chimera (roundtrip only).
 //
 // Observability: -metrics-addr HOST:PORT serves the live recorder/solver/
@@ -61,7 +60,6 @@ func main() {
 	basic := fs.Bool("basic", false, "disable the O1 sequence reduction")
 	noO2 := fs.Bool("no-o2", false, "disable the lock-subsumption instrumentation reduction")
 	tool := fs.String("tool", "light", "roundtrip tool: light, leap, stride, clap, chimera")
-	solveJobs := fs.Int("solvejobs", 0, "workers for the partitioned schedule solve (0 = GOMAXPROCS)")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus metrics at this address under /metrics")
 	flightCap := fs.Int("flight", 0, "enable the flight recorder with this per-thread ring capacity (0 = off)")
 	flightTrace := fs.String("flight-trace", "", "write the flight recording as Chrome trace JSON to this file on exit (implies -flight)")
@@ -69,7 +67,6 @@ func main() {
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
-	light.DefaultSolveJobs = *solveJobs
 
 	if *metricsAddr != "" {
 		addr, err := obs.ServeMetrics(*metricsAddr)

@@ -26,7 +26,7 @@ func main() {
 	p := smt.NewProblem()
 	names := map[smt.IntVar]string{}
 	mk := func(n string) smt.IntVar {
-		v := p.IntVarNamed(n)
+		v := p.NewIntVar()
 		names[v] = n
 		return v
 	}
@@ -39,7 +39,7 @@ func main() {
 	p.AssertLt(c3, c2)
 	// Non-interference of the two dependences on x (second conjunct):
 	// O(c5) < O(c1) or O(c6) < O(c4).
-	p.Assert(smt.Or(smt.Lt(c5, c1), smt.Lt(c6, c4)))
+	p.Assert(smt.Lt(c5, c1), smt.Lt(c6, c4))
 	// Thread-local program orders.
 	p.AssertLt(c1, c2)
 	p.AssertLt(c3, c4)
@@ -61,11 +61,11 @@ func main() {
 	// dependences even though it differs from the original run.
 	fmt.Println("\nadding O(c6) < O(c4) as well forces the other disjunct:")
 	p2 := smt.NewProblem()
-	d1, d2 := p2.IntVarNamed("w1"), p2.IntVarNamed("r1")
-	e1, e2 := p2.IntVarNamed("w2"), p2.IntVarNamed("r2")
+	d1, d2 := p2.NewIntVar(), p2.NewIntVar() // w1, r1
+	e1, e2 := p2.NewIntVar(), p2.NewIntVar() // w2, r2
 	p2.AssertLt(d1, d2)
 	p2.AssertLt(e1, e2)
-	p2.Assert(smt.Or(smt.Lt(e2, d1), smt.Lt(d2, e1)))
+	p2.Assert(smt.Lt(e2, d1), smt.Lt(d2, e1))
 	p2.AssertLt(d1, e1) // w1 before w2: only r1 < w2 remains
 	res2 := p2.Solve()
 	fmt.Printf("status: %v; r1 scheduled before w2: %v\n",

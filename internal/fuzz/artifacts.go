@@ -29,7 +29,7 @@ const shrinkBudgetArtifacts = 150
 // It re-runs the case sequentially (the flight recorder's enable switch is
 // process-global), so campaigns call it after their workers have drained.
 // The returned path is the case directory.
-func WriteArtifacts(dir string, c *Case, solveJobs int, fault func(trace.Dep) bool) (string, error) {
+func WriteArtifacts(dir string, c *Case, fault func(trace.Dep) bool) (string, error) {
 	caseDir := filepath.Join(dir, fmt.Sprintf("case-%d-%d", c.GenSeed, c.SchedSeed))
 	if err := os.MkdirAll(caseDir, 0o755); err != nil {
 		return "", err
@@ -39,7 +39,7 @@ func WriteArtifacts(dir string, c *Case, solveJobs int, fault func(trace.Dep) bo
 	// original trace.
 	min := c
 	fails := func(tr []uint32) bool {
-		_, err := Reproduce(&Case{GenSeed: c.GenSeed, SchedSeed: c.SchedSeed, Trace: tr}, solveJobs, fault)
+		_, err := Reproduce(&Case{GenSeed: c.GenSeed, SchedSeed: c.SchedSeed, Trace: tr}, fault)
 		return err != nil
 	}
 	if fails(c.Trace) {
@@ -56,7 +56,7 @@ func WriteArtifacts(dir string, c *Case, solveJobs int, fault func(trace.Dep) bo
 	if err != nil {
 		return caseDir, fmt.Errorf("minimized source does not compile: %w", err)
 	}
-	o := optionsFor(c.GenSeed, c.SchedSeed, solveJobs, fault, c.Perturb)
+	o := optionsFor(c.GenSeed, c.SchedSeed, fault, c.Perturb)
 	an := analysis.Analyze(prog)
 	cfg := light.RunConfig{
 		Seed:              o.ScheduleSeed,

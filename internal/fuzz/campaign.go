@@ -19,8 +19,6 @@ type Config struct {
 	SchedSeeds int
 	// Jobs is the number of concurrent oracle workers (default 4).
 	Jobs int
-	// SolveJobs is the N of the 1-vs-N solve equivalence check.
-	SolveJobs int
 	// Duration, when positive, stops the campaign after the wall-clock
 	// budget even if seeds remain.
 	Duration time.Duration
@@ -54,11 +52,10 @@ type Report struct {
 // pair deterministically, rotating through the recorder variants so the
 // campaign covers basic/O1 recording with and without the O2 mask. The
 // serialized cross-check runs on the first schedule seed of each program.
-func optionsFor(genSeed, schedSeed uint64, solveJobs int, fault func(trace.Dep) bool, perturb int) CheckOptions {
+func optionsFor(genSeed, schedSeed uint64, fault func(trace.Dep) bool, perturb int) CheckOptions {
 	mix := genSeed*31 + schedSeed
 	o := CheckOptions{
 		ScheduleSeed: schedSeed*7919 + genSeed,
-		SolveJobs:    solveJobs,
 		UseO2:        mix%2 == 0,
 		SkipCross:    schedSeed != 0,
 		Perturb:      perturb,
@@ -70,13 +67,13 @@ func optionsFor(genSeed, schedSeed uint64, solveJobs int, fault func(trace.Dep) 
 
 // Reproduce regenerates a case's program and re-runs the full oracle stack
 // on it, returning the source actually checked and the oracle verdict.
-func Reproduce(c *Case, solveJobs int, fault func(trace.Dep) bool) (string, error) {
+func Reproduce(c *Case, fault func(trace.Dep) bool) (string, error) {
 	tr := c.Trace
 	if tr == nil {
 		tr = []uint32{}
 	}
 	p := Generate(c.GenSeed, tr)
-	o := optionsFor(c.GenSeed, c.SchedSeed, solveJobs, fault, c.Perturb)
+	o := optionsFor(c.GenSeed, c.SchedSeed, fault, c.Perturb)
 	return p.Source, Check(p.Source, o)
 }
 
@@ -118,7 +115,7 @@ func RunCampaign(cfg Config) *Report {
 				report.Programs++
 				mu.Unlock()
 				for ss := uint64(0); ss < uint64(cfg.SchedSeeds); ss++ {
-					o := optionsFor(genSeed, ss, cfg.SolveJobs, cfg.Fault, cfg.Perturb)
+					o := optionsFor(genSeed, ss, cfg.Fault, cfg.Perturb)
 					err := Check(p.Source, o)
 					mu.Lock()
 					report.Runs++
@@ -170,7 +167,7 @@ func RunCampaign(cfg Config) *Report {
 	})
 	if cfg.ArtifactsDir != "" {
 		for _, c := range report.Failures {
-			path, err := WriteArtifacts(cfg.ArtifactsDir, c, cfg.SolveJobs, cfg.Fault)
+			path, err := WriteArtifacts(cfg.ArtifactsDir, c, cfg.Fault)
 			if err != nil {
 				logf("artifacts for genseed=%d schedseed=%d failed: %v", c.GenSeed, c.SchedSeed, err)
 			} else {

@@ -51,9 +51,9 @@ func TestSeedCorpus(t *testing.T) {
 			if p.Source != c.Source {
 				t.Fatal("stored source is stale for the current generator; rerun with -update")
 			}
-			// The full oracle stack includes the 1-vs-N-worker
-			// byte-identity check, checker-validated.
-			if _, err := Reproduce(c, 0, nil); err != nil {
+			// The full oracle stack includes the solve, its schedule
+			// checker-validated.
+			if _, err := Reproduce(c, nil); err != nil {
 				t.Fatalf("oracle divergence on corpus case: %v", err)
 			}
 		})

@@ -76,7 +76,7 @@ func TestShrinkInjectedFault(t *testing.T) {
 
 	fails := func(tr []uint32) bool {
 		_, err := Reproduce(&Case{GenSeed: f.GenSeed, SchedSeed: f.SchedSeed, Trace: tr},
-			0, dropCrossThreadDeps)
+			dropCrossThreadDeps)
 		return err != nil
 	}
 	min := Shrink(f.GenSeed, f.Trace, fails, 200)
@@ -93,7 +93,7 @@ func TestShrinkInjectedFault(t *testing.T) {
 	}
 	// Without the fault the minimized program must pass: the failure is the
 	// recorder's, not the generator's.
-	if _, err := Reproduce(&Case{GenSeed: f.GenSeed, SchedSeed: f.SchedSeed, Trace: min.Trace}, 0, nil); err != nil {
+	if _, err := Reproduce(&Case{GenSeed: f.GenSeed, SchedSeed: f.SchedSeed, Trace: min.Trace}, nil); err != nil {
 		t.Fatalf("minimized case fails even without the injected fault: %v", err)
 	}
 }
@@ -127,7 +127,7 @@ func TestCorpusRoundTrip(t *testing.T) {
 	if len(loaded) != 1 || loaded[0].GenSeed != 7 {
 		t.Fatalf("corpus load: got %d cases from %s", len(loaded), path)
 	}
-	src, err := Reproduce(loaded[0], 0, nil)
+	src, err := Reproduce(loaded[0], nil)
 	if err != nil {
 		t.Fatalf("corpus case does not reproduce cleanly: %v\n%s", err, src)
 	}

@@ -17,9 +17,6 @@ import (
 type CheckOptions struct {
 	// ScheduleSeed seeds the VM scheduler of the record run.
 	ScheduleSeed uint64
-	// SolveJobs is the worker count N of the 1-vs-N schedule-solve
-	// equivalence check (0 picks 4).
-	SolveJobs int
 	// LightOpts selects the recorder variant (and may carry the test-only
 	// fault-injection hook).
 	LightOpts light.Options
@@ -31,7 +28,7 @@ type CheckOptions struct {
 	// perturbation at this intensity (lightfuzz -perturb): the fourth
 	// oracle dimension. The noise only biases the recorded interleaving —
 	// every oracle contract (replay reproduction, ground-truth dependence
-	// cross-check, solve equivalence) must hold for noisy interleavings
+	// cross-check, checker-valid schedule) must hold for noisy interleavings
 	// exactly as for calm ones. The serialized cross-check run and the
 	// replay stay unperturbed by construction.
 	Perturb int
@@ -46,8 +43,8 @@ type CheckOptions struct {
 //     shared-heap fingerprint;
 //  2. cross-check Light's recorded dependence set against the ground truth
 //     of a serialized run observed simultaneously by LEAP and Stride;
-//  3. solve every schedule with 1 and with N workers, require identical
-//     schedules, and validate them with the standalone checker.
+//  3. solve every recorded log once and validate the schedule with the
+//     standalone checker.
 func Check(src string, o CheckOptions) error {
 	prog, err := compiler.CompileSource(src)
 	if err != nil {
@@ -66,7 +63,7 @@ func Check(src string, o CheckOptions) error {
 	}
 
 	rec := light.Record(prog, o.LightOpts, cfg)
-	if err := checkSolveJobs(rec.Log, o.SolveJobs); err != nil {
+	if err := checkSolve(rec.Log); err != nil {
 		return err
 	}
 	if err := checkReplay(prog, rec, cfg); err != nil {
@@ -80,25 +77,14 @@ func Check(src string, o CheckOptions) error {
 	return nil
 }
 
-// checkSolveJobs locks in the parallel-solver equivalence claim: the
-// partitioned solve must produce the identical schedule for every worker
-// count, and that schedule must pass the standalone checker.
-func checkSolveJobs(log *trace.Log, jobs int) error {
-	if jobs <= 1 {
-		jobs = 4
-	}
-	s1, err := light.ComputeScheduleJobs(log, 1)
+// checkSolve solves the recorded log and requires the standalone checker
+// to accept the schedule.
+func checkSolve(log *trace.Log) error {
+	sched, err := light.ComputeSchedule(log)
 	if err != nil {
-		return fmt.Errorf("solve(jobs=1): %w", err)
+		return fmt.Errorf("solve: %w", err)
 	}
-	sn, err := light.ComputeScheduleJobs(log, jobs)
-	if err != nil {
-		return fmt.Errorf("solve(jobs=%d): %w", jobs, err)
-	}
-	if d := light.DiffSchedules(s1, sn); !d.Equal() {
-		return fmt.Errorf("solve-jobs divergence (1 worker vs %d): %s", jobs, d)
-	}
-	if err := light.CheckSchedule(log, s1); err != nil {
+	if err := light.CheckSchedule(log, sched); err != nil {
 		return fmt.Errorf("schedule rejected: %w", err)
 	}
 	return nil

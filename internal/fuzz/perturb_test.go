@@ -7,8 +7,8 @@ import (
 
 // TestPerturbedCampaignClean is the fourth oracle dimension's soundness
 // half: with schedule perturbation on and no injected fault, every oracle
-// contract (replay reproduction, ground-truth cross-check, solve
-// equivalence) must hold for noise-biased interleavings exactly as for calm
+// contract (replay reproduction, ground-truth cross-check, checker-valid
+// schedule) must hold for noise-biased interleavings exactly as for calm
 // ones — perturbation delays, it never changes semantics.
 func TestPerturbedCampaignClean(t *testing.T) {
 	rep := RunCampaign(Config{Seeds: 15, SchedSeeds: 1, Jobs: 4, Perturb: 30})
@@ -37,7 +37,7 @@ func TestPerturbedShrinkInjectedFault(t *testing.T) {
 
 	fails := func(tr []uint32) bool {
 		_, err := Reproduce(&Case{GenSeed: f.GenSeed, SchedSeed: f.SchedSeed, Perturb: f.Perturb, Trace: tr},
-			0, dropCrossThreadDeps)
+			dropCrossThreadDeps)
 		return err != nil
 	}
 	min := Shrink(f.GenSeed, f.Trace, fails, 200)

@@ -27,9 +27,7 @@ import (
 // counters (seqlock conflicts, read retries, stripe waits, foreign taints)
 // from an extra metrics-enabled record pass, multicore rows for the "par"
 // contention suite at 1/2/4/8 procs, and per-proc-level aggregate summaries
-// under aggregate.multicore. Row-level "solve_jobs" now records the solver
-// pool size actually resolved (0 → GOMAXPROCS), never the raw flag value.
-// v4 adds "ttfr_ms" (time-to-first-replay: record plus a cold solve,
+// under aggregate.multicore. v4 adds "ttfr_ms" (time-to-first-replay: record plus a cold solve,
 // light.RecordAndSolve, timed like the record column) and
 // "solve_cache_hit_rate" from two extra warm solve passes of the row's log
 // through the whole-schedule cache. "solve_cache_hits" now counts the
@@ -38,8 +36,10 @@ import (
 // propagation-fastpath, so the residual-component cache (since deleted)
 // never engaged, and its share of the column was always 0. The
 // streaming solver's "record_solve_ms" column and "ttfr_speedup" aggregate
-// were dropped with the streaming solver; as with "solve_engine", readers
-// ignore them in older files.
+// were dropped with the streaming solver, and the report- and row-level
+// "solve_jobs" and the row-level "solve_worker_utilization" with the
+// component worker pool (tier 2 solves serially); as with "solve_engine",
+// readers ignore them in older files.
 const ReportSchema = "light-bench/v4"
 
 // DefaultSweepProcs is the GOMAXPROCS ladder of the multicore sweep.
@@ -53,7 +53,6 @@ type Report struct {
 	Schema     string        `json:"schema"`
 	Runs       int           `json:"runs"`
 	Seed       uint64        `json:"seed"`
-	SolveJobs  int           `json:"solve_jobs"`
 	GoVersion  string        `json:"go_version"`
 	GOMAXPROCS int           `json:"gomaxprocs"`
 	Workloads  []*ReportRow  `json:"workloads"`
@@ -98,13 +97,9 @@ type ReportRow struct {
 	RecForeignTaints int64 `json:"rec_foreign_taints"`
 
 	// Offline solve (Table 1's "Solve" column) and its partition shape.
-	// SolveJobs is the resolved worker-pool size of the row's solve (the
-	// -solvejobs flag with 0 replaced by GOMAXPROCS).
-	SolveMS           float64 `json:"solve_ms"`
-	SolveJobs         int     `json:"solve_jobs"`
-	Components        int     `json:"solve_components"`
-	LargestComponent  int     `json:"solve_largest_component"`
-	WorkerUtilization float64 `json:"solve_worker_utilization"`
+	SolveMS          float64 `json:"solve_ms"`
+	Components       int     `json:"solve_components"`
+	LargestComponent int     `json:"solve_largest_component"`
 
 	// Graph-first engine columns (schema v2, DESIGN.md §4d): the fraction of
 	// components fully decided by propagation, the disjunctions discharged
@@ -241,10 +236,8 @@ func MeasureReportRow(w *workloads.Workload, cfg Config) (*ReportRow, error) {
 	}
 	row.SolveMS = float64(rep.SolveTime) / float64(time.Millisecond)
 	row.ReplayMS = float64(rep.ReplayTime) / float64(time.Millisecond)
-	row.SolveJobs = rep.Schedule.Stats.SolveJobs
 	row.Components = rep.Schedule.Stats.Components
 	row.LargestComponent = rep.Schedule.Stats.LargestComponent
-	row.WorkerUtilization = rep.Schedule.Stats.WorkerUtilization()
 	row.SolveFastpathRate = rep.Schedule.Stats.FastpathRate()
 	row.SolvePropagationResolved = rep.Schedule.Stats.Resolved
 	row.ReplayOK = !rep.Diverged && light.Reproduced(rec.Log, rep.Result)
@@ -292,15 +285,10 @@ func MeasureReportRow(w *workloads.Workload, cfg Config) (*ReportRow, error) {
 // first workload failure aborts the report: a partial trajectory would
 // silently shift the aggregates.
 func RunReport(ws []*workloads.Workload, cfg Config) (*Report, error) {
-	solveJobs := light.DefaultSolveJobs
-	if solveJobs <= 0 {
-		solveJobs = runtime.GOMAXPROCS(0)
-	}
 	rpt := &Report{
 		Schema:     ReportSchema,
 		Runs:       cfg.Runs,
 		Seed:       cfg.Seed,
-		SolveJobs:  solveJobs,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
@@ -450,8 +438,6 @@ func ValidateReport(rpt *Report) error {
 			return fmt.Errorf("%s: negative contention counters", r.Name)
 		case r.LogEvents <= 0 || r.LogBytes <= 0 || r.SpaceLongs <= 0:
 			return fmt.Errorf("%s: empty log (events %d, bytes %d, longs %d)", r.Name, r.LogEvents, r.LogBytes, r.SpaceLongs)
-		case r.SolveJobs <= 0:
-			return fmt.Errorf("%s: solve_jobs %d, want the resolved pool size (>= 1)", r.Name, r.SolveJobs)
 		case r.Components <= 0 || r.LargestComponent <= 0:
 			return fmt.Errorf("%s: missing partition stats (%d components, largest %d)", r.Name, r.Components, r.LargestComponent)
 		case r.SolveMS < 0 || r.ReplayMS < 0:

@@ -65,22 +65,13 @@ func TestRunReportFullSweep(t *testing.T) {
 		"name", "suite", "gomaxprocs", "native_ns", "record_ns", "overhead_factor",
 		"rec_read_retries", "rec_seqlock_conflicts", "rec_stripe_waits", "rec_foreign_taints",
 		"log_space_longs", "log_bytes", "log_events", "log_bytes_per_1k_events",
-		"solve_ms", "solve_jobs", "solve_components", "solve_largest_component",
-		"solve_worker_utilization", "replay_ms", "replay_ok",
+		"solve_ms", "solve_components", "solve_largest_component",
+		"replay_ms", "replay_ok",
 		"ttfr_ms", "solve_cache_hit_rate",
 	}
 	for _, key := range required {
 		if _, ok := raw.Workloads[0][key]; !ok {
 			t.Errorf("row JSON missing required key %q", key)
-		}
-	}
-
-	// Satellite invariant: utilization/jobs columns must carry the resolved
-	// pool, never the raw -solvejobs 0 (a fully fastpath-resolved workload
-	// legitimately reports zero utilization, but never a zero-sized pool).
-	for _, r := range rpt.Workloads {
-		if r.SolveJobs <= 0 {
-			t.Errorf("%s: solve_jobs %d, want resolved pool size", r.Name, r.SolveJobs)
 		}
 	}
 }
@@ -94,7 +85,7 @@ func TestValidateReportRejects(t *testing.T) {
 				Name: "w", Suite: "s", GOMAXPROCS: 1,
 				NativeNS: 100, RecordNS: 150, OverheadFactor: 1.5,
 				SpaceLongs: 10, LogBytes: 20, LogEvents: 30,
-				SolveJobs: 1, Components: 1, LargestComponent: 1,
+				Components: 1, LargestComponent: 1,
 				TTFRMS: 1.5, SolveCacheHitRate: 1,
 			}},
 		}
@@ -131,7 +122,6 @@ func TestValidateReportRejects(t *testing.T) {
 		{"negative solve", func(r *Report) { r.Workloads[0].SolveMS = -1 }},
 		{"pass rate out of range", func(r *Report) { r.Aggregate.ReplayPassRate = 1.5 }},
 		{"zero gomaxprocs", func(r *Report) { r.Workloads[0].GOMAXPROCS = 0 }},
-		{"zero solve jobs", func(r *Report) { r.Workloads[0].SolveJobs = 0 }},
 		{"negative retry counter", func(r *Report) { r.Workloads[0].RecReadRetries = -1 }},
 		{"missing ttfr", func(r *Report) { r.Workloads[0].TTFRMS = 0 }},
 		{"hit rate out of range", func(r *Report) { r.Workloads[0].SolveCacheHitRate = 1.5 }},

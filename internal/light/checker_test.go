@@ -12,13 +12,13 @@ import (
 	"repro/internal/workloads"
 )
 
-// checkBatch solves the log with 4 workers, runs the standalone checker on
+// checkBatch solves the log, runs the standalone checker on
 // the schedule, and returns its stats for sweep-level aggregation. The
 // checker is the independent judge: the schedule must be a model of the
 // constraint system it rebuilds from the log.
 func checkBatch(t *testing.T, log *trace.Log) ScheduleStats {
 	t.Helper()
-	batch, err := ComputeScheduleJobs(log, 4)
+	batch, err := ComputeSchedule(log)
 	if err != nil {
 		t.Fatalf("batch solve: %v", err)
 	}
@@ -116,7 +116,7 @@ func rejectedByBoth(t *testing.T, log *trace.Log, s *Schedule, want string) {
 // schedule damage it claims to detect, and so must the rule reference.
 func TestCheckerRejectsCorruption(t *testing.T) {
 	log := bridgedResidualLog()
-	good, err := ComputeScheduleJobs(log, 1)
+	good, err := ComputeSchedule(log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestCheckerRejectsCorruption(t *testing.T) {
 		// write ranges so the t0/t1 exclusion fails in both disjuncts by
 		// interleaving their ranges.
 		rl := residualLog()
-		s, err := ComputeScheduleJobs(rl, 1)
+		s, err := ComputeSchedule(rl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestCheckerRejectsCorruption(t *testing.T) {
 // two checkers to agree on every one. It returns how many mutations both
 // rejected.
 func diffCheckers(log *trace.Log, seed int64, mutants int) (rejected int, err error) {
-	sched, err := ComputeScheduleJobs(log, 1)
+	sched, err := ComputeSchedule(log)
 	if err != nil {
 		return 0, err
 	}
@@ -363,7 +363,7 @@ func TestComponentCountRegression(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			log := loadGoldenLog(t, goldenSource{name: c.name})
-			sched, err := ComputeScheduleJobs(log, 4)
+			sched, err := ComputeSchedule(log)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -47,23 +47,12 @@ type ScheduleStats struct {
 
 	// Components is the number of independent constraint components the
 	// system split into; LargestComponent is the variable count of the
-	// biggest one (the parallel solve's critical path).
+	// biggest one.
 	Components       int
 	LargestComponent int
 	// FastpathComponents counts components decided by propagation alone —
 	// no CDCL(T) invocation (DESIGN.md §4d).
 	FastpathComponents int
-	// ParallelSolveNS is the wall time of the per-component solve phase.
-	ParallelSolveNS int64
-	// SolveBusyNS is the summed per-component solve time; with SolveWorkers
-	// it yields the pool utilization busy/(workers*wall) — 1.0 means no
-	// worker ever idled. SolveJobs is the resolved pool size (the -solvejobs
-	// setting with 0 replaced by GOMAXPROCS); SolveWorkers is the count
-	// actually spun up, capped at the residual component count, so it can be
-	// 0 when propagation resolved every component.
-	SolveBusyNS  int64
-	SolveJobs    int
-	SolveWorkers int
 
 	Solver smt.Stats
 }
@@ -76,31 +65,6 @@ func (s *ScheduleStats) FastpathRate() float64 {
 	}
 	return float64(s.FastpathComponents) / float64(s.Components)
 }
-
-// WorkerUtilization returns the solve pool's busy/(workers*wall) ratio in
-// [0, 1], or 0 when no worker ran (everything fastpath-resolved).
-func (s *ScheduleStats) WorkerUtilization() float64 {
-	workers := s.SolveWorkers
-	if workers <= 0 {
-		// Logs recorded before SolveWorkers existed carry only the pool
-		// size; fall back so old artifacts keep decoding to sane values.
-		workers = s.SolveJobs
-	}
-	if s.ParallelSolveNS <= 0 || workers <= 0 {
-		return 0
-	}
-	u := float64(s.SolveBusyNS) / (float64(s.ParallelSolveNS) * float64(workers))
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// DefaultSolveJobs is the worker count ComputeSchedule uses for the
-// per-component solve pool: 0 (the default) means GOMAXPROCS. The cmd front
-// ends set it from their -solvejobs flag. The schedule is byte-identical for
-// every worker count; jobs only changes wall time.
-var DefaultSolveJobs int
 
 // readClaim is a set of reads [Lo,Hi] by one thread, all taking their value
 // from write W (Section 4.2's dependences, generalized to prec/O1 runs).

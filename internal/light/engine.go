@@ -3,10 +3,7 @@ package light
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -57,14 +54,15 @@ import (
 //     clusters of an SCC into one component — contradiction.
 
 // residualComp is one tier-2 component: a residual-disjunction-bearing
-// cluster group that needs CDCL(T) search.
+// cluster group that needs CDCL(T) search, in the node IDs of the dense
+// index.
 type residualComp struct {
-	locs    []int32       // member location IDs (diagnostics)
-	vars    []trace.TC    // sorted by (thread, counter), deduplicated
-	conj    [][2]trace.TC // member-location conjunctive edges + internal chains
-	forced  [][2]trace.TC // propagation-forced edges inside the component
-	bridges [][2]trace.TC // global-partial-order bridges between residual endpoints
-	disj    []disjunction // the residual disjunctions themselves
+	locs    []int32                // member location IDs (diagnostics)
+	nodes   []int32                // member nodes, ascending
+	conj    [][2]int32             // member-location hard edges + internal chains
+	forced  [][2]int32             // propagation-forced edges inside the component
+	bridges [][2]int32             // global-partial-order bridges between residual endpoints
+	disj    []smt.OrderDisjunction // the residual disjunctions themselves
 }
 
 // denseIndex numbers accesses chain-major — chains in ascending thread
@@ -197,7 +195,7 @@ func (ds *denseSystem) genDisj(li int, disj func(a1, b1, a2, b2 int32)) {
 // locEdges returns location li's hard edges in TC form.
 func (ds *denseSystem) locEdges(li int) [][2]trace.TC {
 	v := ds.x.vars
-	es := ds.hard[ds.hardAt[li]:ds.hardAt[li+1]]
+	es := ds.locHard(li)
 	out := make([][2]trace.TC, len(es))
 	for i, e := range es {
 		out[i] = [2]trace.TC{v[e[0]], v[e[1]]}
@@ -205,10 +203,9 @@ func (ds *denseSystem) locEdges(li int) [][2]trace.TC {
 	return out
 }
 
-// tcDisj returns a node-ID disjunction in TC form.
-func (x *denseIndex) tcDisj(d smt.OrderDisjunction) disjunction {
-	v := x.vars
-	return disjunction{a1: v[d.A1], b1: v[d.B1], a2: v[d.A2], b2: v[d.B2]}
+// locHard returns location li's hard edges.
+func (ds *denseSystem) locHard(li int) [][2]int32 {
+	return ds.hard[ds.hardAt[li]:ds.hardAt[li+1]]
 }
 
 // synthesis is the core's result over one item set, in the node IDs of its
@@ -282,12 +279,11 @@ func propagateItems(items map[int32]*locItems) (*propagated, error) {
 // synthesize is the schedule-synthesis core over one item set: generate
 // and propagate the system (propagateItems), partition the residual
 // disjunctions into components, seed each with its bridges, and discharge
-// the components to CDCL(T) on a pool of jobs workers (0 means
-// GOMAXPROCS). Results land in disjoint slots, so any worker count yields
-// the same synthesis. It also returns the propagated engine, which already
-// holds the hard and forced edges, so the caller sorts by adding only the
-// chosen ones (OrderEngine.TopoOrder).
-func synthesize(items map[int32]*locItems, jobs int) (*synthesis, *smt.OrderEngine, error) {
+// the components to CDCL(T) one after another on one reused solver. It
+// also returns the propagated engine, which already holds the hard and
+// forced edges, so the caller sorts by adding only the chosen ones
+// (OrderEngine.TopoOrder).
+func synthesize(items map[int32]*locItems) (*synthesis, *smt.OrderEngine, error) {
 	p, err := propagateItems(items)
 	if err != nil {
 		return nil, nil, err
@@ -354,7 +350,8 @@ func synthesize(items map[int32]*locItems, jobs int) (*synthesis, *smt.OrderEngi
 		residualOfGroup[gi] = append(residualOfGroup[gi], di)
 	}
 
-	// Assemble the tier-2 components in TC form.
+	// Assemble the tier-2 components. local maps a component's node to its
+	// solver variable: variables are allocated in ascending node order.
 	var comps []*residualComp
 	compOfGroup := make([]int, len(groups))
 	for gi := range groups {
@@ -364,10 +361,14 @@ func synthesize(items map[int32]*locItems, jobs int) (*synthesis, *smt.OrderEngi
 			comps = append(comps, &residualComp{})
 		}
 	}
+	var local []smt.IntVar
 	if len(comps) > 0 {
-		for n, tc := range x.vars {
+		local = make([]smt.IntVar, len(x.vars))
+		for n := range x.vars {
 			if ci := compOfGroup[groupOf(int32(n))]; ci >= 0 {
-				comps[ci].vars = append(comps[ci].vars, tc)
+				c := comps[ci]
+				local[n] = smt.IntVar(len(c.nodes))
+				c.nodes = append(c.nodes, int32(n))
 			}
 		}
 		for gi, ci := range compOfGroup {
@@ -377,19 +378,23 @@ func synthesize(items map[int32]*locItems, jobs int) (*synthesis, *smt.OrderEngi
 			c := comps[ci]
 			for _, li := range groups[gi] {
 				c.locs = append(c.locs, ds.locIDs[li])
-				c.conj = append(c.conj, ds.locEdges(li)...)
+				c.conj = append(c.conj, ds.locHard(li)...)
 			}
-			c.conj = append(c.conj, chainEdges(c.vars)...)
+			// The program-order chains inside the component.
+			for i := 1; i < len(c.nodes); i++ {
+				if u, v := c.nodes[i-1], c.nodes[i]; x.vars[u].Thread == x.vars[v].Thread {
+					c.conj = append(c.conj, [2]int32{u, v})
+				}
+			}
 			for _, di := range residualOfGroup[gi] {
-				c.disj = append(c.disj, x.tcDisj(eng.Disjunction(di)))
+				c.disj = append(c.disj, eng.Disjunction(di))
 			}
 		}
 		// Distribute the propagation-forced edges to their components as
 		// seeds.
 		for _, e := range out.Forced {
 			if ci := compOfGroup[groupOf(e[0])]; ci >= 0 {
-				c := comps[ci]
-				c.forced = append(c.forced, [2]trace.TC{x.vars[e[0]], x.vars[e[1]]})
+				comps[ci].forced = append(comps[ci].forced, e)
 			}
 		}
 	}
@@ -397,19 +402,16 @@ func synthesize(items map[int32]*locItems, jobs int) (*synthesis, *smt.OrderEngi
 	// endpoints already ordered by the global partial order, assert the
 	// order inside the component (same-thread pairs are chain-implied).
 	for _, c := range comps {
-		eps := make([]trace.TC, 0, 4*len(c.disj))
+		eps := make([]int32, 0, 4*len(c.disj))
 		for _, d := range c.disj {
-			eps = append(eps, d.a1, d.b1, d.a2, d.b2)
+			eps = append(eps, d.A1, d.B1, d.A2, d.B2)
 		}
-		sortTCs(eps)
-		eps = dedupTCs(eps)
+		slices.Sort(eps)
+		eps = slices.Compact(eps)
 		for _, u := range eps {
 			for _, v := range eps {
-				if u.Thread == v.Thread {
-					continue
-				}
-				if eng.Reaches(x.node(u), x.node(v)) {
-					c.bridges = append(c.bridges, [2]trace.TC{u, v})
+				if x.vars[u].Thread != x.vars[v].Thread && eng.Reaches(u, v) {
+					c.bridges = append(c.bridges, [2]int32{u, v})
 				}
 			}
 		}
@@ -417,59 +419,35 @@ func synthesize(items map[int32]*locItems, jobs int) (*synthesis, *smt.OrderEngi
 	partSpan.SetItems(int64(len(groups)))
 	partSpan.End()
 
-	// Tier 2: solve the residual components on a worker pool.
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	// The pool never spins more workers than there are residual components,
-	// but the resolved pool size is what reports record as solve_jobs — a
-	// fully fastpath-resolved log must not report a zero-sized pool.
-	workers := min(jobs, len(comps))
-	type compResult struct {
-		chosen [][2]trace.TC // the satisfied disjunct per residual disjunction
-		solver smt.Stats
-		ns     int64
-		err    error
-	}
-	obsOn := obs.Enabled()
-	results := make([]compResult, len(comps))
-	solveSpan := obs.StartSpan("solve")
-	solveStart := time.Now()
-	solvers := make([]*smt.Solver, max(workers, 1))
-	parallelFor(workers, len(comps), func(w, i int) {
-		if solvers[w] == nil {
-			solvers[w] = smt.NewSolver()
-		}
-		sv := solvers[w]
-		sv.Reset()
-		res, c := &results[i], comps[i]
-		start := time.Now()
-		res.chosen, res.solver, res.err = solveResidualComp(c, sv)
-		res.ns = time.Since(start).Nanoseconds()
-		if obsOn {
-			mSolveComponentNS.Observe(res.ns)
-			mSolveComponentVars.Observe(int64(len(c.vars)))
-		}
-	})
-	solveSpan.SetItems(int64(len(comps)))
-	solveSpan.End()
-
+	// Tier 2: search the residual components in order.
 	syn := &synthesis{
 		vars:   x.vars,
 		chosen: make([][2]int32, 0, len(out.Residual)),
 	}
 	stats := &syn.stats
-	for i := range results {
-		r := &results[i]
-		if r.err != nil {
-			return nil, nil, r.err
+	obsOn := obs.Enabled()
+	solveSpan := obs.StartSpan("solve")
+	sv := smt.NewSolver()
+	for _, c := range comps {
+		var start time.Time
+		if obsOn {
+			start = time.Now()
 		}
-		for _, e := range r.chosen {
-			syn.chosen = append(syn.chosen, [2]int32{x.node(e[0]), x.node(e[1])})
+		chosen, st, err := solveResidualComp(c, local, sv)
+		if obsOn {
+			mSolveComponentNS.Observe(time.Since(start).Nanoseconds())
+			mSolveComponentVars.Observe(int64(len(c.nodes)))
 		}
-		stats.SolveBusyNS += r.ns
-		stats.Solver.Add(r.solver)
+		if err != nil {
+			solveSpan.End()
+			return nil, nil, err
+		}
+		syn.chosen = append(syn.chosen, chosen...)
+		stats.Solver.Add(st)
 	}
+	solveSpan.SetItems(int64(len(comps)))
+	solveSpan.End()
+
 	stats.IntVars = len(x.vars)
 	// Hard edges: the per-location edges plus the program-order chains.
 	stats.Conjunctive = len(ds.hard)
@@ -483,89 +461,51 @@ func synthesize(items map[int32]*locItems, jobs int) (*synthesis, *smt.OrderEngi
 	for _, size := range groupSize {
 		stats.LargestComponent = max(stats.LargestComponent, size)
 	}
-	stats.ParallelSolveNS = time.Since(solveStart).Nanoseconds()
-	stats.SolveJobs = jobs
-	stats.SolveWorkers = workers
 	return syn, eng, nil
 }
 
 // solveResidualComp discharges one tier-2 component to the CDCL(T) solver
 // and returns, for each residual disjunction, the edge of the disjunct the
-// model satisfies. Deterministic: the same component yields the same
-// choices on every call, on any worker.
-func solveResidualComp(c *residualComp, sv *smt.Solver) ([][2]trace.TC, smt.Stats, error) {
+// model satisfies. local maps the component's nodes to solver variables.
+// Deterministic: the same component yields the same choices on every call.
+func solveResidualComp(c *residualComp, local []smt.IntVar, sv *smt.Solver) ([][2]int32, smt.Stats, error) {
 	p := smt.NewProblem()
-	vars := make(map[trace.TC]smt.IntVar, len(c.vars))
-	for _, tc := range c.vars {
-		vars[tc] = p.IntVarNamed("")
+	for range c.nodes {
+		p.NewIntVar()
 	}
 	for _, e := range c.conj {
-		p.AssertLt(vars[e[0]], vars[e[1]])
+		p.AssertLt(local[e[0]], local[e[1]])
 	}
 	for _, e := range c.forced {
-		p.SeedLt(vars[e[0]], vars[e[1]])
+		p.SeedLt(local[e[0]], local[e[1]])
 	}
 	for _, e := range c.bridges {
-		p.SeedLt(vars[e[0]], vars[e[1]])
+		p.SeedLt(local[e[0]], local[e[1]])
 	}
 	for _, d := range c.disj {
-		p.Assert(smt.Or(smt.Lt(vars[d.a1], vars[d.b1]), smt.Lt(vars[d.a2], vars[d.b2])))
+		p.Assert(smt.Lt(local[d.A1], local[d.B1]), smt.Lt(local[d.A2], local[d.B2]))
 	}
 	res := sv.Solve(p)
 	if res.Status != smt.Sat {
 		return nil, res.Stats, fmt.Errorf("light: replay constraint system unsatisfiable (component over locations %v: %d vars, %d residual disjunctions) — this contradicts Lemma 4.1 and indicates a recording bug",
-			c.locs, len(c.vars), len(c.disj))
+			c.locs, len(c.nodes), len(c.disj))
 	}
 
-	chosen := make([][2]trace.TC, len(c.disj))
+	chosen := make([][2]int32, len(c.disj))
 	for i, d := range c.disj {
-		if res.Values[vars[d.a1]] < res.Values[vars[d.b1]] {
-			chosen[i] = [2]trace.TC{d.a1, d.b1}
+		if res.Values[local[d.A1]] < res.Values[local[d.B1]] {
+			chosen[i] = [2]int32{d.A1, d.B1}
 		} else {
-			chosen[i] = [2]trace.TC{d.a2, d.b2}
+			chosen[i] = [2]int32{d.A2, d.B2}
 		}
 	}
 	return chosen, res.Stats, nil
 }
 
-// parallelFor calls fn(w, i) for every i in [0, n) on a pool of workers
-// goroutines, w being the calling worker's index in [0, workers); it runs
-// inline when workers is at most 1.
-func parallelFor(workers, n int, fn func(w, i int)) {
-	var next atomic.Int64
-	work := func(w int) {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			fn(w, i)
-		}
-	}
-	if workers <= 1 {
-		work(0)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(w)
-		}()
-	}
-	wg.Wait()
-}
-
 // ComputeSchedule builds the constraint system of Section 4.2 from a log,
-// discharges it with DefaultSolveJobs workers, and extracts the replay
-// order.
+// discharges it, and extracts the replay order.
 func ComputeSchedule(log *trace.Log) (*Schedule, error) {
-	return ComputeScheduleJobs(log, DefaultSolveJobs)
-}
-
-// ComputeScheduleJobs is ComputeSchedule with an explicit solve-worker
-// count: 1 solves the components serially, higher counts solve them
-// concurrently (0 means GOMAXPROCS). The resulting schedule is identical
-// either way.
-func ComputeScheduleJobs(log *trace.Log, jobs int) (*Schedule, error) {
-	syn, eng, err := synthesize(collectItems(log), jobs)
+	syn, eng, err := synthesize(collectItems(log))
 	if err != nil {
 		return nil, err
 	}
@@ -613,7 +553,6 @@ func observeSolve(s *ScheduleStats) {
 	mSolveDisjunctions.Add(uint64(s.Disjunctions))
 	mSolveResolved.Add(uint64(s.Resolved))
 	mSolveComponents.Observe(int64(s.Components))
-	mSolveUtilization.Set(s.WorkerUtilization())
 	mSolveFastpathComponents.Add(uint64(s.FastpathComponents))
 	mSolveCDCLComponents.Add(uint64(s.Components - s.FastpathComponents))
 	mSolveFastpathRate.Set(s.FastpathRate())

@@ -170,15 +170,17 @@ type StreamStats struct {
 	FinishNS int64
 }
 
-// RecordAndSolve records the program and solves its schedule with jobs
-// solve workers (ComputeScheduleJobs). Returns the record artifacts, the
-// schedule, the synthesis split (StreamStats), and the time-to-first-replay:
-// the wall time from record start until the schedule was ready.
+// RecordAndSolve records the program and solves its schedule
+// (ComputeSchedule). Returns the record artifacts, the schedule, the
+// synthesis split (StreamStats), and the time-to-first-replay: the wall
+// time from record start until the schedule was ready. jobs is ignored:
+// tier 2 solves its residual components serially, and the parameter stays
+// for the callers that pass it.
 func RecordAndSolve(prog *compiler.Program, opts Options, cfg RunConfig, jobs int) (*RecordOutcome, *Schedule, StreamStats, time.Duration, error) {
 	start := time.Now()
 	rec := Record(prog, opts, cfg)
 	solveStart := time.Now()
-	sched, err := ComputeScheduleJobs(rec.Log, jobs)
+	sched, err := ComputeSchedule(rec.Log)
 	st := StreamStats{FinishNS: time.Since(solveStart).Nanoseconds()}
 	ttfr := time.Since(start)
 	if err != nil {

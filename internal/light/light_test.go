@@ -509,7 +509,7 @@ fun main() {
 }
 
 // TestRecordAndSolve pins the record-then-solve contract: the schedule is
-// the serial batch schedule of the recorded log and passes the checker, the
+// the batch schedule of the recorded log and passes the checker, the
 // solve time lies inside the time-to-first-replay, and every component is
 // solved after the recording.
 func TestRecordAndSolve(t *testing.T) {
@@ -525,12 +525,12 @@ func TestRecordAndSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := ComputeScheduleJobs(rec.Log, 1)
+	batch, err := ComputeSchedule(rec.Log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := DiffSchedules(serial, sched); !d.Equal() {
-		t.Fatalf("RecordAndSolve schedule differs from the serial batch solve: %s", d)
+	if d := DiffSchedules(batch, sched); !d.Equal() {
+		t.Fatalf("RecordAndSolve schedule differs from the batch solve: %s", d)
 	}
 	if err := CheckSchedule(rec.Log, sched); err != nil {
 		t.Fatalf("schedule rejected by checker: %v", err)
@@ -546,10 +546,9 @@ func TestRecordAndSolve(t *testing.T) {
 	}
 }
 
-// requireMatchesAuto fails unless sched, solved from log with several
-// workers, is byte-identical to the schedule ComputeSchedule (the automatic
-// worker count) and the serial solve give for the same log, and passes the
-// checker.
+// requireMatchesAuto fails unless sched, solved from log, is byte-identical
+// to the schedule a fresh ComputeSchedule gives for the same log, and passes
+// the checker.
 func requireMatchesAuto(t *testing.T, log *trace.Log, sched *Schedule) {
 	t.Helper()
 	auto, err := ComputeSchedule(log)
@@ -559,21 +558,14 @@ func requireMatchesAuto(t *testing.T, log *trace.Log, sched *Schedule) {
 	if d := DiffSchedules(auto, sched); !d.Equal() {
 		t.Fatalf("schedule differs from the auto solve: %s", d)
 	}
-	serial, err := ComputeScheduleJobs(log, 1)
-	if err != nil {
-		t.Fatalf("serial solve: %v", err)
-	}
-	if d := DiffSchedules(serial, sched); !d.Equal() {
-		t.Fatalf("schedule differs from the serial solve: %s", d)
-	}
 	if err := CheckSchedule(log, sched); err != nil {
 		t.Fatalf("schedule rejected by checker: %v", err)
 	}
 }
 
 // TestStreamMatchesAuto: on every workload, the schedule RecordAndSolve
-// returns alongside its StreamStats is byte-identical to the auto and
-// serial batch schedules of the recorded log.
+// returns alongside its StreamStats is byte-identical to the batch schedule
+// of the recorded log.
 func TestStreamMatchesAuto(t *testing.T) {
 	all := workloads.All()
 	if testing.Short() {
@@ -600,9 +592,9 @@ func TestStreamMatchesAuto(t *testing.T) {
 
 // TestStreamMatchesAutoResidual covers the log shapes the workloads never
 // produce — residual components that actually reach CDCL(T), including
-// bridged ones whose soundness depends on seeded bridge literals. The
-// 4-worker solve RecordAndSolve runs must reproduce the auto and serial
-// forced/chosen edge sets exactly for byte identity to hold.
+// bridged ones whose soundness depends on seeded bridge literals. Two
+// solves must reproduce the forced/chosen edge sets exactly for byte
+// identity to hold.
 func TestStreamMatchesAutoResidual(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -614,7 +606,7 @@ func TestStreamMatchesAutoResidual(t *testing.T) {
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			sched, err := ComputeScheduleJobs(c.log, 4)
+			sched, err := ComputeSchedule(c.log)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,8 +56,6 @@ var (
 		"order-variable count per solved component")
 	mSolveComponentNS = obs.NewHistogram("light_solve_component_ns",
 		"wall nanoseconds spent solving one component")
-	mSolveUtilization = obs.NewGauge("light_solve_worker_utilization",
-		"busy/(workers*wall) ratio of the last parallel component solve")
 
 	// Graph-first engine (DESIGN.md §4d): propagation fast path and CDCL
 	// fallback.

@@ -1,10 +1,6 @@
 package light
 
-import (
-	"sort"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // Schedule-constraint partitioning. Every Section 4.2 constraint the
 // generator emits — dependence edges (A), non-interference disjunctions (B),
@@ -115,43 +111,8 @@ func locVarSet(li *locItems, add func(trace.TC)) {
 	}
 }
 
-// tcLess orders accesses by (thread, counter).
-func tcLess(a, b trace.TC) bool {
-	if a.Thread != b.Thread {
-		return a.Thread < b.Thread
-	}
-	return a.Counter < b.Counter
-}
-
-// sortTCs sorts accesses by (thread, counter). Per-location variable lists
-// are tiny and sorted per location on the solve path, so small inputs take
-// a direct insertion sort instead of paying sort.Slice's reflection-based
-// swapper; the resulting order is identical.
-func sortTCs(tcs []trace.TC) {
-	if len(tcs) <= 16 {
-		for i := 1; i < len(tcs); i++ {
-			for j := i; j > 0 && tcLess(tcs[j], tcs[j-1]); j-- {
-				tcs[j], tcs[j-1] = tcs[j-1], tcs[j]
-			}
-		}
-		return
-	}
-	sort.Slice(tcs, func(i, j int) bool { return tcLess(tcs[i], tcs[j]) })
-}
-
-// dedupTCs removes adjacent duplicates from a sorted slice.
-func dedupTCs(tcs []trace.TC) []trace.TC {
-	out := tcs[:0]
-	for i, tc := range tcs {
-		if i == 0 || tc != tcs[i-1] {
-			out = append(out, tc)
-		}
-	}
-	return out
-}
-
 // chainEdges returns the program-order edges between consecutive accesses of
-// each thread. vars must be sorted by sortTCs and deduplicated.
+// each thread. vars must be sorted by (thread, counter) and deduplicated.
 func chainEdges(vars []trace.TC) [][2]trace.TC {
 	var edges [][2]trace.TC
 	for i := 0; i+1 < len(vars); i++ {

@@ -79,6 +79,20 @@ func buildSystem(log *trace.Log) *system {
 // each thread — the hard edges the per-location constraints do not list.
 func (s *system) chain() [][2]trace.TC { return chainEdges(s.vars) }
 
+// tcDisj returns a node-ID disjunction in TC form.
+func (x *denseIndex) tcDisj(d smt.OrderDisjunction) disjunction {
+	v := x.vars
+	return disjunction{a1: v[d.A1], b1: v[d.B1], a2: v[d.A2], b2: v[d.B2]}
+}
+
+// tcLess orders accesses by (thread, counter).
+func tcLess(a, b trace.TC) bool {
+	if a.Thread != b.Thread {
+		return a.Thread < b.Thread
+	}
+	return a.Counter < b.Counter
+}
+
 // has reports whether tc is a variable of the system.
 func (s *system) has(tc trace.TC) bool {
 	i := sort.Search(len(s.vars), func(i int) bool { return !tcLess(s.vars[i], tc) })

@@ -9,9 +9,8 @@ package smt
 // core as a learned clause. Removing edges (backtracking) never invalidates
 // π, since feasibility is preserved under edge deletion; π is simply kept.
 type diffTheory struct {
-	atoms  []Atom
-	isAtom []bool
-	n      int // number of integer variables
+	atoms []Atom // SAT variable -> atom
+	n     int    // number of integer variables
 
 	pi []int64
 
@@ -19,7 +18,8 @@ type diffTheory struct {
 	adj   [][]int32 // per node: indices into edges (tails removed on pop)
 
 	// stack has one entry per SAT trail position: the edge index added for
-	// that assignment, or -1 for non-atom literals.
+	// that assignment, or -1 when the edge closed a negative cycle and was
+	// not installed.
 	stack []int32
 
 	// scratch state for addEdge, stamped to avoid clearing.
@@ -40,9 +40,8 @@ type dlEdge struct {
 
 // reset prepares the theory for a fresh solve over nInts integer variables,
 // reusing prior allocations where capacity allows.
-func (d *diffTheory) reset(nInts int, atoms []Atom, isAtom []bool) {
+func (d *diffTheory) reset(nInts int, atoms []Atom) {
 	d.atoms = atoms
-	d.isAtom = isAtom
 	d.n = nInts
 	d.pi = resetSlice(d.pi, nInts)
 	if cap(d.adj) < nInts {
@@ -66,23 +65,11 @@ func (d *diffTheory) reset(nInts int, atoms []Atom, isAtom []bool) {
 	d.touched = d.touched[:0]
 }
 
-// release drops atom references between solves, keeping slice capacity.
-func (d *diffTheory) release() {
-	d.atoms = nil
-	d.isAtom = nil
-	d.edges = d.edges[:0]
-	d.stack = d.stack[:0]
-}
-
-// Assign installs the edge for an atom literal; it returns a conflict core
-// (currently-true literals forming a negative cycle) or nil.
+// Assign installs the edge for an atom literal (every SAT variable is an
+// atom); it returns a conflict core (currently-true literals forming a
+// negative cycle) or nil.
 func (d *diffTheory) Assign(l Lit) []Lit {
-	v := l.Var()
-	if !d.isAtom[v] {
-		d.stack = append(d.stack, -1)
-		return nil
-	}
-	a := d.atoms[v]
+	a := d.atoms[l.Var()]
 	if l.Sign() {
 		a = a.negated()
 	}

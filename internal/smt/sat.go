@@ -119,21 +119,6 @@ func (s *solver) reset(nVars int, th theory) {
 	s.heap.init(s)
 }
 
-// release drops clause and watch references (so learnt clauses can be
-// collected between solves) while keeping top-level slice capacity.
-func (s *solver) release() {
-	s.clauses = s.clauses[:0]
-	s.learnts = s.learnts[:0]
-	for i := range s.watches {
-		s.watches[i] = nil
-	}
-	for i := range s.reasons {
-		s.reasons[i] = nil
-	}
-	s.trail = s.trail[:0]
-	s.trailLim = s.trailLim[:0]
-}
-
 // resetSlice returns a zeroed slice of length n, reusing s's backing array
 // when it is large enough.
 func resetSlice[T any](s []T, n int) []T {

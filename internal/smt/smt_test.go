@@ -1,7 +1,6 @@
 package smt
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,9 +8,9 @@ import (
 
 func TestSimpleSatChain(t *testing.T) {
 	p := NewProblem()
-	a := p.IntVarNamed("a")
-	b := p.IntVarNamed("b")
-	c := p.IntVarNamed("c")
+	a := p.NewIntVar()
+	b := p.NewIntVar()
+	c := p.NewIntVar()
 	p.AssertLt(a, b)
 	p.AssertLt(b, c)
 	res := p.Solve()
@@ -25,9 +24,9 @@ func TestSimpleSatChain(t *testing.T) {
 
 func TestSimpleUnsatCycle(t *testing.T) {
 	p := NewProblem()
-	a := p.IntVarNamed("a")
-	b := p.IntVarNamed("b")
-	c := p.IntVarNamed("c")
+	a := p.NewIntVar()
+	b := p.NewIntVar()
+	c := p.NewIntVar()
 	p.AssertLt(a, b)
 	p.AssertLt(b, c)
 	p.AssertLt(c, a)
@@ -38,8 +37,8 @@ func TestSimpleUnsatCycle(t *testing.T) {
 
 func TestNonStrictBounds(t *testing.T) {
 	p := NewProblem()
-	a := p.IntVarNamed("a")
-	b := p.IntVarNamed("b")
+	a := p.NewIntVar()
+	b := p.NewIntVar()
 	p.Assert(Le(a, b, 5))  // a - b <= 5
 	p.Assert(Le(b, a, -5)) // b - a <= -5, i.e. a - b >= 5
 	res := p.Solve()
@@ -53,8 +52,8 @@ func TestNonStrictBounds(t *testing.T) {
 
 func TestTightUnsat(t *testing.T) {
 	p := NewProblem()
-	a := p.IntVarNamed("a")
-	b := p.IntVarNamed("b")
+	a := p.NewIntVar()
+	b := p.NewIntVar()
 	p.Assert(Le(a, b, 4))
 	p.Assert(Le(b, a, -5))
 	if res := p.Solve(); res.Status != Unsat {
@@ -66,13 +65,13 @@ func TestDisjunctionForcesChoice(t *testing.T) {
 	// The schedule-shaped constraint: two deps on one location must not
 	// interleave: (r2 < w1) or (r1 < w2), with each dep ordered.
 	p := NewProblem()
-	w1 := p.IntVarNamed("w1")
-	r1 := p.IntVarNamed("r1")
-	w2 := p.IntVarNamed("w2")
-	r2 := p.IntVarNamed("r2")
+	w1 := p.NewIntVar()
+	r1 := p.NewIntVar()
+	w2 := p.NewIntVar()
+	r2 := p.NewIntVar()
 	p.AssertLt(w1, r1)
 	p.AssertLt(w2, r2)
-	p.Assert(Or(Lt(r2, w1), Lt(r1, w2)))
+	p.Assert(Lt(r2, w1), Lt(r1, w2))
 	// Force the first disjunct to be impossible: w1 < w2.
 	p.AssertLt(w1, w2)
 	p.AssertLt(w2, r1) // now r1 < w2 impossible too? r1 > w2, so need r2 < w1 — contradiction with w1<w2<r2
@@ -82,11 +81,11 @@ func TestDisjunctionForcesChoice(t *testing.T) {
 
 	// Relax: drop the last constraint; now r1 < w2 must be chosen.
 	p2 := NewProblem()
-	w1, r1 = p2.IntVarNamed("w1"), p2.IntVarNamed("r1")
-	w2, r2 = p2.IntVarNamed("w2"), p2.IntVarNamed("r2")
+	w1, r1 = p2.NewIntVar(), p2.NewIntVar()
+	w2, r2 = p2.NewIntVar(), p2.NewIntVar()
 	p2.AssertLt(w1, r1)
 	p2.AssertLt(w2, r2)
-	p2.Assert(Or(Lt(r2, w1), Lt(r1, w2)))
+	p2.Assert(Lt(r2, w1), Lt(r1, w2))
 	p2.AssertLt(w1, w2)
 	res := p2.Solve()
 	if res.Status != Sat {
@@ -105,12 +104,12 @@ func TestPaperSection42Example(t *testing.T) {
 	p := NewProblem()
 	c := make([]IntVar, 7)
 	for i := 1; i <= 6; i++ {
-		c[i] = p.IntVarNamed(fmt.Sprintf("c%d", i))
+		c[i] = p.NewIntVar()
 	}
 	p.AssertLt(c[4], c[5])
 	p.AssertLt(c[1], c[6])
 	p.AssertLt(c[3], c[2])
-	p.Assert(Or(Lt(c[5], c[1]), Lt(c[6], c[4])))
+	p.Assert(Lt(c[5], c[1]), Lt(c[6], c[4]))
 	p.AssertLt(c[1], c[2])
 	p.AssertLt(c[3], c[4])
 	p.AssertLt(c[4], c[5])
@@ -130,45 +129,17 @@ func TestPaperSection42Example(t *testing.T) {
 	}
 }
 
-func TestBooleanStructureTseitin(t *testing.T) {
-	p := NewProblem()
-	a := p.IntVarNamed("a")
-	b := p.IntVarNamed("b")
-	c := p.IntVarNamed("c")
-	// Not(And(a<b, b<c)) & a<b  ==> must pick !(b<c), i.e. b >= c.
-	p.Assert(Not(And(Lt(a, b), Lt(b, c))))
-	p.Assert(Lt(a, b))
-	res := p.Solve()
-	if res.Status != Sat {
-		t.Fatalf("status = %v, want sat", res.Status)
-	}
-	if res.Values[b] < res.Values[c] {
-		t.Errorf("model %v should have b >= c", res.Values)
-	}
-}
-
 func TestConstants(t *testing.T) {
 	p := NewProblem()
-	p.Assert(True)
-	if res := p.Solve(); res.Status != Sat {
-		t.Errorf("True unsat")
+	p.Assert()
+	if res := p.Solve(); res.Status != Unsat {
+		t.Errorf("empty clause sat")
 	}
 	p2 := NewProblem()
-	p2.Assert(False)
+	a := p2.NewIntVar()
+	p2.Assert(Lt(a, a))
 	if res := p2.Solve(); res.Status != Unsat {
-		t.Errorf("False sat")
-	}
-	p3 := NewProblem()
-	a := p3.IntVarNamed("a")
-	p3.Assert(Or(False, Lt(a, a)))
-	if res := p3.Solve(); res.Status != Unsat {
 		t.Errorf("x<x sat")
-	}
-	p4 := NewProblem()
-	b := p4.IntVarNamed("b")
-	p4.Assert(Or(True, Lt(b, b)))
-	if res := p4.Solve(); res.Status != Sat {
-		t.Errorf("Or(True, ...) unsat")
 	}
 }
 
@@ -184,7 +155,7 @@ func TestLongChainPerformance(t *testing.T) {
 	const n = 5000
 	vars := make([]IntVar, n)
 	for i := range vars {
-		vars[i] = p.IntVarNamed("")
+		vars[i] = p.NewIntVar()
 	}
 	for i := 0; i+1 < n; i++ {
 		p.AssertLt(vars[i], vars[i+1])
@@ -307,10 +278,10 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 		p := NewProblem()
 		vars := make([]IntVar, nInts)
 		for i := range vars {
-			vars[i] = p.IntVarNamed("")
+			vars[i] = p.NewIntVar()
 		}
 		for _, cl := range clauses {
-			disj := make([]Expr, len(cl))
+			disj := make([]Atom, len(cl))
 			for j, sl := range cl {
 				i := sl
 				neg := false
@@ -319,13 +290,14 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 					neg = true
 				}
 				a := atoms[i]
-				e := Le(vars[a.X], vars[a.Y], a.K)
 				if neg {
-					e = Not(e)
+					// The negation of x - y <= k is y - x <= -k-1.
+					disj[j] = Le(vars[a.Y], vars[a.X], -a.K-1)
+				} else {
+					disj[j] = Le(vars[a.X], vars[a.Y], a.K)
 				}
-				disj[j] = e
 			}
-			p.Assert(Or(disj...))
+			p.Assert(disj...)
 		}
 		res := p.Solve()
 		want := bruteForce(nInts, atoms, clauses)
@@ -366,9 +338,9 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	p := NewProblem()
-	a := p.IntVarNamed("a")
-	b := p.IntVarNamed("b")
-	p.Assert(Or(Lt(a, b), Lt(b, a)))
+	a := p.NewIntVar()
+	b := p.NewIntVar()
+	p.Assert(Lt(a, b), Lt(b, a))
 	res := p.Solve()
 	if res.Status != Sat {
 		t.Fatal("unsat")

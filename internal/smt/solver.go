@@ -3,10 +3,11 @@ package smt
 // Solver is a reusable DPLL(T) solver instance. A zero Solver is ready to
 // use; Solve may be called repeatedly on different Problems, and the solver
 // retains its internal allocations (trail, watch lists, activity arrays,
-// theory graph) across calls so that solving many small problems — the
-// partitioned replay-schedule pipeline solves one per constraint component —
-// does not re-allocate per solve. A Solver must not be shared between
-// goroutines; a worker pool should hold one Solver per worker.
+// theory graph) across calls, so solving many small problems in sequence —
+// the replay-schedule engine solves one per residual constraint component —
+// does not re-allocate per solve. Each Solve starts from a clean search
+// state, so the result depends only on the Problem. A Solver must not be
+// shared between goroutines.
 type Solver struct {
 	sat solver
 	th  diffTheory
@@ -15,22 +16,13 @@ type Solver struct {
 // NewSolver creates an empty reusable solver.
 func NewSolver() *Solver { return &Solver{} }
 
-// Reset drops the previous solve's clause and theory references so their
-// memory can be reclaimed, while keeping slice capacity for reuse. Calling
-// Reset between solves is optional — Solve re-initializes all state — but
-// recommended when the solver is held idle between components.
-func (sv *Solver) Reset() {
-	sv.sat.release()
-	sv.th.release()
-}
-
-// Solve compiles the problem's assertions (once per Problem) and runs the
-// DPLL(T) search, reusing this Solver's allocations.
+// Solve runs the DPLL(T) search over the problem's clauses, reusing this
+// Solver's allocations.
 func (sv *Solver) Solve(p *Problem) Result {
-	if !p.compile() {
+	if p.unsat {
 		return Result{Status: Unsat}
 	}
-	sv.th.reset(int(p.nextInt), p.atoms, p.isAtom)
+	sv.th.reset(int(p.nextInt), p.atoms)
 	sv.sat.reset(len(p.atoms), &sv.th)
 	for _, lits := range p.clauses {
 		sv.sat.addClause(lits)

@@ -1,7 +1,6 @@
 package smt
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -12,12 +11,12 @@ import (
 func TestPigeonholeStyleUnsat(t *testing.T) {
 	const k = 6
 	p := NewProblem()
-	lo := p.IntVarNamed("lo")
-	hi := p.IntVarNamed("hi")
+	lo := p.NewIntVar()
+	hi := p.NewIntVar()
 	p.Assert(Le(hi, lo, int64(k-1))) // hi - lo <= k-1: only k-1 units of room
 	vars := make([]IntVar, k+1)
 	for i := range vars {
-		vars[i] = p.IntVarNamed(fmt.Sprintf("x%d", i))
+		vars[i] = p.NewIntVar()
 		p.Assert(Le(lo, vars[i], 0)) // lo <= x
 		p.Assert(Le(vars[i], hi, 0)) // x <= hi
 	}
@@ -25,7 +24,7 @@ func TestPigeonholeStyleUnsat(t *testing.T) {
 	// disequality as (xi < xj) | (xj < xi).
 	for i := 0; i <= k; i++ {
 		for j := i + 1; j <= k; j++ {
-			p.Assert(Or(Lt(vars[i], vars[j]), Lt(vars[j], vars[i])))
+			p.Assert(Lt(vars[i], vars[j]), Lt(vars[j], vars[i]))
 		}
 	}
 	res := p.Solve()
@@ -41,18 +40,18 @@ func TestPigeonholeStyleSatBoundary(t *testing.T) {
 	// With exactly k units of room, k+1 distinct values fit.
 	const k = 6
 	p := NewProblem()
-	lo := p.IntVarNamed("lo")
-	hi := p.IntVarNamed("hi")
+	lo := p.NewIntVar()
+	hi := p.NewIntVar()
 	p.Assert(Le(hi, lo, int64(k)))
 	vars := make([]IntVar, k+1)
 	for i := range vars {
-		vars[i] = p.IntVarNamed("")
+		vars[i] = p.NewIntVar()
 		p.Assert(Le(lo, vars[i], 0))
 		p.Assert(Le(vars[i], hi, 0))
 	}
 	for i := 0; i <= k; i++ {
 		for j := i + 1; j <= k; j++ {
-			p.Assert(Or(Lt(vars[i], vars[j]), Lt(vars[j], vars[i])))
+			p.Assert(Lt(vars[i], vars[j]), Lt(vars[j], vars[i]))
 		}
 	}
 	res := p.Solve()
@@ -86,7 +85,7 @@ func TestRandomOrderInstances(t *testing.T) {
 		for th := range vars {
 			vars[th] = make([]IntVar, perThread)
 			for i := range vars[th] {
-				vars[th][i] = p.IntVarNamed("")
+				vars[th][i] = p.NewIntVar()
 				if i > 0 {
 					p.AssertLt(vars[th][i-1], vars[th][i])
 				}
@@ -114,7 +113,7 @@ func TestRandomOrderInstances(t *testing.T) {
 			for th := range fresh {
 				fresh[th] = make([]IntVar, perThread)
 				for i := range fresh[th] {
-					fresh[th][i] = q.IntVarNamed("")
+					fresh[th][i] = q.NewIntVar()
 					if i > 0 {
 						q.AssertLt(fresh[th][i-1], fresh[th][i])
 					}
