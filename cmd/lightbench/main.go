@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/bugs"
 	"repro/internal/harness"
-	"repro/internal/light"
 	"repro/internal/obs"
 	"repro/internal/workloads"
 )
@@ -50,18 +49,11 @@ func main() {
 	runs := flag.Int("runs", 5, "measurement repetitions per configuration")
 	seed := flag.Uint64("seed", 1, "base seed")
 	suite := flag.String("suite", "", "restrict to one suite (jgf, stamp, server, dacapo)")
-	solveCacheDir := flag.String("solvecache-dir", "", "persist solved schedules to this directory, hydrated on startup (empty = in-memory only)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus metrics at this address under /metrics")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
 	runtimeTrace := flag.String("runtime-trace", "", "write a Go runtime execution trace to this file")
 	flag.Parse()
-	if *solveCacheDir != "" {
-		if _, err := light.SetSolveCacheDir(*solveCacheDir, 0); err != nil {
-			// A quarantined cache is a warning: the store reopened empty.
-			fmt.Fprintln(os.Stderr, "lightbench:", err)
-		}
-	}
 
 	if *metricsAddr != "" {
 		addr, err := obs.ServeMetrics(*metricsAddr)

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/epoch"
-	"repro/internal/light"
 )
 
 // The daemon is assembled with a component builder (the flow-go
@@ -52,8 +50,6 @@ type daemonConfig struct {
 	noO1, noO2      bool
 	sleepUnit       int64
 	noSession       bool
-	solveCacheDir   string
-	solveCacheBytes int64
 	noPresolve      bool
 	historyLen      int
 	logJSON         bool
@@ -116,7 +112,6 @@ func newBuilder(cfg daemonConfig, logger *slog.Logger) *builder {
 		health: epoch.NewHealthTracker(cfg.slo(), logger.With("component", "health")),
 	}}
 	b.add("store", b.startStore, b.stopStore)
-	b.add("solvecache", b.startSolveCache, b.stopSolveCache)
 	b.add("session", b.startSession, b.stopSession)
 	b.add("http", b.startHTTP, b.stopHTTP)
 	return b
@@ -177,33 +172,6 @@ func (b *builder) startStore() error {
 
 // stopStore aborts the open segment (next start's recovery seals it).
 func (b *builder) stopStore() error { return b.d.store.Close() }
-
-// startSolveCache hydrates the persistent schedule cache, when configured.
-// A quarantined (corrupt) cache file is an operator warning, not a startup
-// failure: the cache reopens empty and the daemon proceeds.
-func (b *builder) startSolveCache() error {
-	if b.cfg.solveCacheDir == "" {
-		return nil
-	}
-	stats, err := light.SetSolveCacheDir(b.cfg.solveCacheDir, b.cfg.solveCacheBytes)
-	if err != nil {
-		if !errors.Is(err, light.ErrSolveCacheCorrupt) {
-			return err
-		}
-		b.d.logger.Warn("solve cache quarantined", "err", err)
-	}
-	b.d.logger.Info("solve cache hydrated",
-		"entries", stats.Entries, "bytes", stats.Bytes,
-		"truncated_bytes", stats.TruncatedBytes, "rejected", stats.Rejected)
-	return nil
-}
-
-// stopSolveCache detaches the persistent cache (appends are already on
-// disk; there is nothing to flush).
-func (b *builder) stopSolveCache() error {
-	_, err := light.SetSolveCacheDir("", 0)
-	return err
-}
 
 // startSession starts the flag-configured recording session, if any; the
 // daemon can also come up idle and be driven via POST /sessions.

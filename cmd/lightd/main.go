@@ -33,8 +33,6 @@ func main() {
 	flag.BoolVar(&cfg.noO2, "no-o2", false, "disable the O2 static-race instrument mask")
 	flag.Int64Var(&cfg.sleepUnit, "sleep-unit", 0, "nanoseconds per sleep(1) unit during record runs")
 	flag.BoolVar(&cfg.noSession, "no-session", false, "start idle even if -workload/-prog is set; drive via POST /sessions")
-	flag.StringVar(&cfg.solveCacheDir, "solvecache-dir", "", "persist solved schedules to this directory (hydrated on restart; empty = in-memory only)")
-	flag.Int64Var(&cfg.solveCacheBytes, "solvecache-bytes", 0, "byte budget for -solvecache-dir, GC'd oldest-first (0 = default 64 MiB)")
 	flag.BoolVar(&cfg.noPresolve, "no-presolve", false, "disable background pre-solving of sealed epochs (epoch N solves while N+1 records)")
 	flag.IntVar(&cfg.historyLen, "history-len", 0, "telemetry rows kept in the in-memory /history series (0 = default 256)")
 	flag.Float64Var(&cfg.sloMaxOverhead, "slo-max-overhead", 0, "degrade health when an epoch's record overhead factor exceeds this (0 = default 50)")

@@ -11,9 +11,7 @@ import (
 // Whole-schedule cache (DESIGN.md §4f). Epoch replay, pre-solve, lightd
 // and the bench sweep re-solve identical logs; propagation is most of the
 // cost of those solves, so the cache stores the final order keyed by the
-// log's content. A hit is revalidated with CheckSchedule before use. The
-// persistent store (diskcache.go) writes entries through and hydrates
-// them on open.
+// log's content. A hit is revalidated with CheckSchedule before use.
 
 // schedCacheMax bounds the entry count; at the cap the cache stops
 // admitting new entries (eviction would only change hit rates, and a full
@@ -36,21 +34,12 @@ func (c *schedOrderStore) lookup(k [32]byte) ([]trace.TC, bool) {
 	return tcs, ok
 }
 
-// hydrate inserts an entry without writing it back to disk (it just came
-// from there).
-func (c *schedOrderStore) hydrate(k [32]byte, tcs []trace.TC) {
+func (c *schedOrderStore) store(k [32]byte, tcs []trace.TC) {
 	c.mu.Lock()
 	if len(c.m) < schedCacheMax {
 		c.m[k] = tcs
 	}
 	c.mu.Unlock()
-}
-
-func (c *schedOrderStore) store(k [32]byte, tcs []trace.TC) {
-	c.hydrate(k, tcs)
-	// Write through to the persistent store (no-op when -solvecache-dir is
-	// not configured).
-	persistEntry(encodeDiskEntry(diskKindSchedule, k, encodeScheduleBody(tcs)))
 }
 
 func (c *schedOrderStore) drop(k [32]byte) {
@@ -59,9 +48,8 @@ func (c *schedOrderStore) drop(k [32]byte) {
 	c.mu.Unlock()
 }
 
-// ResetScheduleCache empties the in-memory whole-schedule cache
-// (benchmarks and tests that measure cold-solve behavior). The persistent
-// store, if configured, is untouched.
+// ResetScheduleCache empties the whole-schedule cache (benchmarks and
+// tests that measure cold-solve behavior).
 func ResetScheduleCache() {
 	schedOrderCache.mu.Lock()
 	schedOrderCache.m = make(map[[32]byte][]trace.TC)
@@ -69,9 +57,7 @@ func ResetScheduleCache() {
 }
 
 // logScheduleKey content-addresses a log for whole-schedule caching: the
-// schedule is a deterministic function of the dep/range content. The
-// leading tag 1 is kept so whole-schedule keys persisted by earlier
-// versions still hit.
+// schedule is a deterministic function of the dep/range content.
 func logScheduleKey(log *trace.Log) [32]byte {
 	h := sha256.New()
 	var buf [binary.MaxVarintLen64]byte
@@ -79,7 +65,6 @@ func logScheduleKey(log *trace.Log) [32]byte {
 		n := binary.PutUvarint(buf[:], v)
 		h.Write(buf[:n])
 	}
-	u(1)
 	u(uint64(len(log.Threads)))
 	u(uint64(uint32(log.NumLocs)))
 	u(uint64(len(log.Deps)))
@@ -128,9 +113,9 @@ func ComputeScheduleCached(log *trace.Log) (*Schedule, bool, error) {
 			mScheduleCacheHits.Inc()
 			return sched, true, nil
 		}
-		// Fail closed: drop the poisoned entry and recompute.
+		// Fail closed: drop the poisoned entry and recompute (counted as
+		// the miss it becomes).
 		schedOrderCache.drop(key)
-		mDiskCacheRejected.Inc()
 	}
 	sched, err := ComputeSchedule(log)
 	if err != nil {

@@ -50,8 +50,9 @@ type ScheduleStats struct {
 	// biggest one.
 	Components       int
 	LargestComponent int
-	// FastpathComponents counts components decided by propagation alone —
-	// no CDCL(T) invocation (DESIGN.md §4d).
+	// FastpathComponents counts components decided without a CDCL(T)
+	// invocation: by propagation alone, or by construction when their
+	// residual disjunctions sit on one location (DESIGN.md §4d).
 	FastpathComponents int
 
 	Solver smt.Stats

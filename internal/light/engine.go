@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -23,13 +24,16 @@ import (
 // Propagation only ever asserts implied literals, so the resulting partial
 // order holds in every model of the system.
 //
-// Components whose disjunctions all resolve need no solver at all; the ones
-// with residual free choices (tier 2) go to the CDCL(T) solver, seeded with
-// the propagation-proved edges (smt.Problem.SeedLt) plus "bridge" order
-// literals: for every pair of residual-disjunction endpoints already ordered
-// by the *global* partial order, the order is asserted inside the component.
-// The final schedule is a single deterministic topological sort of the
-// global partial order extended with the solver-chosen disjuncts.
+// Components whose disjunctions all resolve need no solver at all. Tier 2
+// decides the ones with residual free choices: a component on one location
+// by construction (constructLoc, a topological order of its write blocks),
+// any other — or one the construction does not model — with the CDCL(T)
+// solver, seeded with the propagation-proved edges (smt.Problem.SeedLt)
+// plus "bridge" order literals: for every pair of residual-disjunction
+// endpoints already ordered by the *global* partial order, the order is
+// asserted inside the component. The final schedule is a single
+// deterministic topological sort of the global partial order extended with
+// the chosen disjuncts.
 //
 // synthesize is the one implementation of this pipeline; ComputeSchedule
 // runs it over a whole log.
@@ -40,10 +44,12 @@ import (
 //     contradictory and is reported as unsat).
 //   - A cycle through chosen edges of a single component would alternate
 //     chosen edges and global-reachability segments between that component's
-//     residual-disjunction endpoints. Every such segment is asserted inside
-//     the component as a bridge literal, so the cycle would already be a
-//     contradiction inside the component's constraint problem — impossible,
-//     since the solver returned a model of it.
+//     residual-disjunction endpoints. For a searched component every such
+//     segment is asserted inside the component as a bridge literal, so the
+//     cycle would already be a contradiction inside the component's
+//     constraint problem — impossible, since the solver returned a model of
+//     it. For a constructed component every segment keeps or raises the
+//     block rank and every chosen edge raises it, so no cycle closes.
 //   - A cycle through chosen edges of two different components C1 and C2
 //     needs global hard paths C1⇝C2 and C2⇝C1. Every hard edge is either a
 //     thread chain step between timeline-consecutive accesses (exactly the
@@ -53,9 +59,9 @@ import (
 //     in one cluster-graph SCC, and the partitioner merges residual-bearing
 //     clusters of an SCC into one component — contradiction.
 
-// residualComp is one tier-2 component: a residual-disjunction-bearing
-// cluster group that needs CDCL(T) search, in the node IDs of the dense
-// index.
+// residualComp is one tier-2 component the construction does not decide: a
+// residual-disjunction-bearing cluster group that needs CDCL(T) search, in
+// the node IDs of the dense index.
 type residualComp struct {
 	locs    []int32                // member location IDs (diagnostics)
 	nodes   []int32                // member nodes, ascending
@@ -278,8 +284,9 @@ func propagateItems(items map[int32]*locItems) (*propagated, error) {
 
 // synthesize is the schedule-synthesis core over one item set: generate
 // and propagate the system (propagateItems), partition the residual
-// disjunctions into components, seed each with its bridges, and discharge
-// the components to CDCL(T) one after another on one reused solver. It
+// disjunctions into components, construct each single-location one
+// (constructLoc), seed each remaining one with its bridges, and discharge
+// those to CDCL(T) one after another on one reused solver. It
 // also returns the propagated engine, which already holds the hard and
 // forced edges, so the caller sorts by adding only the chosen ones
 // (OrderEngine.TopoOrder).
@@ -350,17 +357,43 @@ func synthesize(items map[int32]*locItems) (*synthesis, *smt.OrderEngine, error)
 		residualOfGroup[gi] = append(residualOfGroup[gi], di)
 	}
 
-	// Assemble the tier-2 components. local maps a component's node to its
-	// solver variable: variables are allocated in ascending node order.
+	partSpan.SetItems(int64(len(groups)))
+	partSpan.End()
+
+	// Tier 2: a single-location residual component is decided by
+	// construction (constructLoc); the rest, and any the construction does
+	// not model, go to CDCL(T).
+	syn := &synthesis{
+		vars:   x.vars,
+		chosen: make([][2]int32, 0, len(out.Residual)),
+	}
+	stats := &syn.stats
+	solveSpan := obs.StartSpan("solve")
 	var comps []*residualComp
 	compOfGroup := make([]int, len(groups))
 	for gi := range groups {
 		compOfGroup[gi] = -1
-		if len(residualOfGroup[gi]) > 0 {
-			compOfGroup[gi] = len(comps)
-			comps = append(comps, &residualComp{})
+		res := residualOfGroup[gi]
+		if len(res) == 0 {
+			continue
 		}
+		if len(groups[gi]) == 1 {
+			disj := make([]smt.OrderDisjunction, len(res))
+			for i, di := range res {
+				disj[i] = eng.Disjunction(di)
+			}
+			rcs, wbs := ds.locItemNodes(groups[gi][0])
+			if chosen, ok := constructLoc(rcs, wbs, disj, eng, x.vars); ok {
+				syn.chosen = append(syn.chosen, chosen...)
+				continue
+			}
+		}
+		compOfGroup[gi] = len(comps)
+		comps = append(comps, &residualComp{})
 	}
+
+	// Assemble the CDCL(T) components. local maps a component's node to its
+	// solver variable: variables are allocated in ascending node order.
 	var local []smt.IntVar
 	if len(comps) > 0 {
 		local = make([]smt.IntVar, len(x.vars))
@@ -416,17 +449,9 @@ func synthesize(items map[int32]*locItems) (*synthesis, *smt.OrderEngine, error)
 			}
 		}
 	}
-	partSpan.SetItems(int64(len(groups)))
-	partSpan.End()
 
-	// Tier 2: search the residual components in order.
-	syn := &synthesis{
-		vars:   x.vars,
-		chosen: make([][2]int32, 0, len(out.Residual)),
-	}
-	stats := &syn.stats
+	// Search the CDCL(T) components in order.
 	obsOn := obs.Enabled()
-	solveSpan := obs.StartSpan("solve")
 	sv := smt.NewSolver()
 	for _, c := range comps {
 		var start time.Time
@@ -462,6 +487,201 @@ func synthesize(items map[int32]*locItems) (*synthesis, *smt.OrderEngine, error)
 		stats.LargestComponent = max(stats.LargestComponent, size)
 	}
 	return syn, eng, nil
+}
+
+// blockSeg is a block's extent on one thread: its first and last node
+// there.
+type blockSeg struct{ thread, lo, hi int32 }
+
+// constructLoc decides a single-location residual component without search
+// (DESIGN.md §4d). A block is one write-bearing interval plus the reads of
+// its writes; the initial-value reads form one more. Every model keeps a
+// block contiguous on the location — rule B admits no other interval
+// between a write and its readers, rule C keeps intervals apart — so if any
+// access of block X reaches any access of block Y in the propagated partial
+// order, X precedes Y in every model. A topological order of that block
+// graph then decides every residual disjunction: take the disjunct whose
+// endpoints' blocks are in rank order. A range whose leading read reads W
+// is glued right after W's block, since nothing may come between them.
+//
+// Soundness does not rest on that argument. Every disjunction endpoint sits
+// in one block, block ranks respect every reach between endpoints, and
+// every chosen edge goes strictly up in rank, so the chosen edges close no
+// cycle with the partial order. A shape outside the model, a glue conflict,
+// a cyclic block graph or a disjunction with no disjunct in rank order
+// reports false, and the component goes to CDCL(T).
+func constructLoc(rcs []claimNodes, wbs []intervalNodes, disj []smt.OrderDisjunction, eng *smt.OrderEngine, vars []trace.TC) ([][2]int32, bool) {
+	nb := len(wbs) + 1 // the intervals, then the initial-value block
+	initial := int32(len(wbs))
+	blockOf := make(map[int32]int32, 2*len(wbs)+len(rcs))
+	segs := make([][]blockSeg, nb)
+	addSeg := func(b, lo, hi int32) {
+		t := vars[lo].Thread
+		for i := range segs[b] {
+			if s := &segs[b][i]; s.thread == t {
+				s.lo, s.hi = min(s.lo, lo), max(s.hi, hi)
+				return
+			}
+		}
+		segs[b] = append(segs[b], blockSeg{t, lo, hi})
+	}
+	byLo := make([]int32, len(wbs)) // intervals in first-node order
+	for i, wb := range wbs {
+		byLo[i] = int32(i)
+		blockOf[wb.lo], blockOf[wb.hi] = int32(i), int32(i)
+		addSeg(int32(i), wb.lo, wb.hi)
+	}
+	slices.SortFunc(byLo, func(a, b int32) int { return cmp.Compare(wbs[a].lo, wbs[b].lo) })
+	// within returns the interval holding node n, or -1. An interval spans
+	// one chain, so that is ID containment.
+	within := func(n int32) int32 {
+		i := sort.Search(len(byLo), func(i int) bool { return wbs[byLo[i]].lo > n }) - 1
+		if i >= 0 && n <= wbs[byLo[i]].hi {
+			return byLo[i]
+		}
+		return -1
+	}
+	next, prev := make([]int32, nb), make([]int32, nb) // glue links, -1 none
+	for b := range next {
+		next[b], prev[b] = -1, -1
+	}
+	for _, rc := range rcs {
+		src := initial
+		if rc.w >= 0 {
+			if src = within(rc.w); src < 0 {
+				return nil, false // reads a write outside every interval
+			}
+			blockOf[rc.w] = src
+		}
+		in := within(rc.lo)
+		if in < 0 || rc.hi > wbs[in].hi {
+			blockOf[rc.hi] = src
+			addSeg(src, rc.lo, rc.hi)
+			continue
+		}
+		// A range's leading read: glue the range right after its source.
+		if wbs[in].lo != rc.lo || next[src] >= 0 && next[src] != in || prev[in] >= 0 && prev[in] != src {
+			return nil, false
+		}
+		next[src], prev[in] = in, src
+	}
+
+	// The block graph: X -> Y when X's first node on some thread reaches
+	// Y's last node on some thread. Blocks that share a node, or interleave
+	// on one thread, reach each other, so they show up as a cycle.
+	succ := make([][]int32, nb)
+	for x := range segs {
+		for y := range segs {
+			if x != y && blocksReach(eng, segs[x], segs[y]) {
+				succ[x] = append(succ[x], int32(y))
+			}
+		}
+	}
+
+	// Units: maximal glue chains, each keyed by its smallest node.
+	unitOf, posIn := make([]int32, nb), make([]int32, nb)
+	var units [][]int32
+	var key []int64
+	placed := 0
+	for b := range next {
+		if prev[b] >= 0 {
+			continue
+		}
+		u := int32(len(units))
+		var members []int32
+		first := int64(len(vars))
+		for c := int32(b); c >= 0; c = next[c] {
+			unitOf[c], posIn[c] = u, int32(len(members))
+			members = append(members, c)
+			for _, s := range segs[c] {
+				first = min(first, int64(s.lo))
+			}
+		}
+		units = append(units, members)
+		key = append(key, first<<32|int64(u))
+		placed += len(members)
+	}
+	if placed != nb {
+		return nil, false // a glue cycle
+	}
+
+	// Kahn's sort over the units, smallest key first; an edge inside a
+	// unit must follow the glue.
+	indeg := make([]int32, len(units))
+	for x, ys := range succ {
+		for _, y := range ys {
+			if unitOf[x] != unitOf[y] {
+				indeg[unitOf[y]]++
+			} else if posIn[x] > posIn[y] {
+				return nil, false
+			}
+		}
+	}
+	var ready []int64 // keys, largest first
+	push := func(u int32) {
+		k := key[u]
+		i, _ := slices.BinarySearchFunc(ready, k, func(a, b int64) int { return cmp.Compare(b, a) })
+		ready = slices.Insert(ready, i, k)
+	}
+	for u := range units {
+		if indeg[u] == 0 {
+			push(int32(u))
+		}
+	}
+	rank := make([]int32, nb)
+	r := int32(0)
+	for len(ready) > 0 {
+		u := int32(ready[len(ready)-1] & (1<<32 - 1))
+		ready = ready[:len(ready)-1]
+		for _, b := range units[u] {
+			rank[b] = r
+			r++
+		}
+		for _, b := range units[u] {
+			for _, y := range succ[b] {
+				if v := unitOf[y]; v != u {
+					if indeg[v]--; indeg[v] == 0 {
+						push(v)
+					}
+				}
+			}
+		}
+	}
+	if int(r) != nb {
+		return nil, false // a cycle in the block graph
+	}
+
+	chosen := make([][2]int32, len(disj))
+	for i, d := range disj {
+		a1, ok1 := blockOf[d.A1]
+		b1, ok2 := blockOf[d.B1]
+		a2, ok3 := blockOf[d.A2]
+		b2, ok4 := blockOf[d.B2]
+		switch {
+		case !(ok1 && ok2 && ok3 && ok4):
+			return nil, false
+		case rank[a1] < rank[b1]:
+			chosen[i] = [2]int32{d.A1, d.B1}
+		case rank[a2] < rank[b2]:
+			chosen[i] = [2]int32{d.A2, d.B2}
+		default:
+			return nil, false
+		}
+	}
+	return chosen, true
+}
+
+// blocksReach reports whether some first node of xs reaches some last node
+// of ys.
+func blocksReach(eng *smt.OrderEngine, xs, ys []blockSeg) bool {
+	for _, s := range xs {
+		for _, t := range ys {
+			if eng.Reaches(s.lo, t.hi) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // solveResidualComp discharges one tier-2 component to the CDCL(T) solver

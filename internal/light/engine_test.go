@@ -2,6 +2,7 @@ package light
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -60,6 +61,25 @@ func replicatedResidualLog(k int) *trace.Log {
 	return log
 }
 
+// interiorReadLog builds a single-location log that keeps residual
+// disjunctions but has a shape the construction does not model: t0:2, in
+// the middle of t0's write-bearing range, reads t1's write, so the range
+// is no block. Its component falls back to CDCL(T). No recorder writes
+// this: the read splits a range another thread's write must not enter.
+func interiorReadLog() *trace.Log {
+	return &trace.Log{
+		Threads: []string{"t0", "t1", "t2"},
+		NumLocs: 1,
+		Deps: []trace.Dep{
+			{Loc: 0, W: trace.TC{Thread: 1, Counter: 1}, R: trace.TC{Thread: 0, Counter: 2}},
+		},
+		Ranges: []trace.Range{
+			{Loc: 0, Thread: 0, Start: 1, End: 3, HasWrite: true},
+			{Loc: 0, Thread: 2, Start: 1, End: 2, HasWrite: true},
+		},
+	}
+}
+
 // goldenLog decodes a committed golden recording.
 func goldenLog(t *testing.T, name string) *trace.Log {
 	t.Helper()
@@ -74,20 +94,24 @@ func goldenLog(t *testing.T, name string) *trace.Log {
 	return log
 }
 
-// TestEngineResidualFallback: the graph-first engine must route free
-// disjunctions to the CDCL tier and still produce a checker-clean schedule;
-// structurally identical components are each searched. fuzz-cdcl-2loc is a
-// real recording whose one residual component spans two locations.
+// TestEngineResidualFallback: free disjunctions left by propagation must
+// be decided — by construction when their component has one location, by
+// the CDCL tier otherwise — into a checker-clean schedule; structurally
+// identical components are each decided. fuzz-cdcl-2loc is a real
+// recording whose one residual component spans two locations, so it is
+// the input that reaches CDCL(T).
 func TestEngineResidualFallback(t *testing.T) {
 	for _, tc := range []struct {
 		name                 string
 		log                  *trace.Log
 		components, fastpath int
 		disjs, resolved      int
+		cdcl                 bool
 	}{
-		{"residual", residualLog(), 1, 0, 3, 0},
-		{"replicated", replicatedResidualLog(4), 4, 0, 4, 0},
-		{"fuzz-cdcl-2loc", goldenLog(t, "fuzz-cdcl-2loc"), 31, 30, 560, 526},
+		{"residual", residualLog(), 1, 1, 3, 0, false},
+		{"replicated", replicatedResidualLog(4), 4, 4, 4, 0, false},
+		{"fuzz-cdcl-1loc", goldenLog(t, "fuzz-cdcl-1loc"), 38, 38, 618, 573, false},
+		{"fuzz-cdcl-2loc", goldenLog(t, "fuzz-cdcl-2loc"), 31, 30, 560, 526, true},
 	} {
 		sched, err := ComputeSchedule(tc.log)
 		if err != nil {
@@ -106,15 +130,40 @@ func TestEngineResidualFallback(t *testing.T) {
 		if want := float64(tc.fastpath) / float64(tc.components); st.FastpathRate() != want {
 			t.Fatalf("%s: fastpath rate = %v, want %v", tc.name, st.FastpathRate(), want)
 		}
-		if st.Solver.Decisions == 0 {
+		if tc.cdcl && st.Solver.Decisions == 0 {
 			t.Fatalf("%s: CDCL(T) made no decisions", tc.name)
 		}
+		if !tc.cdcl && st.Solver != (smt.Stats{}) {
+			t.Fatalf("%s: constructed components reached CDCL(T): %+v", tc.name, st.Solver)
+		}
+	}
+
+	// A single-location shape the construction does not model falls back
+	// to CDCL(T) and gets the order the search gave before the construction
+	// existed. (The log is malformed, a range interrupted by a foreign
+	// write, so CheckSchedule rejects that order; recorded logs have no
+	// such shape, and a contradictory one is refuted by propagation before
+	// the construction runs.)
+	log := interiorReadLog()
+	sched, err := ComputeSchedule(log)
+	if err != nil {
+		t.Fatalf("interior-read: %v", err)
+	}
+	if st := sched.Stats; st.Components != 1 || st.FastpathComponents != 0 || st.Solver.Decisions == 0 {
+		t.Fatalf("interior-read: components=%d fastpath=%d solver %+v, want one component searched by CDCL(T)", st.Components, st.FastpathComponents, st.Solver)
+	}
+	want := []trace.TC{{Thread: 2, Counter: 1}, {Thread: 2, Counter: 2}, {Thread: 1, Counter: 1}, {Thread: 0, Counter: 1}, {Thread: 0, Counter: 2}, {Thread: 0, Counter: 3}}
+	if !reflect.DeepEqual(sched.Order, want) {
+		t.Fatalf("interior-read: order %v, want %v", sched.Order, want)
 	}
 }
 
 // TestEngineBridgedResidual: residual disjunctions whose endpoints are
-// partially ordered through another cluster must get bridge seeds, and the
-// merged schedule must satisfy the full system.
+// partially ordered through another cluster must get bridge seeds when
+// they reach the CDCL tier, and the merged schedule must satisfy the full
+// system. fuzz-cdcl-2loc's two-location component reaches CDCL(T); the
+// synthetic bridged log's residual component has one location and is
+// decided by construction, against the same propagated partial order.
 func TestEngineBridgedResidual(t *testing.T) {
 	log := bridgedResidualLog()
 	sched, err := ComputeSchedule(log)
@@ -125,30 +174,46 @@ func TestEngineBridgedResidual(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sched.Stats
-	if st.Components != 2 || st.FastpathComponents != 1 {
-		t.Fatalf("components=%d fastpath=%d, want 2/1 (loc-1 cluster is choice-free)", st.Components, st.FastpathComponents)
+	if st.Components != 2 || st.FastpathComponents != 2 {
+		t.Fatalf("components=%d fastpath=%d, want 2/2 (loc-1 cluster is choice-free, loc 0 is constructed)", st.Components, st.FastpathComponents)
 	}
 	if st.Resolved != 1 {
 		t.Fatalf("resolved=%d, want 1 (the t0/t1 exclusion is propagation-implied)", st.Resolved)
 	}
-	if st.Solver.Seeded == 0 {
+	if st.Solver != (smt.Stats{}) {
+		t.Fatalf("constructed component reached CDCL(T): %+v", st.Solver)
+	}
+
+	log = goldenLog(t, "fuzz-cdcl-2loc")
+	sched, err = ComputeSchedule(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckSchedule(log, sched); err != nil {
+		t.Fatal(err)
+	}
+	if sched.Stats.Solver.Seeded == 0 {
 		t.Fatal("no seed literals reached the CDCL tier (bridges missing)")
 	}
 }
 
 // TestEngineDeterminism: solving a residual log twice must give the same
-// order, and each solve must search every residual component (equal,
-// nonzero solver counters) rather than reuse another solve's result.
+// order. Each solve must decide every residual component itself rather
+// than reuse another solve's result: the two-location component of
+// fuzz-cdcl-2loc is searched each time (equal, nonzero solver counters),
+// and the single-location ones are constructed each time, with no CDCL(T)
+// call.
 func TestEngineDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		log  *trace.Log
+		cdcl bool
 	}{
-		{"residual", residualLog()},
-		{"bridged", bridgedResidualLog()},
-		{"replicated", replicatedResidualLog(4)},
-		{"fuzz-cdcl-1loc", goldenLog(t, "fuzz-cdcl-1loc")},
-		{"fuzz-cdcl-2loc", goldenLog(t, "fuzz-cdcl-2loc")},
+		{"residual", residualLog(), false},
+		{"bridged", bridgedResidualLog(), false},
+		{"replicated", replicatedResidualLog(4), false},
+		{"fuzz-cdcl-1loc", goldenLog(t, "fuzz-cdcl-1loc"), false},
+		{"fuzz-cdcl-2loc", goldenLog(t, "fuzz-cdcl-2loc"), true},
 	} {
 		name, log := tc.name, tc.log
 		first, err := ComputeSchedule(log)
@@ -162,7 +227,12 @@ func TestEngineDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(second.Order, first.Order) {
 			t.Fatalf("%s: second schedule differs from the first", name)
 		}
-		if first.Stats.Solver == (smt.Stats{}) {
+		for _, st := range []ScheduleStats{first.Stats, second.Stats} {
+			if !tc.cdcl && (st.Solver != (smt.Stats{}) || st.FastpathComponents != st.Components) {
+				t.Fatalf("%s: fastpath %d of %d components, solver %+v; want every component constructed", name, st.FastpathComponents, st.Components, st.Solver)
+			}
+		}
+		if tc.cdcl && first.Stats.Solver == (smt.Stats{}) {
 			t.Fatalf("%s: solve never reached CDCL(T)", name)
 		}
 		if second.Stats.Solver != first.Stats.Solver {
@@ -202,5 +272,195 @@ func TestEngineUnsatLog(t *testing.T) {
 	}
 	if _, err := ComputeSchedule(log); err == nil {
 		t.Fatal("batch solve accepted a contradictory log")
+	}
+}
+
+// randomSystemLog builds a small random log over two to four threads.
+// Location 0 carries write-bearing ranges (some starting with a read),
+// singleton writes and dependence reads; locations 1 and 2 carry a few more
+// writes and reads, which order the threads' timelines against each other
+// and so link location 0's blocks through the partial order. Reads may
+// name any write of a range, as a foreign read in the middle of a recorded
+// run does. With loose set, ranges may overlap past their first access and
+// reads may land inside them, so the log need not be one a recorder
+// produces: the point is to reach every shape the construction decides or
+// refuses.
+func randomSystemLog(rng *rand.Rand, loose bool) *trace.Log {
+	nt, nl, slots := 2+rng.Intn(3), 1+rng.Intn(2), 4+rng.Intn(9)
+	loc := make([][]int32, nt) // thread -> counter -> location
+	for t := range loc {
+		loc[t] = make([]int32, slots+1)
+		for c := 1; c <= slots; c++ {
+			if rng.Intn(3) == 0 {
+				loc[t][c] = int32(1 + rng.Intn(nl))
+			}
+		}
+	}
+	log := &trace.Log{NumLocs: int32(nl + 1)}
+	for range loc {
+		log.Threads = append(log.Threads, "t")
+	}
+	used := map[trace.TC]bool{}
+	pick := func(t int, l int32) (trace.TC, bool) {
+		for k := 0; k < 10; k++ {
+			tc := trace.TC{Thread: int32(t), Counter: uint64(1 + rng.Intn(slots))}
+			if loc[t][tc.Counter] == l && !used[tc] {
+				return tc, true
+			}
+		}
+		return trace.TC{}, false
+	}
+	initial := trace.TC{Thread: trace.InitialThread}
+	writes := make([][]trace.TC, nl+1)
+	for i := rng.Intn(8); i > 0; i-- {
+		t := rng.Intn(nt)
+		start, ok := pick(t, 0)
+		if !ok {
+			continue
+		}
+		end := start.Counter
+		for c := end + 1; c <= uint64(slots) && rng.Intn(2) == 0; c++ {
+			if loc[t][c] != 0 {
+				continue
+			}
+			if used[trace.TC{Thread: int32(t), Counter: c}] {
+				break
+			}
+			end = c
+		}
+		rg := trace.Range{Loc: 0, Thread: int32(t), Start: start.Counter, End: end, HasWrite: rng.Intn(4) != 0}
+		if !rg.HasWrite || rng.Intn(2) == 0 {
+			rg.StartsWithRead, rg.W = true, initial
+			if len(writes[0]) > 0 && rng.Intn(3) != 0 {
+				rg.W = writes[0][rng.Intn(len(writes[0]))]
+			}
+		}
+		if rg.HasWrite {
+			// The range's final write, and perhaps an earlier one that
+			// another thread reads mid-range.
+			writes[0] = append(writes[0], trace.TC{Thread: int32(t), Counter: end})
+			if c := start.Counter + uint64(rng.Intn(int(end-start.Counter)+1)); c < end && loc[t][c] == 0 {
+				writes[0] = append(writes[0], trace.TC{Thread: int32(t), Counter: c})
+			}
+		}
+		used[start] = true
+		if !loose || rng.Intn(3) != 0 {
+			for c := start.Counter; c <= end; c++ {
+				used[trace.TC{Thread: int32(t), Counter: c}] = true
+			}
+		}
+		log.Ranges = append(log.Ranges, rg)
+	}
+	for l := range writes {
+		for i := 1 + rng.Intn(3); i > 0; i-- {
+			if w, ok := pick(rng.Intn(nt), int32(l)); ok {
+				used[w] = true
+				writes[l] = append(writes[l], w)
+			}
+		}
+	}
+	for l := range writes {
+		for i := rng.Intn(5); i > 0; i-- {
+			r, ok := pick(rng.Intn(nt), int32(l))
+			if !ok {
+				continue
+			}
+			w := initial
+			if len(writes[l]) > 0 && rng.Intn(5) != 0 {
+				w = writes[l][rng.Intn(len(writes[l]))]
+			}
+			if w.Thread == r.Thread {
+				continue
+			}
+			used[r] = true
+			log.Deps = append(log.Deps, trace.Dep{Loc: int32(l), W: w, R: r})
+		}
+	}
+	return log
+}
+
+// searchWhole decides a log's whole Section 4.2 system as one CDCL(T)
+// problem: every access a variable, every hard edge, chain step and
+// disjunction asserted, no propagation and no partitioning.
+func searchWhole(log *trace.Log) smt.Status {
+	ds := buildDense(collectItems(log))
+	p := smt.NewProblem()
+	vars := make([]smt.IntVar, len(ds.x.vars))
+	for i := range vars {
+		vars[i] = p.NewIntVar()
+	}
+	for i := 1; i < len(vars); i++ {
+		if ds.x.vars[i-1].Thread == ds.x.vars[i].Thread {
+			p.AssertLt(vars[i-1], vars[i])
+		}
+	}
+	for _, e := range ds.hard {
+		p.AssertLt(vars[e[0]], vars[e[1]])
+	}
+	for _, d := range ds.disj {
+		p.Assert(smt.Lt(vars[d.A1], vars[d.B1]), smt.Lt(vars[d.A2], vars[d.B2]))
+	}
+	return p.Solve().Status
+}
+
+// constructsLoc0 reports whether the construction decides location 0's
+// residual disjunctions when they are all the system has; vacuously true
+// otherwise.
+func constructsLoc0(log *trace.Log) bool {
+	p, err := propagateItems(collectItems(log))
+	if err != nil || len(p.out.Residual) == 0 || p.ds.locIDs[0] != 0 {
+		return true
+	}
+	var disj []smt.OrderDisjunction
+	for _, di := range p.out.Residual {
+		if p.keptLoc[di] != 0 {
+			return true
+		}
+		disj = append(disj, p.eng.Disjunction(di))
+	}
+	rcs, wbs := p.ds.locItemNodes(0)
+	_, ok := constructLoc(rcs, wbs, disj, p.eng, p.ds.x.vars)
+	return ok
+}
+
+// TestConstructionAgreesWithSearch is the construction's differential
+// test. On small random logs, ComputeSchedule — which constructs every
+// single-location residual component it can and searches the rest — must
+// reach the verdict of one whole-system CDCL(T) search, and each schedule
+// it returns must satisfy every generated constraint (checkRules). On the
+// logs with recorder shapes only, the construction must not fall back when
+// location 0 holds every residual disjunction. Enough
+// of the logs must keep residual disjunctions that the construction
+// decides, so the test cannot pass by never reaching it.
+func TestConstructionAgreesWithSearch(t *testing.T) {
+	n := 20000
+	if testing.Short() {
+		n = 2000
+	}
+	rng := rand.New(rand.NewSource(1))
+	constructed := 0
+	for i := 0; i < n; i++ {
+		loose := i%2 == 1
+		log := randomSystemLog(rng, loose)
+		sched, err := ComputeSchedule(log)
+		if want := searchWhole(log); (err == nil) != (want == smt.Sat) {
+			t.Fatalf("log %d: ComputeSchedule error %v, whole-system search %v\n%+v", i, err, want, log)
+		}
+		if err != nil {
+			continue
+		}
+		if err := checkRules(log, sched); err != nil {
+			t.Fatalf("log %d: %v\n%+v", i, err, log)
+		}
+		if !loose && !constructsLoc0(log) {
+			t.Fatalf("log %d: location 0 holds every residual disjunction, and the construction fell back\n%+v", i, log)
+		}
+		if st := sched.Stats; st.Resolved < st.Disjunctions && st.Solver == (smt.Stats{}) {
+			constructed++
+		}
+	}
+	t.Logf("%d of %d logs had constructed components", constructed, n)
+	if constructed < n/50 {
+		t.Fatalf("%d of %d logs had constructed components, want at least %d", constructed, n, n/50)
 	}
 }

@@ -311,18 +311,24 @@ fun main() {
 // end on the recorded heap.
 // The programs share data only under locks or in disjoint slices, so race
 // builds run it too and the detector checks the gates' happens-before
-// edges.
+// edges. par-hotfield is the exception: its threads race on one object,
+// and its densely interleaved recordings leave single-location residual
+// components, so it runs in normal builds only. Its last write to hot.a is
+// read by nobody, and replay suppresses such blind writes, so its final
+// heap is not compared (ROADMAP item 3); its schedule is checked instead.
 func TestReplayStressPerLocation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	// par-hotfield is left out: its densely interleaved recordings can
-	// leave a residual component the CDCL(T) tier takes seconds to solve.
 	progs := map[string]*compiler.Program{
 		"handoff":    compile(t, handoffSrc),
 		"spawn-join": compile(t, spawnJoinSrc),
 	}
-	for _, name := range []string{"par-striped", "srv-pool"} {
+	names := []string{"par-striped", "srv-pool"}
+	if !vm.RaceDetector {
+		names = append(names, "par-hotfield")
+	}
+	for _, name := range names {
 		prog, err := workloads.ByName(name).Compile()
 		if err != nil {
 			t.Fatal(err)
@@ -342,6 +348,12 @@ func TestReplayStressPerLocation(t *testing.T) {
 						t.Fatalf("seed %d: recorded behavior not reproduced", seed)
 					}
 					sameBehavior(t, rec.Result, rep.Result)
+					if name == "par-hotfield" {
+						if err := CheckSchedule(rec.Log, rep.Schedule); err != nil {
+							t.Fatalf("seed %d: %v", seed, err)
+						}
+						continue
+					}
 					want := vm.HeapFingerprint(rec.Result.Globals)
 					if got := vm.HeapFingerprint(rep.Result.Globals); got != want {
 						t.Fatalf("seed %d: replayed heap %q, recorded %q", seed, got, want)

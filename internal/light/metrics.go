@@ -53,28 +53,20 @@ var (
 	mSolveComponents = obs.NewHistogram("light_solve_components",
 		"independent constraint components per solve (partition.go)")
 	mSolveComponentVars = obs.NewHistogram("light_solve_component_vars",
-		"order-variable count per solved component")
+		"order-variable count per CDCL(T)-searched component")
 	mSolveComponentNS = obs.NewHistogram("light_solve_component_ns",
-		"wall nanoseconds spent solving one component")
+		"wall nanoseconds spent searching one component with CDCL(T)")
 
-	// Graph-first engine (DESIGN.md §4d): propagation fast path and CDCL
-	// fallback.
+	// Graph-first engine (DESIGN.md §4d): the fast path (propagation, or
+	// construction on one location) and the CDCL fallback.
 	mSolveFastpathComponents = obs.NewCounter("light_solve_fastpath_components_total",
-		"components fully decided by propagation, no CDCL invocation")
+		"components decided without a CDCL invocation: by propagation alone, or by construction on one location")
 	mSolveCDCLComponents = obs.NewCounter("light_solve_cdcl_components_total",
-		"components with residual disjunctions sent to the CDCL(T) fallback")
+		"components with residual disjunctions searched by the CDCL(T) fallback")
 	mSolveFastpathRate = obs.NewGauge("light_solve_fastpath_rate",
 		"fastpath/total component ratio of the last graph-first solve")
 
-	// Persistent solve cache (diskcache.go).
-	mDiskCacheHydrated = obs.NewCounter("light_solvecache_disk_hydrated_total",
-		"cache entries loaded from the persistent store at open")
-	mDiskCacheAppends = obs.NewCounter("light_solvecache_disk_appends_total",
-		"cache entries appended to the persistent store")
-	mDiskCacheEvicted = obs.NewCounter("light_solvecache_disk_evicted_total",
-		"cache entries evicted oldest-first by the byte-budget GC")
-	mDiskCacheRejected = obs.NewCounter("light_solvecache_disk_rejected_total",
-		"persistent cache entries rejected by validation (poisoned or stale)")
+	// Whole-schedule cache (cache.go).
 	mScheduleCacheHits = obs.NewCounter("light_schedule_cache_hits_total",
 		"whole-schedule cache hits (synthesis skipped entirely)")
 	mScheduleCacheMisses = obs.NewCounter("light_schedule_cache_misses_total",
