@@ -75,10 +75,11 @@ solve-stall:
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# bench-solve measures schedule synthesis on four committed
-# golden recordings (jgf-crypt, jgf-sor, srv-proxy, par-handoff), so its rows
-# compare across commits; the fastpath_rate and components columns make the
-# tier split visible next to the ns/op and allocation columns.
+# bench-solve measures schedule synthesis on seven committed golden
+# recordings (jgf-crypt, jgf-sor, srv-proxy, par-handoff, stamp-labyrinth,
+# srv-tomcat, par-hotfield), so its rows compare across commits; the
+# fastpath_rate and components columns make the tier split visible next to
+# the ns/op and allocation columns, and check_per_solve the checker's cost.
 bench-solve:
 	$(GO) test -run xxx -bench 'BenchmarkSolveFastpath' -benchtime 10x .
 

@@ -316,14 +316,16 @@ fun main() {
 }
 
 // BenchmarkSolveFastpath measures offline schedule synthesis
-// (propagation fast path + CDCL(T) fallback) on committed recordings, so rows compare across commits: jgf-crypt and
-// jgf-sor (many locations, few disjunctions), srv-proxy and par-handoff
-// (the densest disjunction sets of the golden logs) (`make bench-solve`).
-// Each solved schedule is then checked with CheckSchedule outside the timed
-// region; check_ns and check_per_solve report the checker's cost per solve
-// and its ratio to the solve time.
+// (propagation fast path + CDCL(T) fallback) on committed recordings, so
+// rows compare across commits: jgf-crypt and jgf-sor (many locations, few
+// disjunctions), srv-proxy and par-handoff (the densest disjunction sets of
+// the golden logs), and stamp-labyrinth, srv-tomcat and par-hotfield (the
+// highest check-to-solve ratios) (`make bench-solve`). Each solved schedule
+// is then checked with CheckSchedule outside the timed region; check_ns and
+// check_per_solve report the checker's cost per solve and its ratio to the
+// solve time.
 func BenchmarkSolveFastpath(b *testing.B) {
-	for _, name := range []string{"jgf-crypt", "jgf-sor", "srv-proxy", "par-handoff"} {
+	for _, name := range []string{"jgf-crypt", "jgf-sor", "srv-proxy", "par-handoff", "stamp-labyrinth", "srv-tomcat", "par-hotfield"} {
 		data, err := os.ReadFile(filepath.Join("internal", "light", "testdata", "golden", name+".lightlog"))
 		if err != nil {
 			b.Fatal(err)

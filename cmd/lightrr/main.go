@@ -33,6 +33,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/baseline/chimera"
@@ -157,7 +158,8 @@ func main() {
 
 	case "replay":
 		log := readLog(*logPath)
-		rep, err := light.Replay(prog, log, light.RunConfig{Instrument: mask})
+		sched, solveTime := solveChecked(log)
+		rep, err := light.ReplayScheduled(prog, log, light.RunConfig{Instrument: mask}, sched, solveTime)
 		if err != nil {
 			fatal(err)
 		}
@@ -179,10 +181,7 @@ func main() {
 
 func solve(path string) {
 	log := readLog(path)
-	sched, err := light.ComputeSchedule(log)
-	if err != nil {
-		fatal(err)
-	}
+	sched, _ := solveChecked(log)
 	st := sched.Stats
 	fmt.Printf("log: %d deps, %d ranges, %d threads\n", len(log.Deps), len(log.Ranges), len(log.Threads))
 	fmt.Printf("constraints: %d order variables, %d conjunctive, %d disjunctions (%d resolved by propagation)\n",
@@ -193,6 +192,23 @@ func solve(path string) {
 	fmt.Printf("solver: %d decisions, %d conflicts, %d propagations, %d seeded literals\n",
 		st.Solver.Decisions, st.Solver.Conflicts, st.Solver.Propagations, st.Solver.Seeded)
 	fmt.Printf("schedule: %d gated accesses\n", len(sched.Order))
+}
+
+// solveChecked solves the schedule of a log read from a file and returns it
+// with the solve time. A log whose deps and ranges contradict each other
+// yields an order replay cannot follow; the checker rejects that order, and
+// solveChecked exits with "malformed log".
+func solveChecked(log *trace.Log) (*light.Schedule, time.Duration) {
+	start := time.Now()
+	sched, err := light.ComputeSchedule(log)
+	if err != nil {
+		fatal(err)
+	}
+	solveTime := time.Since(start)
+	if err := light.CheckSchedule(log, sched); err != nil {
+		fatal(fmt.Errorf("malformed log: %w", err))
+	}
+	return sched, solveTime
 }
 
 func readLog(path string) *trace.Log {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bugs"
 	"repro/internal/obs/flight"
+	"repro/internal/trace"
 )
 
 // buildLightrr compiles the CLI once per test binary into a temp dir.
@@ -233,5 +234,58 @@ func TestCLIErrors(t *testing.T) {
 	}
 	if out, code = run(t, bin, "run", bad); code != 1 {
 		t.Fatalf("compile error: exit %d, output:\n%s", code, out)
+	}
+}
+
+// TestMalformedLogRejected: a log whose deps and ranges contradict each
+// other (t0:2, inside t0's write range, reads t1's write) is an input
+// error. solve and replay -log exit 1 naming it and replay nothing, while a
+// recorded log still solves and replays.
+func TestMalformedLogRejected(t *testing.T) {
+	bin := buildLightrr(t)
+	dir := t.TempDir()
+	prog := filepath.Join(dir, "quickstart.mj")
+	if err := os.WriteFile(prog, []byte(quickstartSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "interior-read.lightlog")
+	f, err := os.Create(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Encode(f, &trace.Log{
+		Threads: []string{"t0", "t1", "t2"},
+		NumLocs: 1,
+		Deps: []trace.Dep{
+			{Loc: 0, W: trace.TC{Thread: 1, Counter: 1}, R: trace.TC{Thread: 0, Counter: 2}},
+		},
+		Ranges: []trace.Range{
+			{Loc: 0, Thread: 0, Start: 1, End: 3, HasWrite: true},
+			{Loc: 0, Thread: 2, Start: 1, End: 2, HasWrite: true},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"solve", bad}, {"replay", "-log", bad, prog}} {
+		out, code := run(t, bin, args...)
+		if code != 1 || !strings.Contains(out, "malformed log: ") {
+			t.Errorf("lightrr %s: exit %d, want 1 with \"malformed log\":\n%s", args[0], code, out)
+		}
+		if strings.Contains(out, "schedule: ") {
+			t.Errorf("lightrr %s went on past the rejected log:\n%s", args[0], out)
+		}
+	}
+
+	good := filepath.Join(dir, "run.lightlog")
+	if out, code := run(t, bin, "record", "-seed", "42", "-o", good, prog); code != 0 {
+		t.Fatalf("record exited %d:\n%s", code, out)
+	}
+	for _, args := range [][]string{{"solve", good}, {"replay", "-log", good, prog}} {
+		if out, code := run(t, bin, args...); code != 0 || strings.Contains(out, "malformed") {
+			t.Errorf("lightrr %s of a recorded log: exit %d:\n%s", args[0], code, out)
+		}
 	}
 }

@@ -16,9 +16,8 @@ import (
 // walk over Order, keeping per location the last interval that has started,
 // rejects
 //
-//   - an Order that is not exactly the log's scheduled accesses, or a Pos
-//     or RangeEnd that disagrees with Order or the log;
-//   - a program-order inversion;
+//   - an Order that is not exactly the log's scheduled accesses;
+//   - a program-order inversion (which covers a repeated entry);
 //   - a read claim (a dependence's read, a read-only range, a write range's
 //     leading read) whose source write has not run by its first read, or
 //     whose location's last-started interval at its final read is not the
@@ -27,18 +26,8 @@ import (
 //   - another thread's interval starting inside a write range (Lemma 4.3).
 func CheckSchedule(log *trace.Log, sched *Schedule) error {
 	n := len(sched.Order)
-	if len(sched.Pos) != n {
-		return fmt.Errorf("light: Pos has %d entries, Order has %d", len(sched.Pos), n)
-	}
-	// n keys on n distinct positions: Pos is Order's inverse, so Order
-	// repeats no entry.
-	for tc, p := range sched.Pos {
-		if p < 0 || p >= n || sched.Order[p] != tc {
-			return fmt.Errorf("light: Pos[%+v] = %d disagrees with Order", tc, p)
-		}
-	}
 	// Index each thread's scheduled counters and their positions, checking
-	// program order.
+	// program order: counters strictly increase, so Order repeats no entry.
 	nt := len(log.Threads)
 	ctr, posOf := make([][]uint64, nt), make([][]int32, nt)
 	for p, tc := range sched.Order {
@@ -108,9 +97,6 @@ func CheckSchedule(log *trace.Log, sched *Schedule) error {
 				hi = rg.Start // the rest of the interval is the range's own
 			}
 			claim(rg.Loc, rg.W, rg.Thread, rg.Start, hi)
-		}
-		if end, ok := sched.RangeEnd[start]; !ok || end != rg.End {
-			fail(fmt.Errorf("light: RangeEnd of range start %+v is %d (present: %v), log says %d", start, end, ok, rg.End))
 		}
 	}
 	if err != nil {

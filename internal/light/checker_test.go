@@ -122,24 +122,7 @@ func TestCheckerRejectsCorruption(t *testing.T) {
 	}
 
 	clone := func() *Schedule {
-		s := &Schedule{
-			Order:    append([]trace.TC(nil), good.Order...),
-			Pos:      make(map[trace.TC]int, len(good.Pos)),
-			RangeEnd: make(map[trace.TC]uint64, len(good.RangeEnd)),
-			Stats:    good.Stats,
-		}
-		for k, v := range good.Pos {
-			s.Pos[k] = v
-		}
-		for k, v := range good.RangeEnd {
-			s.RangeEnd[k] = v
-		}
-		return s
-	}
-	reindex := func(s *Schedule) {
-		for i, tc := range s.Order {
-			s.Pos[tc] = i
-		}
+		return newSchedule(log, slices.Clone(good.Order), good.Stats)
 	}
 
 	t.Run("truncated", func(t *testing.T) {
@@ -148,9 +131,10 @@ func TestCheckerRejectsCorruption(t *testing.T) {
 		rejectedByBoth(t, log, s, "")
 	})
 	t.Run("duplicate-entry", func(t *testing.T) {
+		// Every entry kept, one of them twice: program order is strict.
 		s := clone()
-		s.Order[len(s.Order)-1] = s.Order[0]
-		rejectedByBoth(t, log, s, "")
+		s.Order = slices.Insert(s.Order, 1, s.Order[0])
+		rejectedByBoth(t, log, s, "program order")
 	})
 	t.Run("foreign-entry", func(t *testing.T) {
 		s := clone()
@@ -163,13 +147,7 @@ func TestCheckerRejectsCorruption(t *testing.T) {
 		s := clone()
 		extra := trace.TC{Thread: 0, Counter: 1000}
 		s.Order = append(s.Order, extra)
-		s.Pos[extra] = len(s.Order) - 1
 		rejectedByBoth(t, log, s, "not a scheduled access")
-	})
-	t.Run("stale-pos", func(t *testing.T) {
-		s := clone()
-		s.Order[0], s.Order[1] = s.Order[1], s.Order[0]
-		rejectedByBoth(t, log, s, "Pos")
 	})
 	t.Run("hard-edge-violated", func(t *testing.T) {
 		s := clone()
@@ -177,24 +155,7 @@ func TestCheckerRejectsCorruption(t *testing.T) {
 		for i, j := 0, len(s.Order)-1; i < j; i, j = i+1, j-1 {
 			s.Order[i], s.Order[j] = s.Order[j], s.Order[i]
 		}
-		reindex(s)
 		rejectedByBoth(t, log, s, "")
-	})
-	t.Run("range-end-missing", func(t *testing.T) {
-		s := clone()
-		for k := range s.RangeEnd {
-			delete(s.RangeEnd, k)
-			break
-		}
-		rejectedByBoth(t, log, s, "RangeEnd")
-	})
-	t.Run("range-end-wrong", func(t *testing.T) {
-		s := clone()
-		for k := range s.RangeEnd {
-			s.RangeEnd[k]++
-			break
-		}
-		rejectedByBoth(t, log, s, "RangeEnd")
 	})
 	t.Run("disjunction-violated", func(t *testing.T) {
 		// A residual log whose only constraints are disjunctions: order the
@@ -216,9 +177,6 @@ func TestCheckerRejectsCorruption(t *testing.T) {
 			t.Fatalf("system has %d vars, expected 6", len(s.Order))
 		}
 		s.Order = order
-		for i, tc := range order {
-			s.Pos[tc] = i
-		}
 		rejectedByBoth(t, rl, s, "interrupts")
 	})
 
@@ -288,9 +246,8 @@ func TestCheckerRejectsCorruption(t *testing.T) {
 // diffCheckers solves a log, requires both CheckSchedule and the rule
 // reference to accept the schedule, then applies mutants seeded mutations
 // (swaps of adjacent entries, swaps of any two entries, and moves of one
-// entry that keep program order, each with Pos reindexed) and requires the
-// two checkers to agree on every one. It returns how many mutations both
-// rejected.
+// entry that keep program order) and requires the two checkers to agree on
+// every one. It returns how many mutations both rejected.
 func diffCheckers(log *trace.Log, seed int64, mutants int) (rejected int, err error) {
 	sched, err := ComputeSchedule(log)
 	if err != nil {

@@ -9,8 +9,8 @@ import (
 )
 
 // Schedule is the replay plan computed from a log: a total order over the
-// scheduled (gated) accesses, plus the range intervals whose interiors run
-// ungated between their gated endpoints.
+// scheduled (gated) accesses. The range intervals whose interiors run
+// ungated between their gated endpoints are the log's own Ranges.
 type Schedule struct {
 	Log *trace.Log
 
@@ -20,19 +20,11 @@ type Schedule struct {
 	// requires (gates.go).
 	Order []trace.TC
 
-	// Pos maps a gated access to its position in Order.
-	Pos map[trace.TC]int
-
-	// RangeEnd maps a range's start access to its end counter: when the
-	// gated start executes on location L, accesses of the same thread on L
-	// with counters up to End run ungated (Lemma 4.3 enforcement).
-	RangeEnd map[trace.TC]uint64
-
 	// Stats captures constraint-system size and solver effort for Table 1.
 	Stats ScheduleStats
 
 	// gateTable is the replayer's view of the schedule, built once on the
-	// first replay (gates.go).
+	// first replay or position lookup (gates.go).
 	gatesOnce sync.Once
 	gateTable *replayGates
 }

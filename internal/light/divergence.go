@@ -11,11 +11,6 @@ const (
 	// every open range window — the replay is consuming values the recording
 	// never justified.
 	DivUnscheduledRead DivergenceKind = iota
-	// DivOutOfRangeWrite: a write was about to be suppressed as blind, but
-	// the log records it as interior to a write-bearing range — the schedule
-	// window that should have covered it was closed (a corrupted or
-	// inconsistent schedule).
-	DivOutOfRangeWrite
 	// DivStall: the schedule cannot finish. Every live thread is blocked at
 	// its gate on a pending position or in a join on a live thread, or no
 	// thread is left while positions are pending (an infeasible or corrupted
@@ -28,7 +23,6 @@ const (
 
 var divKindNames = map[DivergenceKind]string{
 	DivUnscheduledRead: "unscheduled-read",
-	DivOutOfRangeWrite: "out-of-range-write",
 	DivStall:           "stall",
 	DivUnknownThread:   "unknown-thread",
 }
@@ -110,9 +104,6 @@ func (e *DivergenceError) Error() string {
 	case DivUnknownThread:
 		return fmt.Sprintf("replay spawned thread %s that the record run never created (divergence at turn %d)",
 			e.ThreadPath, e.Turn)
-	case DivOutOfRangeWrite:
-		return fmt.Sprintf("write outside its recorded range (divergence): thread %s counter %d loc off %d at turn %d/%d",
-			e.ThreadPath, e.Counter, e.Loc, e.Turn, e.ScheduleLen)
 	default:
 		return fmt.Sprintf("unscheduled read outside any range (divergence): thread %s counter %d loc off %d at turn %d/%d",
 			e.ThreadPath, e.Counter, e.Loc, e.Turn, e.ScheduleLen)

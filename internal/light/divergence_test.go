@@ -133,68 +133,6 @@ fun main() {
 	}
 }
 
-// TestReplayDetectsOutOfRangeWrite corrupts a schedule's RangeEnd so a
-// write-bearing range closes immediately: the interior writes then arrive on
-// the blind-suppression path, which must flag DivOutOfRangeWrite instead of
-// silently swallowing them.
-func TestReplayDetectsOutOfRangeWrite(t *testing.T) {
-	// A single uncontended increment loop records one long read-led
-	// write-bearing range on c.n: the access right after the gated start
-	// read is the paired write, so closing the window flags the write path.
-	prog := compile(t, `
-class C { field n; }
-var c = null;
-fun bump(k) { for (var i = 0; i < k; i = i + 1) { c.n = c.n + 1; } }
-fun main() {
-  c = new C(); c.n = 0;
-  var a = spawn bump(30);
-  join a;
-  print(c.n);
-}
-`)
-	rec := Record(prog, Options{O1: true}, RunConfig{Seed: 9})
-	var rg *trace.Range
-	for i := range rec.Log.Ranges {
-		r := &rec.Log.Ranges[i]
-		if r.HasWrite && r.StartsWithRead && r.End > r.Start+1 && (rg == nil || r.End-r.Start > rg.End-rg.Start) {
-			rg = r
-		}
-	}
-	if rg == nil {
-		t.Fatal("no read-led write-bearing range recorded; the O1 reduction regressed")
-	}
-	sched, err := ComputeSchedule(rec.Log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Close the range window right at its start; the log still records the
-	// true End, so the first interior write must be caught.
-	sched.RangeEnd[trace.TC{Thread: rg.Thread, Counter: rg.Start}] = rg.Start
-
-	rep := NewReplayer(sched)
-	replayWith(prog, rep, rec.Log)
-	failed, reason := rep.Failed()
-	if !failed {
-		t.Fatal("shrunk RangeEnd replay not flagged")
-	}
-	div := rep.Divergence()
-	if div == nil {
-		t.Fatal("failure without a typed divergence record")
-	}
-	if div.Kind != DivOutOfRangeWrite {
-		t.Fatalf("kind = %s (%s), want %s", div.Kind, reason, DivOutOfRangeWrite)
-	}
-	if div.Thread != rg.Thread {
-		t.Errorf("diverging thread %d, corrupted range belongs to %d", div.Thread, rg.Thread)
-	}
-	if div.Counter <= rg.Start || div.Counter > rg.End {
-		t.Errorf("diverging counter %d outside the corrupted window (%d..%d]", div.Counter, rg.Start, rg.End)
-	}
-	if !strings.Contains(reason, "divergence") {
-		t.Errorf("reason lost the historic vocabulary: %s", reason)
-	}
-}
-
 // TestDivergenceTypedOnCorruptedSchedule re-runs the classic corrupted-counter
 // scenario and checks the failure is now typed: whichever site fires (a stall
 // or an unscheduled read, depending on where the shifted counter lands), the
@@ -276,7 +214,6 @@ func TestReplayDetectsMissingThreadTyped(t *testing.T) {
 func TestDivergenceKindRoundTrip(t *testing.T) {
 	for k, want := range map[DivergenceKind]string{
 		DivUnscheduledRead: "unscheduled-read",
-		DivOutOfRangeWrite: "out-of-range-write",
 		DivStall:           "stall",
 		DivUnknownThread:   "unknown-thread",
 	} {

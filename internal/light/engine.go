@@ -744,23 +744,10 @@ func ComputeSchedule(log *trace.Log) (*Schedule, error) {
 	return newSchedule(log, tcs, syn.stats), nil
 }
 
-// newSchedule wraps a total order into a Schedule: positions plus the
-// log's range gates.
+// newSchedule wraps a total order over the log's gated accesses into a
+// Schedule.
 func newSchedule(log *trace.Log, order []trace.TC, stats ScheduleStats) *Schedule {
-	sched := &Schedule{
-		Log:      log,
-		Order:    order,
-		Pos:      make(map[trace.TC]int, len(order)),
-		RangeEnd: make(map[trace.TC]uint64),
-		Stats:    stats,
-	}
-	for i, tc := range order {
-		sched.Pos[tc] = i
-	}
-	for _, rg := range log.Ranges {
-		sched.RangeEnd[trace.TC{Thread: rg.Thread, Counter: rg.Start}] = rg.End
-	}
-	return sched
+	return &Schedule{Log: log, Order: order, Stats: stats}
 }
 
 // observeSolve records one schedule computation in the solve metrics.

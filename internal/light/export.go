@@ -32,8 +32,8 @@ func BuildScheduleChrome(sched *Schedule) *flight.ChromeTrace {
 	}
 
 	for _, rg := range log.Ranges {
-		start, ok1 := sched.Pos[trace.TC{Thread: rg.Thread, Counter: rg.Start}]
-		end, ok2 := sched.Pos[trace.TC{Thread: rg.Thread, Counter: rg.End}]
+		start, ok1 := sched.position(trace.TC{Thread: rg.Thread, Counter: rg.Start})
+		end, ok2 := sched.position(trace.TC{Thread: rg.Thread, Counter: rg.End})
 		if !ok1 || !ok2 {
 			continue
 		}
@@ -56,8 +56,8 @@ func BuildScheduleChrome(sched *Schedule) *flight.ChromeTrace {
 		if d.W.IsInitial() {
 			continue
 		}
-		wp, ok1 := sched.Pos[d.W]
-		rp, ok2 := sched.Pos[d.R]
+		wp, ok1 := sched.position(d.W)
+		rp, ok2 := sched.position(d.R)
 		if !ok1 || !ok2 {
 			continue
 		}
@@ -79,8 +79,9 @@ func ExportScheduleChrome(w io.Writer, sched *Schedule) error {
 	return BuildScheduleChrome(sched).Write(w)
 }
 
-// ScheduleDiff localizes the first difference between two schedules. The
-// zero value with FirstDiff == -1 means the schedules are identical.
+// ScheduleDiff localizes the first difference between two schedules'
+// orders. FirstDiff == -1 means the orders are identical; range ends come
+// from the logs, which trace.DiffLogs compares.
 type ScheduleDiff struct {
 	LenA int `json:"len_a"`
 	LenB int `json:"len_b"`
@@ -90,31 +91,24 @@ type ScheduleDiff struct {
 	// A and B are the differing entries; the zero TC when past one end.
 	A trace.TC `json:"a"`
 	B trace.TC `json:"b"`
-	// RangeEndDiffs lists range starts mapped to different ends (corrupted
-	// gating windows that an identical Order would still not excuse).
-	RangeEndDiffs []string `json:"range_end_diffs,omitempty"`
 }
 
 // Equal reports whether no difference was found.
-func (d *ScheduleDiff) Equal() bool { return d.FirstDiff < 0 && len(d.RangeEndDiffs) == 0 }
+func (d *ScheduleDiff) Equal() bool { return d.FirstDiff < 0 }
 
 // String renders the localization for error messages.
 func (d *ScheduleDiff) String() string {
 	if d.Equal() {
 		return "schedules identical"
 	}
-	if d.FirstDiff >= 0 {
-		if d.LenA != d.LenB && (d.FirstDiff >= d.LenA || d.FirstDiff >= d.LenB) {
-			return fmt.Sprintf("schedules diverge at position %d: %d entries vs %d", d.FirstDiff, d.LenA, d.LenB)
-		}
-		return fmt.Sprintf("schedules diverge at position %d: %s vs %s", d.FirstDiff, fmtTC(d.A), fmtTC(d.B))
+	if d.LenA != d.LenB && (d.FirstDiff >= d.LenA || d.FirstDiff >= d.LenB) {
+		return fmt.Sprintf("schedules diverge at position %d: %d entries vs %d", d.FirstDiff, d.LenA, d.LenB)
 	}
-	return fmt.Sprintf("range ends differ: %v", d.RangeEndDiffs)
+	return fmt.Sprintf("schedules diverge at position %d: %s vs %s", d.FirstDiff, fmtTC(d.A), fmtTC(d.B))
 }
 
-// DiffSchedules compares two schedules' orders and gating windows and
-// localizes the first difference — the comparison the fuzz solve-jobs oracle
-// and `lighttrace diff` share.
+// DiffSchedules compares two schedules' orders and localizes the first
+// difference — the comparison `lighttrace diff` makes.
 func DiffSchedules(a, b *Schedule) *ScheduleDiff {
 	d := &ScheduleDiff{LenA: len(a.Order), LenB: len(b.Order), FirstDiff: -1}
 	n := d.LenA
@@ -134,18 +128,6 @@ func DiffSchedules(a, b *Schedule) *ScheduleDiff {
 		}
 		if d.LenB > n {
 			d.B = b.Order[n]
-		}
-		return d
-	}
-	for tc, endA := range a.RangeEnd {
-		if endB, ok := b.RangeEnd[tc]; !ok || endB != endA {
-			d.RangeEndDiffs = append(d.RangeEndDiffs,
-				fmt.Sprintf("%s: %d vs %d", fmtTC(tc), endA, endB))
-		}
-	}
-	for tc := range b.RangeEnd {
-		if _, ok := a.RangeEnd[tc]; !ok {
-			d.RangeEndDiffs = append(d.RangeEndDiffs, fmt.Sprintf("%s: missing vs %d", fmtTC(tc), b.RangeEnd[tc]))
 		}
 	}
 	return d

@@ -104,7 +104,7 @@ func ExplainAccess(log *trace.Log, tc trace.TC, sched *Schedule) *AccessExplanat
 		}
 	}
 	if sched != nil {
-		if p, ok := sched.Pos[tc]; ok {
+		if p, ok := sched.position(tc); ok {
 			ex.Pos = p
 		}
 	}

@@ -46,16 +46,20 @@ type gatedAccess struct {
 	pos     int32
 }
 
-// rangeGate is one recorded range of a thread, opened by its gated start.
+// rangeGate is one recorded range of a thread, opened by its gated start:
+// the thread's accesses on the range's location run ungated up to end.
 type rangeGate struct {
-	start uint64
-	// end is the schedule's end for the range (Schedule.RangeEnd): the
-	// thread's accesses on the range's location run ungated up to it.
-	end uint64
-	// logEnd is the recorded end of a write-bearing range (hasWrite): a
-	// write up to it is never blind (DivOutOfRangeWrite).
-	logEnd   uint64
-	hasWrite bool
+	start, end uint64
+}
+
+// find returns the schedule position of the thread's gated access at
+// counter c.
+func (tg *threadGates) find(c uint64) (int32, bool) {
+	i, ok := slices.BinarySearchFunc(tg.gated, c, func(a gatedAccess, c uint64) int { return cmp.Compare(a.counter, c) })
+	if !ok {
+		return 0, false
+	}
+	return tg.gated[i].pos, true
 }
 
 // pollWait encodes a wait that polls q instead of parking on it; the
@@ -73,10 +77,22 @@ func (g *replayGates) waitFor(p int32) (q int32, poll bool) {
 }
 
 // gates returns the schedule's replay gates, building them on first use.
-// Order, RangeEnd and Log must not change once a schedule has been replayed.
+// Order and Log must not change once a schedule has been replayed or asked
+// for a position.
 func (s *Schedule) gates() *replayGates {
 	s.gatesOnce.Do(func() { s.gateTable = buildReplayGates(s) })
 	return s.gateTable
+}
+
+// position returns tc's position in Order. An access Order does not list,
+// or whose thread is outside the log's thread table, has none.
+func (s *Schedule) position(tc trace.TC) (int, bool) {
+	g := s.gates()
+	if tc.Thread < 0 || int(tc.Thread) >= len(g.threads) {
+		return 0, false
+	}
+	p, ok := g.threads[tc.Thread].find(tc.Counter)
+	return int(p), ok
 }
 
 // buildReplayGates derives the gates from the schedule and its log's deps
@@ -130,10 +146,8 @@ func buildReplayGates(s *Schedule) *replayGates {
 		if !inTable(tc.Thread) || l < 0 {
 			return
 		}
-		gs := g.threads[tc.Thread].gated
-		i, found := slices.BinarySearchFunc(gs, tc.Counter, func(a gatedAccess, c uint64) int { return cmp.Compare(a.counter, c) })
-		if found && loc[gs[i].pos] < 0 {
-			loc[gs[i].pos] = l
+		if p, found := g.threads[tc.Thread].find(tc.Counter); found && loc[p] < 0 {
+			loc[p] = l
 		}
 	}
 	for _, d := range log.Deps {
@@ -150,16 +164,14 @@ func buildReplayGates(s *Schedule) *replayGates {
 		g.threads[th].ranges = make([]rangeGate, 0, c)
 	}
 	for _, rg := range log.Ranges {
-		start := trace.TC{Thread: rg.Thread, Counter: rg.Start}
-		locate(start, rg.Loc)
+		locate(trace.TC{Thread: rg.Thread, Counter: rg.Start}, rg.Loc)
 		locate(trace.TC{Thread: rg.Thread, Counter: rg.End}, rg.Loc)
 		if rg.StartsWithRead {
 			locate(rg.W, rg.Loc)
 		}
-		// A range the schedule's RangeEnd does not name opens no window.
-		if end, ok := s.RangeEnd[start]; ok && inTable(rg.Thread) {
+		if inTable(rg.Thread) {
 			tg := &g.threads[rg.Thread]
-			tg.ranges = append(tg.ranges, rangeGate{start: rg.Start, end: end, logEnd: rg.End, hasWrite: rg.HasWrite})
+			tg.ranges = append(tg.ranges, rangeGate{start: rg.Start, end: rg.End})
 		}
 	}
 	byStart := func(a, b rangeGate) int { return cmp.Compare(a.start, b.start) }

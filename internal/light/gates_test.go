@@ -79,7 +79,7 @@ func TestReplayGatesPredecessorTable(t *testing.T) {
 	if got := gated(1); !slices.Equal(got, []uint64{1, 2, 3, 7}) {
 		t.Errorf("thread 1 gated counters %v", got)
 	}
-	if got := g.threads[2].ranges; len(got) != 1 || got[0] != (rangeGate{start: 3, end: 6, logEnd: 6, hasWrite: true}) {
+	if got := g.threads[2].ranges; len(got) != 1 || got[0] != (rangeGate{start: 3, end: 6}) {
 		t.Errorf("thread 2 ranges %+v", got)
 	}
 	if len(g.threads) != len(log.Threads) {

@@ -183,6 +183,7 @@ func solveGolden(t *testing.T, name string, log *trace.Log) goldenPin {
 	if err := CheckSchedule(log, sched); err != nil {
 		t.Fatalf("%s: checker: %v", name, err)
 	}
+	checkPositions(t, name, log, sched)
 	pin := goldenPin{Name: name, Order: orderHash(sched.Order), Stats: pinStats(sched.Stats)}
 	pin.Explain = explainHash(t, log, sched)
 	return pin
@@ -208,7 +209,8 @@ func explainHash(t *testing.T, log *trace.Log, sched *Schedule) string {
 }
 
 // TestGoldenSchedules pins the engine's schedules, stats and ExplainAccess
-// digests on every golden log.
+// digests on every golden log, and checks the schedule position lookup
+// there.
 func TestGoldenSchedules(t *testing.T) {
 	pinPath := filepath.Join(goldenDir, "schedules.json")
 	want := map[string]goldenPin{}
@@ -259,6 +261,37 @@ func TestGoldenSchedules(t *testing.T) {
 		}
 		if err := os.WriteFile(pinPath, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// checkPositions checks the gate table's position lookup against Order:
+// Order[i] is at i, and an access Order does not list, or whose thread the
+// log's table lacks, has no position.
+func checkPositions(t *testing.T, name string, log *trace.Log, sched *Schedule) {
+	t.Helper()
+	last := make(map[int32]uint64)
+	for i, tc := range sched.Order {
+		if p, ok := sched.position(tc); !ok || p != i {
+			t.Fatalf("%s: position(%+v) = %d, %v; want %d", name, tc, p, ok, i)
+		}
+		// A counter strictly between two of a thread's entries is
+		// unscheduled.
+		if prev, seen := last[tc.Thread]; seen && tc.Counter > prev+1 {
+			if p, ok := sched.position(trace.TC{Thread: tc.Thread, Counter: prev + 1}); ok {
+				t.Fatalf("%s: unscheduled t%d#%d found at %d", name, tc.Thread, prev+1, p)
+			}
+		}
+		last[tc.Thread] = tc.Counter
+	}
+	for th, c := range last {
+		if p, ok := sched.position(trace.TC{Thread: th, Counter: c + 1}); ok {
+			t.Fatalf("%s: unscheduled t%d#%d found at %d", name, th, c+1, p)
+		}
+	}
+	for _, th := range []int32{trace.InitialThread, int32(len(log.Threads))} {
+		if p, ok := sched.position(trace.TC{Thread: th, Counter: 1}); ok {
+			t.Fatalf("%s: thread %d outside the table found at %d", name, th, p)
 		}
 	}
 }

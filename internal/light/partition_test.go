@@ -15,7 +15,7 @@ func orderIsModel(t *testing.T, log *trace.Log, sched *Schedule) {
 	t.Helper()
 	sys := buildSystem(log)
 	at := func(tc trace.TC) int {
-		p, ok := sched.Pos[tc]
+		p, ok := sched.position(tc)
 		if !ok {
 			t.Fatalf("constraint references access %+v missing from schedule", tc)
 		}
@@ -118,7 +118,9 @@ func TestPartitionTopoOrder(t *testing.T) {
 	if sched.Stats.Components != 2 {
 		t.Fatalf("components = %d, want 2", sched.Stats.Components)
 	}
-	if sched.Pos[trace.TC{Thread: 0, Counter: 1}] >= sched.Pos[trace.TC{Thread: 0, Counter: 2}] {
+	p1, ok1 := sched.position(trace.TC{Thread: 0, Counter: 1})
+	p2, ok2 := sched.position(trace.TC{Thread: 0, Counter: 2})
+	if !ok1 || !ok2 || p1 >= p2 {
 		t.Fatalf("cross-component program order violated: %+v", sched.Order)
 	}
 	orderIsModel(t, log, sched)

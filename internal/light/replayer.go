@@ -80,8 +80,9 @@ type replayThread struct {
 	gates *threadGates
 	gi    int
 	ri    int
-	// windows holds the open range windows by location.
-	windows map[vm.Loc]rangeWindow
+	// windows holds each location's open range window: the thread's
+	// accesses there with counters up to the window's end run ungated.
+	windows map[vm.Loc]uint64
 	// wake is signalled when the position this thread parked on executes,
 	// or when the replay fails.
 	wake chan struct{}
@@ -102,15 +103,6 @@ type replayThread struct {
 	monAcqLoc vm.Loc
 	monAcqSet bool
 	monAcqC   uint64
-}
-
-// rangeWindow is a thread's open range on one location: interiors with
-// counters up to end run ungated while open; while logged, a write with a
-// counter up to logEnd lies inside a recorded write-bearing range and may
-// not be suppressed as blind.
-type rangeWindow struct {
-	end, logEnd  uint64
-	open, logged bool
 }
 
 // NewReplayer builds a replayer for the schedule.
@@ -294,7 +286,7 @@ func (r *Replayer) joinBegins(rt *replayThread, a vm.Access) {
 }
 
 func newReplayThread() *replayThread {
-	return &replayThread{idx: -1, waitQ: -1, windows: make(map[vm.Loc]rangeWindow), wake: make(chan struct{}, 1)}
+	return &replayThread{idx: -1, waitQ: -1, windows: make(map[vm.Loc]uint64), wake: make(chan struct{}, 1)}
 }
 
 // threadState returns the thread's replay state; a thread the replayer never
@@ -354,29 +346,9 @@ func (rt *replayThread) updateWindows(a vm.Access) {
 	for rt.ri < len(rs) && rs[rt.ri].start < a.Counter {
 		rt.ri++
 	}
-	isStart := rt.ri < len(rs) && rs[rt.ri].start == a.Counter
-	if !isStart && len(rt.windows) == 0 {
-		return
-	}
-	w, had := rt.windows[a.Loc]
-	switch {
-	case isStart:
-		rg := rs[rt.ri]
-		w.end, w.open = rg.end, true
-		if rg.hasWrite {
-			w.logEnd, w.logged = rg.logEnd, true
-		}
-	case !had:
-		return
-	case w.open && a.Counter >= w.end:
-		w.open = false
-	}
-	if w.logged && a.Counter >= w.logEnd {
-		w.logged = false
-	}
-	if w.open || w.logged {
-		rt.windows[a.Loc] = w
-	} else if had {
+	if rt.ri < len(rs) && rs[rt.ri].start == a.Counter {
+		rt.windows[a.Loc] = rs[rt.ri].end
+	} else if end, ok := rt.windows[a.Loc]; ok && a.Counter >= end {
 		delete(rt.windows, a.Loc)
 	}
 }
@@ -403,8 +375,7 @@ func (r *Replayer) SharedAccess(a vm.Access, do func()) {
 		return
 	}
 	// Unscheduled access: a range interior, or a blind write.
-	w, inWindow := rt.windows[a.Loc]
-	if inWindow && w.open && a.Counter <= w.end {
+	if end, ok := rt.windows[a.Loc]; ok && a.Counter <= end {
 		r.run(do)
 		if r.flightOn && rt.fl != nil {
 			rt.flightAccess(a, -1)
@@ -412,22 +383,6 @@ func (r *Replayer) SharedAccess(a vm.Access, do func()) {
 		return
 	}
 	if a.Kind == vm.Write {
-		// The log's own ranges bound what a blind write may be: a write the
-		// recording placed inside a write-bearing range must run under that
-		// range's window. Arriving here with the window closed means the
-		// schedule's RangeEnd disagrees with the log — a corruption the
-		// checker would reject and the replay must not silently absorb.
-		if inWindow && w.logged && a.Counter <= w.logEnd {
-			r.fail(&DivergenceError{
-				Kind: DivOutOfRangeWrite, ThreadPath: a.Thread.Path, Thread: rt.idx,
-				Counter: a.Counter, Loc: a.Loc.Off, Pos: -1,
-			})
-			if r.flightOn && rt.fl != nil {
-				rt.fl.Record(flight.Event{Kind: flight.EvDivergence, Counter: a.Counter, Loc: a.Loc.Off})
-			}
-			r.run(do)
-			return
-		}
 		if r.obsOn {
 			mRepBlindSuppressed.Inc()
 		}

@@ -101,9 +101,8 @@ func (s *system) has(tc trace.TC) bool {
 
 // checkRules is the rule-reference schedule checker: the schedule must be a
 // model of the log's whole constraint system. Order must be a permutation
-// of the system's variables with Pos agreeing, every hard edge must hold,
-// at least one disjunct of every disjunction must hold, and every range
-// start must map to its recorded end in RangeEnd.
+// of the system's variables, every hard edge must hold, and at least one
+// disjunct of every disjunction must hold.
 func checkRules(log *trace.Log, sched *Schedule) error {
 	sys := buildSystem(log)
 	if len(sched.Order) != len(sys.vars) {
@@ -119,14 +118,6 @@ func checkRules(log *trace.Log, sched *Schedule) error {
 		}
 		pos[tc] = i
 	}
-	if len(sched.Pos) != len(sched.Order) {
-		return fmt.Errorf("Pos has %d entries, Order has %d", len(sched.Pos), len(sched.Order))
-	}
-	for tc, p := range sched.Pos {
-		if pos[tc] != p {
-			return fmt.Errorf("Pos[%+v] = %d, Order says %d", tc, p, pos[tc])
-		}
-	}
 	hard := sys.chain()
 	for _, ls := range sys.locs {
 		hard = append(hard, ls.conj...)
@@ -141,12 +132,6 @@ func checkRules(log *trace.Log, sched *Schedule) error {
 			if pos[d.a1] >= pos[d.b1] && pos[d.a2] >= pos[d.b2] {
 				return fmt.Errorf("location %d: neither %+v<%+v nor %+v<%+v holds", ls.loc, d.a1, d.b1, d.a2, d.b2)
 			}
-		}
-	}
-	for _, rg := range log.Ranges {
-		start := trace.TC{Thread: rg.Thread, Counter: rg.Start}
-		if end, ok := sched.RangeEnd[start]; !ok || end != rg.End {
-			return fmt.Errorf("RangeEnd for %+v is %d (present %v), log says %d", start, end, ok, rg.End)
 		}
 	}
 	return nil

@@ -26,19 +26,17 @@ func TestScheduleWellFormed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iteration %d: %v", it, err)
 			}
-			// Permutation: Pos and Order agree, no duplicates.
-			if len(sched.Pos) != len(sched.Order) {
-				t.Fatalf("pos size %d != order size %d", len(sched.Pos), len(sched.Order))
-			}
-			seen := make(map[trace.TC]bool)
+			// Permutation: no duplicates, and the position lookup inverts
+			// Order.
+			pos := make(map[trace.TC]int, len(sched.Order))
 			lastPerThread := make(map[int32]uint64)
 			for i, tc := range sched.Order {
-				if seen[tc] {
+				if _, dup := pos[tc]; dup {
 					t.Fatalf("duplicate scheduled access %+v", tc)
 				}
-				seen[tc] = true
-				if sched.Pos[tc] != i {
-					t.Fatalf("pos mismatch for %+v", tc)
+				pos[tc] = i
+				if p, ok := sched.position(tc); !ok || p != i {
+					t.Fatalf("position(%+v) = %d, %v; want %d", tc, p, ok, i)
 				}
 				if last, ok := lastPerThread[tc.Thread]; ok && tc.Counter <= last {
 					t.Fatalf("thread %d program order violated: %d after %d", tc.Thread, tc.Counter, last)
@@ -50,8 +48,8 @@ func TestScheduleWellFormed(t *testing.T) {
 				if d.W.IsInitial() {
 					continue
 				}
-				pw, okW := sched.Pos[d.W]
-				pr, okR := sched.Pos[d.R]
+				pw, okW := pos[d.W]
+				pr, okR := pos[d.R]
 				if !okW || !okR {
 					t.Fatalf("dep endpoints unscheduled: %+v", d)
 				}
@@ -64,8 +62,8 @@ func TestScheduleWellFormed(t *testing.T) {
 				if !g.StartsWithRead || g.W.IsInitial() {
 					continue
 				}
-				pw := sched.Pos[g.W]
-				ps := sched.Pos[trace.TC{Thread: g.Thread, Counter: g.Start}]
+				pw := pos[g.W]
+				ps := pos[trace.TC{Thread: g.Thread, Counter: g.Start}]
 				if pw >= ps {
 					t.Fatalf("range head scheduled before its source: %+v", g)
 				}
