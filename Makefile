@@ -75,11 +75,14 @@ solve-stall:
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# bench-solve measures schedule synthesis on seven committed golden
+# bench-solve measures schedule synthesis on nine committed golden
 # recordings (jgf-crypt, jgf-sor, srv-proxy, par-handoff, stamp-labyrinth,
-# srv-tomcat, par-hotfield), so its rows compare across commits; the
-# fastpath_rate and components columns make the tier split visible next to
-# the ns/op and allocation columns, and check_per_solve the checker's cost.
+# srv-tomcat, par-hotfield, and fuzz-cdcl-1loc and fuzz-cdcl-2loc, whose
+# residual disjunctions are constructed and checked by the final sort), so
+# its rows compare across commits; the fastpath_rate and components columns
+# make the tier split visible next to the ns/op and allocation columns, and
+# check_per_solve (the median per-iteration ratio, with a collection before
+# every timed solve and check) the checker's cost.
 bench-solve:
 	$(GO) test -run xxx -bench 'BenchmarkSolveFastpath' -benchtime 10x .
 

@@ -27,7 +27,7 @@ var (
 	mReplayRequests = obs.NewCounter("epoch_replay_requests_total",
 		"on-demand epoch replays served")
 	mReplayCacheHits = obs.NewCounter("epoch_replay_cache_hits_total",
-		"replayed runs whose schedule came from the persistent solve cache instead of a fresh synthesis")
+		"replayed runs whose schedule came from the in-memory whole-schedule cache instead of a fresh synthesis")
 	mPreSolves = obs.NewCounter("epoch_presolves_total",
 		"sealed runs pre-solved in the background to warm the schedule cache")
 	mReplayFailures = obs.NewCounter("epoch_replay_failures_total",

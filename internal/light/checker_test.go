@@ -77,8 +77,8 @@ func TestCheckerDifferentialBugs(t *testing.T) {
 }
 
 // TestCheckerDifferentialSynthetic covers the log shapes real workloads
-// never produce: pure residual components, and bridged residuals whose
-// merge soundness depends on the seeded bridge literals.
+// never produce: pure residual components, residuals ordered through
+// another cluster, and a merge cycle the CDCL(T) search decides.
 func TestCheckerDifferentialSynthetic(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -87,6 +87,7 @@ func TestCheckerDifferentialSynthetic(t *testing.T) {
 		{"residual", residualLog()},
 		{"bridged", bridgedResidualLog()},
 		{"replicated", replicatedResidualLog(4)},
+		{"merge-cycle", mergeCycleLog()},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {

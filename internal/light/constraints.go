@@ -29,29 +29,30 @@ type Schedule struct {
 	gateTable *replayGates
 }
 
-// ScheduleStats describes the constraint system and its solution. Counts are
-// aggregated across the independent constraint components (see partition.go).
+// ScheduleStats describes the constraint system and its solution.
 type ScheduleStats struct {
 	IntVars      int
 	Disjunctions int
 	Conjunctive  int
 	Resolved     int // disjunctions decided by propagation
 
-	// Components is the number of independent constraint components the
-	// system split into; LargestComponent is the variable count of the
-	// biggest one.
+	// Components is the number of location clusters (locations that share
+	// an access, partition.go); LargestComponent is the variable count of
+	// the biggest one.
 	Components       int
 	LargestComponent int
-	// FastpathComponents counts components decided without a CDCL(T)
-	// invocation: by propagation alone, or by construction when their
-	// residual disjunctions sit on one location (DESIGN.md §4d).
+	// FastpathComponents counts clusters decided without a CDCL(T)
+	// invocation: by propagation alone, or by per-location construction
+	// whose union the final sort accepts (DESIGN.md §4d). When the CDCL(T)
+	// fallback runs, every cluster holding a residual disjunction counts
+	// as searched.
 	FastpathComponents int
 
 	Solver smt.Stats
 }
 
 // FastpathRate returns the fraction of components fully decided without a
-// CDCL(T) invocation, in [0, 1]; 0 when nothing was partitioned.
+// CDCL(T) invocation, in [0, 1]; 0 for an empty system.
 func (s *ScheduleStats) FastpathRate() float64 {
 	if s.Components <= 0 {
 		return 0

@@ -24,52 +24,34 @@ import (
 // Propagation only ever asserts implied literals, so the resulting partial
 // order holds in every model of the system.
 //
-// Components whose disjunctions all resolve need no solver at all. Tier 2
-// decides the ones with residual free choices: a component on one location
-// by construction (constructLoc, a topological order of its write blocks),
-// any other — or one the construction does not model — with the CDCL(T)
-// solver, seeded with the propagation-proved edges (smt.Problem.SeedLt)
-// plus "bridge" order literals: for every pair of residual-disjunction
-// endpoints already ordered by the *global* partial order, the order is
-// asserted inside the component. The final schedule is a single
-// deterministic topological sort of the global partial order extended with
-// the chosen disjuncts.
+// Disjunctions that resolve this way need no solver at all. Tier 2 decides
+// the residual ones location by location by construction (constructLoc, a
+// topological order of each location's write blocks against the propagated
+// order) and checks the union of the chosen edges with the topological sort
+// the schedule needs anyway (OrderEngine.TopoOrder). Only when a
+// construction fails or the sort finds a cycle does it decide every
+// residual disjunction in one CDCL(T) problem over their endpoints, with
+// every pair of endpoints the propagated order already orders as a unit
+// clause, and sort again.
 //
 // synthesize is the one implementation of this pipeline; ComputeSchedule
 // runs it over a whole log.
 //
-// Soundness of the merge (why the extended graph is acyclic):
+// Soundness of the merge (why the sorted graph is acyclic):
 //   - With no chosen edges the graph is the propagated partial order, which
 //     Propagate verified acyclic (a hard cycle means the recording is
 //     contradictory and is reported as unsat).
-//   - A cycle through chosen edges of a single component would alternate
-//     chosen edges and global-reachability segments between that component's
-//     residual-disjunction endpoints. For a searched component every such
-//     segment is asserted inside the component as a bridge literal, so the
-//     cycle would already be a contradiction inside the component's
-//     constraint problem — impossible, since the solver returned a model of
-//     it. For a constructed component every segment keeps or raises the
-//     block rank and every chosen edge raises it, so no cycle closes.
-//   - A cycle through chosen edges of two different components C1 and C2
-//     needs global hard paths C1⇝C2 and C2⇝C1. Every hard edge is either a
-//     thread chain step between timeline-consecutive accesses (exactly the
-//     cluster-graph edges the partitioner uses) or intra-cluster (dependence
-//     and forced edges relate accesses of one location), so var-level
-//     reachability implies cluster-graph reachability: C1 and C2 would sit
-//     in one cluster-graph SCC, and the partitioner merges residual-bearing
-//     clusters of an SCC into one component — contradiction.
-
-// residualComp is one tier-2 component the construction does not decide: a
-// residual-disjunction-bearing cluster group that needs CDCL(T) search, in
-// the node IDs of the dense index.
-type residualComp struct {
-	locs    []int32                // member location IDs (diagnostics)
-	nodes   []int32                // member nodes, ascending
-	conj    [][2]int32             // member-location hard edges + internal chains
-	forced  [][2]int32             // propagation-forced edges inside the component
-	bridges [][2]int32             // global-partial-order bridges between residual endpoints
-	disj    []smt.OrderDisjunction // the residual disjunctions themselves
-}
+//   - Constructed choices are not trusted across locations: the sort that
+//     linearizes them is the check, and a cycle sends the whole residual
+//     set to the search.
+//   - A cycle through searched choices would alternate chosen edges with
+//     order paths between residual endpoints. Each such path is a unit
+//     clause of the search problem, so the cycle would contradict the
+//     model the solver returned.
+//
+// The search is complete: the recorded execution restricted to the
+// endpoints satisfies every unit clause (the propagated order holds in
+// every model) and every residual disjunction (Lemma 4.1).
 
 // denseIndex numbers accesses chain-major — chains in ascending thread
 // order, each thread's counters ascending — so node IDs equal positions in
@@ -201,28 +183,12 @@ func (ds *denseSystem) genDisj(li int, disj func(a1, b1, a2, b2 int32)) {
 // locEdges returns location li's hard edges in TC form.
 func (ds *denseSystem) locEdges(li int) [][2]trace.TC {
 	v := ds.x.vars
-	es := ds.locHard(li)
+	es := ds.hard[ds.hardAt[li]:ds.hardAt[li+1]]
 	out := make([][2]trace.TC, len(es))
 	for i, e := range es {
 		out[i] = [2]trace.TC{v[e[0]], v[e[1]]}
 	}
 	return out
-}
-
-// locHard returns location li's hard edges.
-func (ds *denseSystem) locHard(li int) [][2]int32 {
-	return ds.hard[ds.hardAt[li]:ds.hardAt[li+1]]
-}
-
-// synthesis is the core's result over one item set, in the node IDs of its
-// dense index: one chosen disjunct per residual disjunction. The schedule
-// is the smallest-node-first topological sort of the propagated partial
-// order (the chains, the hard edges and the forced edges) plus the chosen
-// edges.
-type synthesis struct {
-	vars   []trace.TC // node -> access
-	chosen [][2]int32
-	stats  ScheduleStats
 }
 
 // propagated is an item set's constraint system after propagation: its
@@ -283,217 +249,115 @@ func propagateItems(items map[int32]*locItems) (*propagated, error) {
 }
 
 // synthesize is the schedule-synthesis core over one item set: generate
-// and propagate the system (propagateItems), partition the residual
-// disjunctions into components, construct each single-location one
-// (constructLoc), seed each remaining one with its bridges, and discharge
-// those to CDCL(T) one after another on one reused solver. It
-// also returns the propagated engine, which already holds the hard and
-// forced edges, so the caller sorts by adding only the chosen ones
-// (OrderEngine.TopoOrder).
-func synthesize(items map[int32]*locItems) (*synthesis, *smt.OrderEngine, error) {
+// and propagate the system (propagateItems), cluster the locations for the
+// stats (clusterStats), construct each location's residual disjunctions
+// (constructResidual), and check the chosen edges with the final
+// topological sort of the propagated order (OrderEngine.TopoOrder). When a
+// construction fails or the sort finds a cycle, every residual disjunction
+// is searched in one CDCL(T) problem (searchResidual) and sorted again. It
+// returns the schedule order.
+func synthesize(items map[int32]*locItems) ([]trace.TC, ScheduleStats, error) {
+	var stats ScheduleStats
 	p, err := propagateItems(items)
 	if err != nil {
-		return nil, nil, err
+		return nil, stats, err
 	}
 	ds, eng, out, x := p.ds, p.eng, p.out, p.ds.x
-	chains := x.chainSizes()
-	nLocs := len(ds.locIDs)
 
 	partSpan := obs.StartSpan("partition")
-	// owner maps a node to the first location touching it; locations that
-	// share a node are unioned into one cluster.
-	owner := make([]int32, len(x.vars))
-	for i := range owner {
-		owner[i] = -1
+	clusterOf, clusters := clusterStats(ds)
+	size := make([]int, len(ds.locIDs))
+	for _, c := range clusterOf {
+		size[c]++
 	}
-	uf := newUnionFind(nLocs)
-	own := func(li int, n int32) {
-		if o := owner[n]; o < 0 {
-			owner[n] = int32(li)
-		} else if int(o) != li {
-			uf.union(li, int(o))
-		}
-	}
-	for li := range ds.locIDs {
-		rcs, wbs := ds.locItemNodes(li)
-		for _, rc := range rcs {
-			if rc.w >= 0 {
-				own(li, rc.w)
-			}
-			own(li, rc.lo)
-			own(li, rc.hi)
-		}
-		for _, wb := range wbs {
-			own(li, wb.lo)
-			own(li, wb.hi)
-		}
-	}
-
-	// Partition: location clusters, merging only residual-bearing clusters
-	// that share a cluster-graph SCC (see partition.go).
-	residualLoc := make([]bool, nLocs)
-	for _, di := range out.Residual {
-		residualLoc[p.keptLoc[di]] = true
-	}
-	groups := partitionResidual(uf, owner, chains, residualLoc)
-
-	// Group bookkeeping: per-group node counts (every location sharing a
-	// node sits in its owner's cluster, hence its group) and the residual
-	// disjunctions each group owns.
-	groupOfLoc := make([]int32, nLocs)
-	for gi, locs := range groups {
-		for _, li := range locs {
-			groupOfLoc[li] = int32(gi)
-		}
-	}
-	groupOf := func(n int32) int32 { return groupOfLoc[owner[n]] }
-	groupSize := make([]int, len(groups))
-	for n := range x.vars {
-		groupSize[groupOf(int32(n))]++
-	}
-	residualOfGroup := make([][]int32, len(groups))
-	for _, di := range out.Residual {
-		gi := groupOfLoc[p.keptLoc[di]]
-		residualOfGroup[gi] = append(residualOfGroup[gi], di)
-	}
-
-	partSpan.SetItems(int64(len(groups)))
+	partSpan.SetItems(int64(clusters))
 	partSpan.End()
 
-	// Tier 2: a single-location residual component is decided by
-	// construction (constructLoc); the rest, and any the construction does
-	// not model, go to CDCL(T).
-	syn := &synthesis{
-		vars:   x.vars,
-		chosen: make([][2]int32, 0, len(out.Residual)),
-	}
-	stats := &syn.stats
 	solveSpan := obs.StartSpan("solve")
-	var comps []*residualComp
-	compOfGroup := make([]int, len(groups))
-	for gi := range groups {
-		compOfGroup[gi] = -1
-		res := residualOfGroup[gi]
-		if len(res) == 0 {
-			continue
-		}
-		if len(groups[gi]) == 1 {
-			disj := make([]smt.OrderDisjunction, len(res))
-			for i, di := range res {
-				disj[i] = eng.Disjunction(di)
-			}
-			rcs, wbs := ds.locItemNodes(groups[gi][0])
-			if chosen, ok := constructLoc(rcs, wbs, disj, eng, x.vars); ok {
-				syn.chosen = append(syn.chosen, chosen...)
-				continue
-			}
-		}
-		compOfGroup[gi] = len(comps)
-		comps = append(comps, &residualComp{})
-	}
-
-	// Assemble the CDCL(T) components. local maps a component's node to its
-	// solver variable: variables are allocated in ascending node order.
-	var local []smt.IntVar
-	if len(comps) > 0 {
-		local = make([]smt.IntVar, len(x.vars))
-		for n := range x.vars {
-			if ci := compOfGroup[groupOf(int32(n))]; ci >= 0 {
-				c := comps[ci]
-				local[n] = smt.IntVar(len(c.nodes))
-				c.nodes = append(c.nodes, int32(n))
-			}
-		}
-		for gi, ci := range compOfGroup {
-			if ci < 0 {
-				continue
-			}
-			c := comps[ci]
-			for _, li := range groups[gi] {
-				c.locs = append(c.locs, ds.locIDs[li])
-				c.conj = append(c.conj, ds.locHard(li)...)
-			}
-			// The program-order chains inside the component.
-			for i := 1; i < len(c.nodes); i++ {
-				if u, v := c.nodes[i-1], c.nodes[i]; x.vars[u].Thread == x.vars[v].Thread {
-					c.conj = append(c.conj, [2]int32{u, v})
-				}
-			}
-			for _, di := range residualOfGroup[gi] {
-				c.disj = append(c.disj, eng.Disjunction(di))
-			}
-		}
-		// Distribute the propagation-forced edges to their components as
-		// seeds.
-		for _, e := range out.Forced {
-			if ci := compOfGroup[groupOf(e[0])]; ci >= 0 {
-				comps[ci].forced = append(comps[ci].forced, e)
-			}
-		}
-	}
-	// Bridge literals: for every cross-thread pair of a component's residual
-	// endpoints already ordered by the global partial order, assert the
-	// order inside the component (same-thread pairs are chain-implied).
-	for _, c := range comps {
-		eps := make([]int32, 0, 4*len(c.disj))
-		for _, d := range c.disj {
-			eps = append(eps, d.A1, d.B1, d.A2, d.B2)
-		}
-		slices.Sort(eps)
-		eps = slices.Compact(eps)
-		for _, u := range eps {
-			for _, v := range eps {
-				if x.vars[u].Thread != x.vars[v].Thread && eng.Reaches(u, v) {
-					c.bridges = append(c.bridges, [2]int32{u, v})
-				}
-			}
-		}
-	}
-
-	// Search the CDCL(T) components in order.
-	obsOn := obs.Enabled()
-	sv := smt.NewSolver()
-	for _, c := range comps {
-		var start time.Time
-		if obsOn {
-			start = time.Now()
-		}
-		chosen, st, err := solveResidualComp(c, local, sv)
-		if obsOn {
-			mSolveComponentNS.Observe(time.Since(start).Nanoseconds())
-			mSolveComponentVars.Observe(int64(len(c.nodes)))
-		}
-		if err != nil {
-			solveSpan.End()
-			return nil, nil, err
-		}
-		syn.chosen = append(syn.chosen, chosen...)
-		stats.Solver.Add(st)
-	}
-	solveSpan.SetItems(int64(len(comps)))
+	chosen, constructed := constructResidual(p)
 	solveSpan.End()
+	var order []int32
+	acyclic, nSearched := false, 0
+	if constructed {
+		order, acyclic = sortSpan(eng, chosen)
+	}
+	if !acyclic {
+		solveSpan = obs.StartSpan("solve")
+		chosen, stats.Solver, err = searchResidual(eng, out.Residual)
+		solveSpan.SetItems(1)
+		solveSpan.End()
+		if err != nil {
+			return nil, stats, err
+		}
+		if order, acyclic = sortSpan(eng, chosen); !acyclic {
+			return nil, stats, fmt.Errorf("light: internal error: schedule merge produced a cycle (%d residual disjunctions searched)", len(out.Residual))
+		}
+		// Every cluster holding a residual disjunction was searched.
+		searched := make([]bool, len(size))
+		for _, di := range out.Residual {
+			if c := clusterOf[eng.Disjunction(di).A1]; !searched[c] {
+				searched[c] = true
+				nSearched++
+			}
+		}
+	}
 
 	stats.IntVars = len(x.vars)
 	// Hard edges: the per-location edges plus the program-order chains.
 	stats.Conjunctive = len(ds.hard)
-	for _, size := range chains {
-		stats.Conjunctive += size - 1
+	for _, n := range x.chainSizes() {
+		stats.Conjunctive += n - 1
 	}
 	stats.Disjunctions = p.nDisj
 	stats.Resolved = out.Resolved
-	stats.Components = len(groups)
-	stats.FastpathComponents = len(groups) - len(comps)
-	for _, size := range groupSize {
-		stats.LargestComponent = max(stats.LargestComponent, size)
+	stats.Components = clusters
+	stats.FastpathComponents = clusters - nSearched
+	stats.LargestComponent = slices.Max(append(size, 0))
+	tcs := make([]trace.TC, len(order))
+	for i, n := range order {
+		tcs[i] = x.vars[n]
 	}
-	return syn, eng, nil
+	return tcs, stats, nil
+}
+
+// sortSpan is OrderEngine.TopoOrder under the "topo" span.
+func sortSpan(eng *smt.OrderEngine, chosen [][2]int32) ([]int32, bool) {
+	span := obs.StartSpan("topo")
+	order, ok := eng.TopoOrder(chosen)
+	span.SetItems(int64(len(order)))
+	span.End()
+	return order, ok
+}
+
+// constructResidual runs constructLoc on every location that keeps residual
+// disjunctions, against the propagated order, and returns the union of the
+// chosen edges in residual order. It reports false when any construction
+// fails. The residual disjunctions of one location are consecutive:
+// registration goes location by location and Propagate keeps index order.
+func constructResidual(p *propagated) ([][2]int32, bool) {
+	res := p.out.Residual
+	chosen := make([][2]int32, 0, len(res))
+	for i := 0; i < len(res); {
+		li := p.keptLoc[res[i]]
+		var disj []smt.OrderDisjunction
+		for ; i < len(res) && p.keptLoc[res[i]] == li; i++ {
+			disj = append(disj, p.eng.Disjunction(res[i]))
+		}
+		rcs, wbs := p.ds.locItemNodes(int(li))
+		c, ok := constructLoc(rcs, wbs, disj, p.eng, p.ds.x.vars)
+		if !ok {
+			return nil, false
+		}
+		chosen = append(chosen, c...)
+	}
+	return chosen, true
 }
 
 // blockSeg is a block's extent on one thread: its first and last node
 // there.
 type blockSeg struct{ thread, lo, hi int32 }
 
-// constructLoc decides a single-location residual component without search
+// constructLoc decides one location's residual disjunctions without search
 // (DESIGN.md §4d). A block is one write-bearing interval plus the reads of
 // its writes; the initial-value reads form one more. Every model keeps a
 // block contiguous on the location — rule B admits no other interval
@@ -509,7 +373,7 @@ type blockSeg struct{ thread, lo, hi int32 }
 // every chosen edge goes strictly up in rank, so the chosen edges close no
 // cycle with the partial order. A shape outside the model, a glue conflict,
 // a cyclic block graph or a disjunction with no disjunct in rank order
-// reports false, and the component goes to CDCL(T).
+// reports false, and every residual disjunction goes to CDCL(T).
 func constructLoc(rcs []claimNodes, wbs []intervalNodes, disj []smt.OrderDisjunction, eng *smt.OrderEngine, vars []trace.TC) ([][2]int32, bool) {
 	nb := len(wbs) + 1 // the intervals, then the initial-value block
 	initial := int32(len(wbs))
@@ -684,36 +548,58 @@ func blocksReach(eng *smt.OrderEngine, xs, ys []blockSeg) bool {
 	return false
 }
 
-// solveResidualComp discharges one tier-2 component to the CDCL(T) solver
-// and returns, for each residual disjunction, the edge of the disjunct the
-// model satisfies. local maps the component's nodes to solver variables.
-// Deterministic: the same component yields the same choices on every call.
-func solveResidualComp(c *residualComp, local []smt.IntVar, sv *smt.Solver) ([][2]int32, smt.Stats, error) {
+// searchResidual decides the residual disjunctions in one CDCL(T) problem
+// and returns, for each, the edge of the disjunct the model satisfies. The
+// problem's variables are the disjunctions' endpoints in ascending node
+// order; its unit clauses, seeded in that order, are every pair of
+// endpoints the propagated order orders (same-thread pairs included), and
+// its other clauses are the disjunctions. Deterministic: the same input
+// yields the same choices on every call.
+func searchResidual(eng *smt.OrderEngine, residual []int32) ([][2]int32, smt.Stats, error) {
+	disj := make([]smt.OrderDisjunction, len(residual))
+	eps := make([]int32, 0, 4*len(residual))
+	for i, di := range residual {
+		d := eng.Disjunction(di)
+		disj[i] = d
+		eps = append(eps, d.A1, d.B1, d.A2, d.B2)
+	}
+	slices.Sort(eps)
+	eps = slices.Compact(eps)
+	v := func(n int32) smt.IntVar {
+		i, _ := slices.BinarySearch(eps, n)
+		return smt.IntVar(i)
+	}
 	p := smt.NewProblem()
-	for range c.nodes {
+	for range eps {
 		p.NewIntVar()
 	}
-	for _, e := range c.conj {
-		p.AssertLt(local[e[0]], local[e[1]])
+	for i, u := range eps {
+		for j, w := range eps {
+			if i != j && eng.Reaches(u, w) {
+				p.SeedLt(smt.IntVar(i), smt.IntVar(j))
+			}
+		}
 	}
-	for _, e := range c.forced {
-		p.SeedLt(local[e[0]], local[e[1]])
+	for _, d := range disj {
+		p.Assert(smt.Lt(v(d.A1), v(d.B1)), smt.Lt(v(d.A2), v(d.B2)))
 	}
-	for _, e := range c.bridges {
-		p.SeedLt(local[e[0]], local[e[1]])
+	var start time.Time
+	obsOn := obs.Enabled()
+	if obsOn {
+		start = time.Now()
 	}
-	for _, d := range c.disj {
-		p.Assert(smt.Lt(local[d.A1], local[d.B1]), smt.Lt(local[d.A2], local[d.B2]))
+	res := p.Solve()
+	if obsOn {
+		mSolveComponentNS.Observe(time.Since(start).Nanoseconds())
+		mSolveComponentVars.Observe(int64(len(eps)))
 	}
-	res := sv.Solve(p)
 	if res.Status != smt.Sat {
-		return nil, res.Stats, fmt.Errorf("light: replay constraint system unsatisfiable (component over locations %v: %d vars, %d residual disjunctions) — this contradicts Lemma 4.1 and indicates a recording bug",
-			c.locs, len(c.nodes), len(c.disj))
+		return nil, res.Stats, fmt.Errorf("light: replay constraint system unsatisfiable (residual search: %d endpoints, %d disjunctions) — this contradicts Lemma 4.1 and indicates a recording bug",
+			len(eps), len(disj))
 	}
-
-	chosen := make([][2]int32, len(c.disj))
-	for i, d := range c.disj {
-		if res.Values[local[d.A1]] < res.Values[local[d.B1]] {
+	chosen := make([][2]int32, len(disj))
+	for i, d := range disj {
+		if res.Values[v(d.A1)] < res.Values[v(d.B1)] {
 			chosen[i] = [2]int32{d.A1, d.B1}
 		} else {
 			chosen[i] = [2]int32{d.A2, d.B2}
@@ -725,23 +611,12 @@ func solveResidualComp(c *residualComp, local []smt.IntVar, sv *smt.Solver) ([][
 // ComputeSchedule builds the constraint system of Section 4.2 from a log,
 // discharges it, and extracts the replay order.
 func ComputeSchedule(log *trace.Log) (*Schedule, error) {
-	syn, eng, err := synthesize(collectItems(log))
+	order, stats, err := synthesize(collectItems(log))
 	if err != nil {
 		return nil, err
 	}
-	topoSpan := obs.StartSpan("topo")
-	defer topoSpan.End()
-	order, ok := eng.TopoOrder(syn.chosen)
-	if !ok {
-		return nil, fmt.Errorf("light: internal error: schedule merge produced a cycle (%d components, %d chosen edges)", syn.stats.Components, len(syn.chosen))
-	}
-	tcs := make([]trace.TC, len(order))
-	for i, n := range order {
-		tcs[i] = syn.vars[n]
-	}
-	observeSolve(&syn.stats)
-	topoSpan.SetItems(int64(len(tcs)))
-	return newSchedule(log, tcs, syn.stats), nil
+	observeSolve(&stats)
+	return newSchedule(log, order, stats), nil
 }
 
 // newSchedule wraps a total order over the log's gated accesses into a

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/smt"
@@ -32,8 +33,8 @@ func residualLog() *trace.Log {
 // dependence chain orders t0's range before t1's *through* the other
 // cluster (t0:2 → t0:3 → t1:0 → t1:1). That resolves the (t0,t1)
 // exclusion by propagation but leaves the two disjunctions involving t2
-// residual, with cross-cluster bridge literals between their endpoints —
-// the exact shape the merge-soundness argument depends on.
+// residual, their endpoints ordered through the other cluster, so the
+// construction must read the global propagated order.
 func bridgedResidualLog() *trace.Log {
 	log := residualLog()
 	log.NumLocs = 2
@@ -59,6 +60,54 @@ func replicatedResidualLog(k int) *trace.Log {
 		)
 	}
 	return log
+}
+
+// mergeCycleLog builds a log whose two residual locations are each decided
+// by construction, but whose two constructions together close a cycle.
+// Location 0 holds write ranges X = t0#2 and Y = t1#1, location 1 holds P =
+// t1#2 and Q = t2#1, and t0#1 reads location 2 from t2#2, so the
+// propagated order has Y < P (t1's program order) and Q < X (through the
+// read). Neither location's exclusion is settled by that order. Each
+// construction puts the block with the smaller node first: X before Y on
+// location 0 and P before Q on location 1 (nodes are numbered thread by
+// thread). The union closes X < Y < P < Q < X, so the merge check must
+// send both locations to the search, which decides them into a model
+// (Q < X and Y < P hold in every model; e.g. Y < X and Q < P).
+func mergeCycleLog() *trace.Log {
+	return &trace.Log{
+		Threads: []string{"t0", "t1", "t2"},
+		NumLocs: 3,
+		Deps: []trace.Dep{
+			{Loc: 2, W: trace.TC{Thread: 2, Counter: 2}, R: trace.TC{Thread: 0, Counter: 1}},
+		},
+		Ranges: []trace.Range{
+			{Loc: 0, Thread: 0, Start: 2, End: 2, HasWrite: true},
+			{Loc: 0, Thread: 1, Start: 1, End: 1, HasWrite: true},
+			{Loc: 1, Thread: 1, Start: 2, End: 2, HasWrite: true},
+			{Loc: 1, Thread: 2, Start: 1, End: 1, HasWrite: true},
+		},
+	}
+}
+
+// randomMergeCycleLog is a log randomSystemLog(rng, true, 2) built from
+// seed 174505, one of 19 in 400,000 such logs whose per-location
+// constructions all succeed and close a cycle in the merge. Its two
+// dependences of location 0 read across threads (t3#2 reads t1#3, t0#1
+// reads t2#2), and location 1's two write ranges are on t1 and t2. It is
+// kept as a literal so that it outlives changes to the generator.
+func randomMergeCycleLog() *trace.Log {
+	return &trace.Log{
+		Threads: []string{"t", "t", "t", "t"},
+		NumLocs: 2,
+		Deps: []trace.Dep{
+			{Loc: 0, W: trace.TC{Thread: 1, Counter: 3}, R: trace.TC{Thread: 3, Counter: 2}},
+			{Loc: 0, W: trace.TC{Thread: 2, Counter: 2}, R: trace.TC{Thread: 0, Counter: 1}},
+		},
+		Ranges: []trace.Range{
+			{Loc: 1, Thread: 1, Start: 5, End: 5, HasWrite: true},
+			{Loc: 1, Thread: 2, Start: 1, End: 1, HasWrite: true},
+		},
+	}
 }
 
 // interiorReadLog builds a single-location log that keeps residual
@@ -95,11 +144,12 @@ func goldenLog(t *testing.T, name string) *trace.Log {
 }
 
 // TestEngineResidualFallback: free disjunctions left by propagation must
-// be decided — by construction when their component has one location, by
-// the CDCL tier otherwise — into a checker-clean schedule; structurally
-// identical components are each decided. fuzz-cdcl-2loc is a real
-// recording whose one residual component spans two locations, so it is
-// the input that reaches CDCL(T).
+// be decided — by construction, location by location, and by the CDCL(T)
+// search when the constructed choices close a cycle — into a
+// checker-clean schedule; structurally identical components are each
+// decided. fuzz-cdcl-2loc is a real recording with residual disjunctions on
+// two locations that share a cluster-graph cycle; each is constructed on
+// its own and their union is acyclic, so no real log reaches CDCL(T).
 func TestEngineResidualFallback(t *testing.T) {
 	for _, tc := range []struct {
 		name                 string
@@ -111,13 +161,17 @@ func TestEngineResidualFallback(t *testing.T) {
 		{"residual", residualLog(), 1, 1, 3, 0, false},
 		{"replicated", replicatedResidualLog(4), 4, 4, 4, 0, false},
 		{"fuzz-cdcl-1loc", goldenLog(t, "fuzz-cdcl-1loc"), 38, 38, 618, 573, false},
-		{"fuzz-cdcl-2loc", goldenLog(t, "fuzz-cdcl-2loc"), 31, 30, 560, 526, true},
+		{"fuzz-cdcl-2loc", goldenLog(t, "fuzz-cdcl-2loc"), 32, 32, 560, 526, false},
+		{"merge-cycle", mergeCycleLog(), 3, 1, 2, 0, true},
 	} {
 		sched, err := ComputeSchedule(tc.log)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if err := CheckSchedule(tc.log, sched); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := checkRules(tc.log, sched); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		st := sched.Stats
@@ -159,11 +213,12 @@ func TestEngineResidualFallback(t *testing.T) {
 }
 
 // TestEngineBridgedResidual: residual disjunctions whose endpoints are
-// partially ordered through another cluster must get bridge seeds when
-// they reach the CDCL tier, and the merged schedule must satisfy the full
-// system. fuzz-cdcl-2loc's two-location component reaches CDCL(T); the
-// synthetic bridged log's residual component has one location and is
-// decided by construction, against the same propagated partial order.
+// partially ordered through another cluster are decided against the global
+// propagated order, and the merged schedule must satisfy the full system.
+// The synthetic bridged log's residual location is ordered through
+// location 1. fuzz-cdcl-2loc's two residual locations share a
+// cluster-graph cycle; each is constructed on its own, and the sort
+// accepts the union without a CDCL(T) search.
 func TestEngineBridgedResidual(t *testing.T) {
 	log := bridgedResidualLog()
 	sched, err := ComputeSchedule(log)
@@ -185,6 +240,9 @@ func TestEngineBridgedResidual(t *testing.T) {
 	}
 
 	log = goldenLog(t, "fuzz-cdcl-2loc")
+	if locs := residualLocs(t, log); len(locs) != 2 {
+		t.Fatalf("fuzz-cdcl-2loc: residual disjunctions on locations %v, want two", locs)
+	}
 	sched, err = ComputeSchedule(log)
 	if err != nil {
 		t.Fatal(err)
@@ -192,17 +250,88 @@ func TestEngineBridgedResidual(t *testing.T) {
 	if err := CheckSchedule(log, sched); err != nil {
 		t.Fatal(err)
 	}
-	if sched.Stats.Solver.Seeded == 0 {
-		t.Fatal("no seed literals reached the CDCL tier (bridges missing)")
+	if err := checkRules(log, sched); err != nil {
+		t.Fatal(err)
+	}
+	if st := sched.Stats; st.Solver != (smt.Stats{}) || st.FastpathComponents != st.Components {
+		t.Fatalf("fuzz-cdcl-2loc: fastpath %d of %d, solver %+v; want both locations constructed", st.FastpathComponents, st.Components, st.Solver)
+	}
+}
+
+// residualLocs returns the locations that keep residual disjunctions after
+// propagation.
+func residualLocs(t *testing.T, log *trace.Log) []int32 {
+	t.Helper()
+	p, err := propagateItems(collectItems(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var locs []int32
+	for _, di := range p.out.Residual {
+		if loc := p.ds.locIDs[p.keptLoc[di]]; !slices.Contains(locs, loc) {
+			locs = append(locs, loc)
+		}
+	}
+	return locs
+}
+
+// TestEngineMergeCycleFallback: when every location's construction succeeds
+// but the union of their choices closes a cycle, the sort that checks the
+// merge rejects it, and the one CDCL(T) problem over the residual endpoints
+// decides every residual disjunction into a model. Its unit clauses are the
+// endpoint pairs the propagated order orders: Y < P and Q < X in the
+// hand-built log.
+func TestEngineMergeCycleFallback(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		log                  *trace.Log
+		seeded               int64
+		components, fastpath int
+	}{
+		{"hand-built", mergeCycleLog(), 2, 3, 1},
+		{"random", randomMergeCycleLog(), 5, 2, 0},
+	} {
+		if locs := residualLocs(t, tc.log); len(locs) != 2 {
+			t.Fatalf("%s: residual disjunctions on locations %v, want two", tc.name, locs)
+		}
+		p, err := propagateItems(collectItems(tc.log))
+		if err != nil {
+			t.Fatal(err)
+		}
+		chosen, ok := constructResidual(p)
+		if !ok {
+			t.Fatalf("%s: a location's construction fell back; the log must reach the search through the merge check", tc.name)
+		}
+		if _, acyclic := p.eng.TopoOrder(chosen); acyclic {
+			t.Fatalf("%s: constructed choices %v close no cycle", tc.name, chosen)
+		}
+
+		sched, err := ComputeSchedule(tc.log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckSchedule(tc.log, sched); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := checkRules(tc.log, sched); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		orderIsModel(t, tc.log, sched)
+		st := sched.Stats
+		if st.Solver.Decisions == 0 || st.Solver.Seeded != tc.seeded {
+			t.Fatalf("%s: solver %+v, want a search seeded with %d unit clauses", tc.name, st.Solver, tc.seeded)
+		}
+		if st.Components != tc.components || st.FastpathComponents != tc.fastpath {
+			t.Fatalf("%s: components=%d fastpath=%d, want %d/%d (both residual clusters searched)", tc.name, st.Components, st.FastpathComponents, tc.components, tc.fastpath)
+		}
 	}
 }
 
 // TestEngineDeterminism: solving a residual log twice must give the same
-// order. Each solve must decide every residual component itself rather
-// than reuse another solve's result: the two-location component of
-// fuzz-cdcl-2loc is searched each time (equal, nonzero solver counters),
-// and the single-location ones are constructed each time, with no CDCL(T)
-// call.
+// order. Each solve must decide every residual disjunction itself rather
+// than reuse another solve's result: the merge-cycle log is searched each
+// time (equal, nonzero solver counters), and the others are constructed
+// each time, with no CDCL(T) call.
 func TestEngineDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -213,7 +342,8 @@ func TestEngineDeterminism(t *testing.T) {
 		{"bridged", bridgedResidualLog(), false},
 		{"replicated", replicatedResidualLog(4), false},
 		{"fuzz-cdcl-1loc", goldenLog(t, "fuzz-cdcl-1loc"), false},
-		{"fuzz-cdcl-2loc", goldenLog(t, "fuzz-cdcl-2loc"), true},
+		{"fuzz-cdcl-2loc", goldenLog(t, "fuzz-cdcl-2loc"), false},
+		{"merge-cycle", mergeCycleLog(), true},
 	} {
 		name, log := tc.name, tc.log
 		first, err := ComputeSchedule(log)
@@ -279,13 +409,15 @@ func TestEngineUnsatLog(t *testing.T) {
 // Location 0 carries write-bearing ranges (some starting with a read),
 // singleton writes and dependence reads; locations 1 and 2 carry a few more
 // writes and reads, which order the threads' timelines against each other
-// and so link location 0's blocks through the partial order. Reads may
-// name any write of a range, as a foreign read in the middle of a recorded
-// run does. With loose set, ranges may overlap past their first access and
-// reads may land inside them, so the log need not be one a recorder
-// produces: the point is to reach every shape the construction decides or
-// refuses.
-func randomSystemLog(rng *rand.Rand, loose bool) *trace.Log {
+// and so link location 0's blocks through the partial order. With
+// rangeLocs 2, each range goes to location 0 or 1, so two locations can
+// keep residual disjunctions whose constructions meet in the merge. Reads
+// may name any write of a range, as a foreign read in the middle of a
+// recorded run does. With loose set, ranges may overlap past their first
+// access and reads may land inside them, so the log need not be one a
+// recorder produces: the point is to reach every shape the construction
+// decides or refuses.
+func randomSystemLog(rng *rand.Rand, loose bool, rangeLocs int) *trace.Log {
 	nt, nl, slots := 2+rng.Intn(3), 1+rng.Intn(2), 4+rng.Intn(9)
 	loc := make([][]int32, nt) // thread -> counter -> location
 	for t := range loc {
@@ -313,14 +445,17 @@ func randomSystemLog(rng *rand.Rand, loose bool) *trace.Log {
 	initial := trace.TC{Thread: trace.InitialThread}
 	writes := make([][]trace.TC, nl+1)
 	for i := rng.Intn(8); i > 0; i-- {
-		t := rng.Intn(nt)
-		start, ok := pick(t, 0)
+		t, l := rng.Intn(nt), int32(0)
+		if rangeLocs > 1 {
+			l = int32(rng.Intn(rangeLocs))
+		}
+		start, ok := pick(t, l)
 		if !ok {
 			continue
 		}
 		end := start.Counter
 		for c := end + 1; c <= uint64(slots) && rng.Intn(2) == 0; c++ {
-			if loc[t][c] != 0 {
+			if loc[t][c] != l {
 				continue
 			}
 			if used[trace.TC{Thread: int32(t), Counter: c}] {
@@ -328,19 +463,19 @@ func randomSystemLog(rng *rand.Rand, loose bool) *trace.Log {
 			}
 			end = c
 		}
-		rg := trace.Range{Loc: 0, Thread: int32(t), Start: start.Counter, End: end, HasWrite: rng.Intn(4) != 0}
+		rg := trace.Range{Loc: l, Thread: int32(t), Start: start.Counter, End: end, HasWrite: rng.Intn(4) != 0}
 		if !rg.HasWrite || rng.Intn(2) == 0 {
 			rg.StartsWithRead, rg.W = true, initial
-			if len(writes[0]) > 0 && rng.Intn(3) != 0 {
-				rg.W = writes[0][rng.Intn(len(writes[0]))]
+			if len(writes[l]) > 0 && rng.Intn(3) != 0 {
+				rg.W = writes[l][rng.Intn(len(writes[l]))]
 			}
 		}
 		if rg.HasWrite {
 			// The range's final write, and perhaps an earlier one that
 			// another thread reads mid-range.
-			writes[0] = append(writes[0], trace.TC{Thread: int32(t), Counter: end})
-			if c := start.Counter + uint64(rng.Intn(int(end-start.Counter)+1)); c < end && loc[t][c] == 0 {
-				writes[0] = append(writes[0], trace.TC{Thread: int32(t), Counter: c})
+			writes[l] = append(writes[l], trace.TC{Thread: int32(t), Counter: end})
+			if c := start.Counter + uint64(rng.Intn(int(end-start.Counter)+1)); c < end && loc[t][c] == l {
+				writes[l] = append(writes[l], trace.TC{Thread: int32(t), Counter: c})
 			}
 		}
 		used[start] = true
@@ -403,64 +538,80 @@ func searchWhole(log *trace.Log) smt.Status {
 	return p.Solve().Status
 }
 
-// constructsLoc0 reports whether the construction decides location 0's
-// residual disjunctions when they are all the system has; vacuously true
-// otherwise.
-func constructsLoc0(log *trace.Log) bool {
+// constructsAll reports whether every location that keeps residual
+// disjunctions is decided by construction (vacuously true when none is),
+// and if so whether the sort accepts the union of the chosen edges.
+func constructsAll(log *trace.Log) (built, acyclic bool) {
 	p, err := propagateItems(collectItems(log))
-	if err != nil || len(p.out.Residual) == 0 || p.ds.locIDs[0] != 0 {
-		return true
+	if err != nil {
+		return true, true
 	}
-	var disj []smt.OrderDisjunction
-	for _, di := range p.out.Residual {
-		if p.keptLoc[di] != 0 {
-			return true
-		}
-		disj = append(disj, p.eng.Disjunction(di))
+	chosen, ok := constructResidual(p)
+	if !ok {
+		return false, false
 	}
-	rcs, wbs := p.ds.locItemNodes(0)
-	_, ok := constructLoc(rcs, wbs, disj, p.eng, p.ds.x.vars)
-	return ok
+	_, acyclic = p.eng.TopoOrder(chosen)
+	return true, acyclic
 }
 
-// TestConstructionAgreesWithSearch is the construction's differential
-// test. On small random logs, ComputeSchedule — which constructs every
-// single-location residual component it can and searches the rest — must
-// reach the verdict of one whole-system CDCL(T) search, and each schedule
-// it returns must satisfy every generated constraint (checkRules). On the
-// logs with recorder shapes only, the construction must not fall back when
-// location 0 holds every residual disjunction. Enough
-// of the logs must keep residual disjunctions that the construction
-// decides, so the test cannot pass by never reaching it.
+// TestConstructionAgreesWithSearch is tier 2's differential test. On small
+// random logs, ComputeSchedule — which constructs every residual location
+// it can, checks the union with its sort, and otherwise searches every
+// residual disjunction at once — must reach the verdict of one
+// whole-system CDCL(T) search, and each schedule it returns must satisfy
+// every generated constraint (checkRules). On the logs with recorder
+// shapes only, no location's construction may fall back. The first series
+// puts every range on location 0, the second spreads ranges over locations
+// 0 and 1, so constructed choices of two locations meet in the merge.
+// Enough logs of each series must be decided by construction, and enough
+// of the first must reach the search (18 of 20,000 do), that the test
+// cannot pass by never reaching either. Merge cycles are rarer (19 of
+// 400,000 second-series logs, all loose); TestEngineMergeCycleFallback
+// pins one of them.
 func TestConstructionAgreesWithSearch(t *testing.T) {
 	n := 20000
 	if testing.Short() {
 		n = 2000
 	}
-	rng := rand.New(rand.NewSource(1))
-	constructed := 0
-	for i := 0; i < n; i++ {
-		loose := i%2 == 1
-		log := randomSystemLog(rng, loose)
-		sched, err := ComputeSchedule(log)
-		if want := searchWhole(log); (err == nil) != (want == smt.Sat) {
-			t.Fatalf("log %d: ComputeSchedule error %v, whole-system search %v\n%+v", i, err, want, log)
+	for _, series := range []struct {
+		seed      int64
+		rangeLocs int
+	}{{1, 1}, {2, 2}} {
+		rng := rand.New(rand.NewSource(series.seed))
+		constructed, searched, cycles := 0, 0, 0
+		for i := 0; i < n; i++ {
+			loose := i%2 == 1
+			log := randomSystemLog(rng, loose, series.rangeLocs)
+			sched, err := ComputeSchedule(log)
+			if want := searchWhole(log); (err == nil) != (want == smt.Sat) {
+				t.Fatalf("series %d log %d: ComputeSchedule error %v, whole-system search %v\n%+v", series.seed, i, err, want, log)
+			}
+			if err != nil {
+				continue
+			}
+			if err := checkRules(log, sched); err != nil {
+				t.Fatalf("series %d log %d: %v\n%+v", series.seed, i, err, log)
+			}
+			built, acyclic := constructsAll(log)
+			if !loose && !built {
+				t.Fatalf("series %d log %d: a location's construction fell back\n%+v", series.seed, i, log)
+			}
+			if built && !acyclic {
+				cycles++
+			}
+			switch st := sched.Stats; {
+			case st.Solver != (smt.Stats{}):
+				searched++
+			case st.Resolved < st.Disjunctions:
+				constructed++
+			}
 		}
-		if err != nil {
-			continue
+		t.Logf("series %d (%d range locations): of %d logs, %d constructed, %d searched, %d merge cycles", series.seed, series.rangeLocs, n, constructed, searched, cycles)
+		if constructed < n/50 {
+			t.Fatalf("series %d: %d of %d logs constructed, want at least %d", series.seed, constructed, n, n/50)
 		}
-		if err := checkRules(log, sched); err != nil {
-			t.Fatalf("log %d: %v\n%+v", i, err, log)
+		if series.rangeLocs == 1 && searched < n/2000 {
+			t.Fatalf("series %d: %d of %d logs searched, want at least %d", series.seed, searched, n, n/2000)
 		}
-		if !loose && !constructsLoc0(log) {
-			t.Fatalf("log %d: location 0 holds every residual disjunction, and the construction fell back\n%+v", i, log)
-		}
-		if st := sched.Stats; st.Resolved < st.Disjunctions && st.Solver == (smt.Stats{}) {
-			constructed++
-		}
-	}
-	t.Logf("%d of %d logs had constructed components", constructed, n)
-	if constructed < n/50 {
-		t.Fatalf("%d of %d logs had constructed components, want at least %d", constructed, n, n/50)
 	}
 }

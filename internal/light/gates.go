@@ -25,9 +25,8 @@ import (
 // accesses and range starts in counter order, so the replayer finds an
 // access's position with a cursor instead of a map lookup.
 type replayGates struct {
-	// wait[p] says what position p waits for before it executes: -1 for
-	// nothing, q >= 0 to park on q (p is the only position that can park on
-	// q), or pollWait(q) to poll q (see buildReplayGates).
+	// wait[p] is the position p parks on before it executes, -1 for none.
+	// p is the only position that can park on wait[p].
 	wait []int32
 	// threads is indexed by log thread; Order entries naming a thread
 	// outside the log's thread table execute on no thread.
@@ -62,20 +61,6 @@ func (tg *threadGates) find(c uint64) (int32, bool) {
 	return tg.gated[i].pos, true
 }
 
-// pollWait encodes a wait that polls q instead of parking on it; the
-// encoding is its own inverse.
-func pollWait(q int32) int32 { return -2 - q }
-
-// waitFor decodes wait[p]: the awaited position (-1 for none) and whether
-// the waiter must poll it.
-func (g *replayGates) waitFor(p int32) (q int32, poll bool) {
-	q = g.wait[p]
-	if q < -1 {
-		return pollWait(q), true
-	}
-	return q, false
-}
-
 // gates returns the schedule's replay gates, building them on first use.
 // Order and Log must not change once a schedule has been replayed or asked
 // for a position.
@@ -98,12 +83,11 @@ func (s *Schedule) position(tc trace.TC) (int, bool) {
 // buildReplayGates derives the gates from the schedule and its log's deps
 // and ranges.
 //
-// An Order entry's location is the one its dependences or ranges name. An
-// entry with no location, or one naming a thread outside the log's thread
-// table (both occur only in corrupted schedules), waits for the entry just
-// before it in Order, the total-order rule. Such a wait polls: the entry
-// just before it may already have a same-location successor parked on it,
-// and a position wakes exactly one parked successor.
+// An Order entry's location is the one its dependences or ranges name.
+// Every synthesized entry comes from a dep or a range, so only a corrupted
+// schedule has an entry with no location; it waits for nothing. An entry
+// naming a thread outside the log's thread table executes on no thread, so
+// a replay that reaches it ends in a stall.
 func buildReplayGates(s *Schedule) *replayGates {
 	log := s.Log
 	nt := len(log.Threads)
@@ -186,17 +170,13 @@ func buildReplayGates(s *Schedule) *replayGates {
 	// by location, so a corrupted log's sparse IDs cost no more than dense ones.
 	last := make(map[int32]int32)
 	for p, tc := range s.Order {
+		g.wait[p] = -1
 		l := loc[p]
 		if l < 0 {
-			g.wait[p] = -1
-			if p > 0 {
-				g.wait[p] = pollWait(int32(p - 1))
-			}
 			continue
 		}
 		q, seen := last[l]
 		last[l] = int32(p)
-		g.wait[p] = -1
 		if seen && s.Order[q].Thread != tc.Thread {
 			g.wait[p] = q
 		}

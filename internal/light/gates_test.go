@@ -17,7 +17,7 @@ import (
 // hand-built schedule: each entry waits for the entry just before it on its
 // location when that one belongs to another thread, and for nothing
 // otherwise; entries the log does not locate, and entries naming a thread
-// outside the log's thread table, poll the entry just before them in Order.
+// outside the log's thread table, wait for nothing.
 func TestReplayGatesPredecessorTable(t *testing.T) {
 	tc := func(th int32, c uint64) trace.TC { return trace.TC{Thread: th, Counter: c} }
 	log := &trace.Log{
@@ -44,28 +44,23 @@ func TestReplayGatesPredecessorTable(t *testing.T) {
 	sched := newSchedule(log, order, ScheduleStats{})
 	g := sched.gates()
 
-	type want struct {
-		q    int32
-		poll bool
+	wants := []int32{
+		-1, // 0 t0#1: first on x
+		-1, // 1 t0#2: first on y
+		1,  // 2 t2#1 (y): after t0#2
+		0,  // 3 t1#1 (x): after t0#1
+		-1, // 4 t1#2 (x): after t1#1, its own
+		4,  // 5 t2#2 (x): after t1#2
+		-1, // 6 t2#3 (y): after t2#1, its own
+		-1, // 7 t2#6 (y, range end): after t2#3, its own
+		7,  // 8 t1#3 (y): after t2#6
+		-1, // 9 t5#1: thread outside the table
+		-1, // 10 t0#9: first on loc 2
+		-1, // 11 t1#7: no location
 	}
-	wants := []want{
-		{-1, false}, // 0 t0#1: first on x
-		{-1, false}, // 1 t0#2: first on y
-		{1, false},  // 2 t2#1 (y): after t0#2
-		{0, false},  // 3 t1#1 (x): after t0#1
-		{-1, false}, // 4 t1#2 (x): after t1#1, its own
-		{4, false},  // 5 t2#2 (x): after t1#2
-		{-1, false}, // 6 t2#3 (y): after t2#1, its own
-		{-1, false}, // 7 t2#6 (y, range end): after t2#3, its own
-		{7, false},  // 8 t1#3 (y): after t2#6
-		{8, true},   // 9 t5#1: thread outside the table
-		{-1, false}, // 10 t0#9: first on loc 2
-		{10, true},  // 11 t1#7: no location
-	}
-	for p, w := range wants {
-		q, poll := g.waitFor(int32(p))
-		if q != w.q || poll != w.poll {
-			t.Errorf("position %d (%v): waits for %d poll=%v, want %d poll=%v", p, order[p], q, poll, w.q, w.poll)
+	for p, q := range wants {
+		if g.wait[p] != q {
+			t.Errorf("position %d (%v): waits for %d, want %d", p, order[p], g.wait[p], q)
 		}
 	}
 
@@ -220,6 +215,48 @@ func TestStallForensicsReadDoneState(t *testing.T) {
 	}
 	if after == 0 {
 		t.Error("no position past the stalled one marked executed; the window assumed a total order")
+	}
+}
+
+// TestReplayUnlocatedEntriesWaitForNothing replays a hand-built schedule
+// with two entries no synthesized schedule has: worker 1's exit write
+// (t1#61), which no dep or range locates, right after its last gated
+// access, and an access of a thread outside the log's thread table right
+// after main's entries. The unlocated entry waits for nothing and
+// executes; the out-of-table entry executes on no thread, so every thread
+// runs to its end and the replay ends in a stall anchored there.
+func TestReplayUnlocatedEntriesWaitForNothing(t *testing.T) {
+	prog := compile(t, disjointSrc)
+	rec := Record(prog, Options{}, RunConfig{Seed: 3})
+	sched, err := ComputeSchedule(rec.Log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := trace.TC{Thread: 1, Counter: 60}
+	unlocated := slices.Index(sched.Order, last) + 1
+	if unlocated == 0 {
+		t.Fatalf("schedule lacks %v: %v", last, sched.Order)
+	}
+	order := slices.Insert(slices.Clone(sched.Order), unlocated, trace.TC{Thread: 1, Counter: 61})
+	out := slices.IndexFunc(order, func(tc trace.TC) bool { return tc.Thread != 0 })
+	order = slices.Insert(order, out, trace.TC{Thread: int32(len(rec.Log.Threads)), Counter: 1})
+	unlocated++
+	bad := newSchedule(rec.Log, order, sched.Stats)
+	if g := bad.gates(); g.wait[unlocated] != -1 || g.wait[out] != -1 {
+		t.Fatalf("unlocated entry waits for %d, out-of-table entry for %d; want -1", g.wait[unlocated], g.wait[out])
+	}
+
+	rep := NewReplayer(bad)
+	runReplayVM(prog, rep, rec.Log)
+	div := rep.Divergence()
+	if div == nil || div.Kind != DivStall {
+		t.Fatalf("divergence %v, want a stall", div)
+	}
+	if div.Pos != out || div.Turn != out {
+		t.Fatalf("stall anchored at pos %d turn %d, want the out-of-table entry at %d", div.Pos, div.Turn, out)
+	}
+	if rep.state[unlocated].Load() != posDone {
+		t.Fatalf("unlocated entry %v at %d did not execute", order[unlocated], unlocated)
 	}
 }
 

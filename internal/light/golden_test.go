@@ -23,8 +23,9 @@ import (
 // is pinned byte for byte, so a refactor of schedule synthesis can prove it
 // moved nothing. The logs are committed recordings (testdata/golden/*.lightlog)
 // of the 24 workloads, the 3 multicore workloads, the 8 bug models and two
-// perturbed lightfuzz programs that reach CDCL(T), plus the synthetic
-// residual, bridged and replicated logs built in code. For
+// perturbed lightfuzz programs that keep residual disjunctions, plus the
+// synthetic residual, bridged, replicated and merge-cycle logs built in
+// code (the last is the only one that reaches CDCL(T)). For
 // each log the pin is the sha256 of the schedule order, every non-timing
 // ScheduleStats field, and an ExplainAccess digest.
 //
@@ -119,10 +120,11 @@ func goldenSources() []goldenSource {
 		})
 	}
 	// Two perturbed lightfuzz recordings (-perturb 30, GOMAXPROCS 2) whose
-	// systems keep residual disjunctions after propagation, so CDCL(T) runs
-	// on real traffic: generator seed 2 / schedule seed 0 leaves one
-	// single-location component, generator seed 613 / schedule seed 1 one
-	// two-location component. They cannot be re-recorded.
+	// systems keep residual disjunctions after propagation, so tier 2 runs
+	// on real traffic: generator seed 2 / schedule seed 0 leaves them on one
+	// location, generator seed 613 / schedule seed 1 on two locations of
+	// one cluster-graph cycle. Both are decided by construction. They
+	// cannot be re-recorded.
 	for _, name := range []string{"fuzz-cdcl-1loc", "fuzz-cdcl-2loc"} {
 		srcs = append(srcs, goldenSource{name: name, record: func() (*trace.Log, error) {
 			return nil, fmt.Errorf("%s: a committed lightfuzz recording; restore it from version control", name)
@@ -132,6 +134,7 @@ func goldenSources() []goldenSource {
 		goldenSource{name: "synthetic-residual", log: residualLog},
 		goldenSource{name: "synthetic-bridged", log: bridgedResidualLog},
 		goldenSource{name: "synthetic-replicated", log: func() *trace.Log { return replicatedResidualLog(4) }},
+		goldenSource{name: "synthetic-merge-cycle", log: mergeCycleLog},
 	)
 	return srcs
 }

@@ -90,7 +90,8 @@ func Replay(prog *compiler.Program, log *trace.Log, cfg RunConfig) (*ReplayOutco
 
 // ReplayScheduled re-executes the program under an already-computed
 // schedule — the entry point for callers that obtained the schedule
-// elsewhere, such as the persistent schedule cache (epoch replay).
+// elsewhere, such as the in-memory whole-schedule cache
+// (ComputeScheduleCached, epoch replay).
 // solveTime is whatever the caller spent obtaining the schedule (zero for
 // a cache hit) and is passed through to the outcome.
 func ReplayScheduled(prog *compiler.Program, log *trace.Log, cfg RunConfig, sched *Schedule, solveTime time.Duration) (*ReplayOutcome, error) {

@@ -51,18 +51,18 @@ var (
 	mSolveResolved = obs.NewCounter("light_solve_resolved_total",
 		"disjunctions decided by propagation, without search")
 	mSolveComponents = obs.NewHistogram("light_solve_components",
-		"independent constraint components per solve (partition.go)")
+		"location clusters per solve (partition.go)")
 	mSolveComponentVars = obs.NewHistogram("light_solve_component_vars",
-		"order-variable count per CDCL(T)-searched component")
+		"endpoint-variable count of each CDCL(T) residual search")
 	mSolveComponentNS = obs.NewHistogram("light_solve_component_ns",
-		"wall nanoseconds spent searching one component with CDCL(T)")
+		"wall nanoseconds spent in each CDCL(T) residual search")
 
 	// Graph-first engine (DESIGN.md §4d): the fast path (propagation, or
-	// construction on one location) and the CDCL fallback.
+	// per-location construction) and the CDCL fallback.
 	mSolveFastpathComponents = obs.NewCounter("light_solve_fastpath_components_total",
-		"components decided without a CDCL invocation: by propagation alone, or by construction on one location")
+		"location clusters decided without a CDCL invocation: by propagation alone, or by per-location construction")
 	mSolveCDCLComponents = obs.NewCounter("light_solve_cdcl_components_total",
-		"components with residual disjunctions searched by the CDCL(T) fallback")
+		"location clusters holding residual disjunctions that the CDCL(T) fallback searched")
 	mSolveFastpathRate = obs.NewGauge("light_solve_fastpath_rate",
 		"fastpath/total component ratio of the last graph-first solve")
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/smt"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -72,29 +73,35 @@ func TestPartitionDisjointComponents(t *testing.T) {
 	orderIsModel(t, log, sched)
 }
 
-// TestPartitionSCCCollapse: two locations whose accesses alternate along both
-// thread timelines form one cluster-graph SCC. The engine sorts globally
-// instead of concatenating per-component orders, and the clusters carry no
-// residual disjunctions, so it keeps them separate and solves both on the
-// fast path.
+// TestPartitionSCCCollapse: two locations whose accesses alternate along
+// both thread timelines form one cluster-graph cycle, and each keeps a
+// residual write-range exclusion. The engine constructs each location on
+// its own against the global propagated order and the final sort accepts
+// the union, so both clusters stay separate and on the fast path, with no
+// CDCL(T) search.
 func TestPartitionSCCCollapse(t *testing.T) {
 	log := &trace.Log{
 		Threads: []string{"t0", "t1"},
 		NumLocs: 2,
-		Deps: []trace.Dep{
-			{Loc: 0, W: trace.TC{Thread: 0, Counter: 1}, R: trace.TC{Thread: 1, Counter: 2}},
-			{Loc: 1, W: trace.TC{Thread: 1, Counter: 1}, R: trace.TC{Thread: 0, Counter: 2}},
+		Ranges: []trace.Range{
+			{Loc: 0, Thread: 0, Start: 1, End: 1, HasWrite: true},
+			{Loc: 1, Thread: 0, Start: 2, End: 2, HasWrite: true},
+			{Loc: 1, Thread: 1, Start: 1, End: 1, HasWrite: true},
+			{Loc: 0, Thread: 1, Start: 2, End: 2, HasWrite: true},
 		},
+	}
+	if locs := residualLocs(t, log); len(locs) != 2 {
+		t.Fatalf("residual disjunctions on locations %v, want both", locs)
 	}
 	auto, err := ComputeSchedule(log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auto.Stats.Components != 2 {
-		t.Fatalf("graph-first components = %d, want 2 (choice-free clusters stay separate)", auto.Stats.Components)
+	if st := auto.Stats; st.Components != 2 || st.FastpathComponents != 2 || st.Solver != (smt.Stats{}) {
+		t.Fatalf("components=%d fastpath=%d solver %+v, want 2/2 and no CDCL(T) search", st.Components, st.FastpathComponents, st.Solver)
 	}
-	if auto.Stats.FastpathComponents != 2 {
-		t.Fatalf("fastpath components = %d, want 2", auto.Stats.FastpathComponents)
+	if err := CheckSchedule(log, auto); err != nil {
+		t.Fatal(err)
 	}
 	orderIsModel(t, log, auto)
 }

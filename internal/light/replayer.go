@@ -3,7 +3,6 @@ package light
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -406,7 +405,7 @@ func (r *Replayer) SharedAccess(a vm.Access, do func()) {
 // waitTurn blocks until the position pos waits for has executed, or the
 // replay has failed.
 func (r *Replayer) waitTurn(rt *replayThread, a vm.Access, pos int32) {
-	q, poll := r.gates.waitFor(pos)
+	q := r.gates.wait[pos]
 	if q < 0 || r.state[q].Load() == posDone || r.failed.Load() {
 		return
 	}
@@ -421,17 +420,11 @@ func (r *Replayer) waitTurn(rt *replayThread, a vm.Access, pos int32) {
 	rt.waitQ = q
 	r.checkStall(rt)
 	r.mu.Unlock()
-	if !poll && st.CompareAndSwap(posPending, parkedBy(rt.idx)) {
-		// fail sets failed before it signals, so checking failed after the
-		// swap cannot miss a failure.
+	// A failed swap means q has just executed. fail sets failed before it
+	// signals, so checking failed after the swap cannot miss a failure.
+	if st.CompareAndSwap(posPending, parkedBy(rt.idx)) {
 		for st.Load() != posDone && !r.failed.Load() {
 			<-rt.wake
-		}
-	} else {
-		// Only corrupted schedules poll (see buildReplayGates); a failed
-		// swap means q has just executed.
-		for st.Load() != posDone && !r.failed.Load() {
-			time.Sleep(50 * time.Microsecond)
 		}
 	}
 	if r.flightOn && rt.fl != nil {

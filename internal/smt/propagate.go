@@ -351,9 +351,10 @@ func (e *OrderEngine) Propagate() *OrderOutcome {
 
 // TopoOrder returns a deterministic topological order (smallest node ID
 // first among ready nodes) of the partial order extended with the extra
-// edges — the decided disjuncts of the CDCL fallback. It reports false when
-// the extended graph is cyclic, which for well-formed inputs never happens
-// (see the merge soundness argument in internal/light/engine.go).
+// edges — the chosen disjuncts of the residual disjunctions. It reports
+// false when the extended graph is cyclic, which is how the schedule engine
+// checks choices made location by location (see the merge soundness
+// argument in internal/light/engine.go).
 func (e *OrderEngine) TopoOrder(extra [][2]int32) ([]int32, bool) {
 	n := len(e.chain)
 	indeg := make([]int32, n)
