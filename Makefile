@@ -59,11 +59,13 @@ build:
 test:
 	$(GO) test ./...
 
-# race covers the recorder, solver, fuzz oracles, VM, epoch sessions and
-# the baseline tools' recorders and replayers, and repeats the replayer's stall and per-location stress tests: a
-# stall verdict is exact (no clock), so it must hold on every interleaving.
+# race covers the recorder, solver, fuzz oracles, VM, epoch sessions, the
+# baseline tools' recorders and replayers, and the observability layer (the
+# metric registry, the histograms and the flight rings), and repeats the
+# replayer's stall and per-location stress tests: a stall verdict is exact
+# (no clock), so it must hold on every interleaving.
 race:
-	$(GO) test -race ./internal/light/ ./internal/smt/ ./internal/fuzz/ ./internal/vm/ ./internal/epoch/ ./internal/baseline/...
+	$(GO) test -race ./internal/light/ ./internal/smt/ ./internal/fuzz/ ./internal/vm/ ./internal/epoch/ ./internal/baseline/... ./internal/obs/...
 	$(GO) test -race -count=20 -run 'Stall|Deadlock|StressPerLocation' ./internal/light/
 
 # solve-stall repeats the racy-counter round trip, whose recordings leave

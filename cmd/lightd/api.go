@@ -360,7 +360,7 @@ func (d *daemon) handleEpochForensics(w http.ResponseWriter, r *http.Request) {
 		apiError(w, err)
 		return
 	}
-	rv, out, err := epoch.ReplayRunForensics(data, run)
+	rv, out, err := epoch.ReplayRunForensics(data, run, d.cfg.flightCap)
 	if err != nil {
 		apiError(w, err)
 		return

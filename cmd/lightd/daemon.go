@@ -12,28 +12,6 @@ import (
 	"repro/internal/epoch"
 )
 
-// The daemon is assembled with a component builder (the flow-go
-// access-node-builder idiom referenced in ROADMAP item 1): each subsystem
-// registers a named component with a start function, Build starts them in
-// registration order — store recovery before the session, the session
-// before the HTTP listener — and Shutdown stops them in reverse, so the
-// API never observes a half-started daemon and a clean exit always seals
-// what can be sealed.
-
-// component is one named subsystem with ordered start/stop hooks.
-type component struct {
-	name  string
-	start func() error
-	stop  func() error
-}
-
-// builder accumulates components and their shared wiring.
-type builder struct {
-	cfg        daemonConfig
-	components []component
-	d          *daemon
-}
-
 // daemonConfig carries every lightd flag in one place.
 type daemonConfig struct {
 	addr            string
@@ -53,6 +31,8 @@ type daemonConfig struct {
 	noPresolve      bool
 	historyLen      int
 	logJSON         bool
+	// flightCap sizes the per-thread flight rings of /forensics replays.
+	flightCap int
 
 	// SLO thresholds for the health tracker (0 = package default).
 	sloMaxOverhead      float64
@@ -96,137 +76,104 @@ type daemon struct {
 	srv  *http.Server
 	ln   net.Listener
 	addr string
-
-	// shutdown stops every component in reverse start order; set by Build.
-	shutdown func()
 }
 
-// newBuilder wires the standard component set for cfg.
-func newBuilder(cfg daemonConfig, logger *slog.Logger) *builder {
-	if logger == nil {
-		logger = slog.Default()
-	}
-	b := &builder{cfg: cfg, d: &daemon{
-		cfg: cfg, started: time.Now(), nextSID: 1,
-		logger: logger,
+// start brings lightd up in order: the store (segment recovery), then
+// the flag-configured recording session, then the HTTP listener, so the API
+// never observes a half-started daemon. A failed step undoes what already
+// started, in reverse order, and returns the error.
+func start(cfg daemonConfig, logger *slog.Logger) (*daemon, error) {
+	d := &daemon{
+		cfg: cfg, started: time.Now(), nextSID: 1, logger: logger,
 		health: epoch.NewHealthTracker(cfg.slo(), logger.With("component", "health")),
-	}}
-	b.add("store", b.startStore, b.stopStore)
-	b.add("session", b.startSession, b.stopSession)
-	b.add("http", b.startHTTP, b.stopHTTP)
-	return b
-}
-
-// add registers one component.
-func (b *builder) add(name string, start, stop func() error) {
-	b.components = append(b.components, component{name: name, start: start, stop: stop})
-}
-
-// Build starts every component in order; on failure it unwinds the ones
-// already started and returns the error.
-func (b *builder) Build() (*daemon, error) {
-	for i, c := range b.components {
-		b.d.logger.Info("starting component", "component", c.name)
-		if err := c.start(); err != nil {
-			for j := i - 1; j >= 0; j-- {
-				if serr := b.components[j].stop(); serr != nil {
-					b.d.logger.Error("stopping component failed", "component", b.components[j].name, "err", serr)
-				}
-			}
-			return nil, fmt.Errorf("starting %s: %w", c.name, err)
-		}
 	}
-	b.d.shutdown = func() {
-		for j := len(b.components) - 1; j >= 0; j-- {
-			c := b.components[j]
-			b.d.logger.Info("stopping component", "component", c.name)
-			if err := c.stop(); err != nil {
-				b.d.logger.Error("stopping component failed", "component", c.name, "err", err)
-			}
-		}
-	}
-	return b.d, nil
-}
-
-// startStore opens the segment directory and runs crash recovery.
-func (b *builder) startStore() error {
+	logger.Info("starting component", "component", "store")
 	store, report, err := epoch.Open(epoch.StoreOptions{
-		Dir:             b.cfg.dir,
-		RetainEpochs:    b.cfg.retainEpochs,
-		RetainBytes:     b.cfg.retainBytes,
-		CheckpointEvery: b.cfg.checkpointEvery,
-		HistoryLen:      b.cfg.historyLen,
-		Logger:          b.d.logger,
+		Dir:             cfg.dir,
+		RetainEpochs:    cfg.retainEpochs,
+		RetainBytes:     cfg.retainBytes,
+		CheckpointEvery: cfg.checkpointEvery,
+		HistoryLen:      cfg.historyLen,
+		Logger:          logger,
 	})
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("starting store: %w", err)
 	}
-	b.d.logger.Info("store recovered",
+	logger.Info("store recovered",
 		"sealed", report.Sealed, "recovered", report.Recovered,
 		"torn", report.TornTails, "corrupt", report.Corrupt,
 		"husks", report.DeletedHusks, "history_rows", store.History().Len())
-	b.d.store = store
-	b.d.startup = report
-	return nil
-}
+	d.store, d.startup = store, report
 
-// stopStore aborts the open segment (next start's recovery seals it).
-func (b *builder) stopStore() error { return b.d.store.Close() }
-
-// startSession starts the flag-configured recording session, if any; the
-// daemon can also come up idle and be driven via POST /sessions.
-func (b *builder) startSession() error {
-	if b.cfg.noSession || (b.cfg.workload == "" && b.cfg.source == "") {
-		return nil
+	// The daemon can also come up idle and be driven via POST /sessions.
+	if !cfg.noSession && (cfg.workload != "" || cfg.source != "") {
+		logger.Info("starting component", "component", "session")
+		if _, err := d.startSession(epoch.SessionConfig{
+			Workload:      cfg.workload,
+			Source:        cfg.source,
+			SeedBase:      cfg.seedBase,
+			EpochRuns:     cfg.epochRuns,
+			EpochInterval: cfg.epochInterval,
+			NoO1:          cfg.noO1,
+			NoO2:          cfg.noO2,
+			SleepUnit:     cfg.sleepUnit,
+			PreSolve:      !cfg.noPresolve,
+		}); err != nil {
+			d.closeStore()
+			return nil, fmt.Errorf("starting session: %w", err)
+		}
 	}
-	_, err := b.d.startSession(epoch.SessionConfig{
-		Workload:      b.cfg.workload,
-		Source:        b.cfg.source,
-		SeedBase:      b.cfg.seedBase,
-		EpochRuns:     b.cfg.epochRuns,
-		EpochInterval: b.cfg.epochInterval,
-		NoO1:          b.cfg.noO1,
-		NoO2:          b.cfg.noO2,
-		SleepUnit:     b.cfg.sleepUnit,
-		PreSolve:      !b.cfg.noPresolve,
-	})
-	return err
+
+	logger.Info("starting component", "component", "http")
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		d.stopSession()
+		d.closeStore()
+		return nil, fmt.Errorf("starting http: %w", err)
+	}
+	d.ln, d.addr = ln, ln.Addr().String()
+	d.srv = &http.Server{Handler: d.mux()}
+	go func() {
+		if err := d.srv.Serve(ln); err != nil && err != http.ErrServerClosed {
+			logger.Error("http server failed", "err", err)
+		}
+	}()
+	logger.Info("serving", "addr", "http://"+d.addr, "dir", cfg.dir)
+	return d, nil
 }
 
-// stopSession stops the active recording session, sealing its epoch.
-func (b *builder) stopSession() error {
-	b.d.mu.Lock()
-	sess := b.d.session
-	b.d.mu.Unlock()
+// shutdown stops the daemon in reverse start order: the HTTP listener
+// drains, the session stops after its in-flight run and seals its partial
+// epoch, and the store closes, so a clean exit seals what can be sealed.
+func (d *daemon) shutdown() {
+	d.logger.Info("stopping component", "component", "http")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := d.srv.Shutdown(ctx); err != nil {
+		d.logger.Error("stopping component failed", "component", "http", "err", err)
+	}
+	d.stopSession()
+	d.closeStore()
+}
+
+// stopSession stops the active recording session, if any, sealing its
+// epoch.
+func (d *daemon) stopSession() {
+	d.logger.Info("stopping component", "component", "session")
+	d.mu.Lock()
+	sess := d.session
+	d.mu.Unlock()
 	if sess != nil {
 		sess.Stop()
 	}
-	return nil
 }
 
-// startHTTP binds the API listener and begins serving.
-func (b *builder) startHTTP() error {
-	ln, err := net.Listen("tcp", b.cfg.addr)
-	if err != nil {
-		return err
+// closeStore aborts the open segment (the next start's recovery seals it).
+func (d *daemon) closeStore() {
+	d.logger.Info("stopping component", "component", "store")
+	if err := d.store.Close(); err != nil {
+		d.logger.Error("stopping component failed", "component", "store", "err", err)
 	}
-	b.d.ln = ln
-	b.d.addr = ln.Addr().String()
-	b.d.srv = &http.Server{Handler: b.d.mux()}
-	go func() {
-		if err := b.d.srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			b.d.logger.Error("http server failed", "err", err)
-		}
-	}()
-	b.d.logger.Info("serving", "addr", "http://"+b.d.addr, "dir", b.cfg.dir)
-	return nil
-}
-
-// stopHTTP drains and closes the listener.
-func (b *builder) stopHTTP() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return b.d.srv.Shutdown(ctx)
 }
 
 // startSession starts a session, enforcing the one-at-a-time rule, and

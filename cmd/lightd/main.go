@@ -40,7 +40,7 @@ func main() {
 	flag.Float64Var(&cfg.sloMaxRetentionUtil, "slo-max-retention-util", 0, "degrade health when retained bytes exceed this fraction of -retain-bytes (0 = default 0.9)")
 	flag.Uint64Var(&cfg.sloMaxDivergences, "slo-max-divergences", 0, "mark unhealthy when an epoch sees more than this many replay divergences (default 0: none tolerated)")
 	flag.BoolVar(&cfg.logJSON, "log-json", false, "emit structured logs as JSON lines instead of text")
-	flightCap := flag.Int("flight-capacity", 0, "flight-recorder ring capacity (0 = default)")
+	flag.IntVar(&cfg.flightCap, "flight-capacity", 0, "per-thread flight-ring capacity of /forensics replays (0 = default 4096)")
 	flag.Parse()
 
 	// Structured logging is daemon-wide: every subsystem logs through
@@ -62,13 +62,12 @@ func main() {
 		cfg.source = string(src)
 	}
 
-	obs.Enable()
-	flight.Enable()
-	if *flightCap > 0 {
-		flight.SetCapacity(*flightCap)
+	if cfg.flightCap <= 0 {
+		cfg.flightCap = flight.DefaultCapacity
 	}
+	obs.Enable()
 
-	d, err := newBuilder(cfg, logger).Build()
+	d, err := start(cfg, logger)
 	if err != nil {
 		logger.Error("startup failed", "err", err)
 		os.Exit(1)

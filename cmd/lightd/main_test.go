@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -413,6 +415,74 @@ func TestLightdSmoke(t *testing.T) {
 	for _, r := range (&daemon{}).routes() {
 		if !c.hit[r.method+" "+r.pattern] {
 			t.Errorf("documented route never exercised: %s %s", r.method, r.pattern)
+		}
+	}
+}
+
+// TestStartupFailureUnwinds starts lightd with a recording session on an
+// address already in use: the store and the session come up, binding the
+// listener fails, and the daemon must stop the session and close the store
+// (in that order) and exit non-zero with "startup failed". A restart on the
+// same data directory must then recover cleanly: the unwound session sealed
+// whatever it recorded, so there is nothing to repair.
+func TestStartupFailureUnwinds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e test")
+	}
+	bin := buildLightd(t)
+	dir := filepath.Join(t.TempDir(), "data")
+	prog := filepath.Join(t.TempDir(), "smoke.mj")
+	if err := os.WriteFile(prog, []byte(smokeSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin,
+		"-addr", busy.Addr().String(), "-dir", dir, "-prog", prog,
+		"-epoch-runs", "1", "-sleep-unit", "2000000").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("lightd on a busy address: err = %v, want a non-zero exit\n%s", err, out)
+	}
+	logs := string(out)
+	if !strings.Contains(logs, "startup failed") {
+		t.Fatalf("lightd on a busy address did not report \"startup failed\":\n%s", logs)
+	}
+	stopLine := func(component string) int {
+		for i, line := range strings.Split(logs, "\n") {
+			if strings.Contains(line, `msg="stopping component"`) && strings.Contains(line, "component="+component) {
+				return i
+			}
+		}
+		return -1
+	}
+	stopSession, stopStore := stopLine("session"), stopLine("store")
+	if stopSession < 0 || stopStore < stopSession {
+		t.Fatalf("failed start did not stop the session and then the store:\n%s", logs)
+	}
+
+	addr := freeAddr(t)
+	startDaemon(t, bin, "-addr", addr, "-dir", dir, "-no-session")
+	waitHealthy(t, addr)
+	c := newClient(t, addr)
+	var st statusBody
+	c.getJSON("/status", "/status", &st)
+	if !strings.Contains(st.Startup, "recovered=0 torn=0 corrupt=0") {
+		t.Fatalf("startup recovery after a failed start = %q, want nothing to repair", st.Startup)
+	}
+	var list struct {
+		Epochs []epoch.Meta `json:"epochs"`
+	}
+	c.getJSON("/epochs", "/epochs", &list)
+	for _, m := range list.Epochs {
+		if m.State != epoch.StateSealed || m.Recovered {
+			t.Fatalf("epoch after a failed start = %+v, want cleanly sealed", m)
 		}
 	}
 }

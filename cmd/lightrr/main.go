@@ -18,10 +18,11 @@
 //
 // Observability: -metrics-addr HOST:PORT serves the live recorder/solver/
 // replayer counters at /metrics (Prometheus text format) for the duration
-// of the run; -flight N enables the per-thread flight recorder (bounded
-// event rings, DESIGN.md §7) and -flight-trace PATH exports it, with the
-// phase spans (record → encode → build → propagate → partition → solve →
-// topo → replay), as Chrome trace JSON viewable in Perfetto; -forensics
+// of the run; -flight N gives the command's record and replay runs
+// per-thread flight rings of N events (DESIGN.md §7) and -flight-trace PATH
+// exports the rings those runs hand back, with the phase spans (record →
+// encode → build → propagate → partition → solve → topo → replay), as
+// Chrome trace JSON viewable in Perfetto; -forensics
 // DIR writes a structured divergence report (forensics.json +
 // forensics.txt) when a replay diverges or stalls. See DESIGN.md §7 for
 // the metric reference.
@@ -80,12 +81,13 @@ func main() {
 		*flightCap = flight.DefaultCapacity
 	}
 	if *flightCap > 0 {
-		flight.SetCapacity(*flightCap)
-		flight.Enable()
 		// Phase spans share the Chrome export's pipeline track.
 		obs.EnableTracing()
 	}
-	defer writeFlightTrace(*flightTrace)
+	// snaps collects the rings the command's record and replay runs hand
+	// back; -flight-trace exports them on exit.
+	var snaps []flight.RingSnap
+	defer func() { writeFlightTrace(*flightTrace, snaps) }()
 
 	switch cmd {
 	case "solve":
@@ -137,7 +139,8 @@ func main() {
 		printAnalysis(prog, an)
 
 	case "record":
-		rec := light.Record(prog, opts, light.RunConfig{Seed: *seed, SleepUnit: *sleepUnit, Instrument: mask})
+		rec := light.Record(prog, opts, light.RunConfig{Seed: *seed, SleepUnit: *sleepUnit, Instrument: mask, FlightCapacity: *flightCap})
+		snaps = rec.Flight
 		f, err := os.Create(*out)
 		if err != nil {
 			fatal(err)
@@ -154,15 +157,16 @@ func main() {
 		report(rec.Result)
 
 	case "roundtrip":
-		roundtrip(prog, an, *tool, *seed, *sleepUnit, opts, mask)
+		snaps = roundtrip(prog, an, *tool, *seed, *sleepUnit, opts, mask, *flightCap)
 
 	case "replay":
 		log := readLog(*logPath)
 		sched, solveTime := solveChecked(log)
-		rep, err := light.ReplayScheduled(prog, log, light.RunConfig{Instrument: mask}, sched, solveTime)
+		rep, err := light.ReplayScheduled(prog, log, light.RunConfig{Instrument: mask, FlightCapacity: *flightCap}, sched, solveTime)
 		if err != nil {
 			fatal(err)
 		}
+		snaps = rep.Flight
 		fmt.Printf("schedule: %d vars, %d disjunctions (%d preprocessed away), solve %s, replay %s\n",
 			rep.Schedule.Stats.IntVars, rep.Schedule.Stats.Disjunctions,
 			rep.Schedule.Stats.Resolved, rep.SolveTime.Round(1000), rep.ReplayTime.Round(1000))
@@ -279,13 +283,13 @@ func usage() {
 	os.Exit(2)
 }
 
-// writeFlightTrace drains the flight rings (plus the phase spans) into a
-// Chrome trace_event JSON file for Perfetto, when -flight-trace was given.
-func writeFlightTrace(path string) {
+// writeFlightTrace writes the command's flight rings (plus the phase spans)
+// as a Chrome trace_event JSON file for Perfetto, when -flight-trace was
+// given.
+func writeFlightTrace(path string, snaps []flight.RingSnap) {
 	if path == "" {
 		return
 	}
-	snaps := flight.Snapshot()
 	f, err := os.Create(path)
 	if err != nil {
 		fatal(err)
@@ -340,8 +344,10 @@ func fatal(err error) {
 }
 
 // roundtrip records and immediately replays the program under the chosen
-// tool, reporting whether per-thread behavior was reproduced.
-func roundtrip(prog *compiler.Program, an *analysis.Result, tool string, seed uint64, sleepUnit int64, opts light.Options, mask []bool) {
+// tool, reporting whether per-thread behavior was reproduced. With flightCap
+// above zero the light tool's runs keep flight rings of that capacity, which
+// it returns (record rings first).
+func roundtrip(prog *compiler.Program, an *analysis.Result, tool string, seed uint64, sleepUnit int64, opts light.Options, mask []bool, flightCap int) []flight.RingSnap {
 	same := func(a, b *vm.Result) bool {
 		if len(a.Threads) != len(b.Threads) {
 			return false
@@ -364,8 +370,8 @@ func roundtrip(prog *compiler.Program, an *analysis.Result, tool string, seed ui
 	}
 	switch tool {
 	case "light":
-		rec := light.Record(prog, opts, light.RunConfig{Seed: seed, SleepUnit: sleepUnit, Instrument: mask})
-		rep, err := light.Replay(prog, rec.Log, light.RunConfig{Instrument: mask})
+		rec := light.Record(prog, opts, light.RunConfig{Seed: seed, SleepUnit: sleepUnit, Instrument: mask, FlightCapacity: flightCap})
+		rep, err := light.Replay(prog, rec.Log, light.RunConfig{Instrument: mask, FlightCapacity: flightCap})
 		if err != nil {
 			fatal(err)
 		}
@@ -373,13 +379,14 @@ func roundtrip(prog *compiler.Program, an *analysis.Result, tool string, seed ui
 			len(rec.Log.Deps), len(rec.Log.Ranges), rec.Log.SpaceLongs,
 			rep.SolveTime.Round(1000), rep.ReplayTime.Round(1000))
 		fmt.Printf("reproduced: %v\n", !rep.Diverged && same(rec.Result, rep.Result))
+		return append(rec.Flight, rep.Flight...)
 	case "leap":
 		logc, recRes, d := leap.Record(prog, seed, mask, sleepUnit)
 		repRes, failed, reason := leap.Replay(prog, logc, mask)
 		fmt.Printf("leap: %d longs recorded in %s\n", logc.SpaceLongs, d.Round(1000))
 		if failed {
 			fmt.Printf("replay failed: %s\n", reason)
-			return
+			return nil
 		}
 		fmt.Printf("reproduced: %v\n", same(recRes, repRes))
 	case "stride":
@@ -391,7 +398,7 @@ func roundtrip(prog *compiler.Program, an *analysis.Result, tool string, seed ui
 		}
 		if failed {
 			fmt.Printf("replay failed: %s\n", reason)
-			return
+			return nil
 		}
 		fmt.Printf("reproduced: %v\n", same(recRes, repRes))
 	case "clap":
@@ -413,10 +420,11 @@ func roundtrip(prog *compiler.Program, an *analysis.Result, tool string, seed ui
 		fmt.Printf("chimera: %d patch locks, %d longs recorded in %s\n", patch.NumLocks, logc.SpaceLongs, d.Round(1000))
 		if failed {
 			fmt.Printf("replay failed: %s\n", reason)
-			return
+			return nil
 		}
 		fmt.Printf("reproduced: %v\n", same(recRes, repRes))
 	default:
 		fatal(fmt.Errorf("unknown tool %q", tool))
 	}
+	return nil
 }

@@ -15,10 +15,10 @@
 //   - store.go — the segment directory: epoch numbering across restarts,
 //     startup recovery of every segment, and retention GC that keeps the
 //     on-disk window bounded.
-//   - manager.go — the recording session: a loop of complete record runs on
-//     a reused recorder (light.RecordEpochRun), cut into epochs by run
-//     count or wall-clock interval; each cut closes all open O1 runs,
-//     snapshots the heap fingerprint, and seals the segment.
+//   - manager.go — the recording session: a loop of complete record runs
+//     (light.Record, each closing all its open O1 runs, with the heap
+//     fingerprint of its final state), cut into epochs by run count or
+//     wall-clock interval; each cut seals the segment.
 //   - replay.go — on-demand replay: recompile the stored source, recompute
 //     the instrumentation mask, replay any retained epoch's runs, and
 //     verify both bug reproduction (Definition 3.3) and the recorded heap

@@ -86,7 +86,7 @@ type Session struct {
 	prog    *compiler.Program
 	mask    []bool
 	maskAll []bool
-	rec     *light.Recorder
+	opts    light.Options
 	hdr     Header
 
 	stop     chan struct{}
@@ -148,7 +148,7 @@ func StartSession(store *Store, cfg SessionConfig) (*Session, error) {
 	s := &Session{
 		cfg: cfg, store: store, prog: prog, mask: mask,
 		maskAll: an.InstrumentMask(false),
-		rec:     light.NewRecorder(light.Options{O1: !cfg.NoO1}),
+		opts:    light.Options{O1: !cfg.NoO1},
 		stop:    make(chan struct{}), done: make(chan struct{}),
 		presolveBusy: make(chan struct{}, 1),
 		hdr: Header{
@@ -223,31 +223,35 @@ func (s *Session) loop() {
 			logger.Debug("epoch opened", "epoch", meta.ID)
 		}
 
+		// A run boundary is an epoch cut point: Record's Finish closes every
+		// open O1 run, so each run's log is self-contained, and the heap
+		// fingerprint of its final state is what a replay must reproduce.
 		seed := s.cfg.SeedBase + uint64(runIndex)
-		run := light.RecordEpochRun(s.rec, s.prog, light.RunConfig{
+		start := time.Now()
+		run := light.Record(s.prog, s.opts, light.RunConfig{
 			Seed: seed, Instrument: s.mask, SleepUnit: s.cfg.SleepUnit,
 		})
 		meta := RunMeta{
 			Seed:        seed,
-			StartUnixNS: run.Start.UnixNano(),
-			WallNS:      int64(run.Outcome.Elapsed),
-			Fingerprint: run.Fingerprint,
-			Bugs:        len(run.Outcome.Result.Bugs),
-			Events:      run.Outcome.Log.Events(),
-			SpaceLongs:  run.Outcome.Log.SpaceLongs,
+			StartUnixNS: start.UnixNano(),
+			WallNS:      int64(run.Elapsed),
+			Fingerprint: vm.HeapFingerprint(run.Result.Globals),
+			Bugs:        len(run.Result.Bugs),
+			Events:      run.Log.Events(),
+			SpaceLongs:  run.Log.SpaceLongs,
 		}
 		mRunWallNS.Observe(meta.WallNS)
-		if err := s.store.AppendRun(meta, run.Outcome.Log); err != nil {
+		if err := s.store.AppendRun(meta, run.Log); err != nil {
 			fail(err)
 			return
 		}
 		if s.cfg.PreSolve {
-			pending = append(pending, run.Outcome.Log)
+			pending = append(pending, run.Log)
 		}
 		runsInEpoch++
 		s.mu.Lock()
 		s.status.RunsTotal++
-		s.status.LastFingerprint = run.Fingerprint
+		s.status.LastFingerprint = meta.Fingerprint
 		s.mu.Unlock()
 
 		cut := runsInEpoch >= s.cfg.EpochRuns

@@ -75,7 +75,7 @@ func ReplayEpoch(data *SegmentData, runIndex int) (*Verdict, error) {
 		if runIndex >= 0 && rr.Meta.Index != runIndex {
 			continue
 		}
-		rv, _, err := replayRun(prog, mask, rr)
+		rv, _, err := replayRun(prog, light.RunConfig{Instrument: mask}, rr)
 		if err != nil {
 			return nil, err
 		}
@@ -98,10 +98,11 @@ func ReplayEpoch(data *SegmentData, runIndex int) (*Verdict, error) {
 	return v, nil
 }
 
-// ReplayRunForensics replays one run of an epoch and returns the full
-// replay outcome, including the forensic report when the replay diverged
-// (nil otherwise). This backs lightd's /forensics endpoint.
-func ReplayRunForensics(data *SegmentData, runIndex int) (RunVerdict, *light.ReplayOutcome, error) {
+// ReplayRunForensics replays one run of an epoch with per-thread flight
+// rings of flightCap events (0 = none) and returns the full replay outcome,
+// including the forensic report when the replay diverged (nil otherwise).
+// This backs lightd's /forensics endpoint.
+func ReplayRunForensics(data *SegmentData, runIndex, flightCap int) (RunVerdict, *light.ReplayOutcome, error) {
 	prog, mask, err := replayEnv(data.Header)
 	if err != nil {
 		return RunVerdict{}, nil, err
@@ -110,18 +111,18 @@ func ReplayRunForensics(data *SegmentData, runIndex int) (RunVerdict, *light.Rep
 		if rr.Meta.Index != runIndex {
 			continue
 		}
-		rv, out, err := replayRun(prog, mask, rr)
-		return rv, out, err
+		return replayRun(prog, light.RunConfig{Instrument: mask, FlightCapacity: flightCap}, rr)
 	}
 	return RunVerdict{}, nil, fmt.Errorf("%w: epoch %d has no run %d", ErrNoEpoch, data.Header.EpochID, runIndex)
 }
 
-// replayRun solves and re-executes one recorded run, then verifies it.
+// replayRun solves and re-executes one recorded run under cfg, then
+// verifies it.
 // The schedule goes through the whole-schedule cache: replaying the same
 // epoch twice (or replaying an epoch the session pre-solved in the
 // background) skips synthesis entirely, and a cache hit is revalidated by
 // the checker before use, so a damaged cache can only cost time.
-func replayRun(prog *compiler.Program, mask []bool, rr RunRecord) (RunVerdict, *light.ReplayOutcome, error) {
+func replayRun(prog *compiler.Program, cfg light.RunConfig, rr RunRecord) (RunVerdict, *light.ReplayOutcome, error) {
 	solveStart := time.Now()
 	sched, hit, err := light.ComputeScheduleCached(rr.Log)
 	if err != nil {
@@ -130,7 +131,7 @@ func replayRun(prog *compiler.Program, mask []bool, rr RunRecord) (RunVerdict, *
 	if hit {
 		mReplayCacheHits.Inc()
 	}
-	out, err := light.ReplayScheduled(prog, rr.Log, light.RunConfig{Instrument: mask}, sched, time.Since(solveStart))
+	out, err := light.ReplayScheduled(prog, rr.Log, cfg, sched, time.Since(solveStart))
 	if err != nil {
 		return RunVerdict{}, nil, fmt.Errorf("epoch: replaying run %d: %w", rr.Meta.Index, err)
 	}

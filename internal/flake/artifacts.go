@@ -41,9 +41,6 @@ type Repro struct {
 //	cluster-NN/trace.json     Chrome trace of the replay schedule
 //	cluster-NN/flight.json    flight-recorder rings of the verification replay
 //	cluster-NN/forensics.json divergence post-mortem (divergence clusters)
-//
-// It runs sequentially after the campaign because the flight recorder's
-// enable switch is process-global.
 func (h *hunter) writeArtifacts(clusters []*cluster) error {
 	for i, c := range clusters {
 		dir := filepath.Join(h.cfg.ArtifactsDir, fmt.Sprintf("cluster-%02d", i+1))
@@ -87,17 +84,14 @@ func (h *hunter) writeBundle(dir string, c *cluster) error {
 	// Replay the bundled log once with the flight recorder on: the replay
 	// schedule becomes trace.json, the rings flight.json, and a diverged
 	// replay contributes its forensic post-mortem.
-	flight.Reset()
-	flight.Enable()
 	rep, repErr := light.Replay(h.prog, out.log, light.RunConfig{
 		Instrument:        h.mask,
 		MaxStepsPerThread: maxStepsPerThread,
+		FlightCapacity:    flight.DefaultCapacity,
 	})
-	snaps := flight.Snapshot()
-	flight.Disable()
-	flight.Reset()
-
+	var snaps []flight.RingSnap
 	if repErr == nil {
+		snaps = rep.Flight
 		if err := writeFile(dir, "trace.json", func(f *os.File) error {
 			return light.ExportScheduleChrome(f, rep.Schedule)
 		}); err != nil {

@@ -26,9 +26,8 @@ const shrinkBudgetArtifacts = 150
 //	                  the report carries per-thread event history)
 //	trace.json      — the recorded log's schedule as Chrome trace JSON
 //
-// It re-runs the case sequentially (the flight recorder's enable switch is
-// process-global), so campaigns call it after their workers have drained.
-// The returned path is the case directory.
+// Campaigns call it after their workers have drained. The returned path is
+// the case directory.
 func WriteArtifacts(dir string, c *Case, fault func(trace.Dep) bool) (string, error) {
 	caseDir := filepath.Join(dir, fmt.Sprintf("case-%d-%d", c.GenSeed, c.SchedSeed))
 	if err := os.MkdirAll(caseDir, 0o755); err != nil {
@@ -50,8 +49,8 @@ func WriteArtifacts(dir string, c *Case, fault func(trace.Dep) bool) (string, er
 		return caseDir, err
 	}
 
-	// Re-run the minimized case once with the flight recorder on and export
-	// what the replay saw.
+	// Re-run the minimized case once, replay it with flight recording on,
+	// and export what the replay saw.
 	prog, err := compiler.CompileSource(min.Source)
 	if err != nil {
 		return caseDir, fmt.Errorf("minimized source does not compile: %w", err)
@@ -64,13 +63,8 @@ func WriteArtifacts(dir string, c *Case, fault func(trace.Dep) bool) (string, er
 		SleepUnit:         500,
 		MaxStepsPerThread: 2_000_000,
 	}
-	flight.Reset()
-	flight.Enable()
-	defer func() {
-		flight.Disable()
-		flight.Reset()
-	}()
 	rec := light.Record(prog, o.LightOpts, cfg)
+	cfg.FlightCapacity = flight.DefaultCapacity
 	rep, err := light.Replay(prog, rec.Log, cfg)
 	if err != nil {
 		// The schedule itself failed to solve; the reproducer is the artifact.

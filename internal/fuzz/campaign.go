@@ -26,8 +26,7 @@ type Config struct {
 	CorpusDir string
 	// ArtifactsDir, when set, receives a per-failure debugging bundle
 	// (shrunk reproducer, forensics JSON, Perfetto schedule export),
-	// written sequentially after the workers drain — the flight
-	// recorder's enable switch is process-global.
+	// written after the workers drain.
 	ArtifactsDir string
 	// Perturb, when positive, records every run under schedule
 	// perturbation at this intensity (lightfuzz -perturb): the campaign

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/compiler"
 	"repro/internal/obs/flight"
 	"repro/internal/trace"
 )
@@ -16,11 +17,11 @@ import (
 // DivergenceError, and the forensic report must localize the diverging
 // access exactly (thread, counter, location).
 
-// TestFaultDropDepForensics is the end-to-end acceptance path: record with
-// one cross-thread dependence dropped from the log (Options.FaultDropDep),
-// replay, and check the forensic report names the dropped dependence's read
-// event — its thread, counter, and the fact that it is unscheduled.
-func TestFaultDropDepForensics(t *testing.T) {
+// recordFaulted records a two-worker counter with one cross-thread
+// dependence dropped from the log (Options.FaultDropDep) and returns the
+// program, the faulted recording and the dropped dependence.
+func recordFaulted(t *testing.T) (*compiler.Program, *RecordOutcome, trace.Dep) {
+	t.Helper()
 	prog := compile(t, `
 class C { field n; }
 var c = null;
@@ -47,20 +48,21 @@ fun main() {
 		dropped = &dd
 		return true
 	}
-
-	flight.Reset()
-	flight.Enable()
-	defer func() {
-		flight.Disable()
-		flight.Reset()
-	}()
-
-	cfg := RunConfig{Seed: 11}
-	rec := Record(prog, Options{O1: false, FaultDropDep: fault}, cfg)
+	rec := Record(prog, Options{O1: false, FaultDropDep: fault}, RunConfig{Seed: 11})
 	if dropped == nil {
 		t.Fatal("fault injection never fired: no cross-thread dependence recorded")
 	}
-	rep, err := Replay(prog, rec.Log, cfg)
+	return prog, rec, *dropped
+}
+
+// TestFaultDropDepForensics is the end-to-end acceptance path: record with
+// one cross-thread dependence dropped from the log, replay with flight
+// recording on, and check the forensic report names the dropped
+// dependence's read event — its thread, counter, and the fact that it is
+// unscheduled.
+func TestFaultDropDepForensics(t *testing.T) {
+	prog, rec, dropped := recordFaulted(t)
+	rep, err := Replay(prog, rec.Log, RunConfig{Seed: 11, FlightCapacity: flight.DefaultCapacity})
 	if err != nil {
 		t.Fatalf("solve failed on the faulted log: %v", err)
 	}
@@ -130,6 +132,38 @@ fun main() {
 	if back.Divergence == nil || back.Divergence.Kind != DivUnscheduledRead ||
 		back.Divergence.Counter != div.Counter {
 		t.Errorf("forensics JSON round trip lost the divergence: %+v", back.Divergence)
+	}
+}
+
+// TestForensicsCarryOnlyOwnReplayRings replays one faulted log three times
+// in one process: each forensic report must carry exactly the rings of its
+// own replay, one per recorded thread, never those of an earlier replay.
+func TestForensicsCarryOnlyOwnReplayRings(t *testing.T) {
+	prog, rec, _ := recordFaulted(t)
+	for i := 0; i < 3; i++ {
+		rep, err := Replay(prog, rec.Log, RunConfig{Seed: 11, FlightCapacity: flight.DefaultCapacity})
+		if err != nil {
+			t.Fatalf("replay %d: solve failed on the faulted log: %v", i, err)
+		}
+		if rep.Forensics == nil {
+			t.Fatalf("replay %d: no forensic report on divergence", i)
+		}
+		if got, want := len(rep.Flight), len(rec.Log.Threads); got != want {
+			t.Fatalf("replay %d: outcome carries %d rings, want one per thread (%d)", i, got, want)
+		}
+		labels := map[string]bool{}
+		for _, s := range rep.Forensics.Threads {
+			if s.Track != "replay" {
+				t.Errorf("replay %d: report carries a %q-track ring", i, s.Track)
+			}
+			if labels[s.Label] {
+				t.Errorf("replay %d: thread %q reported twice", i, s.Label)
+			}
+			labels[s.Label] = true
+		}
+		if got, want := len(rep.Forensics.Threads), len(rec.Log.Threads); got != want {
+			t.Fatalf("replay %d: report carries %d thread rings, want %d", i, got, want)
+		}
 	}
 }
 

@@ -183,8 +183,8 @@ type ForensicReport struct {
 }
 
 // BuildForensics assembles the report for a diverged replay. snaps should be
-// the replay-track flight snapshot (may be nil when flight recording is
-// off); sched is the schedule the replay enforced.
+// the replay's own flight rings (ReplayOutcome.Flight; nil when the replay
+// recorded no flight events); sched is the schedule the replay enforced.
 func BuildForensics(sched *Schedule, div *DivergenceError, snaps []flight.RingSnap) *ForensicReport {
 	if div == nil {
 		return nil

@@ -25,6 +25,10 @@ type RunConfig struct {
 	// hunter's interleaving bias, see vm.PerturbOptions). Replay runs never
 	// perturb: the enforced schedule replaces timing.
 	Perturb *vm.PerturbOptions
+	// FlightCapacity is the per-thread flight-ring capacity of the run
+	// (0 = no flight recording). The rings belong to the run: its outcome
+	// hands back their snapshots.
+	FlightCapacity int
 }
 
 // RecordOutcome bundles the artifacts of a record run.
@@ -32,12 +36,16 @@ type RecordOutcome struct {
 	Log     *trace.Log
 	Result  *vm.Result
 	Elapsed time.Duration
+	// Flight holds the run's flight rings, one per thread in start order
+	// (nil when RunConfig.FlightCapacity is 0).
+	Flight []flight.RingSnap
 }
 
 // Record executes the program under the Light recorder and returns the log.
 func Record(prog *compiler.Program, opts Options, cfg RunConfig) *RecordOutcome {
 	span := obs.StartSpan("record")
 	rec := NewRecorder(opts)
+	rec.rings.capacity = cfg.FlightCapacity
 	start := time.Now()
 	res := vm.Run(vm.Config{
 		Prog:              prog,
@@ -53,7 +61,7 @@ func Record(prog *compiler.Program, opts Options, cfg RunConfig) *RecordOutcome 
 	span.SetItems(int64(log.Events()))
 	span.SetBytes(log.SpaceLongs * 8)
 	span.End()
-	return &RecordOutcome{Log: log, Result: res, Elapsed: elapsed}
+	return &RecordOutcome{Log: log, Result: res, Elapsed: elapsed, Flight: rec.rings.snapshot()}
 }
 
 // ReplayOutcome bundles the artifacts of a replay run.
@@ -75,6 +83,9 @@ type ReplayOutcome struct {
 	// window, flight events, and constraint system around it.
 	Divergence *DivergenceError
 	Forensics  *ForensicReport
+	// Flight holds the replay's flight rings, one per thread in start order
+	// (nil when RunConfig.FlightCapacity is 0).
+	Flight []flight.RingSnap
 }
 
 // Replay computes a schedule for the log and re-executes the program under
@@ -101,6 +112,7 @@ func ReplayScheduled(prog *compiler.Program, log *trace.Log, cfg RunConfig, sche
 	span.SetItems(int64(len(sched.Order)))
 	replayStart := time.Now()
 	rep := NewReplayer(sched)
+	rep.rings.capacity = cfg.FlightCapacity
 	res := vm.Run(vm.Config{
 		Prog:              prog,
 		Hooks:             rep,
@@ -120,10 +132,11 @@ func ReplayScheduled(prog *compiler.Program, log *trace.Log, cfg RunConfig, sche
 		ReplayTime: replayTime,
 		Diverged:   diverged,
 		Reason:     reason,
+		Flight:     rep.rings.snapshot(),
 	}
 	if div := rep.Divergence(); div != nil {
 		out.Divergence = div
-		out.Forensics = BuildForensics(sched, div, flight.SnapshotTrack("replay"))
+		out.Forensics = BuildForensics(sched, div, out.Flight)
 	}
 	return out, nil
 }

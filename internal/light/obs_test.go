@@ -152,10 +152,13 @@ func benchProg(b *testing.B) *compiler.Program {
 	return p
 }
 
-func benchRecorder(b *testing.B, prog *compiler.Program) {
+// benchRecorder records prog b.N times; flightCap is the per-thread flight
+// ring capacity (0 = no flight recording).
+func benchRecorder(b *testing.B, prog *compiler.Program, flightCap int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rec := NewRecorder(Options{O1: true})
+		rec.rings.capacity = flightCap
 		res := vm.Run(vm.Config{Prog: prog, Hooks: rec, Seed: uint64(i)})
 		rec.Finish(res, uint64(i))
 	}
@@ -166,7 +169,7 @@ func benchRecorder(b *testing.B, prog *compiler.Program) {
 // observability layer is <3% regression here versus the uninstrumented tree.
 func BenchmarkRecorder(b *testing.B) {
 	obs.Disable()
-	benchRecorder(b, benchProg(b))
+	benchRecorder(b, benchProg(b), 0)
 }
 
 // BenchmarkRecorderMetricsOn is the same workload with every counter live,
@@ -177,21 +180,15 @@ func BenchmarkRecorderMetricsOn(b *testing.B) {
 		obs.Disable()
 		obs.Default.ResetAll()
 	}()
-	benchRecorder(b, benchProg(b))
+	benchRecorder(b, benchProg(b), 0)
 }
 
 // BenchmarkRecorderFlightOn is the same workload with the flight recorder
 // live (metrics off), to keep the per-event ring cost visible. Compared
 // against BenchmarkRecorder it bounds what -flight costs; the disabled case
 // must stay within noise of the uninstrumented tree — the off path is one
-// predicate branch.
+// nil-ring branch.
 func BenchmarkRecorderFlightOn(b *testing.B) {
 	obs.Disable()
-	flight.Reset()
-	flight.Enable()
-	defer func() {
-		flight.Disable()
-		flight.Reset()
-	}()
-	benchRecorder(b, benchProg(b))
+	benchRecorder(b, benchProg(b), flight.DefaultCapacity)
 }

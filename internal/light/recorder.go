@@ -146,37 +146,8 @@ type threadState struct {
 	// record is recycled in place across the location's successive runs.
 	runPool []runState
 
-	// fl is this thread's flight ring (nil when flight recording is off);
-	// monAcqID/monAcqC fold the ghost read+write pair of a monitor
-	// acquisition into one EvLockAcquire event.
-	fl        *flight.Ring
-	monAcqID  int32
-	monAcqC   uint64
-	monAcqSet bool
-}
-
-// flightAccess records the flight event for one instrumented access, folding
-// ghost monitor accesses into lock acquire/release events. Loc carries the
-// recorder's internal location ID — the same ID the encoded log uses.
-func (ts *threadState) flightAccess(a vm.Access, locID int32) {
-	if a.Loc.Off == vm.GhostMonitor {
-		if a.Kind == vm.Read {
-			ts.fl.Record(flight.Event{Kind: flight.EvLockAcquire, Counter: a.Counter, Loc: int64(locID)})
-			ts.monAcqID, ts.monAcqC, ts.monAcqSet = locID, a.Counter, true
-			return
-		}
-		if ts.monAcqSet && ts.monAcqID == locID && a.Counter == ts.monAcqC+1 {
-			ts.monAcqSet = false // second half of the acquire pair
-			return
-		}
-		ts.fl.Record(flight.Event{Kind: flight.EvLockRelease, Counter: a.Counter, Loc: int64(locID)})
-		return
-	}
-	kind := flight.EvRead
-	if a.Kind == vm.Write {
-		kind = flight.EvWrite
-	}
-	ts.fl.Record(flight.Event{Kind: kind, Counter: a.Counter, Loc: int64(locID)})
+	// The thread's flight ring, nil when the run records no flight events.
+	flightThread
 }
 
 // runFor returns the thread's run record for ls (open or closed, nil if the
@@ -215,18 +186,20 @@ type Recorder struct {
 	// obsOn caches obs.Enabled() at construction: the access hot path tests
 	// one plain bool instead of an atomic per event, and a mid-run Enable
 	// cannot produce half-counted runs. Enable metrics before NewRecorder.
-	// flightOn caches flight.Enabled() the same way, so a disabled flight
-	// recorder costs the hot path exactly one predicate branch.
-	obsOn    bool
-	flightOn bool
+	obsOn bool
+
+	// rings holds the run's per-thread flight rings; Record sets their
+	// capacity from RunConfig.FlightCapacity before the run starts.
+	rings flightRings
 
 	nextLoc atomic.Int32
 
 	// stripes are the write-path fallback locks: a writer that loses the
 	// per-location seqlock CAS queues on its location's stripe instead of
 	// spinning unboundedly (and race builds serialize all accesses on them,
-	// see vm.RaceDetector). Entries are cache-line padded.
-	stripes [numStripes]stripe
+	// see vm.RaceDetector). Entries are cache-line padded. The array comes
+	// from stripePool and goes back to it in Finish.
+	stripes *[numStripes]stripe
 
 	mu     sync.Mutex
 	merged []*threadState
@@ -234,8 +207,14 @@ type Recorder struct {
 
 // NewRecorder creates a recorder with the given options.
 func NewRecorder(opts Options) *Recorder {
-	return &Recorder{opts: opts, obsOn: obs.Enabled(), flightOn: flight.Enabled()}
+	return &Recorder{opts: opts, obsOn: obs.Enabled(), stripes: stripePool.Get().(*[numStripes]stripe)}
 }
+
+// stripePool recycles stripe arrays between record runs, so back-to-back
+// runs (an always-on session records one after another) do not each
+// allocate and zero 64 KiB of locks. An array is returned only by Finish,
+// after vm.Run has waited for every thread, so each comes back unlocked.
+var stripePool = sync.Pool{New: func() any { return new([numStripes]stripe) }}
 
 // locState reaches the per-location recording state through the entity's
 // shadow cell — the paper's woven shadow-field design: no global table on
@@ -265,9 +244,7 @@ func (r *Recorder) stripeFor(ls *locState) *sync.Mutex {
 func (r *Recorder) newThreadState(t *vm.Thread) *threadState {
 	checkThreadID(t)
 	ts := &threadState{t: t, runs: make(map[*locState]*runState)}
-	if r.flightOn {
-		ts.fl = flight.NewRing("record", int32(t.ID), t.Path)
-	}
+	ts.fl = r.rings.newRing("record", int32(t.ID), t.Path)
 	t.HookData = ts
 	return ts
 }
@@ -352,7 +329,7 @@ func (r *Recorder) SharedAccess(a vm.Access, do func()) {
 		}
 		r.afterWrite(ts, ls, a.Counter, old, prev == me)
 		if ts.fl != nil {
-			ts.flightAccess(a, ls.id)
+			ts.flightAccess(a, int64(ls.id), 0)
 		}
 		return
 	}
@@ -406,7 +383,7 @@ func (r *Recorder) SharedAccess(a vm.Access, do func()) {
 	}
 	r.afterRead(ts, ls, a.Counter, observed, prev == me)
 	if ts.fl != nil {
-		ts.flightAccess(a, ls.id)
+		ts.flightAccess(a, int64(ls.id), 0)
 	}
 }
 
@@ -566,7 +543,7 @@ func (r *Recorder) closeRun(ts *threadState, ls *locState, run *runState) {
 	if r.obsOn {
 		mRecRunLength.Observe(int64(run.n))
 	}
-	if r.flightOn && ts.fl != nil && run.n > 1 {
+	if ts.fl != nil && run.n > 1 {
 		ts.fl.Record(flight.Event{
 			Kind: flight.EvRunBoundary, Counter: run.startC, Loc: int64(ls.id),
 			A: int64(run.lastC), B: int64(run.n),
@@ -614,6 +591,10 @@ func (r *Recorder) Syscall(t *vm.Thread, seq uint64, _ vm.SyscallKind, compute f
 func (r *Recorder) Finish(res *vm.Result, seed uint64) *trace.Log {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.stripes != nil {
+		stripePool.Put(r.stripes)
+		r.stripes = nil
+	}
 	// Threads reach ThreadExited in a nondeterministic order; merge in thread
 	// ID order so two records of the same schedule encode identical logs.
 	sort.Slice(r.merged, func(i, j int) bool { return r.merged[i].t.ID < r.merged[j].t.ID })

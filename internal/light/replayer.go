@@ -20,11 +20,11 @@ type Replayer struct {
 	sched *Schedule
 	gates *replayGates
 
-	// obsOn caches obs.Enabled() at construction (see Recorder.obsOn);
-	// flightOn does the same for the flight recorder, so a disabled flight
-	// recorder costs the hot path exactly one predicate branch.
-	obsOn    bool
-	flightOn bool
+	// obsOn caches obs.Enabled() at construction (see Recorder.obsOn).
+	obsOn bool
+	// rings holds the run's per-thread flight rings; ReplayScheduled sets
+	// their capacity from RunConfig.FlightCapacity before the run starts.
+	rings flightRings
 
 	// state holds one word per schedule position: posPending, posDone, or
 	// a parked successor (parkedBy). A waiter's fast path is one load.
@@ -95,25 +95,19 @@ type replayThread struct {
 	syscalls []trace.SyscallRec
 	sysPos   int
 
-	// fl is this thread's flight ring (nil when flight recording is off);
-	// monAcqLoc/monAcqC fold the VM's ghost read+write monitor-acquire pair
-	// into one EvLockAcquire event.
-	fl        *flight.Ring
-	monAcqLoc vm.Loc
-	monAcqSet bool
-	monAcqC   uint64
+	// The thread's flight ring, nil when the run records no flight events.
+	flightThread
 }
 
 // NewReplayer builds a replayer for the schedule.
 func NewReplayer(sched *Schedule) *Replayer {
 	g := sched.gates()
 	return &Replayer{
-		sched:    sched,
-		gates:    g,
-		obsOn:    obs.Enabled(),
-		flightOn: flight.Enabled(),
-		state:    make([]atomic.Uint32, len(sched.Order)),
-		byIdx:    make([]*replayThread, len(g.threads)),
+		sched: sched,
+		gates: g,
+		obsOn: obs.Enabled(),
+		state: make([]atomic.Uint32, len(sched.Order)),
+		byIdx: make([]*replayThread, len(g.threads)),
 	}
 }
 
@@ -200,9 +194,7 @@ func (r *Replayer) ThreadStarted(t *vm.Thread) {
 	idx := r.sched.Log.ThreadIndex(t.Path)
 	rt.idx = idx
 	t.HookData = rt
-	if r.flightOn {
-		rt.fl = flight.NewRing("replay", idx, t.Path)
-	}
+	rt.fl = r.rings.newRing("replay", idx, t.Path)
 	if idx < 0 {
 		r.fail(&DivergenceError{
 			Kind: DivUnknownThread, ThreadPath: t.Path, Thread: -1, Loc: -1, Pos: -1,
@@ -261,7 +253,7 @@ func (r *Replayer) checkStall(rt *replayThread) {
 	r.failAt(&DivergenceError{
 		Kind: DivStall, ThreadPath: path, Thread: next.Thread, Counter: next.Counter, Loc: -1, Pos: p,
 	}, p)
-	if r.flightOn && rt.fl != nil {
+	if rt.fl != nil {
 		rt.fl.Record(flight.Event{Kind: flight.EvDivergence, Counter: next.Counter, Loc: -1, A: int64(p)})
 	}
 }
@@ -297,31 +289,6 @@ func (r *Replayer) threadState(t *vm.Thread) *replayThread {
 	rt := newReplayThread()
 	t.HookData = rt
 	return rt
-}
-
-// flightAccess records the flight event for one executed access: monitor
-// ghost accesses become lock acquire/release events (the acquire's ghost
-// write folds into its ghost read), everything else a read/write event with
-// the schedule position (or -1 for range interiors) in A.
-func (rt *replayThread) flightAccess(a vm.Access, pos int) {
-	if a.Loc.Off == vm.GhostMonitor {
-		if a.Kind == vm.Read {
-			rt.fl.Record(flight.Event{Kind: flight.EvLockAcquire, Counter: a.Counter, Loc: a.Loc.Off, A: int64(pos)})
-			rt.monAcqLoc, rt.monAcqC, rt.monAcqSet = a.Loc, a.Counter, true
-			return
-		}
-		if rt.monAcqSet && rt.monAcqLoc == a.Loc && a.Counter == rt.monAcqC+1 {
-			rt.monAcqSet = false // second half of the acquire pair
-			return
-		}
-		rt.fl.Record(flight.Event{Kind: flight.EvLockRelease, Counter: a.Counter, Loc: a.Loc.Off, A: int64(pos)})
-		return
-	}
-	kind := flight.EvRead
-	if a.Kind == vm.Write {
-		kind = flight.EvWrite
-	}
-	rt.fl.Record(flight.Event{Kind: kind, Counter: a.Counter, Loc: a.Loc.Off, A: int64(pos)})
 }
 
 // nextGated advances the gated cursor to counter c and reports c's schedule
@@ -362,8 +329,8 @@ func (r *Replayer) SharedAccess(a vm.Access, do func()) {
 	if pos, ok := rt.nextGated(a.Counter); ok {
 		r.waitTurn(rt, a, pos)
 		r.run(do)
-		if r.flightOn && rt.fl != nil {
-			rt.flightAccess(a, int(pos))
+		if rt.fl != nil {
+			rt.flightAccess(a, a.Loc.Off, int64(pos))
 			rt.fl.Record(flight.Event{Kind: flight.EvScheduleStep, Counter: a.Counter, Loc: a.Loc.Off, A: int64(pos)})
 		}
 		rt.updateWindows(a)
@@ -376,8 +343,8 @@ func (r *Replayer) SharedAccess(a vm.Access, do func()) {
 	// Unscheduled access: a range interior, or a blind write.
 	if end, ok := rt.windows[a.Loc]; ok && a.Counter <= end {
 		r.run(do)
-		if r.flightOn && rt.fl != nil {
-			rt.flightAccess(a, -1)
+		if rt.fl != nil {
+			rt.flightAccess(a, a.Loc.Off, -1)
 		}
 		return
 	}
@@ -385,7 +352,7 @@ func (r *Replayer) SharedAccess(a vm.Access, do func()) {
 		if r.obsOn {
 			mRepBlindSuppressed.Inc()
 		}
-		if r.flightOn && rt.fl != nil {
+		if rt.fl != nil {
 			rt.fl.Record(flight.Event{Kind: flight.EvBlindWrite, Counter: a.Counter, Loc: a.Loc.Off})
 		}
 		return // blind write: suppressed (Section 4.2)
@@ -396,7 +363,7 @@ func (r *Replayer) SharedAccess(a vm.Access, do func()) {
 		Kind: DivUnscheduledRead, ThreadPath: a.Thread.Path, Thread: rt.idx,
 		Counter: a.Counter, Loc: a.Loc.Off, Pos: -1,
 	})
-	if r.flightOn && rt.fl != nil {
+	if rt.fl != nil {
 		rt.fl.Record(flight.Event{Kind: flight.EvDivergence, Counter: a.Counter, Loc: a.Loc.Off})
 	}
 	r.run(do)
@@ -412,7 +379,7 @@ func (r *Replayer) waitTurn(rt *replayThread, a vm.Access, pos int32) {
 	if r.obsOn {
 		mRepGatedWaits.Inc()
 	}
-	if r.flightOn && rt.fl != nil {
+	if rt.fl != nil {
 		rt.fl.Record(flight.Event{Kind: flight.EvWaitBegin, Counter: a.Counter, Loc: a.Loc.Off, A: int64(pos), B: int64(q)})
 	}
 	st := &r.state[q]
@@ -427,7 +394,7 @@ func (r *Replayer) waitTurn(rt *replayThread, a vm.Access, pos int32) {
 			<-rt.wake
 		}
 	}
-	if r.flightOn && rt.fl != nil {
+	if rt.fl != nil {
 		rt.fl.Record(flight.Event{Kind: flight.EvWaitEnd, Counter: a.Counter, Loc: a.Loc.Off, A: int64(pos), B: int64(q)})
 	}
 }

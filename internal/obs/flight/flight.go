@@ -1,23 +1,22 @@
 // Package flight is the Light pipeline's flight recorder: a bounded,
 // per-thread ring buffer of structured events that the recorder and the
-// replayer append to on their hot paths when flight recording is enabled.
-// Like the metric layer in package obs, the disabled state costs callers a
-// single cached predicate branch (see light.NewRecorder / light.NewReplayer);
-// the enabled state costs one timestamp read and one slot store per event —
-// no locks, no allocation — because every ring has exactly one writer, the
-// thread it belongs to.
+// replayer append to on their hot paths when a run asks for flight
+// recording (light.RunConfig.FlightCapacity). A run without rings costs
+// callers a single nil-ring branch; a run with them costs one timestamp
+// read and one slot store per event — no locks, no allocation — because
+// every ring has exactly one writer, the thread it belongs to.
 //
-// A ring holds the last Capacity events of its thread; older events are
+// A ring holds the last capacity events of its thread; older events are
 // overwritten, which is the point: when a replay diverges, the forensic
 // report (light.ForensicReport) wants the events *leading up to* the
-// divergence, not the whole run. Rings register themselves in a process-wide
-// registry; Snapshot drains them all, and WriteChrome renders a snapshot as
-// Chrome trace_event JSON, viewable in Perfetto or chrome://tracing with one
-// track per thread plus one track per pipeline phase span.
+// divergence, not the whole run. A ring belongs to the run that creates it:
+// the package keeps no state of its own, the run's outcome hands its rings'
+// snapshots back, and WriteChrome renders snapshots as Chrome trace_event
+// JSON, viewable in Perfetto or chrome://tracing with one track per thread
+// plus one track per pipeline phase span.
 package flight
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -99,44 +98,10 @@ type Event struct {
 // compact; forensic reports want the spelling too).
 func (e Event) KindName() string { return e.Kind.String() }
 
-// enabled is the process-wide flight-recording switch, independent of the
-// obs metric and span switches.
-var enabled atomic.Bool
-
-// capacity is the ring capacity applied to rings created after SetCapacity.
-var capacity atomic.Int64
-
-// DefaultCapacity is the per-thread ring size used when SetCapacity was
-// never called: enough to hold the recent history of a hot thread while
-// keeping a 64-thread run under ~4 MiB of event storage.
+// DefaultCapacity is the per-thread ring size the front ends use when asked
+// for flight recording without a size: enough to hold the recent history of
+// a hot thread while keeping a 64-thread run under ~4 MiB of event storage.
 const DefaultCapacity = 4096
-
-// Enable turns flight recording on. Call it before constructing recorders
-// and replayers so their cached fast-path flags observe the change.
-func Enable() { enabled.Store(true) }
-
-// Disable turns flight recording off (test support).
-func Disable() { enabled.Store(false) }
-
-// Enabled reports whether flight recording is on.
-func Enabled() bool { return enabled.Load() }
-
-// SetCapacity sets the per-ring event capacity for rings created afterwards;
-// n <= 0 restores DefaultCapacity.
-func SetCapacity(n int) {
-	if n <= 0 {
-		n = 0
-	}
-	capacity.Store(int64(n))
-}
-
-// Capacity returns the capacity rings are currently created with.
-func Capacity() int {
-	if c := capacity.Load(); c > 0 {
-		return int(c)
-	}
-	return DefaultCapacity
-}
 
 // Ring is one thread's bounded event buffer. Exactly one goroutine — the
 // owning thread — may call Record; Snapshot may run concurrently from any
@@ -154,21 +119,12 @@ type Ring struct {
 	buf  []Event
 }
 
-// registry is the process-wide set of live rings.
-var (
-	regMu sync.Mutex
-	rings []*Ring
-)
-
-// NewRing creates and registers a ring for one thread. track groups rings
-// into Chrome export processes ("record", "replay"); thread is the log
-// thread index (-1 when unknown); label is the thread's spawn path.
-func NewRing(track string, thread int32, label string) *Ring {
-	r := &Ring{track: track, thread: thread, label: label, buf: make([]Event, Capacity())}
-	regMu.Lock()
-	rings = append(rings, r)
-	regMu.Unlock()
-	return r
+// NewRing creates a ring of capacity events (capacity > 0) for one thread.
+// track groups rings into Chrome export processes ("record", "replay");
+// thread is the log thread index (-1 when unknown); label is the thread's
+// spawn path.
+func NewRing(track string, thread int32, label string, capacity int) *Ring {
+	return &Ring{track: track, thread: thread, label: label, buf: make([]Event, capacity)}
 }
 
 // Record appends one event, overwriting the oldest when the ring is full,
@@ -180,17 +136,8 @@ func (r *Ring) Record(e Event) {
 	r.head.Store(h + 1)
 }
 
-// Len returns the number of events currently held (≤ capacity).
-func (r *Ring) Len() int {
-	h := r.head.Load()
-	if h > uint64(len(r.buf)) {
-		return len(r.buf)
-	}
-	return int(h)
-}
-
-// snapshot copies the ring's events oldest-first.
-func (r *Ring) snapshot() RingSnap {
+// Snapshot copies the ring's events oldest-first.
+func (r *Ring) Snapshot() RingSnap {
 	h := r.head.Load()
 	n := uint64(len(r.buf))
 	s := RingSnap{Track: r.track, Thread: r.thread, Label: r.label}
@@ -215,36 +162,4 @@ type RingSnap struct {
 	Label   string  `json:"label"`
 	Dropped uint64  `json:"dropped,omitempty"`
 	Events  []Event `json:"events"`
-}
-
-// Snapshot drains every registered ring, in registration order.
-func Snapshot() []RingSnap {
-	regMu.Lock()
-	rs := append([]*Ring(nil), rings...)
-	regMu.Unlock()
-	out := make([]RingSnap, 0, len(rs))
-	for _, r := range rs {
-		out = append(out, r.snapshot())
-	}
-	return out
-}
-
-// SnapshotTrack drains only the rings of one track ("record" or "replay").
-func SnapshotTrack(track string) []RingSnap {
-	all := Snapshot()
-	out := all[:0]
-	for _, s := range all {
-		if s.Track == track {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Reset unregisters every ring (test and front-end support; call between
-// independent runs so exports do not mix executions).
-func Reset() {
-	regMu.Lock()
-	rings = nil
-	regMu.Unlock()
 }

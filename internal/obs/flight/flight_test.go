@@ -10,23 +10,17 @@ import (
 )
 
 func TestRingBoundAndOrder(t *testing.T) {
-	Reset()
-	defer Reset()
-	SetCapacity(4)
-	defer SetCapacity(0)
-
-	r := NewRing("record", 0, "0")
+	r := NewRing("record", 0, "0", 4)
 	for i := 0; i < 10; i++ {
 		r.Record(Event{Kind: EvRead, Counter: uint64(i)})
 	}
-	if got := r.Len(); got != 4 {
-		t.Fatalf("Len = %d, want 4", got)
+	s := r.Snapshot()
+	if s.Track != "record" || s.Thread != 0 || s.Label != "0" {
+		t.Errorf("snapshot identity = %q/%d/%q, want record/0/0", s.Track, s.Thread, s.Label)
 	}
-	snaps := Snapshot()
-	if len(snaps) != 1 {
-		t.Fatalf("got %d snaps", len(snaps))
+	if len(s.Events) != 4 {
+		t.Fatalf("snapshot holds %d events, want 4", len(s.Events))
 	}
-	s := snaps[0]
 	if s.Dropped != 6 {
 		t.Errorf("Dropped = %d, want 6", s.Dropped)
 	}
@@ -40,25 +34,10 @@ func TestRingBoundAndOrder(t *testing.T) {
 	}
 }
 
-func TestSnapshotTrackFilters(t *testing.T) {
-	Reset()
-	defer Reset()
-	NewRing("record", 0, "0").Record(Event{Kind: EvWrite})
-	NewRing("replay", 0, "0").Record(Event{Kind: EvRead})
-	rec := SnapshotTrack("record")
-	if len(rec) != 1 || rec[0].Track != "record" {
-		t.Fatalf("SnapshotTrack(record) = %+v", rec)
-	}
-}
-
 // TestConcurrentSnapshot exercises a drain racing the single writer; the
 // race detector validates the publication discipline.
 func TestConcurrentSnapshot(t *testing.T) {
-	Reset()
-	defer Reset()
-	SetCapacity(64)
-	defer SetCapacity(0)
-	r := NewRing("record", 0, "0")
+	r := NewRing("record", 0, "0", 64)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -68,23 +47,9 @@ func TestConcurrentSnapshot(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		Snapshot()
+		r.Snapshot()
 	}
 	wg.Wait()
-}
-
-func TestEnableDisable(t *testing.T) {
-	if Enabled() {
-		t.Fatal("flight recording enabled by default")
-	}
-	Enable()
-	if !Enabled() {
-		t.Fatal("Enable did not take")
-	}
-	Disable()
-	if Enabled() {
-		t.Fatal("Disable did not take")
-	}
 }
 
 // TestChromeExportSchema drains a small synthetic run and checks the export
@@ -92,10 +57,8 @@ func TestEnableDisable(t *testing.T) {
 // entries all carry name/ph/pid/tid, wait begin/end pair up, and both the
 // thread tracks and the phase track are named by metadata events.
 func TestChromeExportSchema(t *testing.T) {
-	Reset()
-	defer Reset()
-	r0 := NewRing("replay", 0, "0")
-	r1 := NewRing("replay", 1, "0.1")
+	r0 := NewRing("replay", 0, "0", DefaultCapacity)
+	r1 := NewRing("replay", 1, "0.1", DefaultCapacity)
 	r0.Record(Event{Kind: EvWaitBegin, Counter: 1, A: 5})
 	r0.Record(Event{Kind: EvWaitEnd, Counter: 1, A: 5})
 	r0.Record(Event{Kind: EvScheduleStep, Counter: 1, Loc: 3, A: 5})
@@ -104,7 +67,7 @@ func TestChromeExportSchema(t *testing.T) {
 	spans := []obs.Span{{Name: "solve", StartUnixNS: 1, DurNS: 1000, Items: 2}}
 
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, Snapshot(), spans); err != nil {
+	if err := WriteChrome(&buf, []RingSnap{r0.Snapshot(), r1.Snapshot()}, spans); err != nil {
 		t.Fatal(err)
 	}
 

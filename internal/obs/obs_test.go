@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -191,6 +192,10 @@ func TestSpans(t *testing.T) {
 	ResetSpans()
 }
 
+// serveCounter is TestServeMetrics' counter. It registers once per process
+// in the Default registry, so the test can repeat (-count=N).
+var serveCounter = NewCounter("t_serve_requests_total", "test counter for the /metrics endpoint")
+
 func TestServeMetrics(t *testing.T) {
 	was := Enabled()
 	defer func() {
@@ -198,7 +203,6 @@ func TestServeMetrics(t *testing.T) {
 			Disable()
 		}
 	}()
-	c := NewCounter("t_serve_requests_total", "test counter for the /metrics endpoint")
 	addr, err := ServeMetrics("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +210,8 @@ func TestServeMetrics(t *testing.T) {
 	if !Enabled() {
 		t.Fatal("ServeMetrics did not enable metrics")
 	}
-	c.Add(7)
+	serveCounter.Add(7)
+	want := fmt.Sprintf("t_serve_requests_total %d", serveCounter.Value())
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +224,7 @@ func TestServeMetrics(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /metrics: %d", resp.StatusCode)
 	}
-	if !bytes.Contains(body, []byte("t_serve_requests_total 7")) {
+	if !bytes.Contains(body, []byte(want)) {
 		t.Fatalf("metrics body missing counter value:\n%s", body)
 	}
 }
