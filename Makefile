@@ -90,7 +90,9 @@ bench-solve:
 
 # bench-replay measures enforced re-execution of a pre-solved schedule on
 # par-hotfield (one contended location) and jgf-crypt (disjoint data), with
-# allocation columns.
+# allocation columns. Every iteration replays a fresh Schedule over the same
+# order, so each one builds and times the gate table, as an epoch replay or
+# a cache hit does.
 bench-replay:
 	$(GO) test -run xxx -bench 'BenchmarkReplay' -benchtime 3x .
 
@@ -105,13 +107,15 @@ trace-check:
 # (generator -> record -> replay -> oracles, including the schedule
 # checker on every recorded log's solve), a perturbed
 # campaign, the stored seed corpus as a regression suite, and short runs of
-# the native go-fuzz targets.
+# the native go-fuzz targets (the compiler, the trace codec, and the
+# offline pipeline from decoded bytes to the replay gate table).
 fuzz-smoke:
 	$(GO) run ./cmd/lightfuzz -seeds 100 -jobs 4
 	$(GO) run ./cmd/lightfuzz -seeds 40 -jobs 4 -perturb 30
 	$(GO) run ./cmd/lightfuzz -corpus internal/fuzz/testdata/corpus -regress
 	$(GO) test ./internal/compiler -run xxx -fuzz FuzzCompileSource -fuzztime 10s
 	$(GO) test ./internal/trace -run xxx -fuzz FuzzTraceRoundTrip -fuzztime 10s
+	$(GO) test ./internal/light -run xxx -fuzz FuzzComputeSchedule -fuzztime 10s
 
 # fuzz is the long-running campaign for bug hunting; failures land in
 # fuzz-corpus/ as reproducible .lfz files (see DESIGN.md).

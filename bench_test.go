@@ -386,8 +386,9 @@ func median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// BenchmarkReplay measures enforced re-execution alone: each row records
-// once, solves once, and replays the same schedule every iteration
+// BenchmarkReplay measures enforced re-execution: each row records once,
+// solves once, and replays the same order every iteration through a fresh
+// Schedule, so every iteration also builds the gate table from the log
 // (`make bench-replay`). par-hotfield contends one location from every
 // thread; jgf-crypt's threads sweep disjoint slices of one array.
 func BenchmarkReplay(b *testing.B) {
@@ -402,7 +403,10 @@ func BenchmarkReplay(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, err := light.ReplayScheduled(c.prog, rec.Log, cfg, sched, 0)
+				// A fresh schedule per iteration: its gate table is built,
+				// and timed, on every replay.
+				fresh := &light.Schedule{Log: sched.Log, Order: sched.Order, Stats: sched.Stats}
+				out, err := light.ReplayScheduled(c.prog, rec.Log, cfg, fresh, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -206,7 +206,7 @@ func TestFlightTracePhases(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"record", "encode", "build", "propagate", "partition", "topo", "replay"} {
+	for _, want := range []string{"record", "encode", "build", "propagate", "partition", "topo", "gates", "replay"} {
 		if !phases[want] {
 			t.Errorf("flight traces missing phase span %q (got %v)", want, phases)
 		}
@@ -238,9 +238,10 @@ func TestCLIErrors(t *testing.T) {
 }
 
 // TestMalformedLogRejected: a log whose deps and ranges contradict each
-// other (t0:2, inside t0's write range, reads t1's write) is an input
-// error. solve and replay -log exit 1 naming it and replay nothing, while a
-// recorded log still solves and replays.
+// other (t0:2, inside t0's write range, reads t1's write), one with a
+// negative location and one naming a thread outside its thread table are
+// input errors. solve and replay -log exit 1 naming them and replay
+// nothing, while a recorded log still solves and replays.
 func TestMalformedLogRejected(t *testing.T) {
 	bin := buildLightrr(t)
 	dir := t.TempDir()
@@ -248,34 +249,60 @@ func TestMalformedLogRejected(t *testing.T) {
 	if err := os.WriteFile(prog, []byte(quickstartSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bad := filepath.Join(dir, "interior-read.lightlog")
-	f, err := os.Create(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.Encode(f, &trace.Log{
-		Threads: []string{"t0", "t1", "t2"},
-		NumLocs: 1,
-		Deps: []trace.Dep{
-			{Loc: 0, W: trace.TC{Thread: 1, Counter: 1}, R: trace.TC{Thread: 0, Counter: 2}},
+	// Each log is one no recording produces: deps and ranges that
+	// contradict each other (the checker rejects the solved order), a
+	// negative location and a thread outside the thread table (both
+	// rejected before solving).
+	bad := map[string]*trace.Log{
+		"interior-read": {
+			Threads: []string{"t0", "t1", "t2"},
+			NumLocs: 1,
+			Deps: []trace.Dep{
+				{Loc: 0, W: trace.TC{Thread: 1, Counter: 1}, R: trace.TC{Thread: 0, Counter: 2}},
+			},
+			Ranges: []trace.Range{
+				{Loc: 0, Thread: 0, Start: 1, End: 3, HasWrite: true},
+				{Loc: 0, Thread: 2, Start: 1, End: 2, HasWrite: true},
+			},
 		},
-		Ranges: []trace.Range{
-			{Loc: 0, Thread: 0, Start: 1, End: 3, HasWrite: true},
-			{Loc: 0, Thread: 2, Start: 1, End: 2, HasWrite: true},
+		"negative-loc": {
+			Threads: []string{"t0", "t1"},
+			NumLocs: 1,
+			Deps: []trace.Dep{
+				{Loc: -3, W: trace.TC{Thread: 1, Counter: 1}, R: trace.TC{Thread: 0, Counter: 2}},
+			},
 		},
-	}); err != nil {
-		t.Fatal(err)
+		"thread-off-table": {
+			Threads: []string{"t0", "t1"},
+			NumLocs: 1,
+			Deps: []trace.Dep{
+				{Loc: 0, W: trace.TC{Thread: 1, Counter: 1}, R: trace.TC{Thread: 0, Counter: 2}},
+			},
+			Ranges: []trace.Range{
+				{Loc: 0, Thread: 2, Start: 1, End: 2, HasWrite: true},
+			},
+		},
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, args := range [][]string{{"solve", bad}, {"replay", "-log", bad, prog}} {
-		out, code := run(t, bin, args...)
-		if code != 1 || !strings.Contains(out, "malformed log: ") {
-			t.Errorf("lightrr %s: exit %d, want 1 with \"malformed log\":\n%s", args[0], code, out)
+	for name, log := range bad {
+		path := filepath.Join(dir, name+".lightlog")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if strings.Contains(out, "schedule: ") {
-			t.Errorf("lightrr %s went on past the rejected log:\n%s", args[0], out)
+		if err := trace.Encode(f, log); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{"solve", path}, {"replay", "-log", path, prog}} {
+			out, code := run(t, bin, args...)
+			if code != 1 || !strings.Contains(out, "malformed log: ") {
+				t.Errorf("%s: lightrr %s: exit %d, want 1 with \"malformed log\":\n%s", name, args[0], code, out)
+			}
+			if strings.Contains(out, "schedule: ") {
+				t.Errorf("%s: lightrr %s went on past the rejected log:\n%s", name, args[0], out)
+			}
 		}
 	}
 

@@ -23,6 +23,9 @@ type Schedule struct {
 	// Stats captures constraint-system size and solver effort for Table 1.
 	Stats ScheduleStats
 
+	// index is the log's counter index when synthesis built this
+	// schedule; the gate table reuses it instead of indexing the log again.
+	index *counterIndex
 	// gateTable is the replayer's view of the schedule, built once on the
 	// first replay or position lookup (gates.go).
 	gatesOnce sync.Once
@@ -60,74 +63,37 @@ func (s *ScheduleStats) FastpathRate() float64 {
 	return float64(s.FastpathComponents) / float64(s.Components)
 }
 
-// readClaim is a set of reads [Lo,Hi] by one thread, all taking their value
-// from write W (Section 4.2's dependences, generalized to prec/O1 runs).
-type readClaim struct {
-	W      trace.TC
-	Thread int32
-	Lo, Hi uint64
-}
-
-// writeBearing is an interval of one thread containing writes: either a
-// standalone dependence-source write (Lo==Hi, singleton) or a HasWrite range
-// whose interior must not be interleaved (Lemma 4.3).
-type writeBearing struct {
-	Thread    int32
-	Lo, Hi    uint64 // Hi is the interval's final write (dependence anchor)
-	Singleton bool
-}
-
-// locItems collects a location's schedule-relevant items.
-type locItems struct {
-	rcs []readClaim
-	wbs []writeBearing
-}
-
-// sortedLocIDs returns the item set's locations in ascending order.
-func sortedLocIDs(items map[int32]*locItems) []int32 {
-	locIDs := make([]int32, 0, len(items))
-	for loc := range items {
-		locIDs = append(locIDs, loc)
-	}
-	slices.Sort(locIDs)
-	return locIDs
-}
-
-// claimNodes is a readClaim with its accesses resolved to node IDs; w is
-// -1 for a read of the location's initial value.
+// claimNodes is a read claim in node IDs: a set of reads lo..hi by one
+// thread, all taking their value from write w (Section 4.2's dependences,
+// generalized to prec/O1 runs); w is -1 for a read of the location's
+// initial value.
 type claimNodes struct{ w, lo, hi int32 }
 
-// intervalNodes is a writeBearing interval with its endpoints resolved to
-// node IDs.
+// intervalNodes is a write-bearing interval in node IDs: either a
+// standalone dependence-source write (lo == hi, singleton) or a HasWrite
+// range whose interior must not be interleaved (Lemma 4.3); hi is the
+// interval's final write (the dependence anchor).
 type intervalNodes struct {
 	thread    int32
 	lo, hi    int32
 	singleton bool
 }
 
-// resolveLocItems resolves one location's items to node IDs through node,
-// appending to the given buffers.
-func resolveLocItems(li *locItems, node func(trace.TC) int32, rcs []claimNodes, wbs []intervalNodes) ([]claimNodes, []intervalNodes) {
-	for _, rc := range li.rcs {
-		w := int32(-1)
-		if !rc.W.IsInitial() {
-			w = node(rc.W)
-		}
-		rcs = append(rcs, claimNodes{
-			w:  w,
-			lo: node(trace.TC{Thread: rc.Thread, Counter: rc.Lo}),
-			hi: node(trace.TC{Thread: rc.Thread, Counter: rc.Hi}),
-		})
-	}
-	for _, wb := range li.wbs {
-		wbs = append(wbs, intervalNodes{
-			thread:    wb.Thread,
-			lo:        node(trace.TC{Thread: wb.Thread, Counter: wb.Lo}),
-			hi:        node(trace.TC{Thread: wb.Thread, Counter: wb.Hi}),
-			singleton: wb.Singleton,
-		})
-	}
-	return rcs, wbs
+// itemSet is a log's schedule-relevant items in the node IDs of its counter
+// index, grouped by location index: location li's read claims are
+// rcs[rcsAt[li]:rcsAt[li+1]] and its write-bearing intervals
+// wbs[wbsAt[li]:wbsAt[li+1]].
+type itemSet struct {
+	x     *counterIndex
+	rcs   []claimNodes
+	wbs   []intervalNodes
+	rcsAt []int32
+	wbsAt []int32
+}
+
+// locItemNodes returns location li's read claims and intervals.
+func (s *itemSet) locItemNodes(li int) ([]claimNodes, []intervalNodes) {
+	return s.rcs[s.rcsAt[li]:s.rcsAt[li+1]], s.wbs[s.wbsAt[li]:s.wbsAt[li+1]]
 }
 
 // genLocConstraints is the one implementation of Section 4.2's generation
@@ -201,63 +167,101 @@ type disjunction struct {
 	a1, b1, a2, b2 trace.TC
 }
 
-// collectItems groups the log's deps and ranges into per-location read
-// claims and write-bearing intervals.
-func collectItems(log *trace.Log) map[int32]*locItems {
-	items := make(map[int32]*locItems)
-	get := func(loc int32) *locItems {
-		li := items[loc]
-		if li == nil {
-			li = &locItems{}
-			items[loc] = li
-		}
-		return li
-	}
+// collectItems indexes the log (newCounterIndex) and groups its deps and
+// ranges into per-location read claims and write-bearing intervals. The log
+// must pass checkLogShape.
+//
+// A location's items keep log order: its ranges' intervals and claims, then
+// its dependences' claims. Its write-bearing intervals are its HasWrite
+// ranges, then a singleton for each dependence source — referenced by a Dep
+// or as a StartsWithRead range's W, in that order — that no interval of the
+// location covers yet: the replay must schedule that write, so it needs an
+// interval for the non-interference pairing. An interval covers a source of
+// its own thread within its counters, which in node IDs is containment.
+func collectItems(log *trace.Log) *itemSet {
+	x := newCounterIndex(log)
+	nl := len(x.locIDs)
+	s := &itemSet{x: x, rcsAt: make([]int32, nl+1), wbsAt: make([]int32, nl+1)}
 
-	// Write-bearing ranges first, so singleton detection can consult them.
-	for _, rg := range log.Ranges {
-		li := get(rg.Loc)
-		if rg.HasWrite {
-			li.wbs = append(li.wbs, writeBearing{Thread: rg.Thread, Lo: rg.Start, Hi: rg.End})
-		}
-		if rg.StartsWithRead {
-			hi := rg.End
-			if rg.HasWrite {
-				// Only the first access is known to read W; the rest of the
-				// interval is protected by the range itself.
-				hi = rg.Start
+	// Group the deps and ranges by location index, in log order.
+	locOf := func(l int32) int32 { li, _ := x.loc(l); return li }
+	depAt, depIdx := groupBy(len(log.Deps), nl, func(i int) int32 { return locOf(log.Deps[i].Loc) })
+	rgAt, rgIdx := groupBy(len(log.Ranges), nl, func(i int) int32 { return locOf(log.Ranges[i].Loc) })
+	// Every dep and range files at most one claim and one interval.
+	s.rcs = make([]claimNodes, 0, len(log.Deps)+len(log.Ranges))
+	s.wbs = make([]intervalNodes, 0, len(log.Deps)+len(log.Ranges))
+
+	// covered[n] is 1 + the index of the last location whose interval
+	// covers node n.
+	covered := make([]int32, len(x.vars))
+	for li := 0; li < nl; li++ {
+		s.rcsAt[li], s.wbsAt[li] = int32(len(s.rcs)), int32(len(s.wbs))
+		mark := int32(li + 1)
+		rgs := rgIdx[rgAt[li]:rgAt[li+1]]
+		for _, i := range rgs {
+			rg := &log.Ranges[i]
+			if !rg.HasWrite && !rg.StartsWithRead {
+				continue
 			}
-			li.rcs = append(li.rcs, readClaim{W: rg.W, Thread: rg.Thread, Lo: rg.Start, Hi: hi})
+			lo, _ := x.node(trace.TC{Thread: rg.Thread, Counter: rg.Start})
+			hi, _ := x.node(trace.TC{Thread: rg.Thread, Counter: rg.End})
+			if rg.HasWrite {
+				s.wbs = append(s.wbs, intervalNodes{thread: rg.Thread, lo: lo, hi: hi})
+				for n := lo; n <= hi; n++ {
+					covered[n] = mark
+				}
+			}
+			if rg.StartsWithRead {
+				// Only the first access of a write range is known to read
+				// W; the rest of the interval is protected by the range.
+				last := hi
+				if rg.HasWrite {
+					last = lo
+				}
+				s.rcs = append(s.rcs, claimNodes{w: x.source(rg.W), lo: lo, hi: last})
+			}
+		}
+		source := func(w trace.TC) {
+			if w.IsInitial() {
+				return
+			}
+			if n := x.source(w); covered[n] != mark {
+				covered[n] = mark
+				s.wbs = append(s.wbs, intervalNodes{thread: w.Thread, lo: n, hi: n, singleton: true})
+			}
+		}
+		for _, i := range depIdx[depAt[li]:depAt[li+1]] {
+			d := &log.Deps[i]
+			r, _ := x.node(d.R)
+			s.rcs = append(s.rcs, claimNodes{w: x.source(d.W), lo: r, hi: r})
+			source(d.W)
+		}
+		for _, i := range rgs {
+			if rg := &log.Ranges[i]; rg.StartsWithRead {
+				source(rg.W)
+			}
 		}
 	}
-	// Then the dependence sources, in the order they are referenced.
-	for _, d := range log.Deps {
-		li := get(d.Loc)
-		li.rcs = append(li.rcs, readClaim{W: d.W, Thread: d.R.Thread, Lo: d.R.Counter, Hi: d.R.Counter})
-		li.addSource(d.W)
-	}
-	for _, rg := range log.Ranges {
-		if rg.StartsWithRead {
-			items[rg.Loc].addSource(rg.W)
-		}
-	}
-	return items
+	s.rcsAt[nl], s.wbsAt[nl] = int32(len(s.rcs)), int32(len(s.wbs))
+	return s
 }
 
-// addSource files dependence source w — whether referenced by an individual
-// Dep or as a Range's W — as a write-bearing item: it is a write the replay
-// must schedule, so it needs one for the non-interference pairing. An item
-// of its thread that already covers it is enough: the HasWrite range
-// containing it, or its own singleton filed for an earlier reference. The
-// HasWrite ranges must therefore be filed first.
-func (li *locItems) addSource(w trace.TC) {
-	if w.IsInitial() {
-		return
+// groupBy sorts the indexes 0..n-1 by key in [0, nk), stably: the indexes
+// with key k are idx[at[k]:at[k+1]], ascending.
+func groupBy(n, nk int, key func(i int) int32) (at, idx []int32) {
+	at = make([]int32, nk+1)
+	for i := 0; i < n; i++ {
+		at[key(i)+1]++
 	}
-	for _, wb := range li.wbs {
-		if wb.Thread == w.Thread && wb.Lo <= w.Counter && w.Counter <= wb.Hi {
-			return
-		}
+	for k := 0; k < nk; k++ {
+		at[k+1] += at[k]
 	}
-	li.wbs = append(li.wbs, writeBearing{Thread: w.Thread, Lo: w.Counter, Hi: w.Counter, Singleton: true})
+	idx = make([]int32, n)
+	next := slices.Clone(at[:nk])
+	for i := 0; i < n; i++ {
+		k := key(i)
+		idx[next[k]] = int32(i)
+		next[k]++
+	}
+	return at, idx
 }

@@ -53,124 +53,31 @@ import (
 // endpoints satisfies every unit clause (the propagated order holds in
 // every model) and every residual disjunction (Lemma 4.1).
 
-// denseIndex numbers accesses chain-major — chains in ascending thread
-// order, each thread's counters ascending — so node IDs equal positions in
-// the (thread, counter)-sorted variable list and map 1:1 onto an
-// smt.OrderEngine's layout. An access resolves to its node by one binary
-// search in its thread's counters. newDenseIndex builds it from an item
-// set without materializing a variable set.
-type denseIndex struct {
-	chainOf  map[int32]int32 // thread -> chain
-	counters [][]uint64      // chain -> sorted distinct counters
-	base     []int32         // chain -> first node ID
-	vars     []trace.TC      // node -> access
-}
-
-func newDenseIndex(items map[int32]*locItems) *denseIndex {
-	x := &denseIndex{chainOf: make(map[int32]int32)}
-	var threads []int32
-	for _, li := range items {
-		locVarSet(li, func(tc trace.TC) {
-			c, ok := x.chainOf[tc.Thread]
-			if !ok {
-				c = int32(len(threads))
-				x.chainOf[tc.Thread] = c
-				threads = append(threads, tc.Thread)
-				x.counters = append(x.counters, nil)
-			}
-			x.counters[c] = append(x.counters[c], tc.Counter)
-		})
-	}
-	// Lay chains out in thread order.
-	perm := make([]int32, len(threads))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(threads[a], threads[b]) })
-	counters := make([][]uint64, len(perm))
-	n := 0
-	for c, old := range perm {
-		cs := x.counters[old]
-		slices.Sort(cs)
-		cs = slices.Compact(cs)
-		counters[c] = cs
-		x.chainOf[threads[old]] = int32(c)
-		x.base = append(x.base, int32(n))
-		n += len(cs)
-	}
-	x.counters = counters
-	x.vars = make([]trace.TC, 0, n)
-	for c, old := range perm {
-		for _, ctr := range counters[c] {
-			x.vars = append(x.vars, trace.TC{Thread: threads[old], Counter: ctr})
-		}
-	}
-	return x
-}
-
-// node returns the ID of an access the index covers.
-func (x *denseIndex) node(tc trace.TC) int32 {
-	c := x.chainOf[tc.Thread]
-	i, _ := slices.BinarySearch(x.counters[c], tc.Counter)
-	return x.base[c] + int32(i)
-}
-
-func (x *denseIndex) chainSizes() []int {
-	sizes := make([]int, len(x.counters))
-	for c, cs := range x.counters {
-		sizes[c] = len(cs)
-	}
-	return sizes
-}
-
 // denseSystem is the Section 4.2 constraint system of one item set in node
-// IDs, locations in ID order. Every location's items are resolved to nodes
-// once: location li's read claims are rcs[rcsAt[li]:rcsAt[li+1]], its
-// write-bearing intervals wbs[wbsAt[li]:wbsAt[li+1]] and its hard edges
-// hard[hardAt[li]:hardAt[li+1]]. The program-order chain edges are implicit
-// in the numbering. Disjunctions are generated per location on demand
-// (genDisj) and never stored.
+// IDs, locations in ID order: the items plus every location's hard edges,
+// location li's being hard[hardAt[li]:hardAt[li+1]]. The program-order
+// chain edges are implicit in the numbering. Disjunctions are generated per
+// location on demand (genDisj) and never stored.
 type denseSystem struct {
-	locIDs []int32
-	x      *denseIndex
-	rcs    []claimNodes
-	wbs    []intervalNodes
+	*itemSet
 	hard   [][2]int32
-	rcsAt  []int32
-	wbsAt  []int32
 	hardAt []int32
 }
 
-// newDenseSystem resolves an item set's items to the node IDs of its dense
-// index x and generates every location's hard edges (genLocConstraints with
-// no disjunction callback), in location-ID order.
-func newDenseSystem(items map[int32]*locItems, x *denseIndex) *denseSystem {
-	ds := &denseSystem{locIDs: sortedLocIDs(items), x: x}
-	nrc, nwb := 0, 0
-	for _, li := range items {
-		nrc += len(li.rcs)
-		nwb += len(li.wbs)
-	}
-	ds.rcs = make([]claimNodes, 0, nrc)
-	ds.wbs = make([]intervalNodes, 0, nwb)
-	ds.hard = make([][2]int32, 0, nrc)
-	n := len(ds.locIDs)
-	ds.rcsAt = make([]int32, n+1)
-	ds.wbsAt = make([]int32, n+1)
+// newDenseSystem generates every location's hard edges (genLocConstraints
+// with no disjunction callback), in location-ID order.
+func newDenseSystem(items *itemSet) *denseSystem {
+	ds := &denseSystem{itemSet: items, hard: make([][2]int32, 0, len(items.rcs))}
+	n := len(ds.x.locIDs)
 	ds.hardAt = make([]int32, n+1)
 	edge := func(u, v int32) { ds.hard = append(ds.hard, [2]int32{u, v}) }
-	for li, loc := range ds.locIDs {
-		ds.rcsAt[li], ds.wbsAt[li], ds.hardAt[li] = int32(len(ds.rcs)), int32(len(ds.wbs)), int32(len(ds.hard))
-		ds.rcs, ds.wbs = resolveLocItems(items[loc], x.node, ds.rcs, ds.wbs)
-		genLocConstraints(ds.rcs[ds.rcsAt[li]:], ds.wbs[ds.wbsAt[li]:], edge, nil)
+	for li := range ds.x.locIDs {
+		ds.hardAt[li] = int32(len(ds.hard))
+		rcs, wbs := ds.locItemNodes(li)
+		genLocConstraints(rcs, wbs, edge, nil)
 	}
-	ds.rcsAt[n], ds.wbsAt[n], ds.hardAt[n] = int32(len(ds.rcs)), int32(len(ds.wbs)), int32(len(ds.hard))
+	ds.hardAt[n] = int32(len(ds.hard))
 	return ds
-}
-
-// locItemNodes returns location li's resolved read claims and intervals.
-func (ds *denseSystem) locItemNodes(li int) ([]claimNodes, []intervalNodes) {
-	return ds.rcs[ds.rcsAt[li]:ds.rcsAt[li+1]], ds.wbs[ds.wbsAt[li]:ds.wbsAt[li+1]]
 }
 
 // genDisj generates location li's disjunctions (genLocConstraints with no
@@ -178,17 +85,6 @@ func (ds *denseSystem) locItemNodes(li int) ([]claimNodes, []intervalNodes) {
 func (ds *denseSystem) genDisj(li int, disj func(a1, b1, a2, b2 int32)) {
 	rcs, wbs := ds.locItemNodes(li)
 	genLocConstraints(rcs, wbs, nil, disj)
-}
-
-// locEdges returns location li's hard edges in TC form.
-func (ds *denseSystem) locEdges(li int) [][2]trace.TC {
-	v := ds.x.vars
-	es := ds.hard[ds.hardAt[li]:ds.hardAt[li+1]]
-	out := make([][2]trace.TC, len(es))
-	for i, e := range es {
-		out[i] = [2]trace.TC{v[e[0]], v[e[1]]}
-	}
-	return out
 }
 
 // propagated is an item set's constraint system after propagation: its
@@ -204,21 +100,22 @@ type propagated struct {
 	out     *smt.OrderOutcome
 }
 
-// propagateItems generates an item set's constraint system and propagates
-// it to fixpoint in two passes. Pass 1 resolves the items to node IDs and
-// generates every hard edge (newDenseSystem); the engine is sealed over
-// them. Pass 2 generates the disjunctions and registers only those the hard
-// order does not already settle.
+// propagateLog indexes the log, generates its constraint system and
+// propagates it to fixpoint in two passes. Pass 1 resolves the items to node
+// IDs (collectItems) and generates every hard edge (newDenseSystem); the
+// engine is sealed over them. Pass 2 generates the disjunctions and
+// registers only those the hard order does not already settle.
 //
 // Registering only those changes no result: propagation only ever adds
 // reachability, so a disjunction the hard order implies is one a scan of
 // every disjunction would drop at its turn, with no side effect, and the
 // kept ones are scanned in the same relative order against the same
-// evolving partial order (DESIGN.md §4d).
-func propagateItems(items map[int32]*locItems) (*propagated, error) {
+// evolving partial order (DESIGN.md §4d). The log must pass checkLogShape.
+func propagateLog(log *trace.Log) (*propagated, error) {
 	buildSpan := obs.StartSpan("build")
-	x := newDenseIndex(items)
-	p := &propagated{ds: newDenseSystem(items, x), eng: smt.NewOrderEngine(x.chainSizes())}
+	ds := newDenseSystem(collectItems(log))
+	x := ds.x
+	p := &propagated{ds: ds, eng: smt.NewOrderEngine(x.chainSizes())}
 	for _, e := range p.ds.hard {
 		p.eng.AddEdge(e[0], e[1])
 	}
@@ -230,7 +127,7 @@ func propagateItems(items map[int32]*locItems) (*propagated, error) {
 			p.keptLoc = append(p.keptLoc, cur)
 		}
 	}
-	for li := range p.ds.locIDs {
+	for li := range p.ds.x.locIDs {
 		cur = int32(li)
 		p.ds.genDisj(li, disj)
 	}
@@ -248,25 +145,25 @@ func propagateItems(items map[int32]*locItems) (*propagated, error) {
 	return p, nil
 }
 
-// synthesize is the schedule-synthesis core over one item set: generate
-// and propagate the system (propagateItems), cluster the locations for the
+// synthesize is the schedule-synthesis core over one log: generate and
+// propagate the system (propagateLog), cluster the locations for the
 // stats (clusterStats), construct each location's residual disjunctions
 // (constructResidual), and check the chosen edges with the final
 // topological sort of the propagated order (OrderEngine.TopoOrder). When a
 // construction fails or the sort finds a cycle, every residual disjunction
-// is searched in one CDCL(T) problem (searchResidual) and sorted again. It
-// returns the schedule order.
-func synthesize(items map[int32]*locItems) ([]trace.TC, ScheduleStats, error) {
+// is searched in one CDCL(T) problem (searchResidual) and sorted again. The
+// schedule keeps the log's counter index for its replay gates.
+func synthesize(log *trace.Log) (*Schedule, error) {
 	var stats ScheduleStats
-	p, err := propagateItems(items)
+	p, err := propagateLog(log)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	ds, eng, out, x := p.ds, p.eng, p.out, p.ds.x
 
 	partSpan := obs.StartSpan("partition")
 	clusterOf, clusters := clusterStats(ds)
-	size := make([]int, len(ds.locIDs))
+	size := make([]int, len(ds.x.locIDs))
 	for _, c := range clusterOf {
 		size[c]++
 	}
@@ -287,10 +184,10 @@ func synthesize(items map[int32]*locItems) ([]trace.TC, ScheduleStats, error) {
 		solveSpan.SetItems(1)
 		solveSpan.End()
 		if err != nil {
-			return nil, stats, err
+			return nil, err
 		}
 		if order, acyclic = sortSpan(eng, chosen); !acyclic {
-			return nil, stats, fmt.Errorf("light: internal error: schedule merge produced a cycle (%d residual disjunctions searched)", len(out.Residual))
+			return nil, fmt.Errorf("light: internal error: schedule merge produced a cycle (%d residual disjunctions searched)", len(out.Residual))
 		}
 		// Every cluster holding a residual disjunction was searched.
 		searched := make([]bool, len(size))
@@ -317,7 +214,7 @@ func synthesize(items map[int32]*locItems) ([]trace.TC, ScheduleStats, error) {
 	for i, n := range order {
 		tcs[i] = x.vars[n]
 	}
-	return tcs, stats, nil
+	return &Schedule{Log: log, Order: tcs, Stats: stats, index: x}, nil
 }
 
 // sortSpan is OrderEngine.TopoOrder under the "topo" span.
@@ -609,14 +506,19 @@ func searchResidual(eng *smt.OrderEngine, residual []int32) ([][2]int32, smt.Sta
 }
 
 // ComputeSchedule builds the constraint system of Section 4.2 from a log,
-// discharges it, and extracts the replay order.
+// discharges it, and extracts the replay order. A log that names a negative
+// location or a thread outside its thread table is rejected as malformed
+// before any solving (checkLogShape).
 func ComputeSchedule(log *trace.Log) (*Schedule, error) {
-	order, stats, err := synthesize(collectItems(log))
+	if err := checkLogShape(log); err != nil {
+		return nil, err
+	}
+	sched, err := synthesize(log)
 	if err != nil {
 		return nil, err
 	}
-	observeSolve(&stats)
-	return newSchedule(log, order, stats), nil
+	observeSolve(&sched.Stats)
+	return sched, nil
 }
 
 // newSchedule wraps a total order over the log's gated accesses into a

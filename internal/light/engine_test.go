@@ -262,13 +262,13 @@ func TestEngineBridgedResidual(t *testing.T) {
 // propagation.
 func residualLocs(t *testing.T, log *trace.Log) []int32 {
 	t.Helper()
-	p, err := propagateItems(collectItems(log))
+	p, err := propagateLog(log)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var locs []int32
 	for _, di := range p.out.Residual {
-		if loc := p.ds.locIDs[p.keptLoc[di]]; !slices.Contains(locs, loc) {
+		if loc := p.ds.x.locIDs[p.keptLoc[di]]; !slices.Contains(locs, loc) {
 			locs = append(locs, loc)
 		}
 	}
@@ -294,7 +294,7 @@ func TestEngineMergeCycleFallback(t *testing.T) {
 		if locs := residualLocs(t, tc.log); len(locs) != 2 {
 			t.Fatalf("%s: residual disjunctions on locations %v, want two", tc.name, locs)
 		}
-		p, err := propagateItems(collectItems(tc.log))
+		p, err := propagateLog(tc.log)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -542,7 +542,7 @@ func searchWhole(log *trace.Log) smt.Status {
 // disjunctions is decided by construction (vacuously true when none is),
 // and if so whether the sort accepts the union of the chosen edges.
 func constructsAll(log *trace.Log) (built, acyclic bool) {
-	p, err := propagateItems(collectItems(log))
+	p, err := propagateLog(log)
 	if err != nil {
 		return true, true
 	}

@@ -1,11 +1,9 @@
 package light
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 
 	"repro/internal/obs/flight"
 	"repro/internal/trace"
@@ -79,7 +77,8 @@ func fmtTC(tc trace.TC) string {
 // Section 4.2 constraint it participates in: those of its own location
 // (genLocConstraints), and program order to its thread's neighbouring
 // scheduled accesses. sched may be nil; when given, it supplies the
-// access's schedule position.
+// access's schedule position. A malformed log (one ComputeSchedule
+// rejects) yields no constraints.
 func ExplainAccess(log *trace.Log, tc trace.TC, sched *Schedule) *AccessExplanation {
 	ex := &AccessExplanation{TC: tc, Pos: -1}
 	if tc.Thread >= 0 && int(tc.Thread) < len(log.Threads) {
@@ -109,38 +108,34 @@ func ExplainAccess(log *trace.Log, tc trace.TC, sched *Schedule) *AccessExplanat
 		}
 	}
 
+	if checkLogShape(log) != nil {
+		return ex // a malformed log has no constraint system
+	}
 	items := collectItems(log)
-	x := newDenseIndex(items)
-	i, ok := slices.BinarySearchFunc(x.vars, tc, func(a, b trace.TC) int {
-		return cmp.Or(cmp.Compare(a.Thread, b.Thread), cmp.Compare(a.Counter, b.Counter))
-	})
+	x := items.x
+	n, ok := x.node(tc)
 	if ex.Scheduled = ok; !ok {
 		return ex
 	}
-	own := map[int32]*locItems{}
-	for loc, li := range items {
-		locVarSet(li, func(a trace.TC) {
-			if a == tc {
-				own[loc] = li
-			}
-		})
-	}
-	ds := newDenseSystem(own, x)
-	for li, loc := range ds.locIDs {
-		for _, e := range ds.locEdges(li) {
-			if e[0] == tc || e[1] == tc {
+	v := x.vars
+	for li, loc := range x.locIDs {
+		rcs, wbs := items.locItemNodes(li)
+		if !touches(rcs, wbs, n) {
+			continue
+		}
+		genLocConstraints(rcs, wbs, func(u, w int32) {
+			if u == n || w == n {
 				ex.Constraints = append(ex.Constraints, ConstraintRef{
 					Kind: "dependence", Loc: loc,
-					Text: fmt.Sprintf("%s < %s", fmtTC(e[0]), fmtTC(e[1])),
+					Text: fmt.Sprintf("%s < %s", fmtTC(v[u]), fmtTC(v[w])),
 				})
 			}
-		}
-		ds.genDisj(li, func(a1, b1, a2, b2 int32) {
-			v := x.vars
-			d := disjunction{a1: v[a1], b1: v[b1], a2: v[a2], b2: v[b2]}
-			if d.a1 != tc && d.b1 != tc && d.a2 != tc && d.b2 != tc {
+		}, nil)
+		genLocConstraints(rcs, wbs, nil, func(a1, b1, a2, b2 int32) {
+			if a1 != n && b1 != n && a2 != n && b2 != n {
 				return
 			}
+			d := disjunction{a1: v[a1], b1: v[b1], a2: v[a2], b2: v[b2]}
 			kind := "non-interference"
 			// Write-exclusion disjunctions pair two write-bearing
 			// intervals symmetrically: (hi1 < lo2) or (hi2 < lo1).
@@ -154,13 +149,28 @@ func ExplainAccess(log *trace.Log, tc trace.TC, sched *Schedule) *AccessExplanat
 			})
 		})
 	}
-	for _, e := range chainEdges(x.vars[max(i-1, 0):min(i+2, len(x.vars))]) {
+	for _, e := range chainEdges(v[max(n-1, 0):min(n+2, int32(len(v)))]) {
 		ex.Constraints = append(ex.Constraints, ConstraintRef{
 			Kind: "program-order", Loc: -1,
 			Text: fmt.Sprintf("%s < %s", fmtTC(e[0]), fmtTC(e[1])),
 		})
 	}
 	return ex
+}
+
+// touches reports whether a location's items name node n.
+func touches(rcs []claimNodes, wbs []intervalNodes, n int32) bool {
+	for _, rc := range rcs {
+		if rc.w == n || rc.lo == n || rc.hi == n {
+			return true
+		}
+	}
+	for _, wb := range wbs {
+		if wb.lo == n || wb.hi == n {
+			return true
+		}
+	}
+	return false
 }
 
 // ForensicReport is the structured post-mortem of a diverged replay: the

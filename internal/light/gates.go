@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -23,7 +24,9 @@ import (
 
 // replayGates is one schedule's predecessor table plus each thread's gated
 // accesses and range starts in counter order, so the replayer finds an
-// access's position with a cursor instead of a map lookup.
+// access's position with a cursor instead of a lookup. Other callers find a
+// logged access's position through the log's counter index: x numbers the
+// access, pos maps the number to the position.
 type replayGates struct {
 	// wait[p] is the position p parks on before it executes, -1 for none.
 	// p is the only position that can park on wait[p].
@@ -31,6 +34,10 @@ type replayGates struct {
 	// threads is indexed by log thread; Order entries naming a thread
 	// outside the log's thread table execute on no thread.
 	threads []threadGates
+	// x indexes the log's scheduled accesses and locations; pos[n] is the
+	// first position of node n in Order, -1 when Order does not list it.
+	x   *counterIndex
+	pos []int32
 }
 
 // threadGates is one log thread's view of the schedule.
@@ -51,48 +58,58 @@ type rangeGate struct {
 	start, end uint64
 }
 
-// find returns the schedule position of the thread's gated access at
-// counter c.
-func (tg *threadGates) find(c uint64) (int32, bool) {
-	i, ok := slices.BinarySearchFunc(tg.gated, c, func(a gatedAccess, c uint64) int { return cmp.Compare(a.counter, c) })
-	if !ok {
-		return 0, false
-	}
-	return tg.gated[i].pos, true
-}
-
-// gates returns the schedule's replay gates, building them on first use.
-// Order and Log must not change once a schedule has been replayed or asked
-// for a position.
+// gates returns the schedule's replay gates, building them on first use
+// under a "gates" span. Order and Log must not change once a schedule has
+// been replayed or asked for a position.
 func (s *Schedule) gates() *replayGates {
-	s.gatesOnce.Do(func() { s.gateTable = buildReplayGates(s) })
+	s.gatesOnce.Do(func() {
+		span := obs.StartSpan("gates")
+		s.gateTable = buildReplayGates(s)
+		span.SetItems(int64(len(s.Order)))
+		span.End()
+	})
 	return s.gateTable
 }
 
-// position returns tc's position in Order. An access Order does not list,
-// or whose thread is outside the log's thread table, has none.
+// position returns tc's position in Order: the log's counter index numbers
+// tc, and the gate table maps the number to its first position. An access
+// the log's deps and ranges do not name, or that Order does not list, has
+// none.
 func (s *Schedule) position(tc trace.TC) (int, bool) {
 	g := s.gates()
-	if tc.Thread < 0 || int(tc.Thread) >= len(g.threads) {
-		return 0, false
+	if n, ok := g.x.node(tc); ok && g.pos[n] >= 0 {
+		return int(g.pos[n]), true
 	}
-	p, ok := g.threads[tc.Thread].find(tc.Counter)
-	return int(p), ok
+	return 0, false
 }
 
 // buildReplayGates derives the gates from the schedule and its log's deps
-// and ranges.
+// and ranges, through the counter index synthesis built, or a new one for a
+// schedule that came from elsewhere.
 //
 // An Order entry's location is the one its dependences or ranges name.
 // Every synthesized entry comes from a dep or a range, so only a corrupted
 // schedule has an entry with no location; it waits for nothing. An entry
 // naming a thread outside the log's thread table executes on no thread, so
-// a replay that reaches it ends in a stall.
+// a replay that reaches it ends in a stall. A negative location names no
+// location; ComputeSchedule rejects a log that has one.
 func buildReplayGates(s *Schedule) *replayGates {
 	log := s.Log
+	x := s.index
+	if x == nil {
+		x = newCounterIndex(log)
+	}
 	nt := len(log.Threads)
-	g := &replayGates{wait: make([]int32, len(s.Order)), threads: make([]threadGates, nt)}
+	g := &replayGates{
+		wait:    make([]int32, len(s.Order)),
+		threads: make([]threadGates, nt),
+		x:       x,
+		pos:     make([]int32, len(x.vars)),
+	}
 	inTable := func(th int32) bool { return th >= 0 && int(th) < nt }
+	for n := range g.pos {
+		g.pos[n] = -1
+	}
 
 	// Per-thread gated accesses: Order lists each thread's accesses in
 	// counter order on any schedule that respects program order; sort the
@@ -109,9 +126,13 @@ func buildReplayGates(s *Schedule) *replayGates {
 		backing = backing[:len(backing)+c]
 	}
 	for p, tc := range s.Order {
-		if inTable(tc.Thread) {
-			tg := &g.threads[tc.Thread]
-			tg.gated = append(tg.gated, gatedAccess{counter: tc.Counter, pos: int32(p)})
+		if !inTable(tc.Thread) {
+			continue
+		}
+		tg := &g.threads[tc.Thread]
+		tg.gated = append(tg.gated, gatedAccess{counter: tc.Counter, pos: int32(p)})
+		if n, ok := x.node(tc); ok && g.pos[n] < 0 {
+			g.pos[n] = int32(p)
 		}
 	}
 	byCounter := func(a, b gatedAccess) int { return cmp.Compare(a.counter, b.counter) }
@@ -121,22 +142,23 @@ func buildReplayGates(s *Schedule) *replayGates {
 		}
 	}
 
-	// Each entry's location, -1 until a dep or range names it.
+	// Each entry's location index, -1 until a dep or range names it.
 	loc := make([]int32, len(s.Order))
 	for i := range loc {
 		loc[i] = -1
 	}
-	locate := func(tc trace.TC, l int32) {
-		if !inTable(tc.Thread) || l < 0 {
-			return
-		}
-		if p, found := g.threads[tc.Thread].find(tc.Counter); found && loc[p] < 0 {
-			loc[p] = l
+	locate := func(tc trace.TC, li int32) {
+		if n, ok := x.node(tc); ok {
+			if p := g.pos[n]; p >= 0 && loc[p] < 0 {
+				loc[p] = li
+			}
 		}
 	}
 	for _, d := range log.Deps {
-		locate(d.R, d.Loc)
-		locate(d.W, d.Loc)
+		if li, ok := x.loc(d.Loc); ok {
+			locate(d.R, li)
+			locate(d.W, li)
+		}
 	}
 	clear(counts)
 	for _, rg := range log.Ranges {
@@ -148,10 +170,12 @@ func buildReplayGates(s *Schedule) *replayGates {
 		g.threads[th].ranges = make([]rangeGate, 0, c)
 	}
 	for _, rg := range log.Ranges {
-		locate(trace.TC{Thread: rg.Thread, Counter: rg.Start}, rg.Loc)
-		locate(trace.TC{Thread: rg.Thread, Counter: rg.End}, rg.Loc)
-		if rg.StartsWithRead {
-			locate(rg.W, rg.Loc)
+		if li, ok := x.loc(rg.Loc); ok {
+			locate(trace.TC{Thread: rg.Thread, Counter: rg.Start}, li)
+			locate(trace.TC{Thread: rg.Thread, Counter: rg.End}, li)
+			if rg.StartsWithRead {
+				locate(rg.W, li)
+			}
 		}
 		if inTable(rg.Thread) {
 			tg := &g.threads[rg.Thread]
@@ -166,18 +190,21 @@ func buildReplayGates(s *Schedule) *replayGates {
 	}
 
 	// The predecessor walk: each located entry waits for the previous entry
-	// on its location when that one belongs to another thread. last is keyed
-	// by location, so a corrupted log's sparse IDs cost no more than dense ones.
-	last := make(map[int32]int32)
+	// on its location when that one belongs to another thread. last is
+	// indexed by location index, so a log's location IDs cost nothing.
+	last := make([]int32, len(x.locIDs))
+	for i := range last {
+		last[i] = -1
+	}
 	for p, tc := range s.Order {
 		g.wait[p] = -1
 		l := loc[p]
 		if l < 0 {
 			continue
 		}
-		q, seen := last[l]
+		q := last[l]
 		last[l] = int32(p)
-		if seen && s.Order[q].Thread != tc.Thread {
+		if q >= 0 && s.Order[q].Thread != tc.Thread {
 			g.wait[p] = q
 		}
 	}

@@ -138,14 +138,17 @@ func checkModel(t *testing.T, log *trace.Log, oracle *vm.Oracle, seed uint64) {
 
 func describeItems(sys *system, d disjunction) string {
 	out := ""
-	for loc, li := range sys.items {
-		for _, rc := range li.rcs {
-			if rc.Thread == d.a2.Thread && rc.Hi == d.a2.Counter {
+	items := sys.items
+	v := items.x.vars
+	for li, loc := range items.x.locIDs {
+		rcs, wbs := items.locItemNodes(li)
+		for _, rc := range rcs {
+			if v[rc.hi] == d.a2 {
 				out += fmt.Sprintf("loc %d rc: %+v\n", loc, rc)
 			}
 		}
-		for _, wb := range li.wbs {
-			if wb.Thread == d.a1.Thread && wb.Hi == d.a1.Counter {
+		for _, wb := range wbs {
+			if v[wb.hi] == d.a1 {
 				out += fmt.Sprintf("loc %d wb: %+v\n", loc, wb)
 			}
 		}

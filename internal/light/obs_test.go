@@ -192,3 +192,48 @@ func BenchmarkRecorderFlightOn(b *testing.B) {
 	obs.Disable()
 	benchRecorder(b, benchProg(b), flight.DefaultCapacity)
 }
+
+// TestGatesSpanInsideReplay: the first replay of a schedule builds its gate
+// table under a "gates" span inside the "replay" span; a second replay of
+// the same schedule reuses the table and records no gates span.
+func TestGatesSpanInsideReplay(t *testing.T) {
+	prog, err := compiler.CompileSource(obsBenchSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := RunConfig{Seed: 7}
+	rec := Record(prog, Options{O1: true}, cfg)
+	sched, err := ComputeSchedule(rec.Log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.EnableTracing()
+	defer obs.DisableTracing()
+	for i, wantGates := range []int{1, 0} {
+		obs.ResetSpans()
+		if _, err := ReplayScheduled(prog, rec.Log, cfg, sched, 0); err != nil {
+			t.Fatal(err)
+		}
+		var gates, replay []obs.Span
+		for _, s := range obs.Spans() {
+			switch s.Name {
+			case "gates":
+				gates = append(gates, s)
+			case "replay":
+				replay = append(replay, s)
+			}
+		}
+		if len(gates) != wantGates || len(replay) != 1 {
+			t.Fatalf("replay %d: %d gates and %d replay spans, want %d and 1", i, len(gates), len(replay), wantGates)
+		}
+		for _, g := range gates {
+			r := replay[0]
+			if g.StartUnixNS < r.StartUnixNS || g.StartUnixNS+g.DurNS > r.StartUnixNS+r.DurNS {
+				t.Errorf("gates span [%d, +%d] outside replay span [%d, +%d]", g.StartUnixNS, g.DurNS, r.StartUnixNS, r.DurNS)
+			}
+			if g.Items != int64(len(sched.Order)) {
+				t.Errorf("gates span items %d, want %d positions", g.Items, len(sched.Order))
+			}
+		}
+	}
+}

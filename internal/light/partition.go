@@ -17,7 +17,7 @@ import "repro/internal/trace"
 // index) and the number of clusters. Nodes of one cluster share a root, so
 // the caller sizes clusters by counting.
 func clusterStats(ds *denseSystem) (clusterOf []int32, clusters int) {
-	nLocs := len(ds.locIDs)
+	nLocs := len(ds.x.locIDs)
 	// owner maps a node to the first location touching it; a second
 	// location touching it joins the owner's cluster.
 	owner := make([]int32, len(ds.x.vars))
@@ -32,7 +32,7 @@ func clusterStats(ds *denseSystem) (clusterOf []int32, clusters int) {
 			uf.union(li, int(o))
 		}
 	}
-	for li := range ds.locIDs {
+	for li := range ds.x.locIDs {
 		rcs, wbs := ds.locItemNodes(li)
 		for _, rc := range rcs {
 			if rc.w >= 0 {
@@ -55,22 +55,6 @@ func clusterStats(ds *denseSystem) (clusterOf []int32, clusters int) {
 		owner[n] = int32(uf.find(int(o)))
 	}
 	return owner, clusters
-}
-
-// locVarSet enumerates the variables a location's items touch without
-// generating any constraints, for the dense index to number.
-func locVarSet(li *locItems, add func(trace.TC)) {
-	for _, rc := range li.rcs {
-		add(trace.TC{Thread: rc.Thread, Counter: rc.Lo})
-		add(trace.TC{Thread: rc.Thread, Counter: rc.Hi})
-		if !rc.W.IsInitial() {
-			add(rc.W)
-		}
-	}
-	for _, wb := range li.wbs {
-		add(trace.TC{Thread: wb.Thread, Counter: wb.Lo})
-		add(trace.TC{Thread: wb.Thread, Counter: wb.Hi})
-	}
 }
 
 // chainEdges returns the program-order edges between consecutive accesses of

@@ -11,16 +11,15 @@ import (
 )
 
 // diffPropagation checks the two-pass propagation of a log's system
-// (propagateItems: disjunctions the hard order settles are never
+// (propagateLog: disjunctions the hard order settles are never
 // registered) against a reference that materializes every disjunction
 // (buildDense), registers all of them in one fresh engine and propagates.
 // Both must agree on the disjunction count, Resolved, the Forced sequence
 // and the Residual disjunctions with their locations, in order.
 func diffPropagation(log *trace.Log) error {
-	items := collectItems(log)
-	got, err := propagateItems(items)
+	got, err := propagateLog(log)
 
-	ds := buildDense(items)
+	ds := buildDense(collectItems(log))
 	eng := smt.NewOrderEngine(ds.x.chainSizes())
 	for _, e := range ds.hard {
 		eng.AddEdge(e[0], e[1])
@@ -41,7 +40,7 @@ func diffPropagation(log *trace.Log) error {
 	if got.out.Resolved != ref.Resolved {
 		return fmt.Errorf("resolved: %d, reference %d", got.out.Resolved, ref.Resolved)
 	}
-	tcEdges := func(x *denseIndex, es [][2]int32) [][2]trace.TC {
+	tcEdges := func(x *counterIndex, es [][2]int32) [][2]trace.TC {
 		out := make([][2]trace.TC, len(es))
 		for i, e := range es {
 			out[i] = [2]trace.TC{x.vars[e[0]], x.vars[e[1]]}
@@ -57,11 +56,11 @@ func diffPropagation(log *trace.Log) error {
 	}
 	var g, w []residual
 	for _, di := range got.out.Residual {
-		g = append(g, residual{got.ds.locIDs[got.keptLoc[di]], got.ds.x.tcDisj(got.eng.Disjunction(di))})
+		g = append(g, residual{got.ds.x.locIDs[got.keptLoc[di]], got.ds.x.tcDisj(got.eng.Disjunction(di))})
 	}
 	for _, di := range ref.Residual {
-		li := sort.Search(len(ds.locIDs), func(li int) bool { return ds.disjAt[li+1] > di })
-		w = append(w, residual{ds.locIDs[li], ds.x.tcDisj(ds.disj[di])})
+		li := sort.Search(len(ds.x.locIDs), func(li int) bool { return ds.disjAt[li+1] > di })
+		w = append(w, residual{ds.x.locIDs[li], ds.x.tcDisj(ds.disj[di])})
 	}
 	if !reflect.DeepEqual(g, w) {
 		return fmt.Errorf("residual disjunctions differ: %v, reference %v", g, w)

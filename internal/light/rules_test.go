@@ -27,14 +27,14 @@ type denseRef struct {
 
 // buildDense generates the whole constraint system of an item set, storing
 // every disjunction.
-func buildDense(items map[int32]*locItems) *denseRef {
-	ds := &denseRef{denseSystem: newDenseSystem(items, newDenseIndex(items))}
-	n := len(ds.locIDs)
+func buildDense(items *itemSet) *denseRef {
+	ds := &denseRef{denseSystem: newDenseSystem(items)}
+	n := len(ds.x.locIDs)
 	ds.disjAt = make([]int32, n+1)
 	disj := func(a1, b1, a2, b2 int32) {
 		ds.disj = append(ds.disj, smt.OrderDisjunction{A1: a1, B1: b1, A2: a2, B2: b2})
 	}
-	for li := range ds.locIDs {
+	for li := range ds.x.locIDs {
 		ds.disjAt[li] = int32(len(ds.disj))
 		ds.genDisj(li, disj)
 	}
@@ -54,7 +54,7 @@ type locSys struct {
 // the global timeline, whose consecutive same-thread pairs are the
 // program-order chain edges (see chain).
 type system struct {
-	items map[int32]*locItems
+	items *itemSet
 	vars  []trace.TC
 	locs  []*locSys
 }
@@ -65,7 +65,7 @@ func buildSystem(log *trace.Log) *system {
 	items := collectItems(log)
 	ds := buildDense(items)
 	sys := &system{items: items, vars: ds.x.vars}
-	for li, loc := range ds.locIDs {
+	for li, loc := range ds.x.locIDs {
 		ls := &locSys{loc: loc, conj: ds.locEdges(li)}
 		for _, d := range ds.disj[ds.disjAt[li]:ds.disjAt[li+1]] {
 			ls.disj = append(ls.disj, ds.x.tcDisj(d))
@@ -79,8 +79,19 @@ func buildSystem(log *trace.Log) *system {
 // each thread — the hard edges the per-location constraints do not list.
 func (s *system) chain() [][2]trace.TC { return chainEdges(s.vars) }
 
+// locEdges returns location li's hard edges in TC form.
+func (ds *denseSystem) locEdges(li int) [][2]trace.TC {
+	v := ds.x.vars
+	es := ds.hard[ds.hardAt[li]:ds.hardAt[li+1]]
+	out := make([][2]trace.TC, len(es))
+	for i, e := range es {
+		out[i] = [2]trace.TC{v[e[0]], v[e[1]]}
+	}
+	return out
+}
+
 // tcDisj returns a node-ID disjunction in TC form.
-func (x *denseIndex) tcDisj(d smt.OrderDisjunction) disjunction {
+func (x *counterIndex) tcDisj(d smt.OrderDisjunction) disjunction {
 	v := x.vars
 	return disjunction{a1: v[d.A1], b1: v[d.B1], a2: v[d.A2], b2: v[d.B2]}
 }

@@ -10,11 +10,12 @@ import (
 // encode → build → propagate → partition → solve → topo → replay
 // vocabulary (free-form names are allowed), its wall-clock extent, and
 // optional byte/item payload sizes. The schedule solve splits into build
-// (index, hard edges, disjunction generation), propagate, partition
-// (location clusters for the stats), solve (per-location construction)
-// and topo (the final sort, which also checks the constructed choices);
-// when that check fails, a second solve (one CDCL(T) search) and topo
-// follow.
+// (counter index, items, hard edges, disjunction generation), propagate,
+// partition (location clusters for the stats), solve (per-location
+// construction) and topo (the final sort, which also checks the
+// constructed choices); when that check fails, a second solve (one
+// CDCL(T) search) and topo follow. A replay's first gate-table build is a
+// gates span inside its replay span.
 // Spans are collected only while tracing is enabled (EnableTracing); the
 // flight recorder's Chrome trace export draws them on its pipeline track
 // (lightrr -flight-trace).
