@@ -89,10 +89,11 @@ bench-solve:
 	$(GO) test -run xxx -bench 'BenchmarkSolveFastpath' -benchtime 10x .
 
 # bench-replay measures enforced re-execution of a pre-solved schedule on
-# par-hotfield (one contended location) and jgf-crypt (disjoint data), with
-# allocation columns. Every iteration replays a fresh Schedule over the same
-# order, so each one builds and times the gate table, as an epoch replay or
-# a cache hit does.
+# par-hotfield (one contended location), par-handoff (monitor hand-offs)
+# and jgf-crypt (disjoint data), with allocation columns and parks/op (gated
+# waits that used up their yields and parked). Every iteration replays a
+# fresh Schedule over the same order, so each one builds and times the gate
+# table, as an epoch replay or a cache hit does.
 bench-replay:
 	$(GO) test -run xxx -bench 'BenchmarkReplay' -benchtime 3x .
 

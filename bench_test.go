@@ -27,6 +27,7 @@ import (
 	"repro/internal/bugs"
 	"repro/internal/compiler"
 	"repro/internal/light"
+	"repro/internal/obs"
 	"repro/internal/smt"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -390,9 +391,14 @@ func median(xs []float64) float64 {
 // solves once, and replays the same order every iteration through a fresh
 // Schedule, so every iteration also builds the gate table from the log
 // (`make bench-replay`). par-hotfield contends one location from every
-// thread; jgf-crypt's threads sweep disjoint slices of one array.
+// thread; par-handoff hands items between threads through monitor queues;
+// jgf-crypt's threads sweep disjoint slices of one array. Metrics are on,
+// so parks/op reports the gated waits that used up their yields and
+// parked (light_replay_parks_total).
 func BenchmarkReplay(b *testing.B) {
-	for _, name := range []string{"par-hotfield", "jgf-crypt"} {
+	obs.Enable()
+	defer obs.Disable()
+	for _, name := range []string{"par-hotfield", "par-handoff", "jgf-crypt"} {
 		c := compileWorkload(b, name)
 		cfg := light.RunConfig{Seed: 11, Instrument: c.maskO2}
 		rec := light.Record(c.prog, light.Options{O1: true}, cfg)
@@ -402,6 +408,7 @@ func BenchmarkReplay(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
+			before := obs.TakeSnapshot()
 			for i := 0; i < b.N; i++ {
 				// A fresh schedule per iteration: its gate table is built,
 				// and timed, on every replay.
@@ -414,7 +421,9 @@ func BenchmarkReplay(b *testing.B) {
 					b.Fatalf("diverged: %s", out.Reason)
 				}
 			}
+			parks := obs.TakeSnapshot().Delta(before).Counter("light_replay_parks_total")
 			b.ReportMetric(float64(len(sched.Order)), "gated_accesses")
+			b.ReportMetric(float64(parks)/float64(b.N), "parks/op")
 		})
 	}
 }

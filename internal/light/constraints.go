@@ -167,9 +167,9 @@ type disjunction struct {
 	a1, b1, a2, b2 trace.TC
 }
 
-// collectItems indexes the log (newCounterIndex) and groups its deps and
-// ranges into per-location read claims and write-bearing intervals. The log
-// must pass checkLogShape.
+// collectItems indexes and lists the log (newCounterIndex, list) and groups
+// its deps and ranges into per-location read claims and write-bearing
+// intervals. The log must pass checkLogShape.
 //
 // A location's items keep log order: its ranges' intervals and claims, then
 // its dependences' claims. Its write-bearing intervals are its HasWrite
@@ -180,6 +180,7 @@ type disjunction struct {
 // its own thread within its counters, which in node IDs is containment.
 func collectItems(log *trace.Log) *itemSet {
 	x := newCounterIndex(log)
+	x.list()
 	nl := len(x.locIDs)
 	s := &itemSet{x: x, rcsAt: make([]int32, nl+1), wbsAt: make([]int32, nl+1)}
 

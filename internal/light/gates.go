@@ -104,7 +104,7 @@ func buildReplayGates(s *Schedule) *replayGates {
 		wait:    make([]int32, len(s.Order)),
 		threads: make([]threadGates, nt),
 		x:       x,
-		pos:     make([]int32, len(x.vars)),
+		pos:     make([]int32, x.nodes),
 	}
 	inTable := func(th int32) bool { return th >= 0 && int(th) < nt }
 	for n := range g.pos {
@@ -192,7 +192,7 @@ func buildReplayGates(s *Schedule) *replayGates {
 	// The predecessor walk: each located entry waits for the previous entry
 	// on its location when that one belongs to another thread. last is
 	// indexed by location index, so a log's location IDs cost nothing.
-	last := make([]int32, len(x.locIDs))
+	last := make([]int32, x.nlocs)
 	for i := range last {
 		last[i] = -1
 	}

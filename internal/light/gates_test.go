@@ -372,7 +372,7 @@ func TestReplayStressPerLocation(t *testing.T) {
 		}
 		progs[name] = prog
 	}
-	for _, procs := range []int{2, 8} {
+	for _, procs := range []int{1, 2, 8} {
 		for name, prog := range progs {
 			t.Run(fmt.Sprintf("procs%d/%s", procs, name), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))

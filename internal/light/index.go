@@ -25,12 +25,17 @@ import (
 // thread outside the log's thread table and negative locations are left
 // out; ComputeSchedule rejects such logs before indexing them
 // (checkLogShape).
+//
+// The replay gates need only the numbering and the counts; synthesis and
+// forensics also read the lists back (list).
 type counterIndex struct {
 	threads []keyArm   // log thread -> its scheduled counters
 	base    []int32    // log thread -> its first node ID
-	vars    []trace.TC // node -> access
+	nodes   int        // the number of nodes
 	locs    keyArm     // location -> location index
-	locIDs  []int32    // location index -> location
+	nlocs   int        // the number of locations
+	vars    []trace.TC // node -> access, once listed
+	locIDs  []int32    // location index -> location, once listed
 }
 
 // denseSpanFactor decides an arm's form: an arm whose value span is at most
@@ -50,7 +55,7 @@ type keyArm struct {
 	min, max uint64
 	refs     int
 	slot     []int32  // dense: slot[v-min] is v's rank, -1 for a value not in the set
-	vals     []uint64 // the set, ascending
+	vals     []uint64 // sparse: the set, ascending
 }
 
 // note counts one reference to v into the arm's extent.
@@ -91,20 +96,31 @@ func (a *keyArm) seal() int {
 		a.vals = slices.Compact(a.vals)
 		return len(a.vals)
 	}
-	n := 0
-	for _, m := range a.slot {
-		n += int(m)
-	}
-	a.vals = make([]uint64, 0, n)
+	n := int32(0)
 	for i, m := range a.slot {
 		if m == 0 {
 			a.slot[i] = -1
 			continue
 		}
-		a.slot[i] = int32(len(a.vals))
-		a.vals = append(a.vals, a.min+uint64(i))
+		a.slot[i] = n
+		n++
 	}
-	return n
+	return int(n)
+}
+
+// each calls f for every value of the set, ascending.
+func (a *keyArm) each(f func(v uint64)) {
+	if a.slot == nil {
+		for _, v := range a.vals {
+			f(v)
+		}
+		return
+	}
+	for i, r := range a.slot {
+		if r >= 0 {
+			f(a.min + uint64(i))
+		}
+	}
 }
 
 // rank returns v's rank, or false when v is not in the set.
@@ -120,9 +136,9 @@ func (a *keyArm) rank(v uint64) (int32, bool) {
 	return int32(i), ok
 }
 
-// newCounterIndex indexes the log's scheduled accesses and locations in two
+// newCounterIndex numbers the log's scheduled accesses and locations in two
 // passes over its deps and ranges: the first sizes every arm, the second
-// files the references.
+// files the references. It does not list them; see list.
 func newCounterIndex(log *trace.Log) *counterIndex {
 	nt := len(log.Threads)
 	x := &counterIndex{threads: make([]keyArm, nt), base: make([]int32, nt)}
@@ -133,22 +149,25 @@ func newCounterIndex(log *trace.Log) *counterIndex {
 	x.locs.plan()
 	eachKey(log, func(tc trace.TC) { x.threads[tc.Thread].add(tc.Counter) }, func(loc int32) { x.locs.add(uint64(loc)) })
 
-	n := 0
 	for th := range x.threads {
-		x.base[th] = int32(n)
-		n += x.threads[th].seal()
+		x.base[th] = int32(x.nodes)
+		x.nodes += x.threads[th].seal()
 	}
-	x.vars = make([]trace.TC, 0, n)
-	for th := range x.threads {
-		for _, c := range x.threads[th].vals {
-			x.vars = append(x.vars, trace.TC{Thread: int32(th), Counter: c})
-		}
-	}
-	x.locIDs = make([]int32, x.locs.seal())
-	for i, l := range x.locs.vals {
-		x.locIDs[i] = int32(l)
-	}
+	x.nlocs = x.locs.seal()
 	return x
+}
+
+// list fills vars and locIDs, the accesses and locations in node and
+// location index order, for synthesis and forensics.
+func (x *counterIndex) list() {
+	x.vars = make([]trace.TC, 0, x.nodes)
+	for th := range x.threads {
+		x.threads[th].each(func(c uint64) {
+			x.vars = append(x.vars, trace.TC{Thread: int32(th), Counter: c})
+		})
+	}
+	x.locIDs = make([]int32, 0, x.nlocs)
+	x.locs.each(func(l uint64) { x.locIDs = append(x.locIDs, int32(l)) })
 }
 
 // eachKey calls access for every scheduled access reference of the log and
@@ -216,7 +235,11 @@ func (x *counterIndex) loc(l int32) (int32, bool) {
 func (x *counterIndex) chainSizes() []int {
 	var sizes []int
 	for th := range x.threads {
-		if n := len(x.threads[th].vals); n > 0 {
+		end := x.nodes
+		if th+1 < len(x.base) {
+			end = int(x.base[th+1])
+		}
+		if n := end - int(x.base[th]); n > 0 {
 			sizes = append(sizes, n)
 		}
 	}

@@ -44,8 +44,10 @@ func TestKeyArmForms(t *testing.T) {
 		set := slices.Clone(refs)
 		slices.Sort(set)
 		set = slices.Compact(set)
-		if !slices.Equal(a.vals, set) {
-			t.Fatalf("trial %d: values %v, want %v", trial, a.vals, set)
+		var vals []uint64
+		a.each(func(v uint64) { vals = append(vals, v) })
+		if !slices.Equal(vals, set) {
+			t.Fatalf("trial %d: values %v, want %v", trial, vals, set)
 		}
 		for v := lo - 2; v != hi+3; v++ {
 			i, in := slices.BinarySearch(set, v)

@@ -123,7 +123,9 @@ func (c RecorderCounters) Sub(prev RecorderCounters) RecorderCounters {
 // Replayer — schedule enforcement.
 var (
 	mRepGatedWaits = obs.NewCounter("light_replay_gated_waits_total",
-		"scheduled accesses that parked until their same-location predecessor executed")
+		"scheduled accesses that found their same-location predecessor pending")
+	mRepParks = obs.NewCounter("light_replay_parks_total",
+		"gated waits that used up their yield bound and parked until the predecessor executed")
 	mRepBlindSuppressed = obs.NewCounter("light_replay_blind_writes_suppressed_total",
 		"blind writes suppressed during replay (Section 4.2)")
 	mRepDivergences = obs.NewCounter("light_replay_divergence_total",

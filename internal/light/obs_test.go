@@ -237,3 +237,43 @@ func TestGatesSpanInsideReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayParksWithinGatedWaits: a gated wait parks only after it has
+// found its predecessor pending and used up its yields, so on replays of a
+// contended workload light_replay_parks_total never exceeds
+// light_replay_gated_waits_total, which must move.
+func TestReplayParksWithinGatedWaits(t *testing.T) {
+	prog := compile(t, handoffSrc)
+	obs.Enable()
+	defer func() {
+		obs.Disable()
+		obs.Default.ResetAll()
+	}()
+	var gated, parks uint64
+	for seed := uint64(0); seed < 8; seed++ {
+		cfg := RunConfig{Seed: seed}
+		rec := Record(prog, Options{O1: true}, cfg)
+		sched, err := ComputeSchedule(rec.Log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g0, p0 := mRepGatedWaits.Value(), mRepParks.Value()
+		out, err := ReplayScheduled(prog, rec.Log, cfg, sched, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Diverged {
+			t.Fatalf("seed %d: diverged: %s", seed, out.Reason)
+		}
+		g, p := mRepGatedWaits.Value()-g0, mRepParks.Value()-p0
+		if p > g {
+			t.Errorf("seed %d: %d parks, more than its %d gated waits", seed, p, g)
+		}
+		gated += g
+		parks += p
+	}
+	if gated == 0 {
+		t.Fatal("no replay found a predecessor pending; the workload is not contended")
+	}
+	t.Logf("%d gated waits, %d parks", gated, parks)
+}

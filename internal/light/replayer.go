@@ -1,6 +1,7 @@
 package light
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -370,7 +371,7 @@ func (r *Replayer) SharedAccess(a vm.Access, do func()) {
 }
 
 // waitTurn blocks until the position pos waits for has executed, or the
-// replay has failed.
+// replay has failed: it yields first and parks only when that runs out.
 func (r *Replayer) waitTurn(rt *replayThread, a vm.Access, pos int32) {
 	q := r.gates.wait[pos]
 	if q < 0 || r.state[q].Load() == posDone || r.failed.Load() {
@@ -381,6 +382,42 @@ func (r *Replayer) waitTurn(rt *replayThread, a vm.Access, pos int32) {
 	}
 	if rt.fl != nil {
 		rt.fl.Record(flight.Event{Kind: flight.EvWaitBegin, Counter: a.Counter, Loc: a.Loc.Off, A: int64(pos), B: int64(q)})
+	}
+	if !r.yieldFor(q) {
+		r.park(rt, q)
+	}
+	if rt.fl != nil {
+		rt.fl.Record(flight.Event{Kind: flight.EvWaitEnd, Counter: a.Counter, Loc: a.Loc.Off, A: int64(pos), B: int64(q)})
+	}
+}
+
+// gateYields bounds the yields of a gated access whose predecessor is
+// pending before it parks (DESIGN.md §4b). On a contended location the
+// predecessor usually executes within a few yields, and a wait that ends
+// there takes no lock and needs no wake. The bound is a count, so no clock
+// decides anything, and a stall is still found: a waiter that runs out of
+// yields parks and checks for one.
+const gateYields = 200
+
+// yieldFor yields the P up to gateYields times and reports whether q
+// executed, or the replay failed, in the meantime. It yields rather than
+// spins: with more threads than Ps, a spinner would hold the P its
+// predecessor needs.
+func (r *Replayer) yieldFor(q int32) bool {
+	for range gateYields {
+		runtime.Gosched()
+		if r.state[q].Load() == posDone || r.failed.Load() {
+			return true
+		}
+	}
+	return false
+}
+
+// park registers the wait for q, checks for a stall, and blocks until q has
+// executed or the replay has failed.
+func (r *Replayer) park(rt *replayThread, q int32) {
+	if r.obsOn {
+		mRepParks.Inc()
 	}
 	st := &r.state[q]
 	r.mu.Lock()
@@ -393,9 +430,6 @@ func (r *Replayer) waitTurn(rt *replayThread, a vm.Access, pos int32) {
 		for st.Load() != posDone && !r.failed.Load() {
 			<-rt.wake
 		}
-	}
-	if rt.fl != nil {
-		rt.fl.Record(flight.Event{Kind: flight.EvWaitEnd, Counter: a.Counter, Loc: a.Loc.Off, A: int64(pos), B: int64(q)})
 	}
 }
 
