@@ -109,7 +109,9 @@ trace-check:
 # checker on every recorded log's solve), a perturbed
 # campaign, the stored seed corpus as a regression suite, and short runs of
 # the native go-fuzz targets (the compiler, the trace codec, and the
-# offline pipeline from decoded bytes to the replay gate table).
+# offline pipeline from decoded bytes to the replay gate table, with the
+# propagation differential on every input that solves: the chain check's
+# decided locations and counted disjunctions against the enumeration).
 fuzz-smoke:
 	$(GO) run ./cmd/lightfuzz -seeds 100 -jobs 4
 	$(GO) run ./cmd/lightfuzz -seeds 40 -jobs 4 -perturb 30

@@ -12,7 +12,8 @@ import (
 
 // diffPropagation checks the two-pass propagation of a log's system
 // (propagateLog: disjunctions the hard order settles are never
-// registered) against a reference that materializes every disjunction
+// registered, and a location the chain check decides generates none)
+// against a reference that materializes every disjunction
 // (buildDense), registers all of them in one fresh engine and propagates.
 // Both must agree on the disjunction count, Resolved, the Forced sequence
 // and the Residual disjunctions with their locations, in order.

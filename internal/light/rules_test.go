@@ -36,7 +36,8 @@ func buildDense(items *itemSet) *denseRef {
 	}
 	for li := range ds.x.locIDs {
 		ds.disjAt[li] = int32(len(ds.disj))
-		ds.genDisj(li, disj)
+		rcs, wbs := ds.locItemNodes(li)
+		genLocConstraints(rcs, wbs, nil, disj)
 	}
 	ds.disjAt[n] = int32(len(ds.disj))
 	return ds

@@ -13,7 +13,10 @@ import (
 // trace.Decode, ComputeSchedule, CheckSchedule, and, when the checker
 // accepts the schedule, the replay gate table. None of them may panic,
 // whatever the bytes say, and a counter near 2^63 or a location near 2^31
-// must not make the index allocate in proportion to it. The seeds are
+// must not make the index allocate in proportion to it. Every input that
+// solves also runs the propagation differential (diffPropagation), which
+// holds the chain check's decided locations and their counted
+// disjunctions to the enumeration of every disjunction. The seeds are
 // encoded golden recordings and the malformed shapes checkLogShape
 // rejects, plus a far location and a far counter, which are well formed.
 func FuzzComputeSchedule(f *testing.F) {
@@ -53,6 +56,9 @@ func FuzzComputeSchedule(f *testing.F) {
 		sched, err := ComputeSchedule(log)
 		if err != nil {
 			return
+		}
+		if err := diffPropagation(log); err != nil {
+			t.Fatal(err)
 		}
 		if CheckSchedule(log, sched) != nil {
 			return

@@ -3,8 +3,8 @@
 // replayer append to on their hot paths when a run asks for flight
 // recording (light.RunConfig.FlightCapacity). A run without rings costs
 // callers a single nil-ring branch; a run with them costs one timestamp
-// read and one slot store per event — no locks, no allocation — because
-// every ring has exactly one writer, the thread it belongs to.
+// read and one slot's atomic stores per event — no locks, no allocation —
+// because every ring has exactly one writer, the thread it belongs to.
 //
 // A ring holds the last capacity events of its thread; older events are
 // overwritten, which is the point: when a replay diverges, the forensic
@@ -100,23 +100,34 @@ func (e Event) KindName() string { return e.Kind.String() }
 
 // DefaultCapacity is the per-thread ring size the front ends use when asked
 // for flight recording without a size: enough to hold the recent history of
-// a hot thread while keeping a 64-thread run under ~4 MiB of event storage.
+// a hot thread while keeping a 64-thread run at 14 MiB of event storage
+// (56-byte slots).
 const DefaultCapacity = 4096
 
 // Ring is one thread's bounded event buffer. Exactly one goroutine — the
 // owning thread — may call Record; Snapshot may run concurrently from any
-// goroutine. head publishes the total event count with a sequentially
-// consistent store after the slot write, so a concurrent snapshot sees every
-// slot at or below the head it loads; a slot being overwritten during a
-// concurrent snapshot can tear, which the forensic consumers tolerate (they
-// normally drain after the run has ended).
+// goroutine. Each slot is a seqlock: Record marks it odd while it stores
+// the fields and then publishes the event's index in it, all with atomic
+// stores, and head publishes the total event count after the slot. A
+// snapshot keeps a slot only when it reads the same published index before
+// and after the fields, so it never returns a torn event: an event
+// overwritten during the snapshot is left out and counted as dropped.
 type Ring struct {
 	track  string
 	thread int32
 	label  string
 
 	head atomic.Uint64
-	buf  []Event
+	buf  []slot
+}
+
+// slot is one ring entry. seq is 2i+1 while event i is being stored and
+// 2i+2 once it is whole.
+type slot struct {
+	seq               atomic.Uint64
+	kind              atomic.Uint32
+	counter           atomic.Uint64
+	loc, a, b, timeNS atomic.Int64
 }
 
 // NewRing creates a ring of capacity events (capacity > 0) for one thread.
@@ -124,15 +135,22 @@ type Ring struct {
 // thread is the log thread index (-1 when unknown); label is the thread's
 // spawn path.
 func NewRing(track string, thread int32, label string, capacity int) *Ring {
-	return &Ring{track: track, thread: thread, label: label, buf: make([]Event, capacity)}
+	return &Ring{track: track, thread: thread, label: label, buf: make([]slot, capacity)}
 }
 
 // Record appends one event, overwriting the oldest when the ring is full,
 // and stamps it with the current wall clock. Single-writer; see Ring.
 func (r *Ring) Record(e Event) {
-	e.TimeNS = time.Now().UnixNano()
 	h := r.head.Load()
-	r.buf[h%uint64(len(r.buf))] = e
+	s := &r.buf[h%uint64(len(r.buf))]
+	s.seq.Store(2*h + 1)
+	s.kind.Store(uint32(e.Kind))
+	s.counter.Store(e.Counter)
+	s.loc.Store(e.Loc)
+	s.a.Store(e.A)
+	s.b.Store(e.B)
+	s.timeNS.Store(time.Now().UnixNano())
+	s.seq.Store(2*h + 2)
 	r.head.Store(h + 1)
 }
 
@@ -140,17 +158,32 @@ func (r *Ring) Record(e Event) {
 func (r *Ring) Snapshot() RingSnap {
 	h := r.head.Load()
 	n := uint64(len(r.buf))
-	s := RingSnap{Track: r.track, Thread: r.thread, Label: r.label}
+	first := uint64(0)
 	if h > n {
-		s.Dropped = h - n
-		s.Events = make([]Event, 0, n)
-		for i := h % n; i < n; i++ {
-			s.Events = append(s.Events, r.buf[i])
-		}
-		s.Events = append(s.Events, r.buf[:h%n]...)
-	} else {
-		s.Events = append([]Event(nil), r.buf[:h]...)
+		first = h - n
 	}
+	s := RingSnap{Track: r.track, Thread: r.thread, Label: r.label}
+	if h > first {
+		s.Events = make([]Event, 0, h-first)
+	}
+	for i := first; i < h; i++ {
+		sl := &r.buf[i%n]
+		if sl.seq.Load() != 2*i+2 {
+			continue // already overwritten
+		}
+		e := Event{
+			Kind:    Kind(sl.kind.Load()),
+			Counter: sl.counter.Load(),
+			Loc:     sl.loc.Load(),
+			A:       sl.a.Load(),
+			B:       sl.b.Load(),
+			TimeNS:  sl.timeNS.Load(),
+		}
+		if sl.seq.Load() == 2*i+2 {
+			s.Events = append(s.Events, e)
+		}
+	}
+	s.Dropped = h - uint64(len(s.Events))
 	return s
 }
 

@@ -52,6 +52,39 @@ func TestConcurrentSnapshot(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSnapshotNeverTorn races snapshots against a writer whose every event
+// carries A == Counter: a snapshot must never return an event mixing two
+// writes, and keeps the events oldest-first.
+func TestSnapshotNeverTorn(t *testing.T) {
+	r := NewRing("record", 0, "0", 16)
+	const events = 20000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < events; i++ {
+			r.Record(Event{Kind: EvWrite, Counter: uint64(i), A: int64(i)})
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		s := r.Snapshot()
+		last := int64(-1)
+		for _, e := range s.Events {
+			if e.A != int64(e.Counter) {
+				t.Fatalf("torn event: counter %d, A %d", e.Counter, e.A)
+			}
+			if e.A <= last {
+				t.Fatalf("events out of order: %d after %d", e.A, last)
+			}
+			last = e.A
+		}
+	}
+}
+
 // TestChromeExportSchema drains a small synthetic run and checks the export
 // is valid Chrome trace_event JSON: an object with a traceEvents array whose
 // entries all carry name/ph/pid/tid, wait begin/end pair up, and both the

@@ -17,7 +17,9 @@ package smt
 // disjunct the hard order already implies is counted as resolved and
 // dropped on the spot, since propagation only ever adds reachability and
 // would drop it at its turn anyway. On real recordings that is almost
-// every disjunction, so they are never stored.
+// every disjunction, so they are never stored, and a caller that proves a
+// whole group of them implied without generating them counts the group
+// with AddImplied.
 // Propagation only ever asserts *implied* literals, so its conclusions can
 // seed a CDCL(T) search without biasing it — the soundness property the
 // two-tier schedule engine in internal/light relies on.
@@ -143,12 +145,22 @@ func (e *OrderEngine) AddDisjunction(d OrderDisjunction) bool {
 	if e.built {
 		panic("smt: OrderEngine.AddDisjunction after Propagate")
 	}
-	if e.sealed && (e.unsat || e.implied(d.A1, d.B1) || e.implied(d.A2, d.B2)) {
+	if e.sealed && (e.unsat || e.Implied(d.A1, d.B1) || e.Implied(d.A2, d.B2)) {
 		e.dropped++
 		return false
 	}
 	e.disjs = append(e.disjs, d)
 	return true
+}
+
+// AddImplied counts n disjunctions that the caller has shown the sealed
+// hard order implies, without registering them: Propagate reports them in
+// Resolved, as it does the ones AddDisjunction drops.
+func (e *OrderEngine) AddImplied(n int) {
+	if !e.sealed || e.built {
+		panic("smt: OrderEngine.AddImplied outside Seal..Propagate")
+	}
+	e.dropped += n
 }
 
 // Disjunction returns the kept disjunction with index i.
@@ -164,9 +176,9 @@ func (e *OrderEngine) Reaches(u, v int32) bool {
 	return r >= 0 && r <= e.pos[v]
 }
 
-// implied reports whether the strict edge a < b holds in the partial order
+// Implied reports whether the strict edge a < b holds in the partial order
 // (so a == b never counts).
-func (e *OrderEngine) implied(a, b int32) bool { return a != b && e.Reaches(a, b) }
+func (e *OrderEngine) Implied(a, b int32) bool { return a != b && e.Reaches(a, b) }
 
 // mergeInto folds node src's reach vector into dst's, reporting change.
 func (e *OrderEngine) mergeInto(dst, src int32) bool {
@@ -311,7 +323,7 @@ func (e *OrderEngine) Propagate() *OrderOutcome {
 		for _, di := range active {
 			d := e.disjs[di]
 			switch {
-			case e.implied(d.A1, d.B1) || e.implied(d.A2, d.B2):
+			case e.Implied(d.A1, d.B1) || e.Implied(d.A2, d.B2):
 				out.Resolved++
 				changed = true
 			case impossible(d.A1, d.B1) && impossible(d.A2, d.B2):

@@ -239,3 +239,35 @@ func TestOrderEngineSealDropsImplied(t *testing.T) {
 		t.Fatalf("got %+v, want 1 resolved and residual [0]", out)
 	}
 }
+
+// TestOrderEngineAddImplied checks that disjunctions counted with
+// AddImplied join the dropped ones in Resolved, and that counting before
+// Seal or after Propagate panics.
+func TestOrderEngineAddImplied(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	e := NewOrderEngine([]int{2, 2})
+	a0, a1 := e.Node(0, 0), e.Node(0, 1)
+	b0, b1 := e.Node(1, 0), e.Node(1, 1)
+	e.AddEdge(a1, b0)
+	mustPanic("AddImplied before Seal", func() { e.AddImplied(1) })
+	e.Seal()
+	if !e.Implied(a0, b1) || e.Implied(b1, a0) || e.Implied(a0, a0) {
+		t.Error("Implied disagrees with the sealed hard order")
+	}
+	e.AddImplied(3)
+	if e.AddDisjunction(OrderDisjunction{A1: a1, B1: b0, A2: b1, B2: a0}) {
+		t.Error("implied disjunction kept")
+	}
+	if out := e.Propagate(); out.Resolved != 4 || len(out.Residual) != 0 {
+		t.Fatalf("got %+v, want 4 resolved and no residual", out)
+	}
+	mustPanic("AddImplied after Propagate", func() { e.AddImplied(1) })
+}
