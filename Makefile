@@ -62,11 +62,14 @@ test:
 # race covers the recorder, solver, fuzz oracles, VM, epoch sessions, the
 # baseline tools' recorders and replayers, and the observability layer (the
 # metric registry, the histograms and the flight rings), and repeats the
-# replayer's stall and per-location stress tests: a stall verdict is exact
-# (no clock), so it must hold on every interleaving.
+# replayer's stall and per-location stress tests and the concurrent epoch
+# replay tests: a stall verdict is exact (no clock), and an epoch's
+# verdicts, their order and the first error do not depend on how its runs
+# share the cores, so both must hold on every interleaving.
 race:
 	$(GO) test -race ./internal/light/ ./internal/smt/ ./internal/fuzz/ ./internal/vm/ ./internal/epoch/ ./internal/baseline/... ./internal/obs/...
 	$(GO) test -race -count=20 -run 'Stall|Deadlock|StressPerLocation' ./internal/light/
+	$(GO) test -race -count=10 -run 'ReplayEpochConcurrent' ./internal/epoch/
 
 # solve-stall repeats the racy-counter round trip, whose recordings leave
 # single-location residual components, 50 times under a 120 s budget: a
@@ -93,7 +96,9 @@ bench-solve:
 # and jgf-crypt (disjoint data), with allocation columns and parks/op (gated
 # waits that used up their yields and parked). Every iteration replays a
 # fresh Schedule over the same order, so each one builds and times the gate
-# table, as an epoch replay or a cache hit does.
+# table, as an epoch replay or a cache hit does. BenchmarkReplayEpoch
+# verifies one sealed 8-run epoch of an always-on-shaped service per
+# iteration (ms/epoch), cold and with every run's schedule cached first.
 bench-replay:
 	$(GO) test -run xxx -bench 'BenchmarkReplay' -benchtime 3x .
 

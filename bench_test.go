@@ -8,12 +8,15 @@
 //	BenchmarkFig7Variants  — V_basic / V_O1 / V_both recording cost
 //	BenchmarkTable1        — per-bug offline solve and replay time
 //	BenchmarkReplay        — enforced re-execution of a pre-solved schedule
+//	BenchmarkReplayEpoch   — on-demand verification of an 8-run epoch
 //	BenchmarkSolverIDL     — the underlying DPLL(T) difference-logic solver
 package repro_test
 
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -26,6 +29,7 @@ import (
 	"repro/internal/baseline/stride"
 	"repro/internal/bugs"
 	"repro/internal/compiler"
+	"repro/internal/epoch"
 	"repro/internal/light"
 	"repro/internal/obs"
 	"repro/internal/smt"
@@ -424,6 +428,188 @@ func BenchmarkReplay(b *testing.B) {
 			parks := obs.TakeSnapshot().Delta(before).Counter("light_replay_parks_total")
 			b.ReportMetric(float64(len(sched.Order)), "gated_accesses")
 			b.ReportMetric(float64(parks)/float64(b.N), "parks/op")
+		})
+	}
+}
+
+// serviceSrc is an always-on-shaped service: two dispatchers each hand 128
+// requests through their own bounded queue of 8 to a worker, and the
+// workers update a lock-guarded request table and a racy hit counter.
+const serviceSrc = `
+class Requests { field served; field bytes; }
+var requests = null;
+var hits = 0;
+var lock0 = null;
+var lock1 = null;
+var tlock = null;
+var buf0 = null;
+var buf1 = null;
+var head0 = 0;
+var tail0 = 0;
+var head1 = 0;
+var tail1 = 0;
+var done = 0;
+
+fun produce0(n, salt) {
+  for (var i = 0; i < n; i = i + 1) {
+    var item = (i * 17 + salt) % 997 + 1;
+    sync (lock0) {
+      while (tail0 - head0 >= 8) { wait(lock0); }
+      buf0[tail0 % 8] = item;
+      tail0 = tail0 + 1;
+      notify(lock0);
+    }
+  }
+}
+
+fun produce1(n, salt) {
+  for (var i = 0; i < n; i = i + 1) {
+    var item = (i * 17 + salt) % 997 + 1;
+    sync (lock1) {
+      while (tail1 - head1 >= 8) { wait(lock1); }
+      buf1[tail1 % 8] = item;
+      tail1 = tail1 + 1;
+      notify(lock1);
+    }
+  }
+}
+
+fun serve(item) {
+  sync (tlock) {
+    requests.served = requests.served + 1;
+    requests.bytes = (requests.bytes + item) % 65537;
+  }
+  hits = hits + 1;
+  for (var r = 0; r < 4; r = r + 1) { item = (item * 31 + r) % 65537; }
+  return item;
+}
+
+fun consume0(n) {
+  var acc = 0;
+  for (var got = 0; got < n; got = got + 1) {
+    var item = 0;
+    sync (lock0) {
+      while (head0 >= tail0) { wait(lock0); }
+      item = buf0[head0 % 8];
+      head0 = head0 + 1;
+      notify(lock0);
+    }
+    acc = (acc + serve(item)) % 1000003;
+  }
+  sync (tlock) { done = (done + acc) % 1000003; }
+}
+
+fun consume1(n) {
+  var acc = 0;
+  for (var got = 0; got < n; got = got + 1) {
+    var item = 0;
+    sync (lock1) {
+      while (head1 >= tail1) { wait(lock1); }
+      item = buf1[head1 % 8];
+      head1 = head1 + 1;
+      notify(lock1);
+    }
+    acc = (acc + serve(item)) % 1000003;
+  }
+  sync (tlock) { done = (done + acc) % 1000003; }
+}
+
+fun main() {
+  lock0 = newmap();
+  lock1 = newmap();
+  tlock = newmap();
+  buf0 = newarr(8);
+  buf1 = newarr(8);
+  for (var i = 0; i < 8; i = i + 1) { buf0[i] = 0; buf1[i] = 0; }
+  sync (tlock) { requests = new Requests(); requests.served = 0; requests.bytes = 0; }
+  var ts = newarr(4);
+  ts[0] = spawn produce0(128, 101);
+  ts[1] = spawn consume0(128);
+  ts[2] = spawn produce1(128, 307);
+  ts[3] = spawn consume1(128);
+  for (var t = 0; t < 4; t = t + 1) { join ts[t]; }
+  var sum = 0;
+  sync (tlock) { sum = (done + requests.served + requests.bytes) % 1000003; }
+  sum = (sum * 31 + hits) % 1000003;
+  print(sum);
+}
+`
+
+// BenchmarkReplayEpoch measures on-demand epoch verification, the work
+// behind lightd's /epochs/{id}/replay: it seals one 8-run epoch of an
+// always-on-shaped service into a temporary store and replays it whole
+// with epoch.ReplayEpoch, which verifies the runs concurrently on up to
+// GOMAXPROCS cores (`make bench-replay`). The cold row empties the
+// schedule cache before every iteration, so each run is solved; the
+// presolved row caches every run's schedule first, as a session's
+// background pre-solve does, so each run pays a cache hit (a hash and
+// CheckSchedule) instead. ms/epoch is the wall time of one ReplayEpoch;
+// solve_ms/run and replay_ms/run are the runs' own mean times, measured
+// while they share the cores.
+func BenchmarkReplayEpoch(b *testing.B) {
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	store, _, err := epoch.Open(epoch.StoreOptions{Dir: b.TempDir(), RetainEpochs: -1, Logger: quiet})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	const runs = 8
+	sess, err := epoch.StartSession(store, epoch.SessionConfig{Source: serviceSrc, SeedBase: 1, EpochRuns: runs, MaxRuns: runs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess.Wait()
+	if st := sess.Status(); st.Err != "" {
+		b.Fatal(st.Err)
+	}
+	meta, err := store.Newest()
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := store.Load(meta.ID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(data.Runs) != runs {
+		b.Fatalf("sealed %d runs, want %d", len(data.Runs), runs)
+	}
+	for _, presolved := range []bool{false, true} {
+		name := "cold"
+		if presolved {
+			name = "presolved"
+		}
+		b.Run(name, func(b *testing.B) {
+			light.ResetScheduleCache()
+			if presolved {
+				for _, rr := range data.Runs {
+					if _, _, err := light.ComputeScheduleCached(rr.Log); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			var solveMS, replayMS float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !presolved {
+					b.StopTimer()
+					light.ResetScheduleCache()
+					b.StartTimer()
+				}
+				v, err := epoch.ReplayEpoch(data, -1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !v.Pass {
+					b.Fatalf("epoch verification failed: %+v", v.Runs)
+				}
+				for _, rv := range v.Runs {
+					solveMS += rv.SolveMS
+					replayMS += rv.ReplayMS
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/float64(b.N), "ms/epoch")
+			b.ReportMetric(solveMS/float64(runs*b.N), "solve_ms/run")
+			b.ReportMetric(replayMS/float64(runs*b.N), "replay_ms/run")
 		})
 	}
 }

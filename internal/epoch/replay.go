@@ -2,6 +2,9 @@ package epoch
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -64,38 +67,78 @@ func replayEnv(hdr Header) (*compiler.Program, []bool, error) {
 // recording. runIndex selects a single run, or -1 for every run in the
 // epoch. A damaged log turns into a diverged verdict as soon as its replay
 // stalls (the replayer's exact stall condition), so a request never hangs on
-// one.
+// one. The runs are verified concurrently (replayRuns); Verdict.Runs keeps
+// their order.
 func ReplayEpoch(data *SegmentData, runIndex int) (*Verdict, error) {
 	prog, mask, err := replayEnv(data.Header)
 	if err != nil {
 		return nil, err
 	}
-	v := &Verdict{EpochID: data.Header.EpochID, Workload: data.Header.Workload, Pass: true}
-	for _, rr := range data.Runs {
-		if runIndex >= 0 && rr.Meta.Index != runIndex {
-			continue
-		}
-		rv, _, err := replayRun(prog, light.RunConfig{Instrument: mask}, rr)
+	runs := data.Runs
+	if runIndex >= 0 {
+		rr, err := runByIndex(data, runIndex)
 		if err != nil {
 			return nil, err
 		}
-		v.Runs = append(v.Runs, rv)
+		runs = []RunRecord{rr}
+	}
+	// An epoch sealed with zero runs (a cut raced the stop) verifies
+	// vacuously; report it as such rather than erroring.
+	verdicts, err := replayRuns(prog, light.RunConfig{Instrument: mask}, runs)
+	if err != nil {
+		return nil, err
+	}
+	v := &Verdict{EpochID: data.Header.EpochID, Workload: data.Header.Workload, Runs: verdicts, Pass: true}
+	for _, rv := range verdicts {
 		if !(rv.Reproduced && rv.FingerprintOK && !rv.Diverged) {
 			v.Pass = false
 		}
-	}
-	if len(v.Runs) == 0 {
-		if runIndex >= 0 {
-			return nil, fmt.Errorf("%w: epoch %d has no run %d", ErrNoEpoch, data.Header.EpochID, runIndex)
-		}
-		// An epoch sealed with zero runs (a cut raced the stop) verifies
-		// vacuously; report it as such rather than erroring.
 	}
 	mReplayRequests.Inc()
 	if !v.Pass {
 		mReplayFailures.Inc()
 	}
 	return v, nil
+}
+
+// replayRuns verifies runs on up to min(GOMAXPROCS, len(runs)) goroutines,
+// each taking whole runs in index order, and returns their verdicts in that
+// order. A run's replay depends only on its log and the program: each run
+// has its own VM, replayer, gate table and flight rings, a stall verdict
+// reads no clock, and the schedule cache is locked, so sharing the cores
+// cannot change a verdict. Once a run fails no further run starts, and the
+// error returned is the lowest-index failure's, as a serial loop would
+// return: every run below a failing one was taken before it. Every started
+// run finishes before replayRuns returns.
+func replayRuns(prog *compiler.Program, cfg light.RunConfig, runs []RunRecord) ([]RunVerdict, error) {
+	verdicts := make([]RunVerdict, len(runs))
+	errs := make([]error, len(runs))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(runs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(runs) {
+					return
+				}
+				verdicts[i], _, errs[i] = replayRun(prog, cfg, runs[i])
+				if errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return verdicts, nil
 }
 
 // ReplayRunForensics replays one run of an epoch with per-thread flight
@@ -107,21 +150,31 @@ func ReplayRunForensics(data *SegmentData, runIndex, flightCap int) (RunVerdict,
 	if err != nil {
 		return RunVerdict{}, nil, err
 	}
-	for _, rr := range data.Runs {
-		if rr.Meta.Index != runIndex {
-			continue
-		}
-		return replayRun(prog, light.RunConfig{Instrument: mask, FlightCapacity: flightCap}, rr)
+	rr, err := runByIndex(data, runIndex)
+	if err != nil {
+		return RunVerdict{}, nil, err
 	}
-	return RunVerdict{}, nil, fmt.Errorf("%w: epoch %d has no run %d", ErrNoEpoch, data.Header.EpochID, runIndex)
+	return replayRun(prog, light.RunConfig{Instrument: mask, FlightCapacity: flightCap}, rr)
+}
+
+// runByIndex returns the epoch's run with the given index.
+func runByIndex(data *SegmentData, runIndex int) (RunRecord, error) {
+	for _, rr := range data.Runs {
+		if rr.Meta.Index == runIndex {
+			return rr, nil
+		}
+	}
+	return RunRecord{}, fmt.Errorf("%w: epoch %d has no run %d", ErrNoEpoch, data.Header.EpochID, runIndex)
 }
 
 // replayRun solves and re-executes one recorded run under cfg, then
-// verifies it.
-// The schedule goes through the whole-schedule cache: replaying the same
-// epoch twice (or replaying an epoch the session pre-solved in the
-// background) skips synthesis entirely, and a cache hit is revalidated by
-// the checker before use, so a damaged cache can only cost time.
+// verifies it; ReplayEpoch may run several at once. The schedule goes
+// through the whole-schedule cache: replaying the same epoch twice (or
+// replaying an epoch the session pre-solved in the background) skips
+// synthesis, but a hit still hashes the log and revalidates the cached
+// order with the checker, so it saves little over a cold solve and a
+// damaged cache can only cost time. The verdict's SolveMS and ReplayMS are
+// wall times, taken while any other runs of the call share the cores.
 func replayRun(prog *compiler.Program, cfg light.RunConfig, rr RunRecord) (RunVerdict, *light.ReplayOutcome, error) {
 	solveStart := time.Now()
 	sched, hit, err := light.ComputeScheduleCached(rr.Log)
