@@ -9,9 +9,9 @@
 
 GO ?= go
 
-.PHONY: ci verify fmt-check vet build test race solve-stall bench bench-solve bench-replay bench-gate bench-contract fuzz-smoke fuzz flake-smoke lightd-smoke stat-smoke report docs-check trace-check examples-smoke
+.PHONY: ci verify fmt-check vet build test race solve-stall bench bench-solve bench-replay bench-codec bench-gate bench-contract fuzz-smoke fuzz flake-smoke lightd-smoke stat-smoke report docs-check trace-check examples-smoke
 
-ci: fmt-check docs-check build test race solve-stall bench-solve bench-replay trace-check bench-gate bench-contract fuzz-smoke flake-smoke lightd-smoke stat-smoke examples-smoke
+ci: fmt-check docs-check build test race solve-stall bench-solve bench-replay bench-codec trace-check bench-gate bench-contract fuzz-smoke flake-smoke lightd-smoke stat-smoke examples-smoke
 
 verify: ci
 
@@ -101,6 +101,15 @@ bench-solve:
 # iteration (ms/epoch), cold and with every run's schedule cached first.
 bench-replay:
 	$(GO) test -run xxx -bench 'BenchmarkReplay' -benchtime 3x .
+
+# bench-codec compares the two log formats over the committed golden
+# recordings: bytes per event, and encode and decode time per pass over all
+# of them, for LIGHTLOG1 (the golden files' own format, written by the
+# reference writer in lightlog1_test.go) against LIGHTLOG2 (what
+# trace.Encode writes). It fails if the reference writer stops reproducing
+# the golden files or either format stops round-tripping.
+bench-codec:
+	$(GO) test -run xxx -bench 'BenchmarkCodec' -benchtime 200x .
 
 # trace-check drives the lighttrace inspector end to end: summary, export
 # (schema-validated Chrome trace JSON over the bugrepro program and fuzz

@@ -9,6 +9,7 @@
 //	BenchmarkTable1        — per-bug offline solve and replay time
 //	BenchmarkReplay        — enforced re-execution of a pre-solved schedule
 //	BenchmarkReplayEpoch   — on-demand verification of an 8-run epoch
+//	BenchmarkCodec         — log bytes per event and codec speed, LIGHTLOG1 vs 2
 //	BenchmarkSolverIDL     — the underlying DPLL(T) difference-logic solver
 package repro_test
 
@@ -19,6 +20,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -610,6 +612,84 @@ func BenchmarkReplayEpoch(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/float64(b.N), "ms/epoch")
 			b.ReportMetric(solveMS/float64(runs*b.N), "solve_ms/run")
 			b.ReportMetric(replayMS/float64(runs*b.N), "replay_ms/run")
+		})
+	}
+}
+
+// BenchmarkCodec compares the two log formats over the committed golden
+// recordings (`make bench-codec`): LIGHTLOG1, the golden files' own format,
+// written by the reference writer in lightlog1_test.go, and LIGHTLOG2, the
+// format trace.Encode writes. Each iteration encodes every log into a reused
+// buffer and then decodes every encoding with trace.Decode, which reads both.
+// B/event is the encoded bytes over the logs' events; encode_ns and decode_ns
+// are the medians over the iterations of one pass over all the logs.
+func BenchmarkCodec(b *testing.B) {
+	paths, err := filepath.Glob(filepath.Join("internal", "light", "testdata", "golden", "*.lightlog"))
+	if err != nil || len(paths) == 0 {
+		b.Fatalf("no golden logs: %v", err)
+	}
+	var logs []*trace.Log
+	events := 0
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		log, err := trace.Decode(bytes.NewReader(data))
+		if err != nil {
+			b.Fatalf("%s: %v", path, err)
+		}
+		var v1 bytes.Buffer
+		if err := encodeLIGHTLOG1(&v1, log); err != nil || !bytes.Equal(v1.Bytes(), data) {
+			b.Fatalf("%s: the reference LIGHTLOG1 writer does not reproduce the file (%v)", path, err)
+		}
+		logs = append(logs, log)
+		events += log.Events()
+	}
+	formats := []struct {
+		name   string
+		encode func(io.Writer, *trace.Log) error
+	}{{"LIGHTLOG1", encodeLIGHTLOG1}, {"LIGHTLOG2", trace.Encode}}
+	for _, f := range formats {
+		b.Run(f.name, func(b *testing.B) {
+			bufs := make([]bytes.Buffer, len(logs))
+			for j, log := range logs {
+				if err := f.encode(&bufs[j], log); err != nil {
+					b.Fatal(err)
+				}
+				got, err := trace.Decode(bytes.NewReader(bufs[j].Bytes()))
+				if err != nil || !reflect.DeepEqual(got, log) {
+					b.Fatalf("%s: %s does not round-trip (%v)", paths[j], f.name, err)
+				}
+			}
+			size := 0
+			for j := range bufs {
+				size += bufs[j].Len()
+			}
+			b.ReportAllocs()
+			encNS := make([]float64, b.N)
+			decNS := make([]float64, b.N)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				for j, log := range logs {
+					bufs[j].Reset()
+					if err := f.encode(&bufs[j], log); err != nil {
+						b.Fatal(err)
+					}
+				}
+				t1 := time.Now()
+				for j := range bufs {
+					if _, err := trace.Decode(bytes.NewReader(bufs[j].Bytes())); err != nil {
+						b.Fatal(err)
+					}
+				}
+				encNS[i] = float64(t1.Sub(t0).Nanoseconds())
+				decNS[i] = float64(time.Since(t1).Nanoseconds())
+			}
+			b.ReportMetric(float64(size)/float64(events), "B/event")
+			b.ReportMetric(median(encNS), "encode_ns")
+			b.ReportMetric(median(decNS), "decode_ns")
 		})
 	}
 }

@@ -41,7 +41,11 @@ import (
 //	2 — adds the 'T' telemetry record sealed before 'S' (the per-epoch
 //	    stats frame). v1 segments remain fully readable; their telemetry
 //	    rows are synthesized from run metadata (SynthesizeTelemetry).
-const FormatVersion = 2
+//	3 — 'R' records carry LIGHTLOG2 run logs (trace.Encode); v1 and v2
+//	    segments carry LIGHTLOG1. trace.Decode reads both, so every older
+//	    segment stays readable, while a v2 reader rejects a v3 segment at
+//	    its header instead of failing on the first run log.
+const FormatVersion = 3
 
 // State is an epoch's lifecycle position (DESIGN.md §9 state machine).
 type State string

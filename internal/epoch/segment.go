@@ -20,6 +20,7 @@ import (
 //	payload  := type-byte body
 //	header   := 'H' json(Header)
 //	run      := 'R' u32 metaLen | json(RunMeta) | trace.Encode(log)
+//	                      (LIGHTLOG2 from format v3 on, LIGHTLOG1 before)
 //	checkpoint := 'C' json(Checkpoint)
 //	telemetry  := 'T' json(Telemetry)                        (format v2+)
 //	seal     := 'S' json(Seal)
@@ -554,8 +555,9 @@ func applyRecord(data *SegmentData, payload []byte) error {
 			return fmt.Errorf("header: %w", err)
 		}
 		// Accept every version up to the current one: v1 segments (no
-		// telemetry frames) stay readable forever; the store synthesizes
-		// their stats rows instead.
+		// telemetry frames) stay readable forever, the store synthesizes
+		// their stats rows instead, and trace.Decode reads the LIGHTLOG1
+		// run logs of v1 and v2 segments.
 		if data.Header.Version < 1 || data.Header.Version > FormatVersion {
 			return fmt.Errorf("unsupported segment version %d", data.Header.Version)
 		}

@@ -1,16 +1,12 @@
 package epoch
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // sealWithSession builds a segment with runs runs and seals it carrying
@@ -120,43 +116,23 @@ func TestTelemetrySealWithoutSession(t *testing.T) {
 }
 
 // writeV1Segment handcrafts a pre-telemetry (format v1) segment: header,
-// runs, seal — no 'T' frame, exactly what PR-8-era lightd wrote.
+// runs, seal — no 'T' frame and LIGHTLOG1 run logs, exactly what a format
+// v1 writer wrote.
 func writeV1Segment(t *testing.T, path string, id uint64, runs int, sealed bool) {
 	t.Helper()
 	hdr := testHeader()
 	hdr.Version = 1
 	hdr.EpochID = id
 	hdr.CreatedUnixNS = 100
-	var file []byte
-	appendJSON := func(typ byte, v any) {
-		payload, err := jsonRecord(typ, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		file = trace.AppendFrame(file, payload)
-	}
-	appendJSON(recHeader, hdr)
+	var metas []RunMeta
 	for i := 0; i < runs; i++ {
-		meta := RunMeta{Index: i, Seed: uint64(i + 1), Fingerprint: "fp", WallNS: 100, Events: 3}
-		metaJSON, err := json.Marshal(meta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		buf.WriteByte(recRun)
-		var lenWord [4]byte
-		binary.LittleEndian.PutUint32(lenWord[:], uint32(len(metaJSON)))
-		buf.Write(lenWord[:])
-		buf.Write(metaJSON)
-		if err := trace.Encode(&buf, testLog(uint64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-		file = trace.AppendFrame(file, buf.Bytes())
+		metas = append(metas, RunMeta{Index: i, Seed: uint64(i + 1), Fingerprint: "fp", WallNS: 100, Events: 3})
 	}
+	var seal *Seal
 	if sealed {
-		appendJSON(recSeal, Seal{Runs: runs, UnixNS: 500, Fingerprint: "fp"})
+		seal = &Seal{Runs: runs, UnixNS: 500, Fingerprint: "fp"}
 	}
-	if err := os.WriteFile(path, file, 0o644); err != nil {
+	if err := os.WriteFile(path, oldSegment(t, hdr, metas, goldenLIGHTLOG1(t, "srv-lucene"), seal), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -611,6 +611,18 @@ func (r *Recorder) Finish(res *vm.Result, seed uint64) *trace.Log {
 		Syscalls: make(map[int32][]trace.SyscallRec),
 		NumLocs:  r.nextLoc.Load(),
 	}
+	// Size the log's slices once instead of growing them thread by thread.
+	var nDeps, nRanges int
+	for _, ts := range r.merged {
+		nDeps += len(ts.deps)
+		nRanges += len(ts.ranges)
+	}
+	if nDeps > 0 {
+		log.Deps = make([]trace.Dep, 0, nDeps)
+	}
+	if nRanges > 0 {
+		log.Ranges = make([]trace.Range, 0, nRanges)
+	}
 	var space int64
 	for _, ts := range r.merged {
 		log.Threads[ts.t.ID] = ts.t.Path

@@ -2,14 +2,18 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
 // FuzzTraceRoundTrip asserts the log codec is total on its output and safe
 // on arbitrary input: Decode of any byte string either errors cleanly or
-// yields a log whose re-encoding is a fixpoint (encode(decode(b)) decodes
-// to the same bytes again). Seeds include valid encoded logs so mutations
-// explore near-valid inputs.
+// yields a log l with decode(encode(l)) == l, whose re-encoding is a
+// fixpoint (encode(decode(b)) decodes to the same bytes again). Seeds
+// include valid logs in both formats, so mutations explore near-valid
+// inputs of each.
 func FuzzTraceRoundTrip(f *testing.F) {
 	logs := []*Log{
 		{},
@@ -43,6 +47,15 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	// LIGHTLOG1 seeds: committed golden recordings, in the format they
+	// were written in.
+	for _, name := range []string{"bug-Weblech", "srv-pool", "fuzz-cdcl-1loc"} {
+		data, err := os.ReadFile(filepath.Join("..", "light", "testdata", "golden", name+".lightlog"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("not a trace log"))
 
@@ -58,6 +71,9 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		l2, err := Decode(bytes.NewReader(enc1.Bytes()))
 		if err != nil {
 			t.Fatalf("decode of canonical encoding failed: %v", err)
+		}
+		if !reflect.DeepEqual(l, l2) {
+			t.Fatalf("decode(encode(l)) != l:\n%+v\nvs\n%+v", l, l2)
 		}
 		var enc2 bytes.Buffer
 		if err := Encode(&enc2, l2); err != nil {

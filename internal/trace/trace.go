@@ -33,8 +33,8 @@ type Dep struct {
 // intervening access from any other thread. HasWrite distinguishes mixed
 // read/write runs (which must exclude all other accesses) from read-only
 // runs (which must only exclude writes). W is the dependence source of the
-// run's first access when that access is a read; for a run starting with a
-// write, W.Thread is set to the run's own thread with Counter == Start.
+// run's first access when that access is a read; a run starting with a write
+// has no source, and the recorder leaves its W zero.
 type Range struct {
 	Loc            int32
 	Thread         int32

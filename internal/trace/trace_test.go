@@ -51,7 +51,23 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	for _, in := range []string{"", "NOTALOG", "LIGHTLOG1", "LIGHTLOG1\x05ab"} {
+	var valid bytes.Buffer
+	if err := Encode(&valid, &Log{Tool: "x", Threads: []string{"0"}}); err != nil {
+		t.Fatal(err)
+	}
+	// v2 is the encoding of a one-thread log up to its dependence count.
+	v2 := "LIGHTLOG2\x01x\x00\x01\x010\x00"
+	for _, in := range []string{
+		"", "NOTALOG", "LIGHTLOG", "LIGHTLOG3", "LIGHTLOG1", "LIGHTLOG1\x05ab", "LIGHTLOG2", "LIGHTLOG2\x05ab",
+		valid.String() + "\x00",                                                         // a trailing byte
+		v2 + "\x01\x01\x00\x00\x00\x00\x00",                                             // dependence header 1: no reader counter delta
+		v2 + "\x01\x00\x00\x00\x00\x00\x00\x00\x00",                                     // a raw dependence, then the log ends early
+		v2 + "\x01\x00\x00\x00\xfe\xff\xff\xff\x1f\x00\x00\x00\x00\x00\x00",             // location beyond int32
+		v2 + "\x01\x00\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01\x00\x00\x00\x00\x00", // varint beyond 64 bits
+		v2 + "\x00\x01\x02\x00\x00\x00\x00\x00\x00\x00",                                 // range header 2: below the first ΔStart
+		v2 + "\x00\x01\x00\x00\x01\x00\x00\x04\x00\x00\x00\x00\x00",                     // raw range with flags 4
+		v2 + "\x00\x00\x00\x00\x80",                                                     // bug count cut short
+	} {
 		if _, err := Decode(strings.NewReader(in)); err == nil {
 			t.Errorf("Decode(%q) succeeded, want error", in)
 		}
