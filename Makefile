@@ -9,9 +9,9 @@
 
 GO ?= go
 
-.PHONY: ci verify fmt-check vet build test race solve-stall bench bench-solve bench-replay bench-codec bench-gate bench-contract fuzz-smoke fuzz flake-smoke lightd-smoke stat-smoke report docs-check trace-check examples-smoke
+.PHONY: ci verify fmt-check vet build test race solve-stall bench bench-solve bench-replay bench-codec bench-record bench-gate bench-contract fuzz-smoke fuzz flake-smoke lightd-smoke stat-smoke report docs-check trace-check examples-smoke
 
-ci: fmt-check docs-check build test race solve-stall bench-solve bench-replay bench-codec trace-check bench-gate bench-contract fuzz-smoke flake-smoke lightd-smoke stat-smoke examples-smoke
+ci: fmt-check docs-check build test race solve-stall bench-solve bench-replay bench-codec bench-record trace-check bench-gate bench-contract fuzz-smoke flake-smoke lightd-smoke stat-smoke examples-smoke
 
 verify: ci
 
@@ -62,13 +62,15 @@ test:
 # race covers the recorder, solver, fuzz oracles, VM, epoch sessions, the
 # baseline tools' recorders and replayers, and the observability layer (the
 # metric registry, the histograms and the flight rings), and repeats the
-# replayer's stall and per-location stress tests and the concurrent epoch
-# replay tests: a stall verdict is exact (no clock), and an epoch's
-# verdicts, their order and the first error do not depend on how its runs
-# share the cores, so both must hold on every interleaving.
+# replayer's stall and per-location stress tests, the recorder's concurrent
+# first-touch test (shadow-cell claims and location-table growth under
+# contention) and the concurrent epoch replay tests: a stall verdict is
+# exact (no clock), and an epoch's verdicts, their order and the first error
+# do not depend on how its runs share the cores, so both must hold on every
+# interleaving.
 race:
 	$(GO) test -race ./internal/light/ ./internal/smt/ ./internal/fuzz/ ./internal/vm/ ./internal/epoch/ ./internal/baseline/... ./internal/obs/...
-	$(GO) test -race -count=20 -run 'Stall|Deadlock|StressPerLocation' ./internal/light/
+	$(GO) test -race -count=20 -run 'Stall|Deadlock|StressPerLocation|ConcurrentFirstTouch' ./internal/light/
 	$(GO) test -race -count=10 -run 'ReplayEpochConcurrent' ./internal/epoch/
 
 # solve-stall repeats the racy-counter round trip, whose recordings leave
@@ -110,6 +112,16 @@ bench-replay:
 # the golden files or either format stops round-tripping.
 bench-codec:
 	$(GO) test -run xxx -bench 'BenchmarkCodec' -benchtime 200x .
+
+# bench-record measures the recorder's hot path with allocation columns:
+# BenchmarkRecorder records a small contended program end to end through
+# the VM (one record per op), and BenchmarkRecorderParallel drives
+# SharedAccess directly on three access patterns (hotfield, stripedarray,
+# handoff; one access per op). The fixed iteration counts keep its rows
+# comparable across commits.
+bench-record:
+	$(GO) test ./internal/light -run xxx -bench 'BenchmarkRecorder$$' -benchmem -benchtime 5000x
+	$(GO) test ./internal/light -run xxx -bench 'BenchmarkRecorderParallel' -benchmem -benchtime 2000000x
 
 # trace-check drives the lighttrace inspector end to end: summary, export
 # (schema-validated Chrome trace JSON over the bugrepro program and fuzz

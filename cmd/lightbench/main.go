@@ -11,6 +11,7 @@
 //	lightbench -h2               # Section 5.3 capability matrix
 //	lightbench -all              # everything
 //	lightbench -report           # workload sweep + GOMAXPROCS sweep -> BENCH_light.json (see -out)
+//	lightbench -report -suite jgf -out FILE  # one suite's rows; -out is required with -suite
 //	lightbench -gate             # rerun the multicore sweep, fail on regression vs -baseline
 //	lightbench -procs 1,2,4,8    # GOMAXPROCS ladder for the multicore sweep
 //	lightbench -runs 20          # measurement repetitions (default 5)
@@ -54,6 +55,14 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
 	runtimeTrace := flag.String("runtime-trace", "", "write a Go runtime execution trace to this file")
 	flag.Parse()
+
+	// -out defaults to the committed 24-workload baseline that the gate
+	// reads, so a report restricted to one suite must name its own file.
+	if *report && *suite != "" && !flagGiven("out") {
+		fmt.Fprintln(os.Stderr, "lightbench: -report -suite writes a partial report; name its file with -out (the default, BENCH_light.json, is the full baseline)")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *metricsAddr != "" {
 		addr, err := obs.ServeMetrics(*metricsAddr)
@@ -210,6 +219,17 @@ func main() {
 	if err := profiles.Stop(); err != nil {
 		fatal(err)
 	}
+}
+
+// flagGiven reports whether the named flag was set on the command line.
+func flagGiven(name string) bool {
+	given := false
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == name {
+			given = true
+		}
+	})
+	return given
 }
 
 // parseProcs parses the -procs ladder ("1,2,4,8").

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -80,5 +82,36 @@ func TestReportEndToEnd(t *testing.T) {
 		if _, ok := rawRpt.Workloads[0][key]; !ok {
 			t.Errorf("artifact rows missing required key %q", key)
 		}
+	}
+}
+
+// TestSuiteReportNeedsOut: `-report -suite` without -out is a usage error,
+// and the BENCH_light.json in the working directory (the committed full
+// baseline, when run from the repository root) is left untouched.
+func TestSuiteReportNeedsOut(t *testing.T) {
+	bin := buildLightbench(t)
+	dir := t.TempDir()
+	sentinel := filepath.Join(dir, "BENCH_light.json")
+	want := []byte(`{"sentinel": true}` + "\n")
+	if err := os.WriteFile(sentinel, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cmd := exec.Command(bin, "-report", "-suite", "jgf", "-runs", "1", "-procs", "1")
+	cmd.Dir = dir
+	stdout, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("lightbench -report -suite jgf: err %v, want exit status 2\n%s", err, stdout)
+	}
+	if !strings.Contains(string(stdout), "-out") {
+		t.Errorf("usage error does not name -out:\n%s", stdout)
+	}
+	got, err := os.ReadFile(sentinel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("BENCH_light.json changed: %q, want %q", got, want)
 	}
 }

@@ -10,12 +10,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/bugs"
 	"repro/internal/compiler"
 	"repro/internal/trace"
+	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -295,6 +297,75 @@ func checkPositions(t *testing.T, name string, log *trace.Log, sched *Schedule) 
 	for _, th := range []int32{trace.InitialThread, int32(len(log.Threads))} {
 		if p, ok := sched.position(trace.TC{Thread: th, Counter: 1}); ok {
 			t.Fatalf("%s: thread %d outside the table found at %d", name, th, p)
+		}
+	}
+}
+
+// rerecordDeterministic names the golden recordings that a re-record
+// reproduces exactly: GOMAXPROCS 1, O1, seed 11, every site instrumented,
+// as -update-golden recorded them. At GOMAXPROCS 1 the VM's goroutines
+// switch only where one blocks on a monitor, a join or a wait, which the
+// program itself orders, so these programs take the same interleaving on
+// every run: none sleeps or yields, and each records in a few milliseconds,
+// far inside the 10 ms slice after which the Go scheduler preempts a running
+// goroutine. The others stay out:
+//   - the bug models sleep (SleepUnit 20 µs), so timers pick the order;
+//   - srv-cache4j yields, and a yielded goroutine goes to the scheduler's
+//     global run queue, which is polled on a tick count;
+//   - the jgf kernels and the par-* workloads run 5 to 15 ms, long enough
+//     for a preemption to land at a different access (par-striped and
+//     par-handoff rarely reproduce at all);
+//   - the two fuzz recordings were made perturbed at GOMAXPROCS 2.
+var rerecordDeterministic = []string{
+	"stamp-vacation", "stamp-kmeans", "stamp-genome", "stamp-intruder",
+	"stamp-ssca2", "stamp-labyrinth", "stamp-yada", "stamp-bayes",
+	"srv-ftpserver", "srv-weblech", "srv-tomcat", "srv-lucene", "srv-pool", "srv-proxy",
+	"dacapo-avrora", "dacapo-h2", "dacapo-sunflow", "dacapo-xalan", "dacapo-tomcat", "dacapo-tradebeans",
+}
+
+// TestGoldenRerecord is the recorder's differential check against its own
+// history: it re-records each deterministic golden source with the golden
+// seed and requires the decoded committed log back, field for field (the
+// same location IDs in first-touch order, the same deps and ranges in the
+// same order). A recorder change that moves the log fails every attempt; a
+// stray preemption on a loaded machine fails one, so each source gets three.
+// Race builds are skipped: the detector's instrumentation slows the runs
+// past the scheduler's time slice, and race builds take the recorder's
+// lock-based access path.
+func TestGoldenRerecord(t *testing.T) {
+	if vm.RaceDetector {
+		t.Skip("race builds do not reproduce the golden interleavings")
+	}
+	srcs := map[string]goldenSource{}
+	for _, src := range goldenSources() {
+		srcs[src.name] = src
+	}
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	for _, name := range rerecordDeterministic {
+		src, ok := srcs[name]
+		if !ok || src.record == nil {
+			t.Fatalf("%s: not a recorded golden source", name)
+		}
+		want := loadGoldenLog(t, src)
+		var diff string
+		for attempt := 0; attempt < 3; attempt++ {
+			runtime.GC()
+			got, err := src.record()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if reflect.DeepEqual(got, want) {
+				diff = ""
+				break
+			}
+			diff = trace.DiffLogs(want, got).String()
+			if diff == "logs identical" {
+				diff = fmt.Sprintf("logs differ outside the diffed sections: golden %+v, re-recorded %+v", *want, *got)
+			}
+		}
+		if diff != "" {
+			t.Errorf("%s: re-record differs from the golden log (3 attempts): %s", name, diff)
 		}
 	}
 }

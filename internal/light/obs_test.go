@@ -114,7 +114,7 @@ func TestRecorderSeqConflictCounters(t *testing.T) {
 	arr := &vm.Array{Elems: make([]vm.Value, 1)}
 	a := vm.Access{Thread: th, Kind: vm.Write, Loc: vm.Loc{Base: arr, Off: 0}, Site: 0, Counter: 1}
 
-	ls := rec.locState(a)
+	ls, _ := rec.locState(a)
 	ls.seq.Store(1) // simulate a writer parked mid-section
 	done := make(chan struct{})
 	go func() {

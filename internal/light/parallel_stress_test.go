@@ -86,7 +86,7 @@ func runStress(t *testing.T, opts Options, nThreads, nLocs, perThread int, hot b
 					})
 					local = append(local, stressAccess{c: c, loc: loc, write: true})
 				} else {
-					ls := rec.locState(a)
+					ls, _ := rec.locState(a)
 					var obs uint64
 					rec.SharedAccess(a, func() {
 						obs = ls.lw.Load()
@@ -107,9 +107,9 @@ func runStress(t *testing.T, opts Options, nThreads, nLocs, perThread int, hot b
 	// location no thread touched simply has no accesses to place).
 	locID := make([]int32, nLocs)
 	for i := range locID {
-		locID[i] = rec.locState(vm.Access{
+		_, locID[i] = rec.locState(vm.Access{
 			Loc: vm.ElemLoc(arr, int64(i)), Slot: i,
-		}).id
+		})
 	}
 
 	// Reconstruct the per-location serial order: writes as appended, each
@@ -251,7 +251,7 @@ func TestRecorderStressHandoff(t *testing.T) {
 			var c uint64
 			local := make([]stressAccess, 0, rounds)
 			a := vm.Access{Thread: th, Kind: vm.Read, Loc: vm.ElemLoc(arr, int64(pair)), Site: 0, Slot: pair}
-			ls := rec.locState(a)
+			ls, _ := rec.locState(a)
 			for i := 0; i < rounds; i++ {
 				c++
 				a.Counter = c
@@ -271,7 +271,7 @@ func TestRecorderStressHandoff(t *testing.T) {
 	// Same reconstruction as runStress, specialized to the hand-off shape.
 	locID := make([]int32, pairs)
 	for i := range locID {
-		locID[i] = rec.locState(vm.Access{Loc: vm.ElemLoc(arr, int64(i)), Slot: i}).id
+		_, locID[i] = rec.locState(vm.Access{Loc: vm.ElemLoc(arr, int64(i)), Slot: i})
 	}
 	var hist []truth
 	pos := 0

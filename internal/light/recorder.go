@@ -11,8 +11,9 @@ package light
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -73,10 +74,13 @@ func unpackTC(p uint64) (threadID int, counter uint64) {
 // locState is the per-location recording state: the atomic last-write cell
 // (lw in Algorithm 1), the seqlock word serializing the write-side atomic
 // section, and the last-accessor stamp used to detect run breaks for the O1
-// reduction. The struct is padded to one cache line (Go's 64-byte size class
-// allocates it line-aligned) so two hot locations never share a line — under
-// real parallelism the lw/seq/stamp traffic of independent locations would
-// otherwise false-share and serialize the recorder on cache coherence.
+// reduction. It holds no pointers, and the recorder keeps it in locTable's
+// chunks, indexed by the location ID the entity's shadow cell holds. The
+// struct is padded to one cache line (a chunk is a multiple of 64 bytes, and
+// Go allocates such blocks line-aligned) so two hot locations never share a
+// line: under real parallelism the lw/seq/stamp traffic of independent
+// locations would otherwise false-share and serialize the recorder on cache
+// coherence.
 type locState struct {
 	lw atomic.Uint64
 	// seq is the per-location seqlock word: odd while a writer's
@@ -86,8 +90,60 @@ type locState struct {
 	// overlapped their optimistic read. See SharedAccess.
 	seq   atomic.Uint32
 	stamp atomic.Int32 // thread ID + 1 of the last accessor; 0 = none
-	id    int32
-	_     [44]byte // pad to 64 bytes
+	_     [48]byte     // pad to 64 bytes
+}
+
+// locTable's chunks never move, so a location's state has a stable address
+// and growing the table copies nothing. Chunks come four to a level, and
+// level j's chunks hold chunk0<<j states: the first chunk is small (a run
+// with a few dozen locations costs a few KiB) and each new chunk adds a
+// quarter to a half of the capacity, so at most about a fifth of the table
+// is ever unused. chunkOf maps an ID onto its chunk with a few shifts;
+// maxChunks chunks cover every int32 ID (the largest starts the last
+// level's first chunk).
+const (
+	chunk0Bits     = 3 // chunk0 = 8 states per chunk on level 0
+	chunkLevelBits = 2 // four chunks per level
+	maxChunks      = (31-chunk0Bits-chunkLevelBits)<<chunkLevelBits + 1
+)
+
+// chunkOf maps a location ID onto its chunk and its offset in the chunk.
+func chunkOf(i int32) (chunk int, off int32) {
+	x := uint32(i) + 1<<(chunk0Bits+chunkLevelBits)
+	top := bits.Len32(x) - 1
+	sh := top - chunkLevelBits // log2 of the chunk's length
+	r := x &^ (1 << top)
+	return (top-chunk0Bits-chunkLevelBits)<<chunkLevelBits + int(r>>sh), int32(r & (1<<sh - 1))
+}
+
+// chunkLen is the number of states chunk k holds.
+func chunkLen(k int) int { return 1 << (chunk0Bits + k>>chunkLevelBits) }
+
+// locTable is the recorder's per-location state, indexed by location ID:
+// chunks of pointer-free locStates (see chunkOf), allocated on demand, so a
+// thread reaches a location's state with two loads (the chunk, then the
+// entry) and no lock.
+type locTable struct {
+	chunks [maxChunks]atomic.Pointer[[]locState]
+}
+
+// at returns the state of location id, whose chunk ensure has made.
+func (lt *locTable) at(id int32) *locState {
+	k, off := chunkOf(id)
+	return &(*lt.chunks[k].Load())[off]
+}
+
+// ensure makes the chunk holding id. A thread calls it before it publishes
+// id in a shadow cell, so every thread that reads the ID finds the chunk.
+// Two threads that race to make one chunk both allocate it; one CAS wins
+// and the other's copy is dropped before anyone has used it.
+func (lt *locTable) ensure(id int32) {
+	k, _ := chunkOf(id)
+	if lt.chunks[k].Load() != nil {
+		return
+	}
+	fresh := make([]locState, chunkLen(k))
+	lt.chunks[k].CompareAndSwap(nil, &fresh)
 }
 
 // stripe is one write-fallback lock, padded so adjacent stripes do not share
@@ -110,7 +166,6 @@ type runState struct {
 	// guarantee), otherwise the first access's dependence suffices and the
 	// writes stand alone.
 	lateReads bool
-	lastSeenW uint64 // packed lw as of this thread's previous access
 	// foreignRead marks a write-bearing run whose last write may have been
 	// observed by another thread's read (the stamp went foreign between two
 	// of our accesses). That reader's dependence names the run's current
@@ -120,63 +175,142 @@ type runState struct {
 	// keep absorbing reads (they commute) but must close before the thread's
 	// next write.
 	foreignRead bool
-	// open reports that the run is live. Closed runs are not removed from the
-	// thread's run table: the record is recycled in place when the thread
-	// next opens a run on the same location, so steady-state run churn does
-	// no map insert/delete work and no allocation (see threadState.runPool).
-	open bool
-	n    int
+	// open reports that the run is live. Closed runs stay in the thread's
+	// run table: the record is recycled in place when the thread next opens
+	// a run on the same location, so steady-state run churn does no table
+	// work and no allocation.
+	open      bool
+	loc       int32  // the location's ID, the record's key in its runTable
+	lastSeenW uint64 // packed lw as of this thread's previous access
+	n         int
+}
+
+// runTable is one thread's run records, keyed by location ID. The records
+// sit in fixed chunks of runChunk, one per location the thread has touched,
+// in first-touch order, so growing the table never copies a record; slots is
+// an open-addressing index over them (linear probing, Fibonacci hashing)
+// whose entries are a record's index plus one, 0 marking an empty slot.
+// Records and slots are pointer-free and grow with the locations the thread
+// touches, not with the run's location count, so thousands of short threads
+// stay cheap. Tables are recycled through runTablePool when their thread
+// exits.
+type runTable struct {
+	slots  []int32
+	chunks []*[runChunk]runState
+	n      int32  // records in use
+	shift  uint32 // 32 - log2(len(slots))
+}
+
+// runChunk is how many run records one chunk of a runTable holds (2 KiB).
+const runChunk = 32
+
+// runTablePool recycles run tables, with their chunks, between threads and
+// between record runs: a thread takes one at start and gives it back at
+// exit, once its runs are closed.
+var runTablePool = sync.Pool{New: func() any {
+	const slots = 16
+	return &runTable{slots: make([]int32, slots), shift: 32 - 4}
+}}
+
+// home is id's first probe slot.
+func (tb *runTable) home(id int32) uint32 { return uint32(id) * 0x9e3779b9 >> tb.shift }
+
+// run returns record i.
+func (tb *runTable) run(i int32) *runState { return &tb.chunks[i/runChunk][i%runChunk] }
+
+// find returns id's run record, or nil when the thread has not touched the
+// location.
+func (tb *runTable) find(id int32) *runState {
+	mask := uint32(len(tb.slots) - 1)
+	for i := tb.home(id); ; i = (i + 1) & mask {
+		s := tb.slots[i]
+		if s == 0 {
+			return nil
+		}
+		if run := tb.run(s - 1); run.loc == id {
+			return run
+		}
+	}
+}
+
+// insert adds a closed run record for id, which find does not know.
+func (tb *runTable) insert(id int32) *runState {
+	if 4*(tb.n+1) > 3*int32(len(tb.slots)) {
+		tb.grow()
+	}
+	if int(tb.n) == len(tb.chunks)*runChunk {
+		tb.chunks = append(tb.chunks, new([runChunk]runState))
+	}
+	tb.n++
+	run := tb.run(tb.n - 1)
+	*run = runState{loc: id}
+	tb.place(id, tb.n)
+	return run
+}
+
+// place stores slot value v (a record index plus one) in id's first free
+// slot.
+func (tb *runTable) place(id int32, v int32) {
+	mask := uint32(len(tb.slots) - 1)
+	i := tb.home(id)
+	for tb.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	tb.slots[i] = v
+}
+
+// grow doubles the slot array and re-indexes every record.
+func (tb *runTable) grow() {
+	tb.slots = make([]int32, 2*len(tb.slots))
+	tb.shift--
+	for i := int32(0); i < tb.n; i++ {
+		tb.place(tb.run(i).loc, i+1)
+	}
 }
 
 // threadState is the thread-local buffer of Algorithm 1: dependences and
 // ranges are appended without any synchronization and merged at thread exit.
+// Finish hands the state and its buffers to threadStatePool for the next
+// record run.
 type threadState struct {
 	t        *vm.Thread
 	deps     []trace.Dep
 	ranges   []trace.Range
 	syscalls []trace.SyscallRec
-	runs     map[*locState]*runState
-	// One-entry run cache: bursts hit the same location repeatedly, so the
-	// common case skips the map lookup entirely.
+	// tab is the thread's run table, taken from runTablePool at thread
+	// start and returned at thread exit.
+	tab *runTable
+	// One-entry location cache: bursts hit the same location repeatedly,
+	// so the common case skips both the locTable lookup and the run-table
+	// probe. cacheLS is location cacheID's state and cacheRun the thread's
+	// record for it (nil until the thread opens a run there).
+	cacheID  int32
 	cacheLS  *locState
 	cacheRun *runState
-	// runPool is the thread's run-record arena: runState records are carved
-	// out of fixed-size chunks in bump-pointer fashion (one allocation per
-	// runPoolChunk distinct locations instead of one per run), and each
-	// record is recycled in place across the location's successive runs.
-	runPool []runState
 
 	// The thread's flight ring, nil when the run records no flight events.
 	flightThread
 }
 
-// runFor returns the thread's run record for ls (open or closed, nil if the
-// thread never touched the location), consulting the one-entry cache.
-func (ts *threadState) runFor(ls *locState) *runState {
-	if ts.cacheLS == ls {
-		return ts.cacheRun
+// threadStatePool recycles thread states, with their dependence and range
+// buffers, between record runs; Finish returns them once merged.
+var threadStatePool = sync.Pool{New: func() any { return new(threadState) }}
+
+// lookup makes location id the cached one: its state and the thread's run
+// record for it (open or closed, nil if the thread never touched the
+// location).
+func (ts *threadState) lookup(r *Recorder, id int32) {
+	if ts.cacheID != id {
+		ts.cacheID, ts.cacheLS, ts.cacheRun = id, r.locs.at(id), ts.tab.find(id)
 	}
-	run := ts.runs[ls]
-	ts.cacheLS, ts.cacheRun = ls, run
-	return run
 }
 
-// runPoolChunk is the arena chunk size: how many locations' run records one
-// allocation covers.
-const runPoolChunk = 64
-
-// newRun carves a fresh run record for ls out of the thread's arena and
-// registers it. Called once per (thread, location) pair; later runs on the
-// same location recycle the record in place.
-func (ts *threadState) newRun(ls *locState) *runState {
-	if len(ts.runPool) == 0 {
-		ts.runPool = make([]runState, runPoolChunk)
-	}
-	run := &ts.runPool[0]
-	ts.runPool = ts.runPool[1:]
-	ts.runs[ls] = run
-	ts.cacheLS, ts.cacheRun = ls, run
-	return run
+// newRun adds a run record for the cached location to the thread's table.
+// Called once per (thread, location) pair; later runs on the same location
+// recycle the record in place.
+func (ts *threadState) newRun() *runState {
+	ts.cacheRun = ts.tab.insert(ts.cacheID)
+	return ts.cacheRun
 }
 
 // Recorder implements vm.Hooks for the record run.
@@ -192,7 +326,10 @@ type Recorder struct {
 	// capacity from RunConfig.FlightCapacity before the run starts.
 	rings flightRings
 
+	// nextLoc hands out location IDs in first-touch order, and locs holds
+	// each location's state under its ID.
 	nextLoc atomic.Int32
+	locs    locTable
 
 	// stripes are the write-path fallback locks: a writer that loses the
 	// per-location seqlock CAS queues on its location's stripe instead of
@@ -216,26 +353,28 @@ func NewRecorder(opts Options) *Recorder {
 // after vm.Run has waited for every thread, so each comes back unlocked.
 var stripePool = sync.Pool{New: func() any { return new([numStripes]stripe) }}
 
-// locState reaches the per-location recording state through the entity's
-// shadow cell — the paper's woven shadow-field design: no global table on
-// the access hot path.
-func (r *Recorder) locState(a vm.Access) *locState {
+// locID reaches a location's ID through the entity's shadow cell, the
+// paper's woven shadow-field design: the cell holds the ID plus one, and the
+// ID indexes the recorder's locTable. The first thread to touch a location
+// takes the next ID and claims the cell with a CAS; a thread that loses the
+// race uses the winner's ID, and the loser's ID is never used.
+func (r *Recorder) locID(a vm.Access) int32 {
 	cell := vm.ShadowCell(a)
-	if p := cell.Load(); p != nil {
-		return (*p).(*locState)
+	if v := cell.Load(); v != 0 {
+		return v - 1
 	}
-	ls := &locState{id: r.nextLoc.Add(1) - 1}
-	var boxed any = ls
-	if cell.CompareAndSwap(nil, &boxed) {
-		return ls
+	id := r.nextLoc.Add(1) - 1
+	r.locs.ensure(id)
+	if !cell.CompareAndSwap(0, id+1) {
+		id = cell.Load() - 1
 	}
-	return (*cell.Load()).(*locState)
+	return id
 }
 
 // stripeFor hashes a location onto one of the 2^10 pre-allocated locks,
 // mirroring the paper's field-offset hashing (Section 4.1).
-func (r *Recorder) stripeFor(ls *locState) *sync.Mutex {
-	return &r.stripes[trace.StripeOf(ls.id)].mu
+func (r *Recorder) stripeFor(id int32) *sync.Mutex {
+	return &r.stripes[trace.StripeOf(id)].mu
 }
 
 // newThreadState builds the per-thread buffer exactly as ThreadStarted does;
@@ -243,7 +382,10 @@ func (r *Recorder) stripeFor(ls *locState) *sync.Mutex {
 // ThreadStarted hook would otherwise silently lose its flight ring).
 func (r *Recorder) newThreadState(t *vm.Thread) *threadState {
 	checkThreadID(t)
-	ts := &threadState{t: t, runs: make(map[*locState]*runState)}
+	ts := threadStatePool.Get().(*threadState)
+	ts.t = t
+	ts.tab = runTablePool.Get().(*runTable)
+	ts.cacheID, ts.cacheLS, ts.cacheRun = -1, nil, nil
 	ts.fl = r.rings.newRing("record", int32(t.ID), t.Path)
 	t.HookData = ts
 	return ts
@@ -262,22 +404,30 @@ func (r *Recorder) ThreadStarted(t *vm.Thread) {
 	r.newThreadState(t)
 }
 
-// ThreadExited closes open runs and queues the buffer for merging. Runs are
-// closed in location-ID order so the emitted deps/ranges sequence — and hence
-// the encoded log — does not depend on map iteration order.
+// ThreadExited closes open runs, returns the run table to runTablePool and
+// queues the buffer for merging. Runs are closed in location-ID order so the
+// emitted deps/ranges sequence, and hence the encoded log, does not depend
+// on the order in which the thread first touched its locations. The table's
+// slot array, dead once the thread exits, holds the open runs' indices
+// while they are sorted by location.
 func (r *Recorder) ThreadExited(t *vm.Thread) {
 	ts := r.state(t)
-	open := make([]*locState, 0, len(ts.runs))
-	for ls, run := range ts.runs {
-		if run.open {
-			open = append(open, ls)
+	tab := ts.tab
+	open := tab.slots[:0]
+	for i := int32(0); i < tab.n; i++ {
+		if tab.run(i).open {
+			open = append(open, i)
 		}
 	}
-	sort.Slice(open, func(i, j int) bool { return open[i].id < open[j].id })
-	for _, ls := range open {
-		r.closeRun(ts, ls, ts.runs[ls])
+	slices.SortFunc(open, func(a, b int32) int { return int(tab.run(a).loc) - int(tab.run(b).loc) })
+	for _, i := range open {
+		run := tab.run(i)
+		r.closeRun(ts, run.loc, run)
 	}
-	ts.runs = nil
+	clear(tab.slots)
+	tab.n = 0
+	runTablePool.Put(tab)
+	ts.tab, ts.cacheLS, ts.cacheRun = nil, nil, nil
 	r.mu.Lock()
 	r.merged = append(r.merged, ts)
 	r.mu.Unlock()
@@ -285,9 +435,11 @@ func (r *Recorder) ThreadExited(t *vm.Thread) {
 
 // SharedAccess implements Algorithm 1 for one dynamic access.
 func (r *Recorder) SharedAccess(a vm.Access, do func()) {
-	ls := r.locState(a)
+	id := r.locID(a)
 	t := a.Thread
 	ts := r.state(t)
+	ts.lookup(r, id)
+	ls := ts.cacheLS
 	me := int32(t.ID + 1)
 
 	if a.Kind == vm.Write {
@@ -303,7 +455,7 @@ func (r *Recorder) SharedAccess(a vm.Access, do func()) {
 			// Race builds serialize the write section on the stripe lock so
 			// the simulated program's own races don't trip the detector (see
 			// vm.RaceDetector); readers hold the same lock.
-			st := r.stripeFor(ls)
+			st := r.stripeFor(id)
 			st.Lock()
 			old = ls.lw.Load()
 			do()
@@ -324,12 +476,12 @@ func (r *Recorder) SharedAccess(a vm.Access, do func()) {
 				prev = stampSelf(ls, me)
 				ls.seq.Store(seq + 2)
 			} else {
-				old, prev = r.writeContended(ls, mine, me, do)
+				old, prev = r.writeContended(ls, id, mine, me, do)
 			}
 		}
-		r.afterWrite(ts, ls, a.Counter, old, prev == me)
+		r.afterWrite(ts, id, a.Counter, old, prev == me)
 		if ts.fl != nil {
-			ts.flightAccess(a, int64(ls.id), 0)
+			ts.flightAccess(a, int64(id), 0)
 		}
 		return
 	}
@@ -348,7 +500,7 @@ func (r *Recorder) SharedAccess(a vm.Access, do func()) {
 		// optimistic loop, so the simulated program's own races don't trip
 		// the detector (see vm.RaceDetector). Equivalent outcome: lw cannot
 		// change while we hold the lock, so no retry is ever needed.
-		st := r.stripeFor(ls)
+		st := r.stripeFor(id)
 		st.Lock()
 		do()
 		observed = ls.lw.Load()
@@ -381,9 +533,9 @@ func (r *Recorder) SharedAccess(a vm.Access, do func()) {
 			mRecReadRetries.Add(uint64(retries))
 		}
 	}
-	r.afterRead(ts, ls, a.Counter, observed, prev == me)
+	r.afterRead(ts, id, a.Counter, observed, prev == me)
 	if ts.fl != nil {
-		ts.flightAccess(a, int64(ls.id), 0)
+		ts.flightAccess(a, int64(id), 0)
 	}
 }
 
@@ -391,8 +543,8 @@ func (r *Recorder) SharedAccess(a vm.Access, do func()) {
 // the writer queues on the location's stripe lock and re-claims the seqlock
 // from there (the lock holder only ever waits for one in-flight fast-path
 // section to drain). Returns the displaced lw and the previous stamp.
-func (r *Recorder) writeContended(ls *locState, mine uint64, me int32, do func()) (old uint64, prev int32) {
-	st := r.stripeFor(ls)
+func (r *Recorder) writeContended(ls *locState, id int32, mine uint64, me int32, do func()) (old uint64, prev int32) {
+	st := r.stripeFor(id)
 	if r.obsOn {
 		mRecSeqConflicts.Inc()
 		mRecStripeAcquisitions.Inc()
@@ -432,11 +584,12 @@ func stampSelf(ls *locState, me int32) int32 {
 	return ls.stamp.Swap(me)
 }
 
-// afterWrite updates the thread-local run state for a write access. old is
+// afterWrite updates the thread-local run state for a write access to
+// location id, the thread's cached location (see threadState.lookup). old is
 // the packed lw before the write; wasMine reports that this thread was also
 // the location's previous accessor.
-func (r *Recorder) afterWrite(ts *threadState, ls *locState, c uint64, old uint64, wasMine bool) {
-	run := ts.runFor(ls)
+func (r *Recorder) afterWrite(ts *threadState, id int32, c uint64, old uint64, wasMine bool) {
+	run := ts.cacheRun
 	mine := packTC(ts.t.ID, c)
 	if r.obsOn {
 		mRecWrites.Inc()
@@ -452,21 +605,21 @@ func (r *Recorder) afterWrite(ts *threadState, ls *locState, c uint64, old uint6
 			}
 			return
 		}
-		r.closeRun(ts, ls, run)
+		r.closeRun(ts, id, run)
 	}
 	if run == nil {
-		run = ts.newRun(ls)
+		run = ts.newRun()
 	}
 	*run = runState{
 		startC: c, lastC: c, hasWrite: true, startsWithRead: false,
-		lastSeenW: mine, n: 1, open: true,
+		lastSeenW: mine, n: 1, open: true, loc: id,
 	}
 }
 
-// afterRead updates the run state for a read that observed the packed
-// last-write value observed.
-func (r *Recorder) afterRead(ts *threadState, ls *locState, c uint64, observed uint64, wasMine bool) {
-	run := ts.runFor(ls)
+// afterRead updates the run state for a read of location id, the thread's
+// cached location, that observed the packed last-write value observed.
+func (r *Recorder) afterRead(ts *threadState, id int32, c uint64, observed uint64, wasMine bool) {
+	run := ts.cacheRun
 	if r.obsOn {
 		mRecReads.Inc()
 	}
@@ -518,7 +671,7 @@ func (r *Recorder) afterRead(ts *threadState, ls *locState, c uint64, observed u
 			run.n++
 			return
 		}
-		r.closeRun(ts, ls, run)
+		r.closeRun(ts, id, run)
 	}
 	wt, wc := unpackTC(observed)
 	w := trace.TC{Thread: trace.InitialThread}
@@ -526,18 +679,18 @@ func (r *Recorder) afterRead(ts *threadState, ls *locState, c uint64, observed u
 		w = trace.TC{Thread: int32(wt), Counter: wc}
 	}
 	if run == nil {
-		run = ts.newRun(ls)
+		run = ts.newRun()
 	}
 	*run = runState{
 		startC: c, lastC: c, w: w, startsWithRead: true,
-		lastSeenW: observed, n: 1, open: true,
+		lastSeenW: observed, n: 1, open: true, loc: id,
 	}
 }
 
 // closeRun emits the log items for a finished run: a single read becomes a
 // dependence, a single write becomes nothing (it is referenced by readers or
 // is blind), and a longer run becomes a Range.
-func (r *Recorder) closeRun(ts *threadState, ls *locState, run *runState) {
+func (r *Recorder) closeRun(ts *threadState, id int32, run *runState) {
 	// The record stays registered for in-place recycling (see runState.open).
 	run.open = false
 	if r.obsOn {
@@ -545,7 +698,7 @@ func (r *Recorder) closeRun(ts *threadState, ls *locState, run *runState) {
 	}
 	if ts.fl != nil && run.n > 1 {
 		ts.fl.Record(flight.Event{
-			Kind: flight.EvRunBoundary, Counter: run.startC, Loc: int64(ls.id),
+			Kind: flight.EvRunBoundary, Counter: run.startC, Loc: int64(id),
 			A: int64(run.lastC), B: int64(run.n),
 		})
 	}
@@ -556,7 +709,7 @@ func (r *Recorder) closeRun(ts *threadState, ls *locState, run *runState) {
 		// (the run's last write is what lw exposed) or blind.
 		if run.startsWithRead {
 			d := trace.Dep{
-				Loc: ls.id,
+				Loc: id,
 				W:   run.w,
 				R:   trace.TC{Thread: int32(ts.t.ID), Counter: run.startC},
 			}
@@ -568,7 +721,7 @@ func (r *Recorder) closeRun(ts *threadState, ls *locState, run *runState) {
 		return
 	}
 	ts.ranges = append(ts.ranges, trace.Range{
-		Loc:            ls.id,
+		Loc:            id,
 		Thread:         int32(ts.t.ID),
 		Start:          run.startC,
 		End:            run.lastC,
@@ -597,7 +750,7 @@ func (r *Recorder) Finish(res *vm.Result, seed uint64) *trace.Log {
 	}
 	// Threads reach ThreadExited in a nondeterministic order; merge in thread
 	// ID order so two records of the same schedule encode identical logs.
-	sort.Slice(r.merged, func(i, j int) bool { return r.merged[i].t.ID < r.merged[j].t.ID })
+	slices.SortFunc(r.merged, func(a, b *threadState) int { return a.t.ID - b.t.ID })
 	maxID := -1
 	for _, ts := range r.merged {
 		if ts.t.ID > maxID {
@@ -643,6 +796,16 @@ func (r *Recorder) Finish(res *vm.Result, seed uint64) *trace.Log {
 		}
 	}
 	log.SpaceLongs = space
+	// The log holds copies of the deps and ranges and the syscall slices
+	// themselves; the thread states go back to the pool with their buffers.
+	for _, ts := range r.merged {
+		if h, ok := ts.t.HookData.(*threadState); ok && h == ts {
+			ts.t.HookData = nil
+		}
+		*ts = threadState{deps: ts.deps[:0], ranges: ts.ranges[:0]}
+		threadStatePool.Put(ts)
+	}
+	r.merged = nil
 	if r.obsOn && space > 0 {
 		mRecSpaceLongs.Add(uint64(space))
 	}

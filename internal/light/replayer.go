@@ -81,8 +81,10 @@ type replayThread struct {
 	gi    int
 	ri    int
 	// windows holds each location's open range window: the thread's
-	// accesses there with counters up to the window's end run ungated.
-	windows map[vm.Loc]uint64
+	// accesses there with counters up to the window's end run ungated. It
+	// is keyed by the location's comparable vm.LocID, which hashes as two
+	// integers where a vm.Loc would hash its interface-typed base.
+	windows map[vm.LocID]uint64
 	// wake is signalled when the position this thread parked on executes,
 	// or when the replay fails.
 	wake chan struct{}
@@ -278,7 +280,7 @@ func (r *Replayer) joinBegins(rt *replayThread, a vm.Access) {
 }
 
 func newReplayThread() *replayThread {
-	return &replayThread{idx: -1, waitQ: -1, windows: make(map[vm.Loc]uint64), wake: make(chan struct{}, 1)}
+	return &replayThread{idx: -1, waitQ: -1, windows: make(map[vm.LocID]uint64), wake: make(chan struct{}, 1)}
 }
 
 // threadState returns the thread's replay state; a thread the replayer never
@@ -313,10 +315,11 @@ func (rt *replayThread) updateWindows(a vm.Access) {
 	for rt.ri < len(rs) && rs[rt.ri].start < a.Counter {
 		rt.ri++
 	}
+	key := vm.KeyOf(a.Loc)
 	if rt.ri < len(rs) && rs[rt.ri].start == a.Counter {
-		rt.windows[a.Loc] = rs[rt.ri].end
-	} else if end, ok := rt.windows[a.Loc]; ok && a.Counter >= end {
-		delete(rt.windows, a.Loc)
+		rt.windows[key] = rs[rt.ri].end
+	} else if end, ok := rt.windows[key]; ok && a.Counter >= end {
+		delete(rt.windows, key)
 	}
 }
 
@@ -342,7 +345,7 @@ func (r *Replayer) SharedAccess(a vm.Access, do func()) {
 		return
 	}
 	// Unscheduled access: a range interior, or a blind write.
-	if end, ok := rt.windows[a.Loc]; ok && a.Counter <= end {
+	if end, ok := rt.windows[vm.KeyOf(a.Loc)]; ok && a.Counter <= end {
 		r.run(do)
 		if rt.fl != nil {
 			rt.flightAccess(a, a.Loc.Off, -1)

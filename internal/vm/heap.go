@@ -10,21 +10,24 @@ import (
 // Shadow is per-entity recorder state: one cell per location (field slot,
 // array element, global, or synchronization ghost). It is the runtime
 // counterpart of the shadow fields the paper's transformer weaves into
-// instrumented classes — recorders reach their per-location state through a
-// pointer on the entity instead of a global table. Allocation is lazy and
-// race-safe; cells are swapped in with CompareAndSwap.
+// instrumented classes: a recorder reaches its per-location state through
+// the entity instead of a global table. A cell is a plain int32 that holds
+// the location's recorder-assigned ID plus one (0 = not yet assigned), so
+// the cells carry no pointers and one cell array covers all of an entity's
+// locations. The array is allocated on first use and swapped in with
+// CompareAndSwap; recorders claim a cell with CompareAndSwap too.
 type Shadow struct {
-	cells atomic.Pointer[[]atomic.Pointer[any]]
+	cells atomic.Pointer[[]atomic.Int32]
 }
 
 // numGhostSlots covers the ghost offsets -1..-4.
 const numGhostSlots = 4
 
 // cell returns the shadow cell for slot (0..n-1 real slots, then ghosts).
-func (s *Shadow) cell(n, idx int) *atomic.Pointer[any] {
+func (s *Shadow) cell(n, idx int) *atomic.Int32 {
 	sl := s.cells.Load()
 	if sl == nil {
-		fresh := make([]atomic.Pointer[any], n+numGhostSlots)
+		fresh := make([]atomic.Int32, n+numGhostSlots)
 		if s.cells.CompareAndSwap(nil, &fresh) {
 			sl = &fresh
 		} else {
@@ -34,11 +37,12 @@ func (s *Shadow) cell(n, idx int) *atomic.Pointer[any] {
 	return &(*sl)[idx]
 }
 
-// ShadowCell resolves the shadow cell of one access. The VM fills
+// ShadowCell resolves the shadow cell of one access: the int32 in which a
+// recorder keeps the location's ID plus one (see Shadow). The VM fills
 // Access.Slot with the resolved slot (field slot index, array element,
 // global ID, or 0 for whole-map locations); ghost offsets map onto the
 // trailing ghost cells.
-func ShadowCell(a Access) *atomic.Pointer[any] {
+func ShadowCell(a Access) *atomic.Int32 {
 	var s *Shadow
 	var n int
 	switch b := a.Loc.Base.(type) {
@@ -63,9 +67,9 @@ func ShadowCell(a Access) *atomic.Pointer[any] {
 }
 
 // Object is a class instance: a fixed slice of field slots plus a monitor.
-// UID is a cheap allocation identity (unique per run) that recorders use to
-// key their per-location state without hashing interfaces — the moral
-// equivalent of the shadow fields the Java tools weave into classes.
+// UID is a cheap allocation identity (unique per run) from which KeyOf
+// builds a comparable LocID, so tools can key per-location state without
+// hashing interfaces.
 type Object struct {
 	Class  *compiler.Class
 	Fields []Value
@@ -190,8 +194,11 @@ type GlobalsBase struct {
 const globalsUID = 1
 
 // LocID is a compact, comparable location identity: the base entity's
-// allocation UID plus the offset. Recorders key their per-location state by
-// it to avoid hashing the interface-typed Loc on every access.
+// allocation UID plus the offset. Tools that key per-location state by the
+// VM's own identities (the replayer's range windows, for one) key it by
+// LocID instead of Loc, whose interface-typed base costs a type-dispatched
+// hash on every lookup. The Light recorder needs neither: its location IDs
+// live in the entities' shadow cells (see Shadow).
 type LocID struct {
 	UID uint64
 	Off int64

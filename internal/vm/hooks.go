@@ -28,7 +28,8 @@ type Access struct {
 	Counter uint64 // the thread-local counter value D(t) of this access
 	// Slot is the resolved storage slot of the location (field slot index,
 	// array element index, global ID, 0 for whole-map locations); it lets
-	// ShadowCell reach per-location recorder state without lookups.
+	// ShadowCell find the location's shadow cell, and so the recorder's
+	// location ID, without a lookup.
 	Slot int
 
 	// PreAtomic reports that the VM already guarantees atomicity between
