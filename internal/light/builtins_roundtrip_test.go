@@ -73,3 +73,47 @@ fun main() {
 		}
 	}
 }
+
+// TestKeysArraysRangeWindows replays two keys() arrays that one thread reads
+// at the same index in overlapping runs. The replayer keys its range windows
+// by each array's allocation identity, so the start of b[0]'s shorter run
+// must not replace the open window for a[0].
+func TestKeysArraysRangeWindows(t *testing.T) {
+	prog := compile(t, `
+var a = null;
+var b = null;
+fun reader(id) {
+  var s = 0;
+  for (var i = 0; i < 10; i = i + 1) {
+    s = s + a[0];
+    if (i < 5) { s = s + b[0]; }
+  }
+  print(id, s);
+}
+fun main() {
+  var m1 = newmap();
+  var m2 = newmap();
+  m1[7] = 1;
+  m2[3] = 1;
+  a = keys(m1);
+  b = keys(m2);
+  var r1 = spawn reader(1);
+  var r2 = spawn reader(2);
+  join r1; join r2;
+}
+`)
+	for name, opts := range allVariants() {
+		t.Run(name, func(t *testing.T) {
+			for seed := uint64(0); seed < 4; seed++ {
+				rec, rep, err := RecordAndReplay(prog, opts, RunConfig{Seed: seed})
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if rep.Diverged {
+					t.Fatalf("seed %d: %s", seed, rep.Reason)
+				}
+				sameBehavior(t, rec.Result, rep.Result)
+			}
+		})
+	}
+}

@@ -363,6 +363,7 @@ func TestGoldenRerecord(t *testing.T) {
 			if diff == "logs identical" {
 				diff = fmt.Sprintf("logs differ outside the diffed sections: golden %+v, re-recorded %+v", *want, *got)
 			}
+			t.Logf("%s: attempt %d differs from the golden log", name, attempt+1)
 		}
 		if diff != "" {
 			t.Errorf("%s: re-record differs from the golden log (3 attempts): %s", name, diff)

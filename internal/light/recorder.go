@@ -16,6 +16,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -122,15 +123,17 @@ func chunkLen(k int) int { return 1 << (chunk0Bits + k>>chunkLevelBits) }
 // locTable is the recorder's per-location state, indexed by location ID:
 // chunks of pointer-free locStates (see chunkOf), allocated on demand, so a
 // thread reaches a location's state with two loads (the chunk, then the
-// entry) and no lock.
+// entry) and no lock. A chunk is published as a pointer to its first state,
+// not to a slice, so making one is a single allocation; chunkOf's offsets
+// stay inside the chunk, and the pointer keeps the whole chunk alive.
 type locTable struct {
-	chunks [maxChunks]atomic.Pointer[[]locState]
+	chunks [maxChunks]atomic.Pointer[locState]
 }
 
 // at returns the state of location id, whose chunk ensure has made.
 func (lt *locTable) at(id int32) *locState {
 	k, off := chunkOf(id)
-	return &(*lt.chunks[k].Load())[off]
+	return (*locState)(unsafe.Add(unsafe.Pointer(lt.chunks[k].Load()), uintptr(off)*unsafe.Sizeof(locState{})))
 }
 
 // ensure makes the chunk holding id. A thread calls it before it publishes
@@ -142,8 +145,7 @@ func (lt *locTable) ensure(id int32) {
 	if lt.chunks[k].Load() != nil {
 		return
 	}
-	fresh := make([]locState, chunkLen(k))
-	lt.chunks[k].CompareAndSwap(nil, &fresh)
+	lt.chunks[k].CompareAndSwap(nil, &make([]locState, chunkLen(k))[0])
 }
 
 // stripe is one write-fallback lock, padded so adjacent stripes do not share
@@ -193,7 +195,9 @@ type runState struct {
 // Records and slots are pointer-free and grow with the locations the thread
 // touches, not with the run's location count, so thousands of short threads
 // stay cheap. Tables are recycled through runTablePool when their thread
-// exits.
+// exits. A map[int32]int32 index in place of slots read 3.7% higher
+// kernel-stripes record_overhead (1.285 → 1.332, 6 of 6 pairs on 2 CPUs) and
+// allocates more as it grows.
 type runTable struct {
 	slots  []int32
 	chunks []*[runChunk]runState

@@ -166,7 +166,7 @@ func (v *VM) callBuiltin(t *Thread, fn *compiler.Func, pc int, b compiler.Builti
 				}
 				return a.I < b.I
 			})
-			out = &Array{Elems: make([]Value, len(ks))}
+			out = &Array{Elems: make([]Value, len(ks)), UID: t.nextUID()}
 			for i, k := range ks {
 				if k.IsStr {
 					out.Elems[i] = StrVal(k.S)

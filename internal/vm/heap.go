@@ -1,8 +1,10 @@
 package vm
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/compiler"
 )
@@ -15,26 +17,33 @@ import (
 // the location's recorder-assigned ID plus one (0 = not yet assigned), so
 // the cells carry no pointers and one cell array covers all of an entity's
 // locations. The array is allocated on first use and swapped in with
-// CompareAndSwap; recorders claim a cell with CompareAndSwap too.
+// CompareAndSwap; recorders claim a cell with CompareAndSwap too. Shadow
+// points at the array's first cell rather than at a slice, so the array is
+// the entity's only shadow allocation; the entity's slot count bounds every
+// index (see ShadowCell).
 type Shadow struct {
-	cells atomic.Pointer[[]atomic.Int32]
+	cells atomic.Pointer[atomic.Int32]
 }
 
 // numGhostSlots covers the ghost offsets -1..-4.
 const numGhostSlots = 4
 
-// cell returns the shadow cell for slot (0..n-1 real slots, then ghosts).
+// cell returns the shadow cell for slot idx of an entity with n real slots
+// (0..n-1 real slots, then ghosts).
 func (s *Shadow) cell(n, idx int) *atomic.Int32 {
-	sl := s.cells.Load()
-	if sl == nil {
-		fresh := make([]atomic.Int32, n+numGhostSlots)
-		if s.cells.CompareAndSwap(nil, &fresh) {
-			sl = &fresh
+	if uint(idx) >= uint(n+numGhostSlots) {
+		panic(fmt.Sprintf("vm: shadow slot %d out of range [0,%d)", idx, n+numGhostSlots))
+	}
+	first := s.cells.Load()
+	if first == nil {
+		fresh := &make([]atomic.Int32, n+numGhostSlots)[0]
+		if s.cells.CompareAndSwap(nil, fresh) {
+			first = fresh
 		} else {
-			sl = s.cells.Load()
+			first = s.cells.Load()
 		}
 	}
-	return &(*sl)[idx]
+	return (*atomic.Int32)(unsafe.Add(unsafe.Pointer(first), uintptr(idx)*unsafe.Sizeof(atomic.Int32{})))
 }
 
 // ShadowCell resolves the shadow cell of one access: the int32 in which a
@@ -204,7 +213,9 @@ type LocID struct {
 	Off int64
 }
 
-// KeyOf returns the compact identity of a location.
+// KeyOf returns the compact identity of a location. It tells two entities
+// apart only by their UIDs, so every site that allocates a heap entity during
+// a run must give it one (Thread.nextUID).
 func KeyOf(loc Loc) LocID {
 	var uid uint64
 	switch b := loc.Base.(type) {
