@@ -21,7 +21,7 @@
 // of the run; -flight N gives the command's record and replay runs
 // per-thread flight rings of N events (DESIGN.md §7) and -flight-trace PATH
 // exports the rings those runs hand back, with the phase spans (record →
-// encode → build → propagate → partition → solve → topo → replay), as
+// encode → build → propagate → solve → topo → replay), as
 // Chrome trace JSON viewable in Perfetto; -forensics
 // DIR writes a structured divergence report (forensics.json +
 // forensics.txt) when a replay diverges or stalls. See DESIGN.md §7 for

@@ -206,7 +206,7 @@ func TestFlightTracePhases(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"record", "encode", "build", "propagate", "partition", "topo", "gates", "replay"} {
+	for _, want := range []string{"record", "encode", "build", "propagate", "topo", "gates", "replay"} {
 		if !phases[want] {
 			t.Errorf("flight traces missing phase span %q (got %v)", want, phases)
 		}

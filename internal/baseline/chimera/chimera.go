@@ -537,7 +537,7 @@ func Replay(prog *compiler.Program, patch *Patch, log *Log, instrument []bool) (
 	defer rep.Stop()
 	res := vm.Run(vm.Config{
 		Prog: prog, Hooks: rep, Seed: log.Seed,
-		Instrument: instrument, ReplayMode: true, IgnoreSleep: true,
+		Instrument: instrument, ReplayMode: true,
 	})
 	failed, reason := rep.Failed()
 	return res, failed, reason

@@ -19,8 +19,10 @@ type Outcome struct {
 	Unsupported *ErrUnsupported
 	Err         error
 
-	Result     *vm.Result
-	SolveTime  time.Duration
+	Result    *vm.Result
+	SolveTime time.Duration
+	// ReplayTime includes the replayer's gate-table build, as Light's
+	// ReplayOutcome.ReplayTime does.
 	ReplayTime time.Duration
 	Deps       int
 }
@@ -77,41 +79,16 @@ func Reproduce(prog *compiler.Program, log *Log, instrument []bool) *Outcome {
 	}
 	out.SolveTime = time.Since(solveStart)
 
-	rep := light.NewReplayer(sched)
-	replayStart := time.Now()
-	res := vm.Run(vm.Config{
-		Prog: prog, Hooks: rep, Seed: log.Seed,
-		Instrument: instrument, ReplayMode: true, IgnoreSleep: true,
-	})
-	out.ReplayTime = time.Since(replayStart)
-	out.Result = res
-	if diverged, reason := rep.Failed(); diverged {
-		out.Err = fmt.Errorf("clap: replay diverged: %s", reason)
+	rep, err := light.ReplayScheduled(prog, synth, light.RunConfig{Instrument: instrument}, sched, out.SolveTime)
+	if err != nil {
+		out.Err = err
 		return out
 	}
-	out.Reproduced = bugsReproduced(log, res)
+	out.Result, out.ReplayTime = rep.Result, rep.ReplayTime
+	if rep.Diverged {
+		out.Err = fmt.Errorf("clap: replay diverged: %s", rep.Reason)
+		return out
+	}
+	out.Reproduced = light.Reproduced(synth, rep.Result)
 	return out
-}
-
-// bugsReproduced checks the Definition 3.3 correlation for the record run's
-// bug set against the replay result.
-func bugsReproduced(log *Log, res *vm.Result) bool {
-	if len(log.Bugs) == 0 {
-		return len(res.Bugs) == 0
-	}
-	for _, want := range log.Bugs {
-		found := false
-		for _, got := range res.Bugs {
-			if int32(got.Kind) == want.Kind && got.ThreadPath == want.ThreadPath &&
-				int32(got.FuncID) == want.FuncID && int32(got.PC) == want.PC &&
-				got.Value == want.Value {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }

@@ -96,7 +96,7 @@ type ReportRow struct {
 	RecStripeWaits   int64 `json:"rec_stripe_waits"`
 	RecForeignTaints int64 `json:"rec_foreign_taints"`
 
-	// Offline solve (Table 1's "Solve" column) and its partition shape.
+	// Offline solve (Table 1's "Solve" column) and its location counts.
 	SolveMS          float64 `json:"solve_ms"`
 	Components       int     `json:"solve_components"`
 	LargestComponent int     `json:"solve_largest_component"`
@@ -439,7 +439,7 @@ func ValidateReport(rpt *Report) error {
 		case r.LogEvents <= 0 || r.LogBytes <= 0 || r.SpaceLongs <= 0:
 			return fmt.Errorf("%s: empty log (events %d, bytes %d, longs %d)", r.Name, r.LogEvents, r.LogBytes, r.SpaceLongs)
 		case r.Components <= 0 || r.LargestComponent <= 0:
-			return fmt.Errorf("%s: missing partition stats (%d components, largest %d)", r.Name, r.Components, r.LargestComponent)
+			return fmt.Errorf("%s: missing location stats (%d components, largest %d)", r.Name, r.Components, r.LargestComponent)
 		case r.SolveMS < 0 || r.ReplayMS < 0:
 			return fmt.Errorf("%s: negative solve/replay time", r.Name)
 		case r.SolveFastpathRate < 0 || r.SolveFastpathRate > 1:

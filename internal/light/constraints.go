@@ -41,16 +41,16 @@ type ScheduleStats struct {
 	Conjunctive  int
 	Resolved     int // disjunctions decided by propagation
 
-	// Components is the number of location clusters (locations that share
-	// an access, partition.go); LargestComponent is the variable count of
-	// the biggest one.
+	// Components is the number of locations: every constraint relates
+	// accesses of one location, so the locations are the system's clusters
+	// (DESIGN.md §4d). LargestComponent is the most distinct variables one
+	// location's claims and intervals name.
 	Components       int
 	LargestComponent int
-	// FastpathComponents counts clusters decided without a CDCL(T)
+	// FastpathComponents counts locations decided without a CDCL(T)
 	// invocation: by propagation alone, or by per-location construction
-	// whose union the final sort accepts (DESIGN.md §4d). When the CDCL(T)
-	// fallback runs, every cluster holding a residual disjunction counts
-	// as searched.
+	// whose union the final sort accepts. When the CDCL(T) fallback runs,
+	// every location holding a residual disjunction counts as searched.
 	FastpathComponents int
 
 	Solver smt.Stats

@@ -160,13 +160,13 @@ func propagateLog(log *trace.Log) (*propagated, error) {
 }
 
 // synthesize is the schedule-synthesis core over one log: generate and
-// propagate the system (propagateLog), cluster the locations for the
-// stats (clusterStats), construct each location's residual disjunctions
-// (constructResidual), and check the chosen edges with the final
-// topological sort of the propagated order (OrderEngine.TopoOrder). When a
-// construction fails or the sort finds a cycle, every residual disjunction
-// is searched in one CDCL(T) problem (searchResidual) and sorted again. The
-// schedule keeps the log's counter index for its replay gates.
+// propagate the system (propagateLog), construct each location's residual
+// disjunctions (constructResidual), and check the chosen edges with the
+// final topological sort of the propagated order (OrderEngine.TopoOrder).
+// When a construction fails or the sort finds a cycle, every residual
+// disjunction is searched in one CDCL(T) problem (searchResidual) and
+// sorted again. The schedule keeps the log's counter index for its replay
+// gates.
 func synthesize(log *trace.Log) (*Schedule, error) {
 	var stats ScheduleStats
 	p, err := propagateLog(log)
@@ -174,15 +174,6 @@ func synthesize(log *trace.Log) (*Schedule, error) {
 		return nil, err
 	}
 	ds, eng, out, x := p.ds, p.eng, p.out, p.ds.x
-
-	partSpan := obs.StartSpan("partition")
-	clusterOf, clusters := clusterStats(ds)
-	size := make([]int, len(ds.x.locIDs))
-	for _, c := range clusterOf {
-		size[c]++
-	}
-	partSpan.SetItems(int64(clusters))
-	partSpan.End()
 
 	solveSpan := obs.StartSpan("solve")
 	chosen, constructed := constructResidual(p)
@@ -203,11 +194,11 @@ func synthesize(log *trace.Log) (*Schedule, error) {
 		if order, acyclic = sortSpan(eng, chosen); !acyclic {
 			return nil, fmt.Errorf("light: internal error: schedule merge produced a cycle (%d residual disjunctions searched)", len(out.Residual))
 		}
-		// Every cluster holding a residual disjunction was searched.
-		searched := make([]bool, len(size))
+		// Every location holding a residual disjunction was searched.
+		searched := make([]bool, len(x.locIDs))
 		for _, di := range out.Residual {
-			if c := clusterOf[eng.Disjunction(di).A1]; !searched[c] {
-				searched[c] = true
+			if li := p.keptLoc[di]; !searched[li] {
+				searched[li] = true
 				nSearched++
 			}
 		}
@@ -221,14 +212,43 @@ func synthesize(log *trace.Log) (*Schedule, error) {
 	}
 	stats.Disjunctions = p.nDisj
 	stats.Resolved = out.Resolved
-	stats.Components = clusters
-	stats.FastpathComponents = clusters - nSearched
-	stats.LargestComponent = slices.Max(append(size, 0))
+	stats.Components = len(x.locIDs)
+	stats.FastpathComponents = stats.Components - nSearched
+	stats.LargestComponent = largestLocation(ds.itemSet)
 	tcs := make([]trace.TC, len(order))
 	for i, n := range order {
 		tcs[i] = x.vars[n]
 	}
 	return &Schedule{Log: log, Order: tcs, Stats: stats, index: x}, nil
+}
+
+// largestLocation returns the most distinct nodes that one location's
+// claims and intervals name. stamp[n] is one more than the last location
+// that counted node n.
+func largestLocation(items *itemSet) int {
+	stamp := make([]int32, len(items.x.vars))
+	largest := 0
+	for li := range items.x.locIDs {
+		mark, n := int32(li+1), 0
+		count := func(v int32) {
+			if v >= 0 && stamp[v] != mark {
+				stamp[v] = mark
+				n++
+			}
+		}
+		rcs, wbs := items.locItemNodes(li)
+		for _, rc := range rcs {
+			count(rc.w)
+			count(rc.lo)
+			count(rc.hi)
+		}
+		for _, wb := range wbs {
+			count(wb.lo)
+			count(wb.hi)
+		}
+		largest = max(largest, n)
+	}
+	return largest
 }
 
 // sortSpan is OrderEngine.TopoOrder under the "topo" span.

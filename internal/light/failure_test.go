@@ -107,5 +107,5 @@ func replayWith(prog *compiler.Program, rep *Replayer, log *trace.Log) bool {
 }
 
 func runReplayVM(prog *compiler.Program, rep *Replayer, log *trace.Log) {
-	vm.Run(vm.Config{Prog: prog, Hooks: rep, Seed: log.Seed, ReplayMode: true, IgnoreSleep: true})
+	vm.Run(vm.Config{Prog: prog, Hooks: rep, Seed: log.Seed, ReplayMode: true})
 }

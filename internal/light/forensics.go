@@ -158,6 +158,18 @@ func ExplainAccess(log *trace.Log, tc trace.TC, sched *Schedule) *AccessExplanat
 	return ex
 }
 
+// chainEdges returns the program-order edges between consecutive accesses of
+// each thread. vars must be sorted by (thread, counter) and deduplicated.
+func chainEdges(vars []trace.TC) [][2]trace.TC {
+	var edges [][2]trace.TC
+	for i := 0; i+1 < len(vars); i++ {
+		if vars[i].Thread == vars[i+1].Thread {
+			edges = append(edges, [2]trace.TC{vars[i], vars[i+1]})
+		}
+	}
+	return edges
+}
+
 // touches reports whether a location's items name node n.
 func touches(rcs []claimNodes, wbs []intervalNodes, n int32) bool {
 	for _, rc := range rcs {

@@ -120,7 +120,6 @@ func ReplayScheduled(prog *compiler.Program, log *trace.Log, cfg RunConfig, sche
 		Instrument:        cfg.Instrument,
 		MaxStepsPerThread: cfg.MaxStepsPerThread,
 		ReplayMode:        true,
-		IgnoreSleep:       true,
 	})
 	replayTime := time.Since(replayStart)
 	span.End()

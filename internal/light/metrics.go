@@ -51,7 +51,7 @@ var (
 	mSolveResolved = obs.NewCounter("light_solve_resolved_total",
 		"disjunctions decided by propagation, without search")
 	mSolveComponents = obs.NewHistogram("light_solve_components",
-		"location clusters per solve (partition.go)")
+		"locations per solve (each location is one cluster of the constraint system)")
 	mSolveComponentVars = obs.NewHistogram("light_solve_component_vars",
 		"endpoint-variable count of each CDCL(T) residual search")
 	mSolveComponentNS = obs.NewHistogram("light_solve_component_ns",
@@ -60,11 +60,11 @@ var (
 	// Graph-first engine (DESIGN.md §4d): the fast path (propagation, or
 	// per-location construction) and the CDCL fallback.
 	mSolveFastpathComponents = obs.NewCounter("light_solve_fastpath_components_total",
-		"location clusters decided without a CDCL invocation: by propagation alone, or by per-location construction")
+		"locations decided without a CDCL invocation: by propagation alone, or by per-location construction")
 	mSolveCDCLComponents = obs.NewCounter("light_solve_cdcl_components_total",
-		"location clusters holding residual disjunctions that the CDCL(T) fallback searched")
+		"locations holding residual disjunctions that the CDCL(T) fallback searched")
 	mSolveFastpathRate = obs.NewGauge("light_solve_fastpath_rate",
-		"fastpath/total component ratio of the last graph-first solve")
+		"fastpath/total location ratio of the last graph-first solve")
 
 	// Whole-schedule cache (cache.go).
 	mScheduleCacheHits = obs.NewCounter("light_schedule_cache_hits_total",

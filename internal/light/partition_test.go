@@ -133,8 +133,41 @@ func TestPartitionTopoOrder(t *testing.T) {
 	orderIsModel(t, log, sched)
 }
 
+// sharedAccessLog names one access, t0:1, as the write of two locations'
+// dependences. A recording never does this (every access touches one
+// location), but the log is shape-valid: it is the one kind of input on
+// which location clusters that share an access would differ from the
+// locations.
+func sharedAccessLog() *trace.Log {
+	return &trace.Log{
+		Threads: []string{"t0", "t1", "t2"},
+		NumLocs: 2,
+		Deps: []trace.Dep{
+			{Loc: 0, W: trace.TC{Thread: 0, Counter: 1}, R: trace.TC{Thread: 1, Counter: 1}},
+			{Loc: 1, W: trace.TC{Thread: 0, Counter: 1}, R: trace.TC{Thread: 2, Counter: 1}},
+		},
+	}
+}
+
+// TestAccessUnderTwoLocations: an access named under two locations still
+// solves to a checked schedule, and each location counts as a component.
+func TestAccessUnderTwoLocations(t *testing.T) {
+	log := sharedAccessLog()
+	sched, err := ComputeSchedule(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckSchedule(log, sched); err != nil {
+		t.Fatal(err)
+	}
+	if st := sched.Stats; st.Components != 2 || st.FastpathComponents != 2 || st.LargestComponent != 2 {
+		t.Fatalf("stats %+v, want 2 components, 2 fastpath, largest 2", st)
+	}
+}
+
 // TestPartitionedSolveEquivalence is the acceptance check: on every workload,
-// the partitioned solve produces a model of the whole constraint system.
+// the solve produces a model of the whole constraint system, and its
+// components are the log's locations.
 func TestPartitionedSolveEquivalence(t *testing.T) {
 	all := workloads.All()
 	if testing.Short() {
@@ -152,8 +185,21 @@ func TestPartitionedSolveEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sched.Stats.Components < 1 && len(sched.Order) > 0 {
-				t.Fatalf("non-empty schedule with %d components", sched.Stats.Components)
+			// Every access belongs to one location, so the components
+			// are the locations the log names.
+			locs := map[int32]bool{}
+			for _, d := range rec.Log.Deps {
+				locs[d.Loc] = true
+			}
+			for _, r := range rec.Log.Ranges {
+				locs[r.Loc] = true
+			}
+			st := sched.Stats
+			if st.Components != len(locs) {
+				t.Errorf("%d components for %d locations", st.Components, len(locs))
+			}
+			if st.Solver == (smt.Stats{}) && st.FastpathComponents != st.Components {
+				t.Errorf("no search ran, but only %d of %d components count as fastpath", st.FastpathComponents, st.Components)
 			}
 			orderIsModel(t, rec.Log, sched)
 		})

@@ -38,6 +38,7 @@ func FuzzComputeSchedule(f *testing.F) {
 			Ranges:  []trace.Range{{Loc: 0, Thread: 1, Start: 0, End: 1 << 62, HasWrite: true}},
 		},
 	}
+	seeds = append(seeds, sharedAccessLog())
 	for _, log := range malformedLogs() {
 		seeds = append(seeds, log)
 	}

@@ -55,8 +55,7 @@ const (
 	// PIDReplay is the Chrome process holding the replay run's threads.
 	PIDReplay int64 = 2
 	// PIDPhases is the Chrome process holding the pipeline phase spans
-	// (record → encode → build → propagate → partition → solve → topo →
-	// replay).
+	// (record → encode → build → propagate → solve → topo → replay).
 	PIDPhases int64 = 10
 )
 

@@ -7,12 +7,11 @@ import (
 )
 
 // Span is one completed pipeline phase: a name from the fixed record →
-// encode → build → propagate → partition → solve → topo → replay
-// vocabulary (free-form names are allowed), its wall-clock extent, and
-// optional byte/item payload sizes. The schedule solve splits into build
-// (counter index, items, hard edges, disjunction generation), propagate,
-// partition (location clusters for the stats), solve (per-location
-// construction) and topo (the final sort, which also checks the
+// encode → build → propagate → solve → topo → replay vocabulary
+// (free-form names are allowed), its wall-clock extent, and optional
+// byte/item payload sizes. The schedule solve splits into build (counter
+// index, items, hard edges, disjunction generation), propagate, solve
+// (per-location construction) and topo (the final sort, which also checks the
 // constructed choices); when that check fails, a second solve (one
 // CDCL(T) search) and topo follow. A replay's first gate-table build is a
 // gates span inside its replay span.
@@ -21,7 +20,7 @@ import (
 // (lightrr -flight-trace).
 type Span struct {
 	// Name identifies the phase ("record", "encode", "build", "propagate",
-	// "partition", "solve", "topo", "replay", ...).
+	// "solve", "topo", "replay", ...).
 	Name string `json:"name"`
 	// StartUnixNS is the span's start in Unix nanoseconds.
 	StartUnixNS int64 `json:"start_unix_ns"`

@@ -183,7 +183,7 @@ func (v *VM) callBuiltin(t *Thread, fn *compiler.Func, pc int, b compiler.Builti
 		if d.Kind != KindInt || d.I < 0 {
 			return Null, v.runtimeErr(t, fn, pc, ErrType, d.String(), "sleep duration must be a non-negative int")
 		}
-		if !v.cfg.IgnoreSleep && !v.cfg.ReplayMode {
+		if !v.cfg.ReplayMode {
 			unit := v.cfg.SleepUnit
 			if unit == 0 {
 				unit = 1000 // 1µs per sleep tick by default

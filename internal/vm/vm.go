@@ -29,14 +29,12 @@ type Config struct {
 	// sites (monitor/spawn/join/wait/notify) are always instrumented.
 	Instrument []bool
 
-	// IgnoreSleep makes the sleep builtin a no-op; replay runs set this
-	// since the enforced schedule replaces timing-based interleaving.
-	IgnoreSleep bool
-
 	// ReplayMode disables real monitor blocking: synchronization reduces to
 	// its ghost accesses, whose enforced total order already serializes
 	// critical regions (Lemma 4.1/4.2). This is what makes a solver
-	// schedule directly executable without re-introducing lock races.
+	// schedule directly executable without re-introducing lock races. It
+	// also makes the sleep builtin a no-op, since the enforced schedule
+	// replaces timing-based interleaving.
 	ReplayMode bool
 
 	// SleepUnit is the duration of sleep(1) in nanoseconds (default 1000).
