@@ -64,13 +64,15 @@ test:
 # metric registry, the histograms and the flight rings), and repeats the
 # replayer's stall and per-location stress tests, the recorder's concurrent
 # first-touch test (shadow-cell claims and location-table growth under
-# contention) and the concurrent epoch replay tests: a stall verdict is
-# exact (no clock), and an epoch's verdicts, their order and the first error
-# do not depend on how its runs share the cores, so both must hold on every
-# interleaving.
+# contention) and the concurrent epoch replay tests, and the baseline
+# tools' stall tests: a stall verdict is exact (no clock), for Light and for
+# the LEAP, Stride and Chimera replayers' shared turn-taking core alike, and
+# an epoch's verdicts, their order and the first error do not depend on how
+# its runs share the cores, so both must hold on every interleaving.
 race:
 	$(GO) test -race ./internal/light/ ./internal/smt/ ./internal/fuzz/ ./internal/vm/ ./internal/epoch/ ./internal/baseline/... ./internal/obs/...
 	$(GO) test -race -count=20 -run 'Stall|Deadlock|StressPerLocation|ConcurrentFirstTouch' ./internal/light/
+	$(GO) test -race -count=20 -run 'Stall' ./internal/baseline/...
 	$(GO) test -race -count=10 -run 'ReplayEpochConcurrent' ./internal/epoch/
 
 # solve-stall repeats the racy-counter round trip, whose recordings leave

@@ -5,7 +5,9 @@
 package baseline_test
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline/leap"
@@ -222,5 +224,71 @@ func TestLeapKeyStability(t *testing.T) {
 	}
 	if leap.Key(vm.MapLoc(m)) == leap.Key(vm.ElemLoc(arr, 0)) {
 		t.Error("map collides with array")
+	}
+}
+
+// bumpProgram spawns two workers that increment a shared counter k1 and k2
+// times. Each increment is its own call, so Chimera's patch lock on it
+// records one acquire per increment.
+func bumpProgram(k1, k2 int) string {
+	return fmt.Sprintf(`
+class C { field n; }
+var c = null;
+fun inc() { c.n = c.n + 1; }
+fun bump(k) { for (var i = 0; i < k; i = i + 1) { inc(); } }
+fun main() {
+  c = new C(); c.n = 0;
+  var a = spawn bump(%d); var b = spawn bump(%d);
+  join a; join b;
+  print(c.n);
+}
+`, k1, k2)
+}
+
+// isStall reports whether a replay failure reason is a stall: no live thread
+// could take its turn, or the last thread exited with turns left.
+func isStall(reason string) bool {
+	return strings.Contains(reason, "stalled") || strings.Contains(reason, "incomplete")
+}
+
+// TestStallShortenedWorker replays a 2×bump(40) recording against a program
+// whose second worker runs bump(30): the recorded turns of its last ten
+// increments can never be taken, and Replay reports the stall when it
+// returns.
+func TestStallShortenedWorker(t *testing.T) {
+	rec := compile(t, bumpProgram(40, 40))
+	short := compile(t, bumpProgram(40, 30))
+	for seed := uint64(0); seed < 3; seed++ {
+		leapLog, _, _ := leap.Record(rec, seed, nil, 0)
+		if _, failed, reason := leap.Replay(short, leapLog, nil); !failed || !isStall(reason) {
+			t.Errorf("seed %d: leap replay failed=%v %q, want a stall", seed, failed, reason)
+		}
+		strideLog, _, _ := stride.Record(rec, seed, nil, 0)
+		_, failed, reason, err := stride.Replay(short, strideLog, nil)
+		if err != nil {
+			t.Fatalf("seed %d: reconstruct: %v", seed, err)
+		}
+		if !failed || !isStall(reason) {
+			t.Errorf("seed %d: stride replay failed=%v %q, want a stall", seed, failed, reason)
+		}
+	}
+}
+
+// TestStallIncompleteReplay replays a recording against a program that
+// skips its last write: the only thread exits with a recorded turn left.
+func TestStallIncompleteReplay(t *testing.T) {
+	rec := compile(t, `var g = 0; fun main() { g = 1; g = 2; }`)
+	short := compile(t, `var g = 0; fun main() { g = 1; }`)
+	leapLog, _, _ := leap.Record(rec, 1, nil, 0)
+	if _, failed, reason := leap.Replay(short, leapLog, nil); !failed || !strings.Contains(reason, "incomplete") {
+		t.Errorf("leap replay failed=%v %q, want an incomplete replay", failed, reason)
+	}
+	strideLog, _, _ := stride.Record(rec, 1, nil, 0)
+	_, failed, reason, err := stride.Replay(short, strideLog, nil)
+	if err != nil {
+		t.Fatalf("reconstruct: %v", err)
+	}
+	if !failed || !strings.Contains(reason, "incomplete") {
+		t.Errorf("stride replay failed=%v %q, want an incomplete replay", failed, reason)
 	}
 }

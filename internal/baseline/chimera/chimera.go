@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/baseline/leap"
 	"repro/internal/compiler"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -261,19 +262,7 @@ func (r *Recorder) SharedAccess(a vm.Access, do func()) {
 	}
 	switch a.Loc.Off {
 	case vm.GhostMonitor, vm.GhostLife, vm.GhostNotify:
-		r.record(a.Thread, a.Kind == vm.Read, ^leapGhostKey(a.Loc))
-	}
-}
-
-// leapGhostKey gives program-synchronization ghosts a stable class.
-func leapGhostKey(loc vm.Loc) int32 {
-	switch loc.Off {
-	case vm.GhostMonitor:
-		return 1
-	case vm.GhostLife:
-		return 2
-	default:
-		return 3
+		r.record(a.Thread, a.Kind == vm.Read, ^leap.Key(a.Loc))
 	}
 }
 
@@ -317,150 +306,81 @@ func (r *Recorder) Finish(res *vm.Result, seed uint64) *Log {
 		}
 	}
 	log.SpaceLongs += int64(len(r.ops)) * 2
-	if res != nil {
-		for _, b := range res.Bugs {
-			log.Bugs = append(log.Bugs, trace.Bug{
-				Kind: int32(b.Kind), ThreadPath: b.ThreadPath,
-				FuncID: int32(b.FuncID), PC: int32(b.PC),
-				Value: b.Value, Msg: b.Msg,
-			})
-		}
-	}
+	log.Bugs = trace.BugsOf(res)
 	return log
 }
 
 // Replayer re-executes the patched program, forcing lock operations to
 // follow the recorded global order. Data accesses run unordered — sound
 // only to the extent the patch really made the program race-free, which is
-// precisely Chimera's bet.
+// precisely Chimera's bet. The waits, the thread table, syscall substitution
+// and the stall verdict are the shared leap.Turns core's.
 type Replayer struct {
 	log   *Log
 	patch *Patch
 	locks []sync.Mutex
-
-	mu     sync.Mutex
-	cond   *sync.Cond
+	turns *leap.Turns
+	// cursor is the next recorded op, guarded by the core's mutex (it is
+	// read and moved only in turn predicates and steps).
 	cursor int
-	failed bool
-	reason string
-	last   time.Time
-
-	threads   sync.Map // *vm.Thread -> *replayThread
-	stop      chan struct{}
-	stopOnce  sync.Once
-	startOnce sync.Once
-
-	// StallTimeout aborts a stuck replay.
-	StallTimeout time.Duration
 }
 
+// replayThread is a thread's replay state, kept in its vm.Thread.HookData.
 type replayThread struct {
-	idx      int32
-	held     map[int]int
-	syscalls []trace.SyscallRec
-	sysPos   int
+	*leap.Thread
+	held map[int]int // patch lock -> depth (reentrant via nesting)
 }
 
 // NewReplayer builds a replayer.
 func NewReplayer(log *Log, patch *Patch) *Replayer {
-	r := &Replayer{
-		log:          log,
-		patch:        patch,
-		locks:        make([]sync.Mutex, patch.NumLocks),
-		StallTimeout: 10 * time.Second,
-		stop:         make(chan struct{}),
-		last:         time.Now(),
-	}
-	r.cond = sync.NewCond(&r.mu)
+	r := &Replayer{log: log, patch: patch, locks: make([]sync.Mutex, patch.NumLocks)}
+	r.turns = leap.NewTurns(log.Threads, log.Syscalls, func() bool { return r.cursor >= len(r.log.Ops) })
 	return r
 }
 
 // Failed reports divergence or stall.
-func (r *Replayer) Failed() (bool, string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.failed, r.reason
-}
+func (r *Replayer) Failed() (bool, string) { return r.turns.Failed() }
 
-// Stop terminates the watchdog.
-func (r *Replayer) Stop() { r.stopOnce.Do(func() { close(r.stop) }) }
-
-func (r *Replayer) watchdog() {
-	tick := time.NewTicker(100 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-tick.C:
-			r.mu.Lock()
-			if !r.failed && r.cursor < len(r.log.Ops) && time.Since(r.last) > r.StallTimeout {
-				r.failed = true
-				r.reason = "chimera replay stalled"
-				r.cond.Broadcast()
-			}
-			r.mu.Unlock()
+// take waits until the next recorded op is (thread, acquire, lock) and
+// takes it. An op past the log's end proceeds and fails the replay.
+func (r *Replayer) take(rt *replayThread, acquire bool, lock int32) {
+	want := lockOp{Thread: rt.Idx, Acquire: acquire, Lock: lock}
+	r.turns.Await(rt.Thread, func() bool {
+		return r.cursor >= len(r.log.Ops) || r.log.Ops[r.cursor] == want
+	})
+	r.turns.Advance(func() string {
+		r.cursor++
+		if r.cursor > len(r.log.Ops) {
+			return "chimera replay: lock log exhausted"
 		}
-	}
+		return ""
+	})
 }
 
-// awaitTurn blocks until the next recorded op matches (thread, acquire, lock).
-func (r *Replayer) awaitTurn(idx int32, acquire bool, lock int32) {
-	r.mu.Lock()
-	for !r.failed {
-		if r.cursor < len(r.log.Ops) {
-			op := r.log.Ops[r.cursor]
-			if op.Thread == idx && op.Acquire == acquire && op.Lock == lock {
-				break
-			}
-		} else {
-			r.failed = true
-			r.reason = "chimera replay: lock log exhausted"
-			break
-		}
-		r.cond.Wait()
-	}
-	r.cursor++
-	r.last = time.Now()
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
-func (r *Replayer) threadState(t *vm.Thread) *replayThread {
-	if v, ok := r.threads.Load(t); ok {
-		return v.(*replayThread)
-	}
-	rt := &replayThread{idx: -1, held: make(map[int]int)}
-	actual, _ := r.threads.LoadOrStore(t, rt)
-	return actual.(*replayThread)
-}
+func thread(t *vm.Thread) *replayThread { return t.HookData.(*replayThread) }
 
 // ThreadStarted resolves the thread identity.
 func (r *Replayer) ThreadStarted(t *vm.Thread) {
-	r.startOnce.Do(func() { go r.watchdog() })
-	rt := &replayThread{idx: -1, held: make(map[int]int)}
-	for i, p := range r.log.Threads {
-		if p == t.Path {
-			rt.idx = int32(i)
-			rt.syscalls = r.log.Syscalls[int32(i)]
-		}
-	}
-	r.threads.Store(t, rt)
+	t.HookData = &replayThread{Thread: r.turns.Start(t), held: make(map[int]int)}
 }
 
-// ThreadExited is a no-op.
-func (r *Replayer) ThreadExited(*vm.Thread) {}
+// ThreadExited marks the thread exited and checks for a stall.
+func (r *Replayer) ThreadExited(t *vm.Thread) { r.turns.Exit(thread(t).Thread) }
 
-// EnterFunc reacquires patch locks in recorded order.
+// EnterFunc reacquires patch locks in recorded order. A thread blocked in a
+// patch lock's Lock never holds up a stall verdict, though the core counts it
+// as runnable: the recorded op order respects mutual exclusion, so the
+// acquire turn comes only after the holder's release turn has been taken, and
+// the holder's next call after that turn is Unlock, with no wait between.
 func (r *Replayer) EnterFunc(t *vm.Thread, fn int) {
 	ids := r.patch.LocksOf[fn]
 	if len(ids) == 0 {
 		return
 	}
-	rt := r.threadState(t)
+	rt := thread(t)
 	for _, id := range ids {
 		if rt.held[id] == 0 {
-			r.awaitTurn(rt.idx, true, int32(id))
+			r.take(rt, true, int32(id))
 			r.locks[id].Lock()
 		}
 		rt.held[id]++
@@ -473,12 +393,12 @@ func (r *Replayer) ExitFunc(t *vm.Thread, fn int) {
 	if len(ids) == 0 {
 		return
 	}
-	rt := r.threadState(t)
+	rt := thread(t)
 	for i := len(ids) - 1; i >= 0; i-- {
 		id := ids[i]
 		rt.held[id]--
 		if rt.held[id] == 0 {
-			r.awaitTurn(rt.idx, false, int32(id))
+			r.take(rt, false, int32(id))
 			r.locks[id].Unlock()
 		}
 	}
@@ -487,37 +407,26 @@ func (r *Replayer) ExitFunc(t *vm.Thread, fn int) {
 // SharedAccess orders program synchronization ghosts and re-enforces the
 // per-access patch locks; other data runs free.
 func (r *Replayer) SharedAccess(a vm.Access, do func()) {
-	rt := r.threadState(a.Thread)
-	if id, ok := r.patch.SiteLock[a.Site]; ok && rt.idx >= 0 {
-		if rt.held[id] == 0 {
-			r.awaitTurn(rt.idx, true, int32(id))
-			r.locks[id].Lock()
-			do()
-			r.awaitTurn(rt.idx, false, int32(id))
-			r.locks[id].Unlock()
-		} else {
-			do()
-		}
+	rt := thread(a.Thread)
+	if id, ok := r.patch.SiteLock[a.Site]; ok && rt.held[id] == 0 {
+		r.take(rt, true, int32(id))
+		r.locks[id].Lock()
+		do()
+		r.take(rt, false, int32(id))
+		r.locks[id].Unlock()
 	} else {
 		do()
 	}
 	switch a.Loc.Off {
 	case vm.GhostMonitor, vm.GhostLife, vm.GhostNotify:
-		if rt.idx >= 0 {
-			r.awaitTurn(rt.idx, a.Kind == vm.Read, ^leapGhostKey(a.Loc))
-		}
+		r.take(rt, a.Kind == vm.Read, ^leap.Key(a.Loc))
+		r.turns.JoinBegins(rt.Thread, a)
 	}
 }
 
 // Syscall substitutes the recorded value.
 func (r *Replayer) Syscall(t *vm.Thread, seq uint64, _ vm.SyscallKind, compute func() vm.Value) vm.Value {
-	rt := r.threadState(t)
-	if rt.sysPos < len(rt.syscalls) && rt.syscalls[rt.sysPos].Seq == seq {
-		v := rt.syscalls[rt.sysPos].Value
-		rt.sysPos++
-		return vm.IntVal(v)
-	}
-	return compute()
+	return thread(t).Syscall(seq, compute)
 }
 
 // Record runs the patched program under the Chimera recorder.
@@ -534,7 +443,6 @@ func Record(prog *compiler.Program, patch *Patch, seed uint64, instrument []bool
 // Replay re-executes under the recorded lock order.
 func Replay(prog *compiler.Program, patch *Patch, log *Log, instrument []bool) (*vm.Result, bool, string) {
 	rep := NewReplayer(log, patch)
-	defer rep.Stop()
 	res := vm.Run(vm.Config{
 		Prog: prog, Hooks: rep, Seed: log.Seed,
 		Instrument: instrument, ReplayMode: true,

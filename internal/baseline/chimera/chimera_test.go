@@ -1,6 +1,8 @@
 package chimera
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -148,4 +150,73 @@ fun main() { print(time(), random(50)); }
 		t.Errorf("outputs differ: %v vs %v", a, b)
 	}
 	_ = vm.Null
+}
+
+// bumpProgram spawns two workers that increment a shared counter k1 and k2
+// times, one patched call per increment. The variants differ only in
+// constants, so they share access sites and the patch.
+func bumpProgram(k1, k2 int) string {
+	return fmt.Sprintf(`
+class C { field n; }
+var c = null;
+fun inc() { c.n = c.n + 1; }
+fun bump(k) { for (var i = 0; i < k; i = i + 1) { inc(); } }
+fun main() {
+  c = new C(); c.n = 0;
+  var a = spawn bump(%d); var b = spawn bump(%d);
+  join a; join b;
+  print(c.n);
+}
+`, k1, k2)
+}
+
+// TestStallChimeraShortenedWorker replays a 2×bump(40) recording against a
+// program whose second worker runs bump(30): the lock ops of its last ten
+// increments can never be taken, and Replay reports the stall when it
+// returns.
+func TestStallChimeraShortenedWorker(t *testing.T) {
+	rec, _, patch := setup(t, bumpProgram(40, 40))
+	short, _, _ := setup(t, bumpProgram(40, 30))
+	for seed := uint64(0); seed < 3; seed++ {
+		log, _, _ := Record(rec, patch, seed, nil, 0)
+		_, failed, reason := Replay(short, patch, log, nil)
+		if !failed || !strings.Contains(reason, "stalled") {
+			t.Errorf("seed %d: replay failed=%v %q, want a stall", seed, failed, reason)
+		}
+	}
+}
+
+// TestChimeraUnknownThreadFails: a thread the log does not name fails the
+// replay as it starts, and then runs free through its patch locks instead of
+// waiting for a turn that no op names.
+func TestChimeraUnknownThreadFails(t *testing.T) {
+	patch := &Patch{LocksOf: map[int][]int{7: {0}}, NumLocks: 1}
+	rep := NewReplayer(&Log{Threads: []string{"0"}}, patch)
+	ghost := &vm.Thread{ID: 9, Path: "0.9"}
+	rep.ThreadStarted(ghost)
+	if failed, reason := rep.Failed(); !failed || !strings.Contains(reason, "unknown thread 0.9") {
+		t.Fatalf("Failed() = %v, %q, want the unknown thread 0.9", failed, reason)
+	}
+	rep.EnterFunc(ghost, 7)
+	rep.ExitFunc(ghost, 7)
+	rep.ThreadExited(ghost)
+}
+
+// TestStallChimeraIncompleteReplay: the only thread exits with a recorded
+// acquire and release of its patch lock left untaken.
+func TestStallChimeraIncompleteReplay(t *testing.T) {
+	patch := &Patch{LocksOf: map[int][]int{7: {0}}, NumLocks: 1}
+	acq, rel := lockOp{Thread: 0, Acquire: true}, lockOp{Thread: 0}
+	rep := NewReplayer(&Log{Threads: []string{"0"}, Ops: []lockOp{acq, rel, acq, rel}}, patch)
+	th := &vm.Thread{ID: 0, Path: "0"}
+	rep.ThreadStarted(th)
+	rep.EnterFunc(th, 7)
+	rep.ExitFunc(th, 7)
+	if failed, reason := rep.Failed(); failed {
+		t.Fatalf("flagged while the thread is live: %s", reason)
+	}
+	rep.ThreadExited(th)
+	if failed, reason := rep.Failed(); !failed || !strings.Contains(reason, "incomplete") {
+		t.Fatalf("Failed() = %v, %q; want an incomplete replay", failed, reason)
+	}
 }

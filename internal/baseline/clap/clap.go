@@ -27,11 +27,10 @@ type Outcome struct {
 	Deps       int
 }
 
-// DefaultBudget bounds the matching search's node count.
+// DefaultBudget bounds the matching search's work, counted in search nodes
+// and happens-before queries. It is the search's only bound: a count, so the
+// verdict does not depend on the host's speed.
 const DefaultBudget = 200_000
-
-// DefaultDeadline bounds the matching search's wall-clock time.
-const DefaultDeadline = 20 * time.Second
 
 // Reproduce runs CLAP's offline stage on a recording: symbolic re-execution
 // along the recorded paths, read/write matching, schedule synthesis via the
@@ -53,7 +52,6 @@ func Reproduce(prog *compiler.Program, log *Log, instrument []bool) *Outcome {
 	}
 
 	m := newMatcher(tr, DefaultBudget)
-	m.deadline = time.Now().Add(DefaultDeadline)
 	m.validate = func(deps []matchedDep) bool {
 		_, err := light.ComputeSchedule(syntheticDeps(log, deps))
 		return err == nil

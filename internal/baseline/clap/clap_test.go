@@ -238,3 +238,30 @@ fun main() {
 	}
 	_ = vm.Null
 }
+
+// TestClapBudgetCountsOrderQueries: on an unsynchronized counter one search
+// node makes thousands of happens-before queries, each a walk over the
+// trace, so a budget that counted nodes alone would let the search run for
+// hours. Counting the queries ends it at the budget.
+func TestClapBudgetCountsOrderQueries(t *testing.T) {
+	prog := compile(t, `
+class C { field n; }
+var c = null;
+fun bump(k) { for (var i = 0; i < k; i = i + 1) { c.n = c.n + 1; } }
+fun main() {
+  c = new C(); c.n = 0;
+  var a = spawn bump(40); var b = spawn bump(40);
+  join a; join b;
+  print(c.n);
+}`)
+	for seed := uint64(0); seed < 5; seed++ {
+		log, _, _ := Record(prog, seed, nil, 0)
+		tr, err := runSymbolic(prog, log, nil)
+		if err != nil {
+			t.Fatalf("seed %d: symbolic run: %v", seed, err)
+		}
+		if _, err := newMatcher(tr, 2000).solve(); err != ErrBudget {
+			t.Errorf("seed %d: solve err = %v, want %v", seed, err, ErrBudget)
+		}
+	}
+}

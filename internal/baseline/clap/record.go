@@ -124,15 +124,7 @@ func (r *Recorder) Finish(res *vm.Result, seed uint64) *Log {
 			log.SpaceLongs += int64(len(ts.syscalls)) * trace.LongsPerSyscall
 		}
 	}
-	if res != nil {
-		for _, b := range res.Bugs {
-			log.Bugs = append(log.Bugs, trace.Bug{
-				Kind: int32(b.Kind), ThreadPath: b.ThreadPath,
-				FuncID: int32(b.FuncID), PC: int32(b.PC),
-				Value: b.Value, Msg: b.Msg,
-			})
-		}
-	}
+	log.Bugs = trace.BugsOf(res)
 	return log
 }
 

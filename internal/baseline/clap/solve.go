@@ -2,16 +2,15 @@ package clap
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
-// ErrBudget is returned when the matching search exceeds its node budget or
-// wall-clock deadline — the practical scalability limit of computation-based
-// reconstruction (the paper's CLAP inherits the same limits from its
-// solver).
+// ErrBudget is returned when the matching search exceeds its budget of search
+// nodes and happens-before queries — the practical scalability limit of
+// computation-based reconstruction (the paper's CLAP inherits the same limits
+// from its solver).
 var ErrBudget = errors.New("clap: matching search exceeded its budget")
 
 // bres is a resolved runtime value: either a concrete vm.Value or an
@@ -64,8 +63,7 @@ type matcher struct {
 	locID  map[rloc]int32
 	nextID int32
 
-	budget   int
-	deadline time.Time
+	budget int
 
 	// validate is consulted on every complete matching; returning false
 	// makes the search backtrack (used for the schedule-feasibility check).
@@ -225,11 +223,6 @@ func (m *matcher) checkConds() (bool, error) {
 	return true, nil
 }
 
-// expired reports whether the wall-clock deadline has passed.
-func (m *matcher) expired() bool {
-	return !m.deadline.IsZero() && time.Now().After(m.deadline)
-}
-
 // depEv is a dependence in event-index space.
 type depEv struct {
 	w, r int
@@ -238,8 +231,11 @@ type depEv struct {
 
 // happensBefore reports whether event a must precede event b under program
 // order plus the matching edges chosen so far (BFS; traces are small).
-// extraFrom/extraTo, when >= 0, add one tentative edge.
+// extraFrom/extraTo, when >= 0, add one tentative edge. Each query costs one
+// unit of the search budget: on a long trace a single search node makes
+// thousands of them, and they are where its time goes.
 func (m *matcher) happensBefore(a, b, extraFrom, extraTo int) bool {
+	m.budget--
 	if a == b {
 		return false
 	}
@@ -333,9 +329,6 @@ func (m *matcher) dfs() (bool, error) {
 	if m.budget < 0 {
 		return false, ErrBudget
 	}
-	if m.expired() {
-		return false, ErrBudget
-	}
 
 	// Propagate forced matches until fixpoint, tracking choices for undo.
 	type choice struct {
@@ -366,7 +359,7 @@ func (m *matcher) dfs() (bool, error) {
 			if w != -1 {
 				continue
 			}
-			if m.expired() {
+			if m.budget < 0 {
 				undo()
 				return false, ErrBudget
 			}

@@ -195,156 +195,73 @@ func (r *Recorder) Finish(res *vm.Result, seed uint64) *Log {
 		}
 		sh.mu.RUnlock()
 	}
-	if res != nil {
-		for _, b := range res.Bugs {
-			log.Bugs = append(log.Bugs, trace.Bug{
-				Kind: int32(b.Kind), ThreadPath: b.ThreadPath,
-				FuncID: int32(b.FuncID), PC: int32(b.PC),
-				Value: b.Value, Msg: b.Msg,
-			})
-		}
-	}
+	log.Bugs = trace.BugsOf(res)
 	return log
 }
 
-// Replayer enforces each location vector's order: an access to key k blocks
-// until the vector cursor names its thread.
+// Replayer enforces each location vector's order: an access to key k waits
+// until the vector's cursor names its thread. The waits, the thread table,
+// syscall substitution and the stall verdict are the shared Turns core's.
 type Replayer struct {
-	log *Log
-
-	mu      sync.Mutex
-	cond    *sync.Cond
+	log   *Log
+	turns *Turns
+	// cursors holds each key's next vector position, guarded by the core's
+	// mutex (it is read and moved only in turn predicates and steps).
 	cursors map[int32]int
-	failed  bool
-	reason  string
-	last    time.Time
-
-	threads sync.Map // *vm.Thread -> *replayThread
-
-	// StallTimeout aborts a stuck replay.
-	StallTimeout time.Duration
-	stopOnce     sync.Once
-	startOnce    sync.Once
-	stop         chan struct{}
-}
-
-type replayThread struct {
-	idx      int32
-	syscalls []trace.SyscallRec
-	sysPos   int
 }
 
 // NewReplayer builds a replayer for the log.
 func NewReplayer(log *Log) *Replayer {
-	r := &Replayer{
-		log:          log,
-		cursors:      make(map[int32]int),
-		StallTimeout: 10 * time.Second,
-		stop:         make(chan struct{}),
-		last:         time.Now(),
-	}
-	r.cond = sync.NewCond(&r.mu)
+	r := &Replayer{log: log, cursors: make(map[int32]int)}
+	r.turns = NewTurns(log.Threads, log.Syscalls, r.finished)
 	return r
 }
 
-// Failed reports divergence or stall.
-func (r *Replayer) Failed() (bool, string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.failed, r.reason
-}
-
-// Stop terminates the watchdog.
-func (r *Replayer) Stop() { r.stopOnce.Do(func() { close(r.stop) }) }
-
-func (r *Replayer) watchdog() {
-	tick := time.NewTicker(100 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-tick.C:
-			r.mu.Lock()
-			if !r.failed && time.Since(r.last) > r.StallTimeout {
-				r.failed = true
-				r.reason = "leap replay stalled"
-				r.cond.Broadcast()
-			}
-			r.mu.Unlock()
+// finished reports whether every vector has been replayed to its end.
+func (r *Replayer) finished() bool {
+	for key, vec := range r.log.Vectors {
+		if r.cursors[key] < len(vec) {
+			return false
 		}
 	}
+	return true
 }
+
+// Failed reports divergence or stall.
+func (r *Replayer) Failed() (bool, string) { return r.turns.Failed() }
 
 // ThreadStarted resolves the thread's record-run identity by path.
-func (r *Replayer) ThreadStarted(t *vm.Thread) {
-	r.startOnce.Do(func() { go r.watchdog() })
-	rt := &replayThread{idx: -1}
-	for i, p := range r.log.Threads {
-		if p == t.Path {
-			rt.idx = int32(i)
-			rt.syscalls = r.log.Syscalls[int32(i)]
-			break
-		}
-	}
-	if rt.idx < 0 {
-		r.mu.Lock()
-		r.failed = true
-		r.reason = "replay created unknown thread " + t.Path
-		r.mu.Unlock()
-	}
-	r.threads.Store(t, rt)
-}
+func (r *Replayer) ThreadStarted(t *vm.Thread) { t.HookData = r.turns.Start(t) }
 
-// ThreadExited is a no-op.
-func (r *Replayer) ThreadExited(*vm.Thread) {}
+// ThreadExited marks the thread exited and checks for a stall.
+func (r *Replayer) ThreadExited(t *vm.Thread) { r.turns.Exit(t.HookData.(*Thread)) }
 
-// SharedAccess blocks until the location vector's cursor names this
-// thread, performs the access, and only then advances the cursor: the next
-// thread in the vector must not access the location before this access
-// has happened.
+// SharedAccess waits until the location vector's cursor names this thread,
+// performs the access, and only then advances the cursor: the next thread in
+// the vector must not access the location before this access has happened.
+// An access past the vector's end proceeds and fails the replay.
 func (r *Replayer) SharedAccess(a vm.Access, do func()) {
-	v, ok := r.threads.Load(a.Thread)
-	rt, _ := v.(*replayThread)
-	if !ok || rt == nil || rt.idx < 0 {
-		do()
-		return
-	}
+	th := a.Thread.HookData.(*Thread)
 	key := Key(a.Loc)
 	vec := r.log.Vectors[key]
-	r.mu.Lock()
-	for {
+	r.turns.Await(th, func() bool {
 		cur := r.cursors[key]
-		if r.failed || cur >= len(vec) || vec[cur] == rt.idx {
-			break
-		}
-		r.cond.Wait()
-	}
-	if !r.failed && r.cursors[key] >= len(vec) {
-		// More accesses than recorded: divergence.
-		r.failed = true
-		r.reason = "leap replay: access vector exhausted"
-	}
-	r.mu.Unlock()
+		return cur >= len(vec) || vec[cur] == th.Idx
+	})
 	do()
-	r.mu.Lock()
-	r.cursors[key]++
-	r.last = time.Now()
-	r.cond.Broadcast()
-	r.mu.Unlock()
+	r.turns.Advance(func() string {
+		r.cursors[key]++
+		if r.cursors[key] > len(vec) {
+			return "leap replay: access vector exhausted"
+		}
+		return ""
+	})
+	r.turns.JoinBegins(th, a)
 }
 
 // Syscall substitutes the recorded value.
 func (r *Replayer) Syscall(t *vm.Thread, seq uint64, _ vm.SyscallKind, compute func() vm.Value) vm.Value {
-	if v, ok := r.threads.Load(t); ok {
-		rt := v.(*replayThread)
-		if rt.sysPos < len(rt.syscalls) && rt.syscalls[rt.sysPos].Seq == seq {
-			val := rt.syscalls[rt.sysPos].Value
-			rt.sysPos++
-			return vm.IntVal(val)
-		}
-	}
-	return compute()
+	return t.HookData.(*Thread).Syscall(seq, compute)
 }
 
 // Record runs the program under the LEAP recorder.
@@ -361,7 +278,6 @@ func Record(prog *compiler.Program, seed uint64, instrument []bool, sleepUnit in
 // Replay re-executes the program under the log's per-location orders.
 func Replay(prog *compiler.Program, log *Log, instrument []bool) (*vm.Result, bool, string) {
 	rep := NewReplayer(log)
-	defer rep.Stop()
 	res := vm.Run(vm.Config{
 		Prog: prog, Hooks: rep, Seed: log.Seed,
 		Instrument: instrument, ReplayMode: true,

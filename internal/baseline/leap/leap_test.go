@@ -1,6 +1,8 @@
 package leap
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/compiler"
@@ -72,7 +74,6 @@ func TestRecorderVectorsAreGlobalOrder(t *testing.T) {
 func TestReplayerRejectsUnknownThread(t *testing.T) {
 	log := &Log{Threads: []string{"0"}}
 	rep := NewReplayer(log)
-	defer rep.Stop()
 	ghost := &vm.Thread{ID: 9, Path: "0.9"}
 	rep.ThreadStarted(ghost)
 	if failed, _ := rep.Failed(); !failed {
@@ -88,7 +89,6 @@ func TestReplayerVectorExhaustion(t *testing.T) {
 		Vectors: map[int32][]int32{1: {0}}, // one recorded access
 	}
 	rep := NewReplayer(log)
-	defer rep.Stop()
 	th := &vm.Thread{ID: 0, Path: "0"}
 	rep.ThreadStarted(th)
 	rep.SharedAccess(vm.Access{Thread: th, Kind: vm.Read, Loc: loc, Counter: 1}, func() {})
@@ -100,5 +100,110 @@ func TestReplayerVectorExhaustion(t *testing.T) {
 		t.Error("vector exhaustion not flagged")
 	} else if reason == "" {
 		t.Error("empty reason")
+	}
+}
+
+// waiting reports whether t is registered as waiting for a turn.
+func waiting(rep *Replayer, t *vm.Thread) bool {
+	rep.turns.mu.Lock()
+	defer rep.turns.mu.Unlock()
+	return t.HookData.(*Thread).turn != nil
+}
+
+// startThreads announces one thread per spawn path, each with a handle.
+func startThreads(rep *Replayer, paths ...string) []*vm.Thread {
+	ts := make([]*vm.Thread, len(paths))
+	for i, p := range paths {
+		ts[i] = &vm.Thread{ID: i, Path: p, Handle: &vm.ThreadHandle{Path: p}}
+		rep.ThreadStarted(ts[i])
+	}
+	return ts
+}
+
+// TestStallTurnHolderExits: thread 0 waits on a key whose vector names
+// thread 1, and thread 1 exits. Nothing can take that turn any more, so the
+// replay has stalled by the time ThreadExited returns.
+func TestStallTurnHolderExits(t *testing.T) {
+	loc := vm.Loc{Base: testObj(), Off: 1}
+	rep := NewReplayer(&Log{Threads: []string{"0", "0.1"}, Vectors: map[int32][]int32{1: {1}}})
+	ts := startThreads(rep, "0", "0.1")
+	done := make(chan struct{})
+	go func() {
+		rep.SharedAccess(vm.Access{Thread: ts[0], Kind: vm.Read, Loc: loc, Counter: 1}, func() {})
+		close(done)
+	}()
+	for !waiting(rep, ts[0]) {
+		runtime.Gosched()
+	}
+	if failed, _ := rep.Failed(); failed {
+		t.Fatal("flagged while the turn holder is live")
+	}
+	rep.ThreadExited(ts[1])
+	failed, reason := rep.Failed()
+	if !failed || !strings.Contains(reason, "stalled") {
+		t.Fatalf("Failed() = %v, %q after the turn holder exited; want a stall", failed, reason)
+	}
+	<-done // the stall woke the waiter, which runs free
+}
+
+// TestStallWaitAfterTurnHolderExited is the same stall found from the other
+// side: the turn holder has exited when thread 0 starts to wait.
+func TestStallWaitAfterTurnHolderExited(t *testing.T) {
+	loc := vm.Loc{Base: testObj(), Off: 1}
+	rep := NewReplayer(&Log{Threads: []string{"0", "0.1"}, Vectors: map[int32][]int32{1: {1}}})
+	ts := startThreads(rep, "0", "0.1")
+	rep.ThreadExited(ts[1])
+	if failed, reason := rep.Failed(); failed {
+		t.Fatalf("flagged before anyone waits: %s", reason)
+	}
+	rep.SharedAccess(vm.Access{Thread: ts[0], Kind: vm.Read, Loc: loc, Counter: 1}, func() {})
+	if failed, reason := rep.Failed(); !failed || !strings.Contains(reason, "stalled") {
+		t.Fatalf("Failed() = %v, %q; want a stall", failed, reason)
+	}
+}
+
+// TestStallJoinOfBlockedThread: thread 1 waits for a turn of thread 0, and
+// thread 0 then joins thread 1. Neither can run, so the join's read of
+// thread 1's life location flags the stall.
+func TestStallJoinOfBlockedThread(t *testing.T) {
+	data := vm.Loc{Base: testObj(), Off: 1}
+	rep := NewReplayer(&Log{
+		Threads: []string{"0", "0.1"},
+		Vectors: map[int32][]int32{1: {0}, Key(vm.LifeLoc(&vm.ThreadHandle{})): {0}},
+	})
+	ts := startThreads(rep, "0", "0.1")
+	done := make(chan struct{})
+	go func() {
+		rep.SharedAccess(vm.Access{Thread: ts[1], Kind: vm.Read, Loc: data, Counter: 1}, func() {})
+		close(done)
+	}()
+	for !waiting(rep, ts[1]) {
+		runtime.Gosched()
+	}
+	join := vm.Access{Thread: ts[0], Kind: vm.Read, Loc: vm.LifeLoc(ts[1].Handle), Counter: 1}
+	rep.SharedAccess(join, func() {})
+	if failed, reason := rep.Failed(); !failed || !strings.Contains(reason, "stalled") {
+		t.Fatalf("Failed() = %v, %q after joining a blocked thread; want a stall", failed, reason)
+	}
+	<-done
+}
+
+// TestStallJoinOfRunnableThread: joining a thread that can still take its
+// turns is no stall.
+func TestStallJoinOfRunnableThread(t *testing.T) {
+	rep := NewReplayer(&Log{
+		Threads: []string{"0", "0.1"},
+		Vectors: map[int32][]int32{Key(vm.LifeLoc(&vm.ThreadHandle{})): {0, 1}},
+	})
+	ts := startThreads(rep, "0", "0.1")
+	rep.SharedAccess(vm.Access{Thread: ts[0], Kind: vm.Read, Loc: vm.LifeLoc(ts[1].Handle), Counter: 1}, func() {})
+	if failed, reason := rep.Failed(); failed {
+		t.Fatalf("joining a runnable thread flagged: %s", reason)
+	}
+	rep.SharedAccess(vm.Access{Thread: ts[1], Kind: vm.Write, Loc: vm.LifeLoc(ts[1].Handle), Counter: 1}, func() {})
+	rep.ThreadExited(ts[1])
+	rep.ThreadExited(ts[0])
+	if failed, reason := rep.Failed(); failed {
+		t.Fatalf("complete replay flagged: %s", reason)
 	}
 }

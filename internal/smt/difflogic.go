@@ -38,31 +38,19 @@ type dlEdge struct {
 	lit      Lit
 }
 
-// reset prepares the theory for a fresh solve over nInts integer variables,
-// reusing prior allocations where capacity allows.
-func (d *diffTheory) reset(nInts int, atoms []Atom) {
-	d.atoms = atoms
-	d.n = nInts
-	d.pi = resetSlice(d.pi, nInts)
-	if cap(d.adj) < nInts {
-		d.adj = make([][]int32, nInts)
-	} else {
-		d.adj = d.adj[:nInts]
-		for i := range d.adj {
-			d.adj[i] = d.adj[i][:0]
-		}
+// newDiffTheory returns the theory for a fresh solve over nInts integer
+// variables.
+func newDiffTheory(nInts int, atoms []Atom) *diffTheory {
+	return &diffTheory{
+		atoms:   atoms,
+		n:       nInts,
+		pi:      make([]int64, nInts),
+		adj:     make([][]int32, nInts),
+		tent:    make([]int64, nInts),
+		parent:  make([]int32, nInts),
+		mark:    make([]uint32, nInts),
+		inQueue: make([]uint32, nInts),
 	}
-	// tent and parent are stamp-guarded, so stale values are never read;
-	// they only need the right length.
-	d.tent = resetSlice(d.tent, nInts)
-	d.parent = resetSlice(d.parent, nInts)
-	d.mark = resetSlice(d.mark, nInts)
-	d.inQueue = resetSlice(d.inQueue, nInts)
-	d.stamp = 0
-	d.edges = d.edges[:0]
-	d.stack = d.stack[:0]
-	d.queue = d.queue[:0]
-	d.touched = d.touched[:0]
 }
 
 // Assign installs the edge for an atom literal (every SAT variable is an

@@ -121,21 +121,25 @@ type Stats struct {
 	Seeded int64
 }
 
-// Add accumulates o into s, for aggregating per-component solver statistics.
-func (s *Stats) Add(o Stats) {
-	s.Decisions += o.Decisions
-	s.Conflicts += o.Conflicts
-	s.Propagations += o.Propagations
-	s.TheoryChecks += o.TheoryChecks
-	s.Restarts += o.Restarts
-	s.Clauses += o.Clauses
-	s.Vars += o.Vars
-	s.Seeded += o.Seeded
-}
-
 // Solve runs the DPLL(T) search over the asserted clauses.
 func (p *Problem) Solve() Result {
-	return NewSolver().Solve(p)
+	if p.unsat {
+		return Result{Status: Unsat}
+	}
+	th := newDiffTheory(int(p.nextInt), p.atoms)
+	s := newSolver(len(p.atoms), th)
+	for _, lits := range p.clauses {
+		s.addClause(lits)
+	}
+	st := s.solve()
+	res := Result{Status: st, Stats: s.stats}
+	res.Stats.Clauses = len(p.clauses)
+	res.Stats.Vars = len(p.atoms)
+	res.Stats.Seeded = p.seeded
+	if st == Sat {
+		res.Values = th.model(p.nextInt)
+	}
+	return res
 }
 
 // SortByValue returns the variables ordered by their model values (ties

@@ -89,47 +89,21 @@ type solver struct {
 	claInc float64
 }
 
-// reset prepares the solver for a fresh solve of nVars SAT variables,
-// reusing prior allocations where capacity allows. All assignment, clause,
-// and statistics state is cleared.
-func (s *solver) reset(nVars int, th theory) {
-	s.nVars = nVars
-	s.th = th
-	s.clauses = s.clauses[:0]
-	s.learnts = s.learnts[:0]
-	if cap(s.watches) < nVars*2 {
-		s.watches = make([][]*clause, nVars*2)
-	} else {
-		s.watches = s.watches[:nVars*2]
-		for i := range s.watches {
-			s.watches[i] = s.watches[i][:0]
-		}
+// newSolver returns a solver for a fresh search over nVars SAT variables.
+func newSolver(nVars int, th theory) *solver {
+	s := &solver{
+		nVars:    nVars,
+		th:       th,
+		watches:  make([][]*clause, nVars*2),
+		assigns:  make([]lbool, nVars),
+		levels:   make([]int32, nVars),
+		reasons:  make([]*clause, nVars),
+		activity: make([]float64, nVars),
+		polarity: make([]bool, nVars),
+		varInc:   1,
+		claInc:   1,
 	}
-	s.assigns = resetSlice(s.assigns, nVars)
-	s.levels = resetSlice(s.levels, nVars)
-	s.reasons = resetSlice(s.reasons, nVars)
-	s.activity = resetSlice(s.activity, nVars)
-	s.polarity = resetSlice(s.polarity, nVars)
-	s.trail = s.trail[:0]
-	s.trailLim = s.trailLim[:0]
-	s.qhead = 0
-	s.varInc = 1
-	s.claInc = 1
-	s.stats = Stats{}
 	s.heap.init(s)
-}
-
-// resetSlice returns a zeroed slice of length n, reusing s's backing array
-// when it is large enough.
-func resetSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	var zero T
-	for i := range s {
-		s[i] = zero
-	}
 	return s
 }
 
@@ -461,12 +435,7 @@ type varHeap struct {
 
 func (h *varHeap) init(s *solver) {
 	h.s = s
-	h.heap = h.heap[:0]
-	if cap(h.indices) < s.nVars {
-		h.indices = make([]int, s.nVars)
-	} else {
-		h.indices = h.indices[:s.nVars]
-	}
+	h.indices = make([]int, s.nVars)
 	for i := range h.indices {
 		h.indices[i] = -1
 	}

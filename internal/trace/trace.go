@@ -6,6 +6,8 @@
 // per-log table.
 package trace
 
+import "repro/internal/vm"
+
 // TC identifies one dynamic shared access: a thread (index into Log.Threads)
 // plus the thread-local counter value D(t) of the access (Section 4.1).
 type TC struct {
@@ -61,6 +63,23 @@ type Bug struct {
 	PC         int32
 	Value      string
 	Msg        string
+}
+
+// BugsOf returns the bugs a run observed, the runtime errors its threads
+// ended with, as log records; a nil result observed none.
+func BugsOf(res *vm.Result) []Bug {
+	if res == nil {
+		return nil
+	}
+	var bugs []Bug
+	for _, b := range res.Bugs {
+		bugs = append(bugs, Bug{
+			Kind: int32(b.Kind), ThreadPath: b.ThreadPath,
+			FuncID: int32(b.FuncID), PC: int32(b.PC),
+			Value: b.Value, Msg: b.Msg,
+		})
+	}
+	return bugs
 }
 
 // Log is a complete recording of one run.
