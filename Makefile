@@ -119,11 +119,14 @@ bench-codec:
 # BenchmarkRecorder records a small contended program end to end through
 # the VM (one record per op), and BenchmarkRecorderParallel drives
 # SharedAccess directly on three access patterns (hotfield, stripedarray,
-# handoff; one access per op). The fixed iteration counts keep its rows
-# comparable across commits.
+# handoff; one access per op). BenchmarkRecorder records with a nil mask, so
+# the root BenchmarkRecorderO2 records an always-on-shaped service under its
+# O2 mask: its allocs/op keeps the cost of the sites O2 leaves out visible.
+# The fixed iteration counts keep its rows comparable across commits.
 bench-record:
 	$(GO) test ./internal/light -run xxx -bench 'BenchmarkRecorder$$' -benchmem -benchtime 5000x
 	$(GO) test ./internal/light -run xxx -bench 'BenchmarkRecorderParallel' -benchmem -benchtime 2000000x
+	$(GO) test . -run xxx -bench 'BenchmarkRecorderO2' -benchmem -benchtime 500x
 
 # trace-check drives the lighttrace inspector end to end: summary, export
 # (schema-validated Chrome trace JSON over the bugrepro program and fuzz

@@ -9,6 +9,7 @@
 //	BenchmarkTable1        — per-bug offline solve and replay time
 //	BenchmarkReplay        — enforced re-execution of a pre-solved schedule
 //	BenchmarkReplayEpoch   — on-demand verification of an 8-run epoch
+//	BenchmarkRecorderO2    — recording allocations under the O2 mask
 //	BenchmarkCodec         — log bytes per event and codec speed, LIGHTLOG1 vs 2
 //	BenchmarkSolverIDL     — the underlying DPLL(T) difference-logic solver
 package repro_test
@@ -536,6 +537,39 @@ fun main() {
   print(sum);
 }
 `
+
+// BenchmarkRecorderO2 records serviceSrc under its O2 mask (`make
+// bench-record`), so the lock-guarded sites the mask leaves out run in every
+// iteration and allocs/op shows what they cost: nothing, when they run
+// inline. BenchmarkRecorder in internal/light records with a nil mask and
+// never takes that path. o2_elided_sites counts the shared sites that O2
+// leaves out.
+func BenchmarkRecorderO2(b *testing.B) {
+	obs.Disable()
+	prog, err := compiler.CompileSource(serviceSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	an := analysis.Analyze(prog)
+	mask := an.InstrumentMask(true)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rec := light.NewRecorder(light.Options{O1: true})
+		res := vm.Run(vm.Config{Prog: prog, Hooks: rec, Seed: uint64(i), Instrument: mask})
+		rec.Finish(res, uint64(i))
+	}
+	b.ReportMetric(float64(countTrue(an.InstrumentMask(false))-countTrue(mask)), "o2_elided_sites")
+}
+
+func countTrue(bs []bool) int {
+	n := 0
+	for _, b := range bs {
+		if b {
+			n++
+		}
+	}
+	return n
+}
 
 // BenchmarkReplayEpoch measures on-demand epoch verification, the work
 // behind lightd's /epochs/{id}/replay: it seals one 8-run epoch of an

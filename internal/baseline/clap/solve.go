@@ -49,13 +49,22 @@ type matcher struct {
 	tr     *symTrace
 	events []event
 	reads  []int // event indices
-	// perThread: event indices in counter order (program order edges).
-	perThread map[int32][]int
+	// next is each event's program-order successor (-1 for a thread's last).
+	next []int
+
+	// happensBefore's BFS state, kept across queries: seen[e] == hbEpoch
+	// marks e visited by the current query.
+	seen    []uint64
+	hbEpoch uint64
+	queue   []int
 
 	bound  []bool
 	bindTo []sval // alias expressions: a read's symbol binds to the matched write's value expression
 
 	matched []int // per read slot: matched write event index, -2 initial, -1 unmatched
+	// readsOf lists, per write event, the read events matched to it, in
+	// match order (matches are undone last-in first-out).
+	readsOf [][]int
 	deps    []matchedDep
 	// depEvs mirrors deps with event indices (w == -2 for initial reads).
 	depEvs []depEv
@@ -82,16 +91,23 @@ type rloc struct {
 
 func newMatcher(tr *symTrace, budget int) *matcher {
 	m := &matcher{
-		tr:        tr,
-		events:    tr.events,
-		perThread: make(map[int32][]int),
-		bound:     make([]bool, tr.nsyms),
-		bindTo:    make([]sval, tr.nsyms),
-		locID:     make(map[rloc]int32),
-		budget:    budget,
+		tr:      tr,
+		events:  tr.events,
+		next:    make([]int, len(tr.events)),
+		seen:    make([]uint64, len(tr.events)),
+		readsOf: make([][]int, len(tr.events)),
+		bound:   make([]bool, tr.nsyms),
+		bindTo:  make([]sval, tr.nsyms),
+		locID:   make(map[rloc]int32),
+		budget:  budget,
 	}
+	last := make(map[int32]int) // thread -> its latest event so far
 	for i, ev := range tr.events {
-		m.perThread[ev.thread] = append(m.perThread[ev.thread], i)
+		m.next[i] = -1
+		if p, ok := last[ev.thread]; ok {
+			m.next[p] = i
+		}
+		last[ev.thread] = i
 		if !ev.write {
 			m.reads = append(m.reads, i)
 		}
@@ -230,7 +246,8 @@ type depEv struct {
 }
 
 // happensBefore reports whether event a must precede event b under program
-// order plus the matching edges chosen so far (BFS; traces are small).
+// order plus the matching edges chosen so far, by a BFS that visits each
+// event at most once and follows only its own out-edges (next, readsOf).
 // extraFrom/extraTo, when >= 0, add one tentative edge. Each query costs one
 // unit of the search budget: on a long trace a single search node makes
 // thousands of them, and they are where its time goes.
@@ -239,40 +256,34 @@ func (m *matcher) happensBefore(a, b, extraFrom, extraTo int) bool {
 	if a == b {
 		return false
 	}
-	seen := map[int]bool{a: true}
-	queue := []int{a}
-	succ := func(e int) []int {
-		var out []int
-		ev := m.events[e]
-		// Program order: next event of the same thread.
-		lst := m.perThread[ev.thread]
-		for i, idx := range lst {
-			if idx == e && i+1 < len(lst) {
-				out = append(out, lst[i+1])
-			}
+	m.hbEpoch++
+	m.seen[a] = m.hbEpoch
+	m.queue = append(m.queue[:0], a)
+	// visit reports whether s is b, queueing s if it is new.
+	visit := func(s int) bool {
+		if s == b {
+			return true
 		}
-		// Matching edges: write -> its matched reads.
-		for ri, w := range m.matched {
-			if w == e {
-				out = append(out, m.reads[ri])
-			}
+		if m.seen[s] != m.hbEpoch {
+			m.seen[s] = m.hbEpoch
+			m.queue = append(m.queue, s)
 		}
-		if e == extraFrom && extraTo >= 0 {
-			out = append(out, extraTo)
-		}
-		return out
+		return false
 	}
-	for len(queue) > 0 {
-		e := queue[0]
-		queue = queue[1:]
-		for _, s := range succ(e) {
-			if s == b {
+	for qi := 0; qi < len(m.queue); qi++ {
+		e := m.queue[qi]
+		// Program order, then matching edges (write -> its matched reads),
+		// then the tentative edge.
+		if n := m.next[e]; n >= 0 && visit(n) {
+			return true
+		}
+		for _, r := range m.readsOf[e] {
+			if visit(r) {
 				return true
 			}
-			if !seen[s] {
-				seen[s] = true
-				queue = append(queue, s)
-			}
+		}
+		if e == extraFrom && extraTo >= 0 && visit(extraTo) {
+			return true
 		}
 	}
 	return false
@@ -331,21 +342,10 @@ func (m *matcher) dfs() (bool, error) {
 	}
 
 	// Propagate forced matches until fixpoint, tracking choices for undo.
-	type choice struct {
-		read   int // index into m.reads
-		sym    int
-		hadSym bool
-	}
-	var applied []choice
+	var applied []int // indices into m.reads
 	undo := func() {
 		for i := len(applied) - 1; i >= 0; i-- {
-			ch := applied[i]
-			m.matched[ch.read] = -1
-			if ch.hadSym {
-				m.bound[ch.sym] = false
-			}
-			m.deps = m.deps[:len(m.deps)-1]
-			m.depEvs = m.depEvs[:len(m.depEvs)-1]
+			m.unapply(applied[i])
 		}
 	}
 
@@ -396,7 +396,7 @@ func (m *matcher) dfs() (bool, error) {
 					undo()
 					return false, err
 				}
-				applied = append(applied, choice{read: ri, sym: re.sym, hadSym: re.sym >= 0})
+				applied = append(applied, ri)
 				okC, err := m.checkConds()
 				if err != nil {
 					undo()
@@ -468,13 +468,7 @@ func (m *matcher) dfs() (bool, error) {
 					return true, nil
 				}
 			}
-			// Unapply this candidate.
-			m.matched[bestRead] = -1
-			if re.sym >= 0 {
-				m.bound[re.sym] = false
-			}
-			m.deps = m.deps[:len(m.deps)-1]
-			m.depEvs = m.depEvs[:len(m.depEvs)-1]
+			m.unapply(bestRead)
 		}
 		undo()
 		return false, nil
@@ -579,5 +573,22 @@ func (m *matcher) apply(ri, wi int, rl rloc) error {
 		r:   trace.TC{Thread: re.thread, Counter: re.counter},
 	})
 	m.depEvs = append(m.depEvs, depEv{w: wi, r: rev, loc: m.idOf(rl)})
+	if wi >= 0 {
+		m.readsOf[wi] = append(m.readsOf[wi], rev)
+	}
 	return nil
+}
+
+// unapply undoes read ri's match, which must be the latest one applied.
+func (m *matcher) unapply(ri int) {
+	rev := m.reads[ri]
+	if wi := m.matched[ri]; wi >= 0 {
+		m.readsOf[wi] = m.readsOf[wi][:len(m.readsOf[wi])-1]
+	}
+	m.matched[ri] = -1
+	if sym := m.events[rev].sym; sym >= 0 {
+		m.bound[sym] = false
+	}
+	m.deps = m.deps[:len(m.deps)-1]
+	m.depEvs = m.depEvs[:len(m.depEvs)-1]
 }

@@ -29,9 +29,10 @@ type Telemetry struct {
 	Bugs       int   `json:"bugs,omitempty"`
 	// RecordNS is the summed wall time of the epoch's record runs.
 	RecordNS int64 `json:"record_ns"`
-	// NativeNS is the session's uninstrumented baseline run time (one
-	// timed native run at session start); zero when unknown (recovered
-	// or pre-telemetry rows).
+	// NativeNS is the session's baseline run time: one timed run at
+	// session start with no recorder, NopHooks dispatch under the full
+	// instrumentation mask. Zero when unknown (recovered or pre-telemetry
+	// rows).
 	NativeNS int64 `json:"native_ns,omitempty"`
 	// Fsyncs counts the fsync barriers the segment performed (header,
 	// checkpoints, seal-path flushes).

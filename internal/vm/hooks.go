@@ -49,9 +49,10 @@ const (
 	SysRandom
 )
 
-// Hooks is the instrumentation interface. A nil Hooks means a native
-// (uninstrumented) run. Implementations include the Light recorder, the
-// Leap/Stride baselines, the replay scheduler, and the test oracle.
+// Hooks is the instrumentation interface. A nil Config.Hooks runs NopHooks,
+// which still dispatches every instrumented access (see Config.Hooks).
+// Implementations include the Light recorder, the Leap/Stride baselines, the
+// replay scheduler, and the test oracle.
 //
 // SharedAccess must invoke do at most once; do performs the underlying heap
 // operation. Not invoking do is how the replayer suppresses blind writes

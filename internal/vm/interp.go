@@ -77,7 +77,7 @@ func (v *VM) exec(t *Thread, fn *compiler.Func, args []Value) (Value, *RuntimeEr
 			if !ok {
 				return Null, v.runtimeErr(t, fn, pc, ErrType, obj.String(), "class %s has no field %s", o.Class.Name, v.prog.FieldNames[in.Sym])
 			}
-			regs[in.Dst] = v.sharedRead(t, FieldLoc(o, in.Sym), in.Site, slot, func() Value { return o.Fields[slot] })
+			regs[in.Dst] = v.loadSlot(t, FieldLoc(o, in.Sym), in.Site, slot, &o.Fields[slot])
 
 		case compiler.StoreField:
 			obj := regs[in.A]
@@ -92,8 +92,7 @@ func (v *VM) exec(t *Thread, fn *compiler.Func, args []Value) (Value, *RuntimeEr
 			if !ok {
 				return Null, v.runtimeErr(t, fn, pc, ErrType, obj.String(), "class %s has no field %s", o.Class.Name, v.prog.FieldNames[in.Sym])
 			}
-			val := regs[in.B]
-			v.sharedWrite(t, FieldLoc(o, in.Sym), in.Site, slot, func() { o.Fields[slot] = val })
+			v.storeSlot(t, FieldLoc(o, in.Sym), in.Site, slot, &o.Fields[slot], regs[in.B])
 
 		case compiler.LoadIndex:
 			val, err := v.loadIndex(t, fn, pc, in, regs)
@@ -109,12 +108,11 @@ func (v *VM) exec(t *Thread, fn *compiler.Func, args []Value) (Value, *RuntimeEr
 
 		case compiler.LoadGlobal:
 			gid := in.Sym
-			regs[in.Dst] = v.sharedRead(t, GlobalLoc(v.globals, gid), in.Site, gid, func() Value { return v.globals.Slots[gid] })
+			regs[in.Dst] = v.loadSlot(t, GlobalLoc(v.globals, gid), in.Site, gid, &v.globals.Slots[gid])
 
 		case compiler.StoreGlobal:
 			gid := in.Sym
-			val := regs[in.A]
-			v.sharedWrite(t, GlobalLoc(v.globals, gid), in.Site, gid, func() { v.globals.Slots[gid] = val })
+			v.storeSlot(t, GlobalLoc(v.globals, gid), in.Site, gid, &v.globals.Slots[gid], regs[in.A])
 
 		case compiler.NewObject:
 			o := NewObject(v.prog.Classes[in.Sym])
@@ -352,7 +350,7 @@ func (v *VM) loadIndex(t *Thread, fn *compiler.Func, pc int, in *compiler.Instr,
 			return Null, v.runtimeErr(t, fn, pc, ErrIndex, idx.String(), "index %d out of bounds [0,%d)", idx.I, len(a.Elems))
 		}
 		i := idx.I
-		return v.sharedRead(t, ElemLoc(a, i), in.Site, int(i), func() Value { return a.Elems[i] }), nil
+		return v.loadSlot(t, ElemLoc(a, i), in.Site, int(i), &a.Elems[i]), nil
 	case KindMap:
 		m := seq.Ref.(*MapObj)
 		k, ok := mapKey(idx)
@@ -382,7 +380,7 @@ func (v *VM) storeIndex(t *Thread, fn *compiler.Func, pc int, in *compiler.Instr
 			return v.runtimeErr(t, fn, pc, ErrIndex, idx.String(), "index %d out of bounds [0,%d)", idx.I, len(a.Elems))
 		}
 		i := idx.I
-		v.sharedWrite(t, ElemLoc(a, i), in.Site, int(i), func() { a.Elems[i] = val })
+		v.storeSlot(t, ElemLoc(a, i), in.Site, int(i), &a.Elems[i], val)
 		return nil
 	case KindMap:
 		m := seq.Ref.(*MapObj)
@@ -406,6 +404,28 @@ func (v *VM) storeIndex(t *Thread, fn *compiler.Func, pc int, in *compiler.Instr
 	default:
 		return v.runtimeErr(t, fn, pc, ErrType, seq.String(), "index write on %s", seq.Kind)
 	}
+}
+
+// loadSlot reads the heap slot *p (a field, global or array element). An
+// uninstrumented site reads it inline, with no closure; an instrumented one
+// goes through sharedRead, which reads *p only when the hook runs do. Objects,
+// arrays and the globals never reallocate their slots, so p stays valid.
+// Map sites keep their own closures, since O2 never leaves one out.
+func (v *VM) loadSlot(t *Thread, loc Loc, site, slot int, p *Value) Value {
+	if !v.instrumented(site) {
+		return *p
+	}
+	return v.sharedRead(t, loc, site, slot, func() Value { return *p })
+}
+
+// storeSlot writes val to the heap slot *p, inline on an uninstrumented
+// site and through sharedWrite (which the hook may suppress) otherwise.
+func (v *VM) storeSlot(t *Thread, loc Loc, site, slot int, p *Value, val Value) {
+	if !v.instrumented(site) {
+		*p = val
+		return
+	}
+	v.sharedWrite(t, loc, site, slot, func() { *p = val })
 }
 
 // sharedRead performs a heap read, routing it through hooks when the site is

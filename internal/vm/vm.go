@@ -14,7 +14,11 @@ import (
 type Config struct {
 	Prog *compiler.Program
 
-	// Hooks receives every instrumented shared access; nil means native.
+	// Hooks receives every instrumented shared access. Nil means NopHooks,
+	// not an uninstrumented run: every site the Instrument mask selects
+	// still bumps its thread's counter, builds its closure and calls the
+	// hook, and every synchronization ghost access is dispatched. Only the
+	// sites the mask leaves out run inline, with no closure.
 	Hooks Hooks
 
 	// Seed drives per-thread pseudo-randomness (random builtin).
